@@ -59,16 +59,13 @@ inline SweepConfig sweep_config(const Cli& cli) {
   return cfg;
 }
 
-/// Solver flags shared by the LP-backed benches: `--no-dual` disables the
-/// dual-simplex reoptimization of rhs-edited warm restarts (`--dual`, the
-/// default, re-enables it) and `--no-flow-crash` disables the Dinic
-/// flow-crash basis for cold solves (`--flow-crash` re-enables it), so runs
-/// can be compared flag-for-flag. Results are identical either way — the
-/// flags trade simplex iterations, never optima (the golden gate runs both).
+/// Solver flags shared by the LP-backed benches: `--no-flow-crash` disables
+/// the Dinic flow-crash basis for cold solves (`--flow-crash`, the default,
+/// re-enables it), so runs can be compared flag-for-flag. Results are
+/// identical either way — the flag trades simplex iterations, never optima
+/// (the golden gate runs both).
 inline lp::SimplexOptions solver_options(const Cli& cli) {
   lp::SimplexOptions opts;
-  if (cli.has("no-dual")) opts.dual = false;
-  if (cli.has("dual")) opts.dual = true;
   if (cli.has("no-flow-crash")) opts.flow_crash = false;
   if (cli.has("flow-crash")) opts.flow_crash = true;
   return opts;

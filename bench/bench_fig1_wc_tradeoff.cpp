@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
                              .set("points", points)
                              .set("warm_start", sweep.warm_start)
                              .set("chains", sweep.chains)
-                             .set("dual", opts.dual)
                              .set("flow_crash", opts.flow_crash)
                              .set("threads", threads));
   bench::TraceOutput trace(cli);

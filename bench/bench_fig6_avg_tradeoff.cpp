@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
                              .set("design_samples", design_count)
                              .set("warm_start", sweep.warm_start)
                              .set("chains", sweep.chains)
-                             .set("dual", opts.dual)
                              .set("flow_crash", opts.flow_crash)
                              .set("skip_curve", cli.has("skip-curve"))
                              .set("skip_design", cli.has("skip-design")));

@@ -347,17 +347,7 @@ DesignResult SymmetricArcDesign::solve(const lp::SimplexOptions& opts,
     t.attr("cols", model_.num_cols());
     t.attr("nnz", static_cast<std::int64_t>(model_.num_terms()));
     const lp::CrashHints* crash = opts.flow_crash ? &flow_crash_hints() : nullptr;
-    if (warm != nullptr && !warm->empty() && locality_row_ >= 0) {
-      // The only row a sweep edits between solves is the locality bound;
-      // annotating it lets the warm-start logic target that row: the dual
-      // phase reprices it directly instead of rediscovering the moved
-      // constraint via a cold repair.
-      lp::Basis hinted = *warm;
-      hinted.edited_rows.assign(1, locality_row_);
-      sol = lp::solve(model_, opts, &hinted, crash);
-    } else {
-      sol = lp::solve(model_, opts, warm, crash);
-    }
+    sol = lp::solve(model_, opts, warm, crash);
     t.attr("status", lp::to_string(sol.status));
     t.attr("warm_start", sol.warm_start);
     t.attr("dual_iterations", static_cast<std::int64_t>(sol.dual_iterations));

@@ -100,8 +100,6 @@ struct SweepResume {
 /// exported simplex basis that warm-starts the next point. Binary and
 /// machine-local (doubles are stored bit-exact — resume must reproduce the
 /// uninterrupted run bitwise; journals are not an interchange format).
-/// Basis::edited_rows is not stored: SymmetricArcDesign::solve re-annotates
-/// the moved locality row on every warm solve.
 struct SweepCheckpoint {
   static std::string encode(int index, const TradeoffPoint& pt, const lp::Basis& basis);
   /// Strict decode; false on any truncation, trailing bytes or version

@@ -71,22 +71,16 @@ struct Certificate {
 /// Exported on every Solution and accepted back by lp::solve() as a warm
 /// start. A basis is only meaningful for a model whose standard form has the
 /// same dimensions as the one that produced it; lp::solve() validates the
-/// supplied basis, repairs singular ones against the crash basis, and falls
-/// back to a cold start when the basis cannot be salvaged (see
-/// lp.warmstart.* obs counters).
+/// supplied basis, repairs singular ones against the crash basis,
+/// re-optimizes a dual-feasible one whose point an rhs edit moved out of
+/// bounds with the dual simplex, and falls back to a cold start when the
+/// basis cannot be salvaged (see lp.warmstart.* and lp.dual.* obs counters).
 struct Basis {
   /// Per standard-form column: 0 = basic, 1 = at lower bound, 2 = at upper
   /// bound, 3 = free at zero (matches lp::detail::VarStatus).
   std::vector<std::uint8_t> stat;
   /// Basic column per row (size = number of rows).
   std::vector<int> basic;
-  /// Optional caller hint: rows whose rhs/bounds were edited after this
-  /// basis was exported (a parametric sweep knows exactly which constraint
-  /// it moved). The warm-start repair tries these rows' slack/artificial
-  /// columns first when the basis comes back primal-infeasible, which turns
-  /// the repair into a single targeted pivot instead of a search. Solvers
-  /// export this empty; out-of-range entries are ignored.
-  std::vector<int> edited_rows;
 
   bool empty() const { return basic.empty(); }
 };
@@ -116,10 +110,10 @@ struct Solution {
   std::vector<double> reduced;  // reduced costs of structural variables
   long iterations = 0;          // simplex iterations of the returned attempt
   long phase1_iterations = 0;
-  /// Iterations spent in the dual simplex phase (SimplexOptions::dual): a
-  /// warm basis left dual-feasible but primal-infeasible by an rhs edit is
-  /// driven back to optimality by dual pivots instead of reentry + phase 1.
-  /// 0 when the dual phase did not run. Included in `iterations`.
+  /// Iterations spent in the dual simplex phase: a warm basis left
+  /// dual-feasible but primal-infeasible by an rhs edit is driven back to
+  /// optimality by dual pivots instead of phase 1. 0 when the dual phase
+  /// did not run. Included in `iterations`.
   long dual_iterations = 0;
   /// Human-readable diagnosis of why a non-optimal solve stopped (e.g.
   /// "iteration limit after 312 degenerate pivots"). Empty when Optimal,

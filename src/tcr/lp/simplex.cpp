@@ -121,6 +121,14 @@ struct RecoveryMetrics {
   }
 };
 
+// Certification tolerances are the solver tolerances times this factor:
+// the checker measures a different norm than the solver controls, so it
+// needs headroom; 10x is conservative but still catches real breakage.
+constexpr double kCertifyTolFactor = 10.0;
+// The dense fallback stage only runs when rows + cols <= this: it is
+// O(m^2 n) per iteration, and beyond this it would dominate the solve time.
+constexpr int kDenseFallbackMaxDim = 600;
+
 using detail::kAtLower;
 using detail::kAtUpper;
 using detail::kBasic;
@@ -218,17 +226,10 @@ class RevisedSimplex {
       // pivots on the same deterministic tiny perturbation phase 2 uses —
       // the entering ratios become decisive — and let the clean true-cost
       // primal pass below absorb the O(1e-9) dual wobble it introduces.
-      std::vector<double> dcost = sf_.cost;
-      if (opt_.perturb) {
-        for (int j = 0; j < n_; ++j) {
-          if (!std::isfinite(sf_.lo[j]) && !std::isfinite(sf_.up[j])) continue;
-          dcost[j] += 1e-9 * (1.0 + std::abs(dcost[j])) * (0.5 + rng_.uniform());
-        }
-      }
       Status sd;
       {
         trace::Span t("lp.dual", met_.t_dual);
-        sd = optimize_dual(dcost);
+        sd = optimize_dual(opt_.perturb ? perturbed_costs() : sf_.cost);
         t.attr("status", to_string(sd));
         t.attr("iterations", dual_iters_);
       }
@@ -313,17 +314,8 @@ class RevisedSimplex {
       // optimality. The anti-degeneracy perturbation would only pivot away
       // from the answer and back.
       if (opt_.perturb && !dual_done) {
-        // Deterministic tiny perturbation breaks massive dual degeneracy in
-        // the MCF models; a clean pass with the true costs follows.
-        std::vector<double> pcost = sf_.cost;
-        for (int j = 0; j < n_; ++j) {
-          // Free variables stay unperturbed: their null directions (e.g. a
-          // constant shift of dual potentials) would make the perturbed
-          // problem unbounded.
-          if (!std::isfinite(sf_.lo[j]) && !std::isfinite(sf_.up[j])) continue;
-          pcost[j] += 1e-9 * (1.0 + std::abs(pcost[j])) * (0.5 + rng_.uniform());
-        }
-        s2 = optimize(pcost, /*phase1=*/false);
+        // A clean pass with the true costs follows the perturbed one.
+        s2 = optimize(perturbed_costs(), /*phase1=*/false);
         if (s2 == Status::Optimal) s2 = optimize(sf_.cost, false);
       } else {
         s2 = optimize(sf_.cost, false);
@@ -342,6 +334,19 @@ class RevisedSimplex {
   }
 
  private:
+  // Deterministic tiny cost perturbation (one rng_ draw per perturbed
+  // column) that breaks the massive dual degeneracy of the MCF models. Free
+  // variables stay unperturbed: their null directions (e.g. a constant
+  // shift of dual potentials) would make the perturbed problem unbounded.
+  std::vector<double> perturbed_costs() {
+    std::vector<double> c = sf_.cost;
+    for (int j = 0; j < n_; ++j) {
+      if (!std::isfinite(sf_.lo[j]) && !std::isfinite(sf_.up[j])) continue;
+      c[j] += 1e-9 * (1.0 + std::abs(c[j])) * (0.5 + rng_.uniform());
+    }
+    return c;
+  }
+
   // ---- instrumentation -------------------------------------------------
 
   // Final per-solve bookkeeping: registry counters, the exported basis, and
@@ -501,13 +506,12 @@ class RevisedSimplex {
   }
 
   // Install a caller-supplied basis, repairing what can be repaired:
-  // out-of-range statuses are re-derived, singular positions and
-  // out-of-bound *basic* variables (which phase 1's artificial framework
-  // cannot express) are patched back to their rows' crash columns. After a
-  // sweep relaxes one rhs entry, a previously binding row's slack stays
-  // nonbasic and the recomputed basics absorb the whole delta — the patch
-  // hands that delta to the row's slack or artificial instead, which keeps
-  // the rest of the basis and leaves at most a short phase 1.
+  // out-of-range statuses are re-derived and singular positions are patched
+  // back to their rows' crash columns. A warm basis left primal-infeasible
+  // but dual-feasible goes to the dual phase (kDual); otherwise out-of-bound
+  // *basic* variables (which phase 1's artificial framework cannot express)
+  // are patched back to their crash columns too, which hands their load to
+  // the rows' slacks or artificials and leaves a phase 1 from the rest.
   WarmAdopt apply_warm(const Basis& warm) {
     begin_adoption();
     if (static_cast<int>(warm.basic.size()) != m_ ||
@@ -605,28 +609,12 @@ class RevisedSimplex {
       }
     }
 
-    // Caller hint: rows whose rhs changed since the basis was exported.
-    // Their aux columns are the first reentry candidates. The list is
-    // bounds-checked (a stale or hand-built basis can carry rows past m_)
-    // and deduplicated in caller order: a sweep that edits the same row
-    // twice must not make reentry_pivot try — and possibly commit — the
-    // same aux column twice.
-    std::vector<int> hint_rows;
-    std::vector<char> hinted_row(static_cast<std::size_t>(m_), 0);
-    for (const int r : warm.edited_rows) {
-      if (r >= 0 && r < m_ && !hinted_row[r]) {
-        hinted_row[r] = 1;
-        hint_rows.push_back(r);
-      }
-    }
-
     // Primal-feasibility check with repair. Each round classifies the basic
-    // values and, when some are out of bounds, tries two mechanisms in
-    // order: a reentry pivot (the cure when a sweep edited one rhs entry —
-    // see reentry_pivot()), then patching each offender back to its crash
-    // column. Both strictly change the basis, so the round cap bounds the
-    // cost of a hopeless basis. Load on basic artificials is left alone
-    // when phase 1 will run — that is exactly what phase 1 minimizes.
+    // values and, when some are out of bounds, patches each offender back
+    // to its crash column. A patch strictly changes the basis, so the round
+    // cap bounds the cost of a hopeless basis. Load on basic artificials is
+    // left alone when phase 1 will run — that is exactly what phase 1
+    // minimizes.
     for (int round = 0; round < 8; ++round) {
       std::vector<int> bad;
       bool artificial_load = false;
@@ -651,12 +639,12 @@ class RevisedSimplex {
         commit_adoption(patched ? kOutcomeRepaired : kOutcomeAccepted);
         return WarmAdopt::kFeasible;
       }
-      // Dual screen, once, before any primal repair: a basis the rhs edit
-      // (flagged via edited_rows) left primal-infeasible — out-of-bound
-      // basics or artificial load — but dual-feasible goes to the dual
-      // phase instead of the reentry-pivot + phase-1 ladder. Its adoption
-      // outcome stays staged until the dual verdict is in.
-      if (round == 0 && opt_.dual && !adopting_crash_ && !hint_rows.empty()) {
+      // Dual screen, once, before any primal repair: a warm basis an rhs
+      // edit left primal-infeasible — out-of-bound basics or artificial
+      // load — but dual-feasible goes to the dual phase instead of the
+      // patch + phase-1 ladder. Its adoption outcome stays staged until the
+      // dual verdict is in. Crash-hint bases never take this route.
+      if (round == 0 && !adopting_crash_) {
         if (dual_feasible()) {
           pending_patched_ = patched;
           return WarmAdopt::kDual;
@@ -668,7 +656,6 @@ class RevisedSimplex {
         return WarmAdopt::kPhase1;
       }
       patched = true;
-      if (reentry_pivot(bad, hint_rows)) continue;
       bool repairable = true;
       for (int i : bad) {
         if (!patch_to_crash(i)) {
@@ -681,166 +668,6 @@ class RevisedSimplex {
     restore_crash_basis();
     commit_adoption(kOutcomeRejected);
     return WarmAdopt::kRejected;
-  }
-
-  // A sweep that edits one rhs entry leaves the edited row's aux column
-  // (slack or artificial) nonbasic whenever that row was binding, so the
-  // recomputed basics absorb the whole rhs delta and some land outside
-  // their bounds. The cure is a single pivot: re-enter the aux column at
-  // the value that returns the most violated basic to its bound, restoring
-  // the rest of the basis values in the same stroke. Candidates come from
-  // two sources, tried in order:
-  //   1. hint_rows — the caller said which rows it edited (Basis::
-  //      edited_rows), so their aux columns are tried directly;
-  //   2. a probe screen — without a hint, btran a few violated positions
-  //      (rows of B^-1) and keep the nonbasic aux columns whose single
-  //      coefficient moves every probe back toward its bound. |rho| alone
-  //      is no signal (an unrelated row can couple strongly to one
-  //      position while pushing another the wrong way), so the curing-sign
-  //      test on all probes is what thins the field.
-  // Returns true after committing a swap and refactorizing; the basis
-  // arrays stay consistent on failure so the caller can fall back.
-  bool reentry_pivot(const std::vector<int>& bad, const std::vector<int>& hint_rows) {
-    std::vector<double> col(static_cast<std::size_t>(m_)), w;
-
-    // Full test for entering column s: raising s from its bound by t moves
-    // basic i to xb_[i] - t * w[i]. Every violated basic must cross back
-    // inside (t_lo), no in-bounds basic may exit (t_hi), and the rhs delta
-    // that caused the violations lies in [t_lo, t_hi] when s is the edited
-    // row's aux column. Take t = t_lo: the position defining it lands
-    // exactly on its bound and leaves the basis there. Returns 1 when the
-    // pivot was committed and refactorized, 0 when committed but the new
-    // basis failed to factor, -1 when s is not a consistent cure.
-    auto attempt = [&](int s) -> int {
-      col.assign(static_cast<std::size_t>(m_), 0.0);
-      a_.add_column_to(s, 1.0, col);
-      ftran(col, w);
-
-      double t_lo = 0.0, t_hi = sf_.up[s] - nonbasic_value(s);
-      int leave = -1;
-      bool leave_below = true;
-      bool viable = true;
-      for (int i = 0; viable && i < m_; ++i) {
-        const int j = basic_[i];
-        const double lo = sf_.lo[j];
-        const double up = sf_.artificial[j] && !sf_.need_phase1 ? 0.0
-                          : sf_.artificial[j]                   ? kInf
-                                                                : sf_.up[j];
-        if (xb_[i] < lo - opt_.feas_tol) {
-          if (w[i] >= -1e-12) {
-            viable = false;  // this direction cannot lift i back to lo
-          } else {
-            const double need = (xb_[i] - lo) / w[i];
-            if (need > t_lo) {
-              t_lo = need;
-              leave = i;
-              leave_below = true;
-            }
-            if (std::isfinite(up)) t_hi = std::min(t_hi, (xb_[i] - up - opt_.feas_tol) / w[i]);
-          }
-        } else if (xb_[i] > up + opt_.feas_tol) {
-          if (w[i] <= 1e-12) {
-            viable = false;
-          } else {
-            const double need = (xb_[i] - up) / w[i];
-            if (need > t_lo) {
-              t_lo = need;
-              leave = i;
-              leave_below = false;
-            }
-            if (std::isfinite(lo)) t_hi = std::min(t_hi, (xb_[i] - lo + opt_.feas_tol) / w[i]);
-          }
-        } else if (w[i] > 1e-9) {
-          // Exit through the lower bound; like the Harris ratio test, the
-          // bound is expanded by feas_tol, so a degenerate basic sitting on
-          // it with a tiny pivot does not spuriously block the step.
-          if (std::isfinite(lo)) t_hi = std::min(t_hi, (xb_[i] - lo + opt_.feas_tol) / w[i]);
-        } else if (w[i] < -1e-9) {
-          if (std::isfinite(up)) t_hi = std::min(t_hi, (xb_[i] - up - opt_.feas_tol) / w[i]);
-        }
-      }
-      if (!viable || leave < 0 || t_lo > t_hi + opt_.feas_tol) return -1;
-      if (sf_.artificial[s] && !sf_.need_phase1 && t_lo > opt_.feas_tol) return -1;
-
-      const int out = basic_[leave];
-      stat_[out] = sf_.artificial[out] || leave_below ? kAtLower : kAtUpper;
-      pos_of_col_[out] = -1;
-      basic_[leave] = s;
-      stat_[s] = kBasic;
-      pos_of_col_[s] = leave;
-      return refactorize() ? 1 : 0;
-    };
-
-    // Aux columns have exactly one matrix entry, so a triplet scan yields
-    // each one once with its row. Hinted rows first (slack beats
-    // artificial: entering the slack leaves no phase-1 load).
-    struct Cand {
-      int col, row;
-      double coeff;
-    };
-    if (!hint_rows.empty()) {
-      std::vector<Cand> hinted;
-      for (const auto& t : sf_.triplets) {
-        if (t.col < sf_.nstruct || stat_[t.col] == kBasic) continue;
-        if (sf_.artificial[t.col] && !sf_.need_phase1) continue;
-        for (const int r : hint_rows) {
-          if (t.row == r) {
-            hinted.push_back({t.col, t.row, t.value});
-            break;
-          }
-        }
-      }
-      std::sort(hinted.begin(), hinted.end(), [&](const Cand& x, const Cand& y) {
-        if (sf_.artificial[x.col] != sf_.artificial[y.col]) return !sf_.artificial[x.col];
-        return x.col < y.col;
-      });
-      for (const Cand& c : hinted) {
-        const int r = attempt(c.col);
-        if (r >= 0) return r == 1;
-      }
-    }
-
-    // No hint (or the hinted columns were not a consistent cure): probe a
-    // handful of violated positions, spread across the list. Each btran
-    // yields that row of B^-1, giving every candidate's influence
-    // w[probe] = coeff * rho[row] without an ftran.
-    const int nb = static_cast<int>(bad.size());
-    const int np = std::min(nb, 8);
-    std::vector<std::vector<double>> rhos(static_cast<std::size_t>(np));
-    std::vector<char> probe_below(static_cast<std::size_t>(np));
-    std::vector<double> er(static_cast<std::size_t>(m_), 0.0);
-    for (int k = 0; k < np; ++k) {
-      const int i = bad[static_cast<std::size_t>(k) * nb / np];
-      probe_below[k] = xb_[i] < sf_.lo[basic_[i]] ? 1 : 0;
-      er[i] = 1.0;
-      btran(er, rhos[k]);
-      er[i] = 0.0;
-    }
-
-    std::vector<Cand> cands;
-    for (const auto& t : sf_.triplets) {
-      if (t.col < sf_.nstruct || stat_[t.col] == kBasic) continue;
-      if (sf_.artificial[t.col] && !sf_.need_phase1) continue;
-      bool cures = true;
-      for (int k = 0; cures && k < np; ++k) {
-        const double wk = t.value * rhos[k][t.row];
-        cures = probe_below[k] ? wk < -1e-9 : wk > 1e-9;
-      }
-      if (cures) cands.push_back({t.col, t.row, t.value});
-    }
-    std::sort(cands.begin(), cands.end(), [&](const Cand& x, const Cand& y) {
-      if (sf_.artificial[x.col] != sf_.artificial[y.col]) return !sf_.artificial[x.col];
-      const double rx = std::abs(rhos[0][x.row]), ry = std::abs(rhos[0][y.row]);
-      if (rx != ry) return rx > ry;
-      return x.col < y.col;
-    });
-
-    const int tries = std::min(static_cast<int>(cands.size()), 8);
-    for (int c = 0; c < tries; ++c) {
-      const int r = attempt(cands[c].col);
-      if (r >= 0) return r == 1;
-    }
-    return false;
   }
 
   // ---- run-control accounting -----------------------------------------
@@ -1616,7 +1443,7 @@ Solution solve(const Model& model, const SimplexOptions& options, const Basis* w
   TCR_REQUIRE(model.num_cols() > 0, "model has no variables");
 
   const CertifyOptions cert_opts = CertifyOptions::from_solver_tols(
-      options.feas_tol, options.opt_tol, options.certify_tol_factor);
+      options.feas_tol, options.opt_tol, kCertifyTolFactor);
 
   // Crash hints ride along to every sparse attempt (they only kick in when
   // no warm basis is adopted); the dense fallback stays hint-free — its
@@ -1683,14 +1510,7 @@ Solution solve(const Model& model, const SimplexOptions& options, const Basis* w
                                        &rec.rescued_careful, &rec.rescued_dense};
   const char* names[kNumStages] = {"reseed", "equilibrate", "careful", "dense"};
 
-  const bool stage_enabled[kNumStages] = {options.recover_reseed,
-                                          options.recover_equilibrate,
-                                          options.recover_careful, options.recover_dense};
-
-  int stages_run = 0;
-  for (int stage = 0; stage < kNumStages && stages_run < options.max_recovery_stages;
-       ++stage) {
-    if (!stage_enabled[stage]) continue;
+  for (int stage = 0; stage < kNumStages; ++stage) {
     const std::string stage_span_name = std::string("lp.recovery.") + names[stage];
     trace::Span stage_span(stage_span_name);
     Solution cand;
@@ -1731,7 +1551,7 @@ Solution solve(const Model& model, const SimplexOptions& options, const Basis* w
       case kDense: {
         // Last resort for small models: the dense reference simplex shares
         // no code with the revised solver (explicit inverse, Bland's rule).
-        if (model.num_rows() + model.num_cols() > options.dense_fallback_max_dim) {
+        if (model.num_rows() + model.num_cols() > kDenseFallbackMaxDim) {
           history += "; dense: skipped (model too large)";
           continue;
         }
@@ -1739,7 +1559,6 @@ Solution solve(const Model& model, const SimplexOptions& options, const Basis* w
         break;
       }
     }
-    ++stages_run;
     rec.attempts.add(1);
     met.retries.add(1);
     const bool rescued_here = accept(cand);

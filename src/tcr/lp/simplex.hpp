@@ -2,12 +2,21 @@
 //
 // Two-phase bounded-variable primal simplex:
 //   * basis kept as a sparse Markowitz LU plus a product-form eta file,
-//     refactorized periodically and on numerical alarm;
-//   * Dantzig pricing over the CSC matrix with a Bland's-rule fallback after
-//     a long run of degenerate pivots (anti-cycling);
+//     refactorized every `refactor_every` pivots and on numerical alarm;
+//   * DEVEX pricing over the CSC matrix with a Bland's-rule fallback after
+//     `bland_after` consecutive degenerate pivots (anti-cycling);
 //   * two-pass Harris-style ratio test with a feasibility tolerance;
-//   * optional deterministic objective perturbation for heavily degenerate
+//   * a deterministic 1e-9 objective perturbation for the heavily degenerate
 //     multicommodity-flow models, removed by a final clean re-optimization.
+//
+// A warm basis that comes back dual-feasible but primal-infeasible — the
+// parametric-sweep case, where an rhs edit moved the basic values but left
+// every reduced cost intact — is re-optimized by a dual simplex phase
+// (dual-DEVEX row pricing, bound-flipping ratio test) that shares the eta
+// file and refactorization cadence with the primal loop.
+//
+// Numerical breakdowns and failed certificates go through a four-stage
+// recovery ladder (reseed, equilibrate, careful, dense); see solve().
 //
 // The paper solved its routing-design LPs with CPLEX; this solver is the
 // from-scratch replacement (see DESIGN.md, substitutions).
@@ -28,49 +37,21 @@ struct SimplexOptions {
   double opt_tol = 1e-7;    // reduced-cost (dual feasibility) tolerance
   long max_iterations = 0;  // 0 -> 200 * (m + n) + 10000
   int refactor_every = 50;
-  bool perturb = true;          // phase-2 anti-degeneracy cost perturbation
+  bool perturb = true;          // anti-degeneracy cost perturbation
   std::uint64_t seed = 0x5eedULL;
   int bland_after = 3000;  // consecutive degenerate pivots before Bland mode
-
-  // ---- dual simplex ----
-  /// Re-optimize a warm basis with the dual simplex when it comes back
-  /// dual-feasible but primal-infeasible — the parametric-sweep case, where
-  /// an rhs edit moves the basic values but leaves every reduced cost
-  /// untouched. The dual phase shares the eta/refactorization machinery with
-  /// the primal loop and falls back to the primal reentry-pivot + phase-1
-  /// ladder when the basis is dual-infeasible or the dual iteration stalls
-  /// (lp.dual.* obs counters). Off: every warm basis takes the primal path.
-  bool dual = true;
 
   /// Adopt caller-supplied CrashHints (flow-based crash basis) on cold
   /// solves. Off: hints passed to solve() are ignored and the all-slack
   /// crash is used. Callers also gate hint *construction* on this flag.
   bool flow_crash = true;
 
-  // ---- certification ----
-  /// Run lp::certify() on every Optimal solve and store the result in
-  /// Solution::certificate. A failing certificate is treated like a
-  /// numerical breakdown: the recovery ladder below runs.
+  /// Run lp::certify() on every Optimal solve (at 10x the solver
+  /// tolerances) and store the result in Solution::certificate. A failing
+  /// certificate is treated like a numerical breakdown: the recovery ladder
+  /// runs.
   bool certify = true;
-  /// Certification tolerances are the solver tolerances times this factor
-  /// (the checker measures a different norm than the solver controls, so it
-  /// needs headroom; 10x is conservative but still catches real breakage).
-  double certify_tol_factor = 10.0;
 
-  // ---- staged recovery ladder ----
-  /// How many ladder stages may run after the first attempt fails with
-  /// Status::Numerical or a failed certificate (0 disables recovery).
-  /// Stages run in order: reseed, equilibrate, careful, dense.
-  int max_recovery_stages = 4;
-  bool recover_reseed = true;       // new perturbation seed, flipped perturb
-  bool recover_equilibrate = true;  // geometric-mean scaling, solve, unscale
-  bool recover_careful = true;      // tight refactorization + Bland pricing
-  bool recover_dense = true;        // dense reference simplex (small models)
-  /// The dense fallback only runs when rows + cols <= this (it is O(m^2 n)
-  /// per iteration; beyond this it would dominate the solve time).
-  int dense_fallback_max_dim = 600;
-
-  // ---- run control ----
   /// Optional cooperative cancellation/budget token (not owned; must
   /// outlive the solve). The solver polls it every 16 iterations and at
   /// solve entry, charging iterations against the token's cumulative
@@ -82,27 +63,33 @@ struct SimplexOptions {
 
 /// Solve with the sparse revised simplex. On numerical breakdown — or, when
 /// options.certify is set, on an optimal solution whose independent
-/// certificate fails — a staged recovery ladder re-solves with progressively
-/// more conservative settings (see SimplexOptions). The returned Solution
-/// carries the certificate of the accepted attempt; if every stage fails the
-/// first attempt's result is returned with a note recording the ladder.
+/// certificate fails — a recovery ladder re-solves with progressively more
+/// conservative settings: reseed (new perturbation seed, perturbation
+/// flipped), equilibrate (power-of-two scaling), careful (tight
+/// refactorization, Bland pricing) and dense (the independent dense tableau
+/// simplex, for rows + cols <= 600). The returned Solution carries the
+/// certificate of the accepted attempt; if every stage fails the most
+/// defensible attempt is returned with a note recording the ladder.
 ///
 /// `warm` optionally supplies a starting basis (typically the previous
 /// Solution::basis of a near-identical model in a sweep). The basis is
 /// validated against the model's standard form: a dimension-mismatched or
 /// inconsistent basis is rejected (cold start), a singular one is repaired
-/// by patching the unpivotable positions back to the crash basis, and a
-/// basis whose point is primal-feasible skips phase 1 entirely, and a basis
-/// that is dual-feasible but primal-infeasible is re-optimized by the dual
-/// simplex when options.dual is set. Every adoption attempt increments
-/// exactly one of the lp.warmstart.{accepted,repaired,rejected} obs counters
+/// by patching the unpivotable positions back to the crash basis, a basis
+/// whose point is primal-feasible skips phase 1 entirely, and a
+/// primal-infeasible one that is still dual-feasible is re-optimized by the
+/// dual simplex phase. A basis that fails the dual screen has its
+/// out-of-bound positions patched back to the crash basis and runs phase 1,
+/// or is rejected. Every adoption attempt increments exactly one of the
+/// lp.warmstart.{accepted,repaired,rejected} obs counters
 /// (lp.warmstart.attempts counts them all). The reseed/equilibrate/careful
 /// recovery stages restart from the failed attempt's exported basis rather
 /// than from scratch.
 ///
 /// `crash` optionally supplies combinatorial crash-basis hints used when no
 /// warm basis is adopted (cold start) and options.flow_crash is set; they go
-/// through the same validation/repair machinery, counted under lp.crash.*.
+/// through the same validation/repair machinery (never the dual phase),
+/// counted under lp.crash.*.
 Solution solve(const Model& model, const SimplexOptions& options = {},
                const Basis* warm = nullptr, const CrashHints* crash = nullptr);
 

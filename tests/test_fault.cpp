@@ -1,6 +1,7 @@
 // Fault injection (tcr::fault) proving the robustness machinery:
 //  * ULP model perturbation is deterministic and keeps problems solvable;
-//  * each recovery-ladder stage demonstrably rescues a seeded breakdown;
+//  * each recovery-ladder stage demonstrably rescues a seeded breakdown,
+//    selected by the size of the injected-failure budget;
 //  * corrupted "optimal" extractions are caught by the certificate and
 //    re-solved;
 //  * simulator link-down faults deadlock the drain, transient global credit
@@ -8,6 +9,7 @@
 // The env-gated stress case at the bottom backs the CI fault-injection job.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -96,120 +98,141 @@ TEST(FaultUlp, ZeroUlpsIsIdentity) {
 
 // ---- recovery-ladder rescues ------------------------------------------
 
-TEST(FaultLadder, ReseedRescuesRefactorFailure) {
-  fault::ScopedSimplexFaults faults;
-  faults.hooks().fail_refactors = 1;  // break the first attempt's first factor
-  const long rescued0 = counter_value("lp.recovery.rescued.reseed");
+// Which ladder stage rescued the solves inside its lifetime: "none" when no
+// stage did, "several" when more than one did.
+class LadderProbe {
+ public:
+  LadderProbe() {
+    for (std::size_t i = 0; i < kStages.size(); ++i) start_[i] = rescued(kStages[i]);
+  }
+  std::string rescuer() const {
+    std::string who = "none";
+    for (std::size_t i = 0; i < kStages.size(); ++i) {
+      if (rescued(kStages[i]) != start_[i]) who = who == "none" ? kStages[i] : "several";
+    }
+    return who;
+  }
+  long attempts() const { return counter_value("lp.recovery.attempts") - attempts0_; }
+  long exhausted() const { return counter_value("lp.recovery.exhausted") - exhausted0_; }
 
+ private:
+  static constexpr std::array<const char*, 4> kStages = {"reseed", "equilibrate", "careful",
+                                                         "dense"};
+  static long rescued(const char* stage) {
+    return counter_value(("lp.recovery.rescued." + std::string(stage)).c_str());
+  }
+  std::array<long, 4> start_ = {};
+  long attempts0_ = counter_value("lp.recovery.attempts");
+  long exhausted0_ = counter_value("lp.recovery.exhausted");
+};
+
+// The size of an injected refactorization-failure budget decides which
+// stage rescues textbook(): the first attempt consumes one failure and each
+// sparse stage three (one per factorization it tries: the chained warm
+// basis, its patched repair, the crash basis), so reseed takes budgets 1-3,
+// equilibrate 4-6, careful 7-9 and the dense stage, which shares no code
+// with the sparse solver and never sees an injected failure, everything
+// from 10 up.
+std::string rescuer_for_refactor_failures(long budget) {
+  fault::ScopedSimplexFaults faults;
+  faults.hooks().fail_refactors = budget;
+  const LadderProbe probe;
   const auto sol = lp::solve(textbook());
-  ASSERT_EQ(sol.status, Status::Optimal);
-  EXPECT_TRUE(sol.certificate.ok());
-  EXPECT_NEAR(sol.objective, 36.0, 1e-9);
-  EXPECT_EQ(faults.hooks().refactor_failures_injected.load(), 1);
-  EXPECT_EQ(counter_value("lp.recovery.rescued.reseed"), rescued0 + 1);
+  EXPECT_EQ(sol.status, Status::Optimal) << "budget " << budget << ": " << sol.note;
+  EXPECT_TRUE(sol.certificate.ok()) << "budget " << budget;
+  EXPECT_NEAR(sol.objective, 36.0, 1e-9) << "budget " << budget;
+  EXPECT_EQ(faults.hooks().refactor_failures_injected.load(), budget);
+  return probe.rescuer();
 }
 
-TEST(FaultLadder, EquilibrateRescuesWhenReseedDisabled) {
-  fault::ScopedSimplexFaults faults;
-  faults.hooks().fail_refactors = 1;
-  const long rescued0 = counter_value("lp.recovery.rescued.equilibrate");
-
-  lp::SimplexOptions opts;
-  opts.recover_reseed = false;
-  const auto sol = lp::solve(textbook(), opts);
-  ASSERT_EQ(sol.status, Status::Optimal);
-  EXPECT_TRUE(sol.certificate.ok());
-  EXPECT_NEAR(sol.objective, 36.0, 1e-9);
-  EXPECT_EQ(counter_value("lp.recovery.rescued.equilibrate"), rescued0 + 1);
+TEST(FaultLadder, ReseedRescuesRefactorFailure) {
+  EXPECT_EQ(rescuer_for_refactor_failures(1), "reseed");
+  EXPECT_EQ(rescuer_for_refactor_failures(3), "reseed");
 }
 
-TEST(FaultLadder, CarefulRescuesWhenEarlierStagesDisabled) {
-  fault::ScopedSimplexFaults faults;
-  faults.hooks().fail_refactors = 1;
-  const long rescued0 = counter_value("lp.recovery.rescued.careful");
+TEST(FaultLadder, EquilibrateRescuesWhenReseedExhausted) {
+  EXPECT_EQ(rescuer_for_refactor_failures(4), "equilibrate");
+  EXPECT_EQ(rescuer_for_refactor_failures(6), "equilibrate");
+}
 
-  lp::SimplexOptions opts;
-  opts.recover_reseed = false;
-  opts.recover_equilibrate = false;
-  const auto sol = lp::solve(textbook(), opts);
-  ASSERT_EQ(sol.status, Status::Optimal);
-  EXPECT_TRUE(sol.certificate.ok());
-  EXPECT_EQ(counter_value("lp.recovery.rescued.careful"), rescued0 + 1);
+TEST(FaultLadder, CarefulRescuesWhenEquilibrateExhausted) {
+  EXPECT_EQ(rescuer_for_refactor_failures(7), "careful");
+  EXPECT_EQ(rescuer_for_refactor_failures(9), "careful");
 }
 
 TEST(FaultLadder, DenseRescuesPersistentSparseFailure) {
+  EXPECT_EQ(rescuer_for_refactor_failures(10), "dense");
+  // Every sparse attempt breaks; the dense stage shares no code with them.
   fault::ScopedSimplexFaults faults;
-  faults.hooks().fail_refactors = 1'000'000;  // every sparse attempt breaks
-  const long rescued0 = counter_value("lp.recovery.rescued.dense");
-
+  faults.hooks().fail_refactors = 1'000'000;
+  const LadderProbe probe;
   const auto sol = lp::solve(textbook());
   ASSERT_EQ(sol.status, Status::Optimal);
   EXPECT_TRUE(sol.certificate.ok());
   EXPECT_NEAR(sol.objective, 36.0, 1e-9);
-  EXPECT_EQ(counter_value("lp.recovery.rescued.dense"), rescued0 + 1);
-  // The three sparse stages each consumed at least one injected failure.
-  EXPECT_GE(faults.hooks().refactor_failures_injected.load(), 4);
+  EXPECT_EQ(probe.rescuer(), "dense");
+  EXPECT_EQ(probe.attempts(), 4);
+  EXPECT_EQ(faults.hooks().refactor_failures_injected.load(), 10);
 }
 
+// chain_model(400) has 400 columns and 399 rows, above the dense stage's
+// 600 rows + columns cap, so once every sparse attempt breaks nothing can
+// rescue it.
 TEST(FaultLadder, ExhaustionKeepsFirstAttemptDiagnosis) {
   fault::ScopedSimplexFaults faults;
   faults.hooks().fail_refactors = 1'000'000;
-  const long exhausted0 = counter_value("lp.recovery.exhausted");
+  const LadderProbe probe;
 
-  lp::SimplexOptions opts;
-  opts.recover_dense = false;  // nothing can succeed now
-  const auto sol = lp::solve(textbook(), opts);
+  const auto sol = lp::solve(chain_model(400));
   EXPECT_EQ(sol.status, Status::Numerical);
   EXPECT_NE(sol.note.find("recovery ladder exhausted"), std::string::npos) << sol.note;
   EXPECT_NE(sol.note.find("first attempt"), std::string::npos) << sol.note;
-  EXPECT_EQ(counter_value("lp.recovery.exhausted"), exhausted0 + 1);
-}
-
-TEST(FaultLadder, DisabledLadderReturnsBreakdown) {
-  fault::ScopedSimplexFaults faults;
-  faults.hooks().fail_refactors = 1;
-
-  lp::SimplexOptions opts;
-  opts.max_recovery_stages = 0;
-  const auto sol = lp::solve(textbook(), opts);
-  EXPECT_EQ(sol.status, Status::Numerical);
+  EXPECT_NE(sol.note.find("dense: skipped (model too large)"), std::string::npos) << sol.note;
+  EXPECT_EQ(probe.rescuer(), "none");
+  EXPECT_EQ(probe.attempts(), 3);
+  EXPECT_EQ(probe.exhausted(), 1);
 }
 
 TEST(FaultLadder, CorruptedExtractionCaughtAndResolved) {
   fault::ScopedSimplexFaults faults;
   faults.hooks().solution_corruption = 0.75;
   faults.hooks().corrupt_solutions = 1;  // silently wrong "optimum" once
-  const long attempts0 = counter_value("lp.recovery.attempts");
+  const LadderProbe probe;
 
   const auto sol = lp::solve(textbook());
   ASSERT_EQ(sol.status, Status::Optimal);
   EXPECT_TRUE(sol.certificate.ok()) << sol.certificate.summary();
   EXPECT_NEAR(sol.objective, 36.0, 1e-9);
   EXPECT_EQ(faults.hooks().corruptions_injected.load(), 1);
-  EXPECT_GT(counter_value("lp.recovery.attempts"), attempts0);
+  EXPECT_EQ(probe.rescuer(), "reseed");
 }
 
 TEST(FaultLadder, CorruptionUndetectedWithoutCertification) {
   fault::ScopedSimplexFaults faults;
   faults.hooks().solution_corruption = 0.75;
   faults.hooks().corrupt_solutions = 1;
+  const LadderProbe probe;
 
   lp::SimplexOptions opts;
   opts.certify = false;  // the control: no checker, the bad point sails through
   const auto sol = lp::solve(textbook(), opts);
   ASSERT_EQ(sol.status, Status::Optimal);
   EXPECT_NEAR(sol.x[0], 2.75, 1e-9);  // corrupted value survives
+  EXPECT_EQ(probe.rescuer(), "none");
+  EXPECT_EQ(probe.attempts(), 0);
 }
 
 TEST(FaultLadder, EtaDriftEndsCertified) {
   fault::ScopedSimplexFaults faults;
   faults.hooks().eta_drift = 1e-4;
   faults.hooks().drift_etas = 25;
+  const LadderProbe probe;
 
   const auto sol = lp::solve(chain_model(120));
   ASSERT_EQ(sol.status, Status::Optimal);
   EXPECT_TRUE(sol.certificate.ok()) << sol.certificate.summary();
   EXPECT_GT(faults.hooks().eta_drifts_injected.load(), 0);
+  EXPECT_EQ(probe.rescuer(), "none");
 }
 
 // ---- simulator faults --------------------------------------------------

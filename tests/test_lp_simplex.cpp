@@ -305,21 +305,6 @@ TEST(RevisedSimplex, CertifierRejectsCorruptedRandomSolutions) {
   EXPECT_GE(rejected, 15);
 }
 
-TEST(RevisedSimplex, RecoveryLadderConfigRespected) {
-  Rng rng(31337);
-  const Model m = random_model(rng, 8, 10);
-  // All stages off is the legacy single-shot behavior and must still solve
-  // healthy models.
-  SimplexOptions opts;
-  opts.max_recovery_stages = 0;
-  const auto sol = solve(m, opts);
-  const auto ref = solve_dense(m);
-  if (ref.status == Status::Optimal) {
-    ASSERT_EQ(sol.status, Status::Optimal);
-    EXPECT_NEAR(sol.objective, ref.objective, 1e-6 * (1 + std::abs(ref.objective)));
-  }
-}
-
 TEST(RevisedSimplex, IterationLimitExportsReusableBasis) {
   // Audit regression for the iteration-limit path: a budgeted-out solve must
   // (a) say so in a distinct note, (b) still export its best-so-far basis,

@@ -31,9 +31,8 @@
 //   --k/--samples/--threads N   forwarded to the benches that accept them;
 //                       --k and --samples change the measured quantities, so
 //                       they disable the golden gate (recorded in report.json)
-//   --dual/--no-dual, --flow-crash/--no-flow-crash   forwarded to the
-//                       LP-backed benches (bench::solver_options): toggle the
-//                       dual-simplex warm restarts and the Dinic flow crash
+//   --flow-crash/--no-flow-crash   forwarded to the LP-backed benches
+//                       (bench::solver_options): toggle the Dinic flow crash
 //                       basis. Iteration counts move; the optima must not, so
 //                       the golden gate stays armed — CI runs the smoke
 //                       preset in both modes against the same goldens
@@ -105,7 +104,7 @@ struct BenchSpec {
   bool takes_k = false;           // accepts the --k override
   bool takes_samples = false;     // accepts the --samples override
   bool takes_threads = false;     // accepts the --threads override
-  bool takes_solver = false;      // accepts --dual/--no-dual, --flow-crash/--no-flow-crash
+  bool takes_solver = false;      // accepts --flow-crash/--no-flow-crash
 };
 
 // The preset registry. "smoke" is sized for CI: every bench at k=4-scale,
@@ -343,9 +342,9 @@ int main(int argc, char** argv) {
       }
       if (spec.takes_solver) {
         // Solver-ablation pass-through: lets CI re-run a preset with the
-        // dual warm restarts or the flow crash basis disabled and gate the
-        // result against the same goldens (the optima must not move).
-        for (const char* flag : {"dual", "no-dual", "flow-crash", "no-flow-crash"}) {
+        // flow crash basis disabled and gate the result against the same
+        // goldens (the optima must not move).
+        for (const char* flag : {"flow-crash", "no-flow-crash"}) {
           if (cli.has(flag)) overrides.push_back(std::string("--") + flag);
         }
       }
