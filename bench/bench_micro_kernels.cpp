@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) of the library's computational
 // kernels: Hungarian matching, channel-load evaluation, sparse LU
-// factorization, the revised simplex on a capacity LP, the flit simulator
-// cycle loop, and the tcr::obs / tcr::trace instrumentation primitives (the
+// factorization and solves, the revised simplex on a capacity LP, the flit
+// simulator cycle loop, and the tcr::obs / tcr::trace instrumentation primitives (the
 // LP kernels double as the overhead check: BM_CapacityLP runs with
 // fine-grained timing off, BM_CapacityLPTimed with it on, and
 // BM_CapacityLPTraced with the span tracer collecting).
@@ -68,8 +68,9 @@ void BM_ChannelLoadsDense(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelLoadsDense)->Arg(4)->Arg(8);
 
-void BM_SparseLuFactor(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
+// Diagonally dominant m x m matrix with four random off-diagonals per
+// column, factored as the identity basis.
+SparseMatrix lu_bench_matrix(int m) {
   Rng rng(3);
   std::vector<Triplet> trips;
   for (int j = 0; j < m; ++j) {
@@ -77,15 +78,57 @@ void BM_SparseLuFactor(benchmark::State& state) {
     for (int r = 0; r < 4; ++r)
       trips.push_back({static_cast<int>(rng.below(m)), j, rng.uniform(-1, 1)});
   }
-  SparseMatrix a(m, m, trips);
+  return SparseMatrix(m, m, trips);
+}
+
+std::vector<int> identity_basis(int m) {
   std::vector<int> basis(m);
   for (int j = 0; j < m; ++j) basis[j] = j;
+  return basis;
+}
+
+void BM_SparseLuFactor(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const SparseMatrix a = lu_bench_matrix(m);
+  const std::vector<int> basis = identity_basis(m);
   for (auto _ : state) {
     SparseLU lu;
     benchmark::DoNotOptimize(lu.factor(a, basis));
   }
 }
 BENCHMARK(BM_SparseLuFactor)->Arg(256)->Arg(1024)->Arg(4096);
+
+// The simplex's FTRAN/BTRAN kernels: one solve with B (or B') per iteration,
+// with caller-kept result and scratch vectors as the solver keeps them.
+void BM_SparseLuSolve(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  SparseLU lu;
+  lu.factor(lu_bench_matrix(m), identity_basis(m));
+  Rng rng(4);
+  std::vector<double> b(m), x, work;
+  for (double& v : b) v = rng.uniform(-1, 1);
+  for (auto _ : state) {
+    lu.solve(b, x, work);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SparseLuSolve)->Arg(256)->Arg(1024)->Arg(4096);
+
+void BM_SparseLuSolveTranspose(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  SparseLU lu;
+  lu.factor(lu_bench_matrix(m), identity_basis(m));
+  Rng rng(4);
+  std::vector<double> c(m), y, work;
+  for (double& v : c) v = rng.uniform(-1, 1);
+  for (auto _ : state) {
+    lu.solve_transpose(c, y, work);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SparseLuSolveTranspose)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_CapacityLP(benchmark::State& state) {
   const Torus t(static_cast<int>(state.range(0)));

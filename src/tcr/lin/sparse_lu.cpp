@@ -226,9 +226,11 @@ std::size_t SparseLU::factor_nnz() const {
   return n;
 }
 
-void SparseLU::solve(const std::vector<double>& b, std::vector<double>& x) const {
+void SparseLU::solve(const std::vector<double>& b, std::vector<double>& x,
+                     std::vector<double>& work) const {
   TCR_REQUIRE(static_cast<int>(b.size()) == m_, "rhs size mismatch");
-  std::vector<double> v = b;
+  std::vector<double>& v = work;  // row space
+  v.assign(b.begin(), b.end());
   for (const Step& s : steps_) {
     const double pivot = v[s.pivot_row];
     if (pivot != 0.0) {
@@ -243,10 +245,12 @@ void SparseLU::solve(const std::vector<double>& b, std::vector<double>& x) const
   }
 }
 
-void SparseLU::solve_transpose(const std::vector<double>& c, std::vector<double>& y) const {
+void SparseLU::solve_transpose(const std::vector<double>& c, std::vector<double>& y,
+                               std::vector<double>& work) const {
   TCR_REQUIRE(static_cast<int>(c.size()) == m_, "rhs size mismatch");
-  std::vector<double> acc = c;  // position space
-  y.assign(m_, 0.0);            // row space
+  std::vector<double>& acc = work;  // position space
+  acc.assign(c.begin(), c.end());
+  y.assign(m_, 0.0);  // row space
   for (const Step& s : steps_) {
     const double z = acc[s.pivot_col] / s.pivot_val;
     y[s.pivot_row] = z;

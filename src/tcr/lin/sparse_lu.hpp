@@ -28,11 +28,23 @@ class SparseLU {
   std::size_t factor_nnz() const;
 
   /// Solve B x = b. `b` is indexed by constraint row, the result by basis
-  /// position (the coefficient of basis column j).
-  void solve(const std::vector<double>& b, std::vector<double>& x) const;
+  /// position (the coefficient of basis column j). `work` is scratch: a
+  /// caller that keeps it (and x) across solves allocates nothing per solve.
+  void solve(const std::vector<double>& b, std::vector<double>& x,
+             std::vector<double>& work) const;
+  void solve(const std::vector<double>& b, std::vector<double>& x) const {
+    std::vector<double> work;
+    solve(b, x, work);
+  }
 
-  /// Solve B' y = c. `c` is indexed by basis position, the result by row.
-  void solve_transpose(const std::vector<double>& c, std::vector<double>& y) const;
+  /// Solve B' y = c. `c` is indexed by basis position, the result by row;
+  /// `work` as for solve().
+  void solve_transpose(const std::vector<double>& c, std::vector<double>& y,
+                       std::vector<double>& work) const;
+  void solve_transpose(const std::vector<double>& c, std::vector<double>& y) const {
+    std::vector<double> work;
+    solve_transpose(c, y, work);
+  }
 
   const std::vector<int>& deficient_positions() const { return deficient_; }
 

@@ -84,6 +84,11 @@ struct SimplexMetrics {
       obs::Registry::instance().histogram("lp.simplex.lu_fill_nnz", 1.0, 2.0);
   obs::Histogram& degenerate_runs =
       obs::Registry::instance().histogram("lp.simplex.degenerate_run", 1.0, 2.0);
+  // Largest scaled gap |d_carried - d_fresh| / (1 + |d_fresh|) between the
+  // reduced costs carried across pivots and the ones recomputed after each
+  // refactorization, one sample per mid-loop refactorization.
+  obs::Histogram& price_drift =
+      obs::Registry::instance().histogram("lp.simplex.price_drift", 1e-18, 2.0);
   // Per-phase and per-kernel time. The kernel timers wrap inner-loop spans
   // and only read clocks when Registry::timing_enabled().
   obs::Timer& t_total = obs::Registry::instance().timer("lp.simplex.time.total");
@@ -161,6 +166,9 @@ class RevisedSimplex {
     for (int i = 0; i < m_; ++i) pos_of_col_[basic_[i]] = i;
     max_iters_ = opt_.max_iterations > 0 ? opt_.max_iterations
                                          : 200L * (m_ + n_) + 10000L;
+    d_.assign(n_, 0.0);
+    cb_.assign(m_, 0.0);
+    er_.assign(m_, 0.0);
   }
 
   Solution run() {
@@ -464,13 +472,12 @@ class RevisedSimplex {
   // absorbs mildly wrong signs by taking their slightly negative ratio
   // first, and the final clean primal pass re-checks optimality exactly.
   bool dual_feasible() {
-    std::vector<double> cb(static_cast<std::size_t>(m_)), y;
-    for (int i = 0; i < m_; ++i) cb[i] = sf_.cost[basic_[i]];
-    btran(std::move(cb), y);
+    priced_at_ = -1;
+    reprice(sf_.cost, /*timed=*/false);
     const double tol = 10.0 * opt_.opt_tol;
     for (int j = 0; j < n_; ++j) {
       if (stat_[j] == kBasic || sf_.artificial[j] || sf_.lo[j] == sf_.up[j]) continue;
-      const double d = sf_.cost[j] - a_.column_dot(j, y);
+      const double d = d_[j];
       if (stat_[j] == kAtLower) {
         if (d < -tol) return false;
       } else if (stat_[j] == kAtUpper) {
@@ -738,8 +745,8 @@ class RevisedSimplex {
   }
 
   // w = B^-1 v; v is in row space, w in basis-position space.
-  void ftran(const std::vector<double>& v, std::vector<double>& w) const {
-    lu_.solve(v, w);
+  void ftran(const std::vector<double>& v, std::vector<double>& w) {
+    lu_.solve(v, w, lu_work_);
     for (const Eta& e : etas_) {
       double& wr = w[e.pos];
       wr /= e.pivot;
@@ -749,14 +756,69 @@ class RevisedSimplex {
     }
   }
 
-  // y = B^-T c; c in basis-position space, y in row space.
-  void btran(std::vector<double> c, std::vector<double>& y) const {
+  // y = B^-T c; c in basis-position space (overwritten), y in row space.
+  void btran(std::vector<double>& c, std::vector<double>& y) {
     for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
       double acc = c[it->pos];
       for (const auto& [i, val] : it->entries) acc -= val * c[i];
       c[it->pos] = acc / it->pivot;
     }
-    lu_.solve_transpose(c, y);
+    lu_.solve_transpose(c, y, lu_work_);
+  }
+
+  // rho_ = B^-T e_r: row r of B^-1, whose products a_j . rho_ are the pivot
+  // row of the tableau.
+  void pivot_row(int r, bool timed) {
+    obs::ScopedTimer t(met_.t_btran, timed);
+    std::fill(er_.begin(), er_.end(), 0.0);
+    er_[r] = 1.0;
+    btran(er_, rho_);
+  }
+
+  // ---- prices ----------------------------------------------------------
+  //
+  // d_ holds the reduced costs d_j = c_j - a_j . y, y = B^-T c_B, of the
+  // current basis under the running loop's cost vector, for every nonbasic
+  // column pricing can pick (entries of basic and fixed columns are unused).
+  // reprice() computes them from scratch; the loops call it on entry and on
+  // the first iteration after every refactorization, so each Optimal,
+  // Unbounded or dual-unbounded verdict — issued only on a fresh
+  // factorization — rests on fresh prices. In between, update_prices()
+  // carries them across each basis change along the pivot row.
+
+  // Fresh prices for `cost`. When the prices being replaced were carried
+  // for the same cost (priced_at_ >= 0; callers that switch cost vectors
+  // reset it to -1), their worst scaled gap to the fresh values is recorded.
+  void reprice(const std::vector<double>& cost, bool timed) {
+    {
+      obs::ScopedTimer t(met_.t_btran, timed);
+      for (int i = 0; i < m_; ++i) cb_[i] = cost[basic_[i]];
+      btran(cb_, y_);
+    }
+    obs::ScopedTimer t(met_.t_pricing, timed);
+    const bool carried = priced_at_ >= 0;
+    double drift = 0.0;
+    for (int j = 0; j < n_; ++j) {
+      if (stat_[j] == kBasic || sf_.lo[j] == sf_.up[j]) continue;
+      const double d = cost[j] - a_.column_dot(j, y_);
+      if (carried) drift = std::max(drift, std::abs(d_[j] - d) / (1.0 + std::abs(d)));
+      d_[j] = d;
+    }
+    if (carried) met_.price_drift.record(drift);
+    priced_at_ = refactor_count_;
+  }
+
+  // Carry the prices across the pivot that brings column q into position r
+  // (pivot element alpha_q = (B^-1 a_q)_r): with theta = d_q / alpha_q,
+  // y += theta rho, so d_j -= theta alpha_j for every column with a nonzero
+  // pivot-row entry (`row`), d_q becomes 0 and the leaving column ends at
+  // -theta. Call before basic_ changes.
+  void update_prices(int q, int r, double alpha_q,
+                     const std::vector<std::pair<int, double>>& row) {
+    const double theta = d_[q] / alpha_q;
+    for (const auto& [j, alpha_j] : row) d_[j] -= theta * alpha_j;
+    d_[q] = 0.0;
+    d_[basic_[r]] = -theta;
   }
 
   double nonbasic_value(int j) const {
@@ -798,9 +860,7 @@ class RevisedSimplex {
   // ---- main loop -------------------------------------------------------
 
   Status optimize(const std::vector<double>& cost, bool phase1) {
-    std::vector<double> cb(static_cast<std::size_t>(m_));
-    std::vector<double> y, w, rho;
-    std::vector<double> er(static_cast<std::size_t>(m_), 0.0);
+    std::vector<double> w;
     int degenerate_streak = 0;
     int since_refactor = 0;
     bool fresh_basis = true;  // no pivots since the last refactorization
@@ -819,6 +879,7 @@ class RevisedSimplex {
                                       // emit a second sample
     // DEVEX reference weights (reset per optimize call).
     devex_.assign(n_, 1.0);
+    priced_at_ = -1;  // a new cost vector: the first iteration reprices
 
     // Record the final degenerate run when leaving the loop.
     const auto flush_degenerate_run = [&] {
@@ -844,11 +905,7 @@ class RevisedSimplex {
       if (telemetry::enabled() && (iters_ & 255) == 0)
         telemetry::solver_progress(iters_, objective_of(cost));
 
-      {
-        obs::ScopedTimer t(met_.t_btran, timed);
-        for (int i = 0; i < m_; ++i) cb[i] = cost[basic_[i]];
-        btran(cb, y);
-      }
+      if (priced_at_ != refactor_count_) reprice(cost, timed);
 
       // ---- pricing (DEVEX: maximize d^2 / reference weight) ----
       const bool bland = degenerate_streak >= opt_.bland_after;
@@ -863,7 +920,7 @@ class RevisedSimplex {
       double best = 0.0;
       for (int j = 0; j < n_; ++j) {
         if (stat_[j] == kBasic || sf_.lo[j] == sf_.up[j]) continue;
-        const double d = cost[j] - a_.column_dot(j, y);
+        const double d = d_[j];
         double viol = 0.0;
         int jdir = 0;
         if (stat_[j] == kAtLower) {
@@ -1021,29 +1078,30 @@ class RevisedSimplex {
         degenerate_streak = 0;
       }
 
-      // ---- DEVEX weight update (Forrest-Goldfarb) ----
-      // Needs the pivot row alpha = e_r' B^-1 N; one extra BTRAN plus a pass
-      // over the matrix, which DEVEX repays many times over in iterations.
-      if (!bland) {
+      // ---- pivot row: carried prices and DEVEX weights (Forrest-Goldfarb) ----
+      // One BTRAN plus a pass over the matrix for alpha = e_r' B^-1 N, which
+      // carries the reduced costs to the new basis and, outside Bland mode,
+      // updates the reference weights.
+      {
         const double alpha_q = w[leave];
         const double devex_q = std::max(devex_[q], 1.0);
-        std::fill(er.begin(), er.end(), 0.0);
-        er[leave] = 1.0;
-        {
-          obs::ScopedTimer t(met_.t_btran, timed);
-          btran(er, rho);
-        }
+        pivot_row(leave, timed);
         obs::ScopedTimer devex_timer(met_.t_pricing, timed);
         const double scale = devex_q / (alpha_q * alpha_q);
+        row_.clear();
         for (int j = 0; j < n_; ++j) {
           if (stat_[j] == kBasic || j == q || sf_.lo[j] == sf_.up[j]) continue;
-          const double alpha_j = a_.column_dot(j, rho);
+          const double alpha_j = a_.column_dot(j, rho_);
           if (alpha_j == 0.0) continue;
+          row_.emplace_back(j, alpha_j);
           const double cand = alpha_j * alpha_j * scale;
-          if (cand > devex_[j]) devex_[j] = cand;
+          if (!bland && cand > devex_[j]) devex_[j] = cand;
         }
-        devex_[basic_[leave]] = std::max(scale, 1.0);
-        if (devex_q > 1e7) devex_.assign(n_, 1.0);  // reset a stale framework
+        update_prices(q, leave, alpha_q, row_);
+        if (!bland) {
+          devex_[basic_[leave]] = std::max(scale, 1.0);
+          if (devex_q > 1e7) devex_.assign(n_, 1.0);  // reset a stale framework
+        }
       }
 
       // ---- update ----
@@ -1112,9 +1170,7 @@ class RevisedSimplex {
   //                    back);
   //   IterationLimit / Cancelled — shared run-control limits (final).
   Status optimize_dual(const std::vector<double>& cost) {
-    std::vector<double> cb(static_cast<std::size_t>(m_));
-    std::vector<double> y, w, rho, flip_sum;
-    std::vector<double> er(static_cast<std::size_t>(m_), 0.0);
+    std::vector<double> w, flip_sum;
     int since_refactor = 0;
     bool fresh_basis = true;  // no pivots since the last refactorization
     int degenerate_streak = 0;
@@ -1125,6 +1181,7 @@ class RevisedSimplex {
     // after this many pivots is not the cheap sweep repair it exists for;
     // hand the basis back to the primal ladder instead of grinding on.
     const long stall_cap = 4L * m_ + 1000;
+    priced_at_ = -1;  // a new cost vector: the first iteration reprices
 
     // Dual ratio-test candidate: signed pivot-row coefficient abar =
     // s * (a_j . rho) and ratio d_j / abar (>= 0 up to tolerance when the
@@ -1145,11 +1202,7 @@ class RevisedSimplex {
       if (telemetry::enabled() && (iters_ & 255) == 0)
         telemetry::solver_progress(iters_, objective_of(cost));
 
-      {
-        obs::ScopedTimer t(met_.t_btran, timed);
-        for (int i = 0; i < m_; ++i) cb[i] = cost[basic_[i]];
-        btran(cb, y);
-      }
+      if (priced_at_ != refactor_count_) reprice(cost, timed);
 
       // ---- leaving-row pricing (largest weighted bound violation) ----
       const bool bland = degenerate_streak >= opt_.bland_after;
@@ -1198,13 +1251,7 @@ class RevisedSimplex {
         return Status::Optimal;
       }
 
-      // ---- pivot row: rho = B^-T e_leave ----
-      {
-        obs::ScopedTimer t(met_.t_btran, timed);
-        std::fill(er.begin(), er.end(), 0.0);
-        er[leave] = 1.0;
-        btran(er, rho);
-      }
+      pivot_row(leave, timed);
 
       // ---- bound-flipping dual ratio test ----
       // s = +1 when the leaving basic sits above its upper bound, -1 when
@@ -1219,15 +1266,12 @@ class RevisedSimplex {
       const double s = below ? -1.0 : 1.0;
       double remain = below ? sf_.lo[lj] - xb_[leave] : xb_[leave] - sf_.up[lj];
       cands.clear();
+      row_.clear();
       for (int j = 0; j < n_; ++j) {
         if (stat_[j] == kBasic || sf_.lo[j] == sf_.up[j]) continue;
-        // One pass over the column yields both the pivot-row coefficient
-        // and the reduced cost.
-        double alpha = 0.0, d = cost[j];
-        for (std::size_t k = a_.col_begin(j); k < a_.col_end(j); ++k) {
-          alpha += a_.value(k) * rho[a_.row_index(k)];
-          d -= a_.value(k) * y[a_.row_index(k)];
-        }
+        const double alpha = a_.column_dot(j, rho_);
+        if (alpha == 0.0) continue;
+        row_.emplace_back(j, alpha);
         const double abar = s * alpha;
         if (std::abs(abar) <= 1e-9) continue;
         if (stat_[j] == kAtLower ? abar <= 0.0
@@ -1235,7 +1279,7 @@ class RevisedSimplex {
                                    : false) {
           continue;
         }
-        cands.push_back({j, d / abar, abar, sf_.up[j] - sf_.lo[j]});
+        cands.push_back({j, d_[j] / abar, abar, sf_.up[j] - sf_.lo[j]});
       }
       std::sort(cands.begin(), cands.end(), [](const Cand& x, const Cand& z) {
         if (x.ratio != z.ratio) return x.ratio < z.ratio;
@@ -1336,6 +1380,7 @@ class RevisedSimplex {
       dw_[leave] = std::max(dw_r / piv2, 1.0);
       if (dw_r > 1e7) dw_.assign(static_cast<std::size_t>(m_), 1.0);
 
+      update_prices(q, leave, piv, row_);
       stat_[lj] = below ? kAtLower : kAtUpper;
       pos_of_col_[lj] = -1;
       basic_[leave] = q;
@@ -1382,15 +1427,13 @@ class RevisedSimplex {
     for (int j = 0; j < n_; ++j) obj += sf_.cost[j] * x[j];
     sol.objective = sign * obj;
 
-    std::vector<double> cb(static_cast<std::size_t>(m_));
-    for (int i = 0; i < m_; ++i) cb[i] = sf_.cost[basic_[i]];
-    std::vector<double> y;
-    btran(cb, y);
+    for (int i = 0; i < m_; ++i) cb_[i] = sf_.cost[basic_[i]];
+    btran(cb_, y_);
     sol.duals.resize(static_cast<std::size_t>(m_));
-    for (int i = 0; i < m_; ++i) sol.duals[i] = sign * y[i];
+    for (int i = 0; i < m_; ++i) sol.duals[i] = sign * y_[i];
     sol.reduced.resize(static_cast<std::size_t>(sf_.nstruct));
     for (int j = 0; j < sf_.nstruct; ++j) {
-      sol.reduced[j] = sign * (sf_.cost[j] - a_.column_dot(j, y));
+      sol.reduced[j] = sign * (sf_.cost[j] - a_.column_dot(j, y_));
     }
 
     if (auto* h = fault::simplex_hooks()) {
@@ -1431,9 +1474,13 @@ class RevisedSimplex {
   std::vector<double> xb_;
   std::vector<double> devex_;
   std::vector<double> dw_;  // dual DEVEX row weights (optimize_dual)
+  std::vector<double> d_;   // reduced costs (see reprice())
+  int priced_at_ = -1;      // refactor_count_ at the last reprice(); -1: none
   SparseLU lu_;
   std::vector<Eta> etas_;
-  std::vector<double> col_buf_;
+  // Per-solve scratch, sized once so FTRAN/BTRAN allocate nothing per pivot.
+  std::vector<double> col_buf_, cb_, y_, er_, rho_, lu_work_;
+  std::vector<std::pair<int, double>> row_;  // nonzeros (j, alpha_j) of the pivot row
 };
 
 }  // namespace

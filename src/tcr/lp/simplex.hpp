@@ -3,8 +3,15 @@
 // Two-phase bounded-variable primal simplex:
 //   * basis kept as a sparse Markowitz LU plus a product-form eta file,
 //     refactorized every `refactor_every` pivots and on numerical alarm;
-//   * DEVEX pricing over the CSC matrix with a Bland's-rule fallback after
-//     `bland_after` consecutive degenerate pivots (anti-cycling);
+//   * reduced costs kept as solver state: recomputed (one BTRAN of c_B and
+//     one pass over the matrix) on the first iteration after each
+//     refactorization, and carried across every other pivot by the textbook
+//     update along the pivot row rho = B^-T e_r, which each iteration
+//     computes anyway; Optimal and Unbounded verdicts are only issued on a
+//     fresh factorization, so always on fresh prices;
+//   * DEVEX pricing over the carried reduced costs with a Bland's-rule
+//     fallback after `bland_after` consecutive degenerate pivots
+//     (anti-cycling);
 //   * two-pass Harris-style ratio test with a feasibility tolerance;
 //   * a deterministic 1e-9 objective perturbation for the heavily degenerate
 //     multicommodity-flow models, removed by a final clean re-optimization.
@@ -13,7 +20,8 @@
 // parametric-sweep case, where an rhs edit moved the basic values but left
 // every reduced cost intact — is re-optimized by a dual simplex phase
 // (dual-DEVEX row pricing, bound-flipping ratio test) that shares the eta
-// file and refactorization cadence with the primal loop.
+// file, refactorization cadence and carried reduced costs with the primal
+// loop.
 //
 // Numerical breakdowns and failed certificates go through a four-stage
 // recovery ladder (reseed, equilibrate, careful, dense); see solve().

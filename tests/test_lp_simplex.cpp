@@ -3,10 +3,17 @@
 //  * randomized property sweep — objective must match the dense oracle and
 //    the returned point must be feasible with complementary optimality,
 //  * structured MCF-like models (the shape the routing designs produce).
+// The solver carries its reduced costs across pivots between
+// refactorizations; the oracle sweep runs with prices carried through every
+// pivot and in Bland mode too, and a Figure 1 sweep pins the carried prices
+// against fresh ones directly.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "tcr/core/tradeoff.hpp"
+#include "tcr/graph/torus.hpp"
 #include "tcr/lin/dense_matrix.hpp"
 #include "tcr/lp/certify.hpp"
 #include "tcr/lp/dense_simplex.hpp"
@@ -56,7 +63,9 @@ Model random_model(Rng& rng, int rows, int cols) {
   return m;
 }
 
-TEST(RevisedSimplex, AgreesWithOracleOnRandomLPs) {
+// Solves 120 random LPs with `base` options (seeded per trial) and checks
+// each verdict and optimum against the dense oracle.
+void expect_agrees_with_oracle(const SimplexOptions& base) {
   Rng rng(777);
   int optimal_seen = 0, infeasible_seen = 0, unbounded_seen = 0;
   for (int trial = 0; trial < 120; ++trial) {
@@ -65,7 +74,7 @@ TEST(RevisedSimplex, AgreesWithOracleOnRandomLPs) {
     Model m = random_model(rng, rows, cols);
 
     const auto ref = solve_dense(m);
-    SimplexOptions opt;
+    SimplexOptions opt = base;
     opt.seed = 1000 + trial;
     const auto sol = solve(m, opt);
 
@@ -91,6 +100,58 @@ TEST(RevisedSimplex, AgreesWithOracleOnRandomLPs) {
   EXPECT_GT(infeasible_seen, 3);
   EXPECT_GT(optimal_seen + infeasible_seen + unbounded_seen, 100);
   EXPECT_GT(unbounded_seen, 1);
+}
+
+TEST(RevisedSimplex, AgreesWithOracleOnRandomLPs) { expect_agrees_with_oracle({}); }
+
+// No solve here takes a million pivots, so only the entry reprice and the
+// verdict-confirming refactorizations recompute prices: everything else
+// runs on prices carried through every pivot.
+TEST(RevisedSimplex, AgreesWithOracleOnPricesCarriedThroughEveryPivot) {
+  SimplexOptions opt;
+  opt.refactor_every = 1000000;
+  expect_agrees_with_oracle(opt);
+}
+
+// Bland mode from the first degenerate pivot: the pivot row is still
+// computed on every pivot so the carried prices stay valid.
+TEST(RevisedSimplex, AgreesWithOracleInBlandMode) {
+  SimplexOptions opt;
+  opt.bland_after = 1;
+  expect_agrees_with_oracle(opt);
+}
+
+// refactor_every = 1 reprices from a fresh factorization on every
+// iteration, so it is the reference for the carried prices of the default
+// cadence: the k=4 Figure 1 sweep must give the same curve either way.
+TEST(RevisedSimplex, CarriedPricesMatchPerPivotRepricingOnFigure1Sweep) {
+  const Torus torus(4);
+  const std::vector<double> grid = locality_grid(1.0, 2.0, 5);
+  SimplexOptions every_pivot;
+  every_pivot.refactor_every = 1;
+  const auto ref = worst_case_tradeoff(torus, grid, every_pivot);
+  const auto carried = worst_case_tradeoff(torus, grid);
+  ASSERT_EQ(ref.size(), grid.size());
+  ASSERT_EQ(carried.size(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    ASSERT_TRUE(ref[i].solved()) << "point " << i << ": " << ref[i].note;
+    ASSERT_TRUE(carried[i].solved()) << "point " << i << ": " << carried[i].note;
+    EXPECT_TRUE(ref[i].certificate.pass) << ref[i].certificate.summary();
+    EXPECT_TRUE(carried[i].certificate.pass) << carried[i].certificate.summary();
+    EXPECT_NEAR(carried[i].capacity_fraction, ref[i].capacity_fraction, 1e-9) << "point " << i;
+  }
+}
+
+// lp.simplex.price_drift samples the carried reduced costs against the
+// fresh ones at every mid-loop refactorization; on the warm k=4 Figure 1
+// sweep they must agree to far below the 1e-7 pricing tolerance.
+TEST(RevisedSimplex, CarriedPricesStayCloseToFreshOnes) {
+  auto& drift = obs::Registry::instance().histogram("lp.simplex.price_drift", 1e-18, 2.0);
+  drift.reset();
+  const auto pts = worst_case_tradeoff(Torus(4), locality_grid(1.0, 2.0, 5));
+  for (const auto& p : pts) ASSERT_TRUE(p.solved()) << p.note;
+  EXPECT_GT(drift.count(), 0);
+  EXPECT_LT(drift.max(), 1e-9);
 }
 
 TEST(RevisedSimplex, PerturbationOffAlsoAgrees) {
