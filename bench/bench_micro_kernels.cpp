@@ -98,6 +98,52 @@ void BM_SparseLuFactor(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseLuFactor)->Arg(256)->Arg(1024)->Arg(4096);
 
+// An LP-shaped m x m basis: slack columns, two-entry +-1 network columns
+// (a spanning tree over the network rows) and four dense coupling rows with
+// small integer coefficients, about half a column's worth of entries each.
+// That is the shape of the design LPs' bases, whose coupling rows keep
+// hundreds of live entries through the elimination; lu_bench_matrix has no
+// dense row.
+SparseMatrix lu_dense_rows_matrix(int m) {
+  constexpr int kDense = 4;
+  const int n = m - kDense;  // network rows
+  Rng rng(5);
+  std::vector<Triplet> trips;
+  auto couple = [&](int col) {
+    for (int d = 0; d < kDense; ++d)
+      if (rng.uniform() < 0.5) trips.push_back({n + d, col, 1.0 + static_cast<double>(rng.below(3))});
+  };
+  for (int i = 0; i < n; ++i) {
+    trips.push_back({i, i, 1.0});
+    if (i == 0 || rng.uniform() < 0.3) continue;  // slack
+    trips.push_back({static_cast<int>(rng.below(i)), i, -1.0});
+    couple(i);
+  }
+  // One cycle-closing arc per coupling row.
+  for (int d = 0; d < kDense; ++d) {
+    const int u = static_cast<int>(rng.below(n));
+    trips.push_back({u, n + d, 1.0});
+    trips.push_back({(u + 1 + static_cast<int>(rng.below(n - 1))) % n, n + d, -1.0});
+    couple(n + d);
+  }
+  return SparseMatrix(m, m, trips);
+}
+
+void BM_SparseLuFactorDenseRows(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const SparseMatrix a = lu_dense_rows_matrix(m);
+  const std::vector<int> basis = identity_basis(m);
+  if (!SparseLU().factor(a, basis)) {
+    state.SkipWithError("singular benchmark basis");
+    return;
+  }
+  for (auto _ : state) {
+    SparseLU lu;
+    benchmark::DoNotOptimize(lu.factor(a, basis));
+  }
+}
+BENCHMARK(BM_SparseLuFactorDenseRows)->Arg(1024)->Arg(4096);
+
 // The simplex's FTRAN/BTRAN kernels: one solve with B (or B') per iteration,
 // with caller-kept result and scratch vectors as the solver keeps them.
 void BM_SparseLuSolve(benchmark::State& state) {

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
+#include "tcr/obs/registry.hpp"
 #include "tcr/util/check.hpp"
 
 namespace tcr {
@@ -12,21 +14,51 @@ namespace {
 // Number of candidate columns examined per pivot step. Small values keep the
 // search cheap; Markowitz quality degrades only marginally.
 constexpr int kMaxCandidates = 6;
+
+// An entry of the active submatrix in its row: the column (basis position),
+// the index of its slot in that column's list, and the value.
+struct RowEntry {
+  int col;
+  int slot;
+  double val;
+};
+// A slot in a column's list: the row, and the entry's index in that row or
+// kCancelled after the entry cancelled.
+struct Slot {
+  int row;
+  int k;
+};
+constexpr int kCancelled = -1;
+// The slot a cancelled entry left behind, kept on its row's list (linked by
+// `next`) so that fill-in at the same (row, column) can find and reuse it.
+struct Cancelled {
+  int col;
+  int slot;
+  int next;
+};
 }  // namespace
 
 bool SparseLU::factor(const SparseMatrix& a, const std::vector<int>& basis) {
+  static obs::Counter& slot_reuses = obs::Registry::instance().counter("lin.lu.slot_reuses");
   m_ = static_cast<int>(basis.size());
   TCR_REQUIRE(a.rows() == m_, "basis must be square: one column per row");
   steps_.clear();
   steps_.reserve(m_);
+  l_.clear();
+  u_.clear();
   deficient_.clear();
 
-  // Live rows of the active submatrix. Entry columns are basis *positions*.
-  std::vector<std::vector<Entry>> rows(m_);
-  // Rows that may contain a given column (lazy; may hold stale row ids).
-  std::vector<std::vector<int>> colrows(m_);
-  std::vector<int> ccount(m_, 0), rcount(m_, 0);
+  // Live rows of the active submatrix, and per column the slots of the rows
+  // that hold it (a slot may be cancelled, or name a retired row, until the
+  // column is next gathered).
+  std::vector<std::vector<RowEntry>> rows(m_);
+  std::vector<std::vector<Slot>> cols(m_);
+  std::vector<int> ccount(m_, 0), rcount(m_, 0), holes(m_, 0);
   std::vector<char> row_done(m_, 0), col_done(m_, 0);
+  // Rows holding an initial entry at or below drop_tol: their first
+  // elimination checks every entry, not only the combined ones.
+  std::vector<char> unchecked(m_, 0);
+  const int kHole = m_;  // column of a hole; never scattered, never a pivot
 
   std::size_t nnz_guess = 0;
   for (int j = 0; j < m_; ++j) nnz_guess += a.col_end(basis[j]) - a.col_begin(basis[j]);
@@ -35,8 +67,9 @@ bool SparseLU::factor(const SparseMatrix& a, const std::vector<int>& basis) {
   for (int j = 0; j < m_; ++j) {
     for (std::size_t k = a.col_begin(basis[j]); k < a.col_end(basis[j]); ++k) {
       const int r = a.row_index(k);
-      rows[r].push_back({j, a.value(k)});
-      colrows[j].push_back(r);
+      rows[r].push_back({j, static_cast<int>(cols[j].size()), a.value(k)});
+      cols[j].push_back({r, static_cast<int>(rows[r].size()) - 1});
+      if (!(std::abs(a.value(k)) > drop_tol_)) unchecked[r] = 1;
       ++ccount[j];
       ++rcount[r];
     }
@@ -55,49 +88,46 @@ bool SparseLU::factor(const SparseMatrix& a, const std::vector<int>& basis) {
 
   // Dense scratch for the scattered pivot row.
   std::vector<double> work(m_, 0.0);
-  std::vector<int> stamp(m_, -1), consumed(m_, -1);
+  std::vector<int> stamp(m_ + 1, -1), consumed(m_, -1);  // stamp[kHole] stays -1
   int scan_id = 0;
 
-  // Live entries of one column, gathered on demand. A row can appear in
-  // colrows[j] more than once (an entry cancelled and later re-created by
-  // fill-in re-appends it), so deduplicate with a stamp.
-  std::vector<std::pair<int, double>> col_entries;  // (row, value)
-  std::vector<int> gather_stamp(m_, -1);
-  int gather_id = 0;
+  // Cancelled slots, listed per row; reuse_slot/reuse_stamp mark the ones a
+  // row's fill-in may take in the current elimination.
+  std::vector<Cancelled> cancelled;
+  std::vector<int> cancelled_head(m_, -1);
+  std::vector<int> reuse_slot(m_, 0), reuse_stamp(m_, -1);
+  std::int64_t reuses = 0;
 
+  // Live entries of one column, gathered on demand. Cancelled slots and
+  // slots of retired rows are dropped; the rest keep their order.
+  std::vector<std::pair<int, double>> col_entries;  // (row, value)
   auto gather_column = [&](int j) {
     col_entries.clear();
-    ++gather_id;
-    auto& cr = colrows[j];
+    auto& cs = cols[j];
     std::size_t w = 0;
-    for (std::size_t r = 0; r < cr.size(); ++r) {
-      const int i = cr[r];
-      if (row_done[i] || gather_stamp[i] == gather_id) continue;
-      gather_stamp[i] = gather_id;
-      double v = 0.0;
-      bool found = false;
-      for (const Entry& e : rows[i]) {
-        if (e.col == j) {
-          v = e.val;
-          found = true;
-          break;
-        }
+    for (std::size_t s = 0; s < cs.size(); ++s) {
+      const Slot slot = cs[s];
+      if (slot.k == kCancelled || row_done[slot.row]) continue;
+      RowEntry& e = rows[slot.row][slot.k];
+      if (w != s) {
+        e.slot = static_cast<int>(w);
+        cs[w] = slot;
       }
-      if (!found) continue;  // stale
-      cr[w++] = i;
-      col_entries.emplace_back(i, v);
+      ++w;
+      col_entries.emplace_back(slot.row, e.val);
     }
-    cr.resize(w);
+    cs.resize(w);
     ccount[j] = static_cast<int>(col_entries.size());
   };
 
+  std::vector<int> examined;  // requeued after each search to avoid re-popping
   for (int t = 0; t < m_; ++t) {
     // ---- Pivot selection (partial Markowitz with threshold pivoting) ----
     int best_row = -1, best_col = -1;
     double best_val = 0.0;
     long long best_cost = std::numeric_limits<long long>::max();
     int candidates = 0;
-    std::vector<int> examined;  // requeued after the search to avoid re-popping
+    examined.clear();
 
     for (int b = 0; b <= m_ && candidates < kMaxCandidates; ++b) {
       while (!buckets[b].empty() && candidates < kMaxCandidates) {
@@ -139,6 +169,7 @@ bool SparseLU::factor(const SparseMatrix& a, const std::vector<int>& basis) {
       // never received a pivot.
       for (int j = 0; j < m_; ++j)
         if (!col_done[j]) deficient_.push_back(j);
+      slot_reuses.add(reuses);
       return false;
     }
 
@@ -146,84 +177,129 @@ bool SparseLU::factor(const SparseMatrix& a, const std::vector<int>& basis) {
     const double pval = best_val;
 
     // ---- Build the U row and scatter the pivot row ----
-    Step step;
-    step.pivot_row = pi;
-    step.pivot_col = pj;
-    step.pivot_val = pval;
+    const std::size_t u_begin = u_.size();
     const int pivot_scan = ++scan_id;
-    for (const Entry& e : rows[pi]) {
-      if (e.col == pj) continue;
-      step.u_row.push_back(e);
+    for (const RowEntry& e : rows[pi]) {
+      if (e.col == pj || e.col == kHole) continue;
+      u_.push_back({e.col, e.val});
       work[e.col] = e.val;
       stamp[e.col] = pivot_scan;
     }
+    const std::size_t u_end = u_.size();
 
     // ---- Eliminate the pivot column from all other live rows ----
     gather_column(pj);
-    std::vector<Entry> newrow;
+    const std::size_t l_begin = l_.size();
     for (const auto& [i, v] : col_entries) {
       if (i == pi) continue;
       const double mult = v / pval;
-      step.l_ops.emplace_back(i, mult);
+      l_.emplace_back(i, mult);
 
-      newrow.clear();
-      newrow.reserve(rows[i].size() + step.u_row.size());
+      // Update row i in place: the pivot column's entry and every entry
+      // that cancels become holes.
+      std::vector<RowEntry>& row = rows[i];
       const int row_scan = ++scan_id;
-      for (const Entry& e : rows[i]) {
-        if (e.col == pj) continue;  // eliminated by the pivot
-        double nv = e.val;
+      const bool check_all = unchecked[i];
+      unchecked[i] = 0;
+      for (RowEntry& e : row) {
+        if (e.col == pj) {
+          e.col = kHole;
+          ++holes[i];
+          continue;
+        }
         if (stamp[e.col] == pivot_scan) {
           // The pivot row also carries this column: combine.
-          nv -= mult * work[e.col];
+          e.val -= mult * work[e.col];
           consumed[e.col] = row_scan;
+        } else if (!check_all) {
+          continue;
         }
-        if (std::abs(nv) > drop_tol_) {
-          newrow.push_back({e.col, nv});
-        } else {
+        if (!(std::abs(e.val) > drop_tol_)) {
           --ccount[e.col];  // numerical cancellation removed a live entry
+          cols[e.col][e.slot].k = kCancelled;
+          cancelled.push_back({e.col, e.slot, cancelled_head[i]});
+          cancelled_head[i] = static_cast<int>(cancelled.size()) - 1;
+          e.col = kHole;
+          ++holes[i];
         }
       }
-      // Fill-in from unconsumed pivot-row columns.
-      for (const Entry& u : step.u_row) {
+      if (4 * holes[i] > static_cast<int>(row.size())) {
+        // Squeeze the holes out, in order, re-pointing the moved entries.
+        std::size_t w = 0;
+        for (std::size_t k = 0; k < row.size(); ++k) {
+          const RowEntry e = row[k];
+          if (e.col == kHole) continue;
+          if (w != k) {
+            cols[e.col][e.slot].k = static_cast<int>(w);
+            row[w] = e;
+          }
+          ++w;
+        }
+        row.resize(w);
+        holes[i] = 0;
+      }
+
+      // Mark this row's cancelled slots for reuse by its fill-in; drop the
+      // ones a gather has since removed.
+      for (int* link = &cancelled_head[i]; *link >= 0;) {
+        Cancelled& c = cancelled[*link];
+        const auto& cs = cols[c.col];
+        if (static_cast<std::size_t>(c.slot) >= cs.size() || cs[c.slot].row != i ||
+            cs[c.slot].k != kCancelled) {
+          *link = c.next;
+          continue;
+        }
+        reuse_slot[c.col] = c.slot;
+        reuse_stamp[c.col] = row_scan;
+        link = &c.next;
+      }
+
+      // Fill-in from unconsumed pivot-row columns, appended in pivot-row order.
+      for (std::size_t k = u_begin; k < u_end; ++k) {
+        const Entry u = u_[k];
         if (consumed[u.col] == row_scan) continue;
         const double nv = -mult * u.val;
         if (std::abs(nv) > drop_tol_) {
-          newrow.push_back({u.col, nv});
+          auto& cs = cols[u.col];
+          const int pos = static_cast<int>(row.size());
+          int slot;
+          if (reuse_stamp[u.col] == row_scan) {
+            slot = reuse_slot[u.col];
+            cs[slot].k = pos;
+            ++reuses;
+          } else {
+            slot = static_cast<int>(cs.size());
+            cs.push_back({i, pos});
+          }
+          row.push_back({u.col, slot, nv});
           ++ccount[u.col];
-          colrows[u.col].push_back(i);
           enqueue(u.col);
         }
       }
-      rows[i].assign(newrow.begin(), newrow.end());
-      rcount[i] = static_cast<int>(rows[i].size());
+      rcount[i] = static_cast<int>(row.size()) - holes[i];
     }
 
     // ---- Retire the pivot row/column ----
     row_done[pi] = 1;
     col_done[pj] = 1;
-    for (const Entry& e : step.u_row) {
-      --ccount[e.col];
-      enqueue(e.col);
+    for (std::size_t k = u_begin; k < u_end; ++k) {
+      --ccount[u_[k].col];
+      enqueue(u_[k].col);
     }
     rows[pi].clear();
     rows[pi].shrink_to_fit();
-    colrows[pj].clear();
-    colrows[pj].shrink_to_fit();
+    cols[pj].clear();
+    cols[pj].shrink_to_fit();
     // Clear the scatter stamps for safety (stamps are scan-id based already).
-    for (const Entry& e : step.u_row) {
-      work[e.col] = 0.0;
-      stamp[e.col] = -1;
+    for (std::size_t k = u_begin; k < u_end; ++k) {
+      work[u_[k].col] = 0.0;
+      stamp[u_[k].col] = -1;
     }
 
-    steps_.push_back(std::move(step));
+    steps_.push_back({pi, pj, pval, l_begin, l_.size(), u_begin, u_end});
   }
+  slot_reuses.add(reuses);
   return true;
-}
-
-std::size_t SparseLU::factor_nnz() const {
-  std::size_t n = 0;
-  for (const auto& s : steps_) n += 1 + s.l_ops.size() + s.u_row.size();
-  return n;
 }
 
 void SparseLU::solve(const std::vector<double>& b, std::vector<double>& x,
@@ -234,13 +310,13 @@ void SparseLU::solve(const std::vector<double>& b, std::vector<double>& x,
   for (const Step& s : steps_) {
     const double pivot = v[s.pivot_row];
     if (pivot != 0.0) {
-      for (const auto& [r, mult] : s.l_ops) v[r] -= mult * pivot;
+      for (std::size_t k = s.l_begin; k < s.l_end; ++k) v[l_[k].first] -= l_[k].second * pivot;
     }
   }
   x.assign(m_, 0.0);
   for (auto it = steps_.rbegin(); it != steps_.rend(); ++it) {
     double acc = v[it->pivot_row];
-    for (const Entry& e : it->u_row) acc -= e.val * x[e.col];
+    for (std::size_t k = it->u_begin; k < it->u_end; ++k) acc -= u_[k].val * x[u_[k].col];
     x[it->pivot_col] = acc / it->pivot_val;
   }
 }
@@ -255,12 +331,12 @@ void SparseLU::solve_transpose(const std::vector<double>& c, std::vector<double>
     const double z = acc[s.pivot_col] / s.pivot_val;
     y[s.pivot_row] = z;
     if (z != 0.0) {
-      for (const Entry& e : s.u_row) acc[e.col] -= e.val * z;
+      for (std::size_t k = s.u_begin; k < s.u_end; ++k) acc[u_[k].col] -= u_[k].val * z;
     }
   }
   for (auto it = steps_.rbegin(); it != steps_.rend(); ++it) {
     double& yp = y[it->pivot_row];
-    for (const auto& [r, mult] : it->l_ops) yp -= mult * y[r];
+    for (std::size_t k = it->l_begin; k < it->l_end; ++k) yp -= l_[k].second * y[l_[k].first];
   }
 }
 

@@ -6,10 +6,30 @@
 // the eliminated multipliers (the L column) and the surviving pivot row (the
 // U row). Solves with B and B' are then simple forward/backward passes.
 //
+// The active submatrix is held row-wise, each row's entries in the order they
+// arose, with a list per column of the rows that hold it. The two are linked
+// both ways: a row entry knows its slot in its column's list, and a slot
+// knows the entry's index in its row, so gathering a column reads every value
+// in O(1) instead of searching the row (the design LPs' bases have rows with
+// hundreds of live entries). Elimination updates a row in place: the pivot
+// column's entry and entries that cancel become holes, fill-in is appended,
+// and once a quarter of the row is holes it is compacted in order,
+// re-pointing only the slots of entries that moved. An entry that cancels
+// exactly leaves its slot in place, marked cancelled, until the column is
+// next gathered; fill-in that recreates the entry in the meantime reuses the
+// slot (counted by the `lin.lu.slot_reuses` obs counter). So the order of
+// every column's entries, the bucket order, every Markowitz tie-break and
+// pivot, and the order of every L column and U row are those of a plain
+// search over compacted rows, and the factors are the same bit for bit.
+//
+// L and U live in two flat arrays; each step holds its ranges into them.
+//
 // Basis columns are taken from a shared CSC constraint matrix, which is how
 // the simplex refactorizes without copying the problem data.
 #pragma once
 
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "tcr/lin/sparse.hpp"
@@ -25,7 +45,7 @@ class SparseLU {
   bool factor(const SparseMatrix& a, const std::vector<int>& basis);
 
   int m() const { return m_; }
-  std::size_t factor_nnz() const;
+  std::size_t factor_nnz() const { return steps_.size() + l_.size() + u_.size(); }
 
   /// Solve B x = b. `b` is indexed by constraint row, the result by basis
   /// position (the coefficient of basis column j). `work` is scratch: a
@@ -60,14 +80,16 @@ class SparseLU {
     int pivot_row;
     int pivot_col;  // basis position
     double pivot_val;
-    std::vector<std::pair<int, double>> l_ops;  // (row, multiplier)
-    std::vector<Entry> u_row;                   // pivot row minus the pivot entry
+    std::size_t l_begin, l_end;  // L column: l_[l_begin, l_end)
+    std::size_t u_begin, u_end;  // U row minus the pivot: u_[u_begin, u_end)
   };
 
   int m_ = 0;
   double tau_ = 0.01;
   double drop_tol_ = 1e-12;
   std::vector<Step> steps_;
+  std::vector<std::pair<int, double>> l_;  // (row, multiplier)
+  std::vector<Entry> u_;
   std::vector<int> deficient_;
 };
 

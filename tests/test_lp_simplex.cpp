@@ -6,10 +6,14 @@
 // The solver carries its reduced costs across pivots between
 // refactorizations; the oracle sweep runs with prices carried through every
 // pivot and in Bland mode too, and a Figure 1 sweep pins the carried prices
-// against fresh ones directly.
+// against fresh ones directly. Two k=4 sweeps pin the whole pivot path
+// (iteration and refactorization counts and every result bit).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <sstream>
 #include <vector>
 
 #include "tcr/core/tradeoff.hpp"
@@ -393,6 +397,76 @@ TEST(RevisedSimplex, IterationLimitExportsReusableBasis) {
   }
   // The 3-iteration cap must actually bite on most non-trivial models.
   EXPECT_GE(limited, 5);
+}
+
+// ---- Pivot-path pin -------------------------------------------------------
+// The k=4 Figure 1 warm sweep and a k=4 Figure 6 sweep, reduced to their
+// simplex iteration and refactorization counts and the bit pattern of every
+// capacity fraction. A change that should not alter any pivot (a faster LU
+// that keeps the pivot order, a storage change) must leave all of these
+// exactly as recorded. A change that alters the pivot path on purpose
+// re-records them from the failure message.
+struct PivotPath {
+  std::int64_t iterations = 0;
+  std::int64_t refactorizations = 0;
+  std::vector<std::uint64_t> fraction_bits;
+};
+
+template <typename Sweep>
+PivotPath record_pivot_path(Sweep sweep) {
+  auto& reg = obs::Registry::instance();
+  auto& iters = reg.counter("lp.simplex.iterations");
+  auto& refactors = reg.counter("lp.simplex.refactorizations");
+  const auto iters0 = iters.value();
+  const auto refactors0 = refactors.value();
+  const std::vector<TradeoffPoint> pts = sweep();
+  PivotPath path;
+  path.iterations = iters.value() - iters0;
+  path.refactorizations = refactors.value() - refactors0;
+  for (const auto& p : pts) {
+    EXPECT_TRUE(p.solved()) << p.note;
+    EXPECT_TRUE(p.certificate.pass) << p.certificate.summary();
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &p.capacity_fraction, sizeof bits);
+    path.fraction_bits.push_back(bits);
+  }
+  return path;
+}
+
+std::string describe(const PivotPath& p) {
+  std::ostringstream os;
+  os << "{" << p.iterations << ", " << p.refactorizations << ", {";
+  for (std::size_t i = 0; i < p.fraction_bits.size(); ++i) {
+    os << (i ? ", " : "") << "0x" << std::hex << p.fraction_bits[i] << std::dec << "ull";
+  }
+  os << "}}";
+  return os.str();
+}
+
+void expect_pinned(const PivotPath& got, const PivotPath& want) {
+  EXPECT_EQ(got.iterations, want.iterations) << "recorded now: " << describe(got);
+  EXPECT_EQ(got.refactorizations, want.refactorizations) << "recorded now: " << describe(got);
+  EXPECT_EQ(got.fraction_bits, want.fraction_bits) << "recorded now: " << describe(got);
+}
+
+TEST(RevisedSimplex, PivotPathPinnedOnFigure1Sweep) {
+  const PivotPath got = record_pivot_path(
+      [] { return worst_case_tradeoff(Torus(4), locality_grid(1.0, 2.0, 5)); });
+  expect_pinned(got, {482, 25,
+                      {0x3fd5555555555554ull, 0x3fde1e1e1e1e1e1bull, 0x3fe0000000000000ull,
+                       0x3fdffffffffffffeull, 0x3fdffffffffffffcull}});
+}
+
+TEST(RevisedSimplex, PivotPathPinnedOnFigure6Sweep) {
+  const Torus torus(4);
+  Rng rng(606);
+  std::vector<std::vector<int>> samples;
+  for (int i = 0; i < 4; ++i) samples.push_back(rng.permutation(torus.num_nodes()));
+  const PivotPath got = record_pivot_path(
+      [&] { return average_case_tradeoff(torus, samples, locality_grid(1.0, 2.0, 5)); });
+  expect_pinned(got, {617, 25,
+                      {0x3fdc051832f1fd74ull, 0x3fe28f6716dcdf3aull, 0x3fe3ab1a801c711cull,
+                       0x3fe3ab1a801c711cull, 0x3fe3ab1a801c711cull}});
 }
 
 TEST(RevisedSimplex, PopulatesObsMetrics) {

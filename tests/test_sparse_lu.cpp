@@ -1,12 +1,19 @@
 // Property tests: the sparse Markowitz LU must agree with the dense oracle
 // on random sparse invertible systems of varying size and density, detect
 // singularity, and survive permutation-like (network-basis-shaped) matrices.
+// Random +-1 bases with dense rows drive entries to cancel exactly and fill
+// back in, the path on which the factorization reuses a cancelled slot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <utility>
 
 #include "tcr/lin/dense_lu.hpp"
 #include "tcr/lin/sparse_lu.hpp"
+#include "tcr/obs/registry.hpp"
 #include "tcr/util/rng.hpp"
 
 namespace tcr {
@@ -64,6 +71,152 @@ TEST(SparseLU, MatchesDenseOracleAcrossSizes) {
         ASSERT_NEAR(y[i], y_ref[i], 1e-7) << "m=" << m << " density=" << density;
     }
   }
+}
+
+// A random m x m basis with +-1 entries, shaped like a simplex basis of the
+// design LPs: the first m - dense rows are network rows, where column j has
+// +1 at row j and usually -1 at another network row; every column also has a
+// +-1 in each dense row with probability one half, and a few carry a tiny
+// entry. The last `dense` columns span the dense rows.
+RandomSystem random_pm1_system(Rng& rng, int m, int dense) {
+  const int n = m - dense;
+  DenseMatrix mat(m, m);
+  std::vector<Triplet> trips;
+  auto add = [&](int i, int j, double v) {
+    trips.push_back({i, j, v});
+    mat(i, j) += v;
+  };
+  auto sign = [&] { return rng.uniform() < 0.5 ? 1.0 : -1.0; };
+  for (int j = 0; j < m; ++j) {
+    const int head = j < n ? j : static_cast<int>(rng.below(n));
+    add(head, j, 1.0);
+    if (rng.uniform() < 0.7) {
+      add((head + 1 + static_cast<int>(rng.below(n - 1))) % n, j, -1.0);
+    }
+    for (int d = 0; d < dense; ++d)
+      if (rng.uniform() < 0.5) add(n + d, j, sign());
+    // Now and then an entry below the LU's drop tolerance: it stays live
+    // until its row is first eliminated.
+    if (rng.uniform() < 0.05) add(static_cast<int>(rng.below(m)), j, 1e-13);
+  }
+  RandomSystem sys{SparseMatrix(m, m, trips), std::move(mat), {}};
+  sys.basis.resize(m);
+  for (int j = 0; j < m; ++j) sys.basis[j] = j;
+  return sys;
+}
+
+// Numerical rank of the given columns of `a` (Gaussian elimination with
+// partial pivoting).
+int column_rank(const DenseMatrix& a, const std::vector<int>& cols) {
+  const int m = a.rows();
+  std::vector<std::vector<double>> c;
+  for (int j : cols) {
+    c.emplace_back(m);
+    for (int i = 0; i < m; ++i) c.back()[i] = a(i, j);
+  }
+  int rank = 0;
+  for (int i = 0; i < m && rank < static_cast<int>(c.size()); ++i) {
+    int best = rank;
+    for (int k = rank; k < static_cast<int>(c.size()); ++k)
+      if (std::abs(c[k][i]) > std::abs(c[best][i])) best = k;
+    if (std::abs(c[best][i]) < 1e-9) continue;
+    std::swap(c[rank], c[best]);
+    for (int k = rank + 1; k < static_cast<int>(c.size()); ++k) {
+      const double f = c[k][i] / c[rank][i];
+      for (int r = i; r < m; ++r) c[k][r] -= f * c[rank][r];
+    }
+    ++rank;
+  }
+  return rank;
+}
+
+// Exact cancellation is common in +-1 bases; the factorization must reuse
+// the slot of a cancelled entry that fills back in, and agree with the dense
+// oracle (solves, singularity and deficient positions) while doing so.
+TEST(SparseLU, ExactCancellationAndRefillAgreeWithDenseOracle) {
+  auto& reuses = obs::Registry::instance().counter("lin.lu.slot_reuses");
+  const auto reuses0 = reuses.value();
+  Rng rng(99);
+  int nonsingular = 0, singular = 0;
+  std::uint64_t digest = 14695981039346656037ull;  // FNV-1a over every solve's bits
+  auto fold = [&](const std::vector<double>& v) {
+    for (double d : v) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &d, sizeof bits);
+      digest = (digest ^ bits) * 1099511628211ull;
+    }
+  };
+  for (int trial = 0; trial < 80; ++trial) {
+    const int m = std::vector<int>{12, 40, 120, 300}[trial % 4];
+    const int dense = 2 + trial % 5;
+    const auto sys = random_pm1_system(rng, m, dense);
+    std::vector<int> all(m);
+    for (int j = 0; j < m; ++j) all[j] = j;
+    const int rank = column_rank(sys.dense, all);
+
+    SparseLU lu;
+    const bool ok = lu.factor(sys.a, sys.basis);
+    ASSERT_EQ(ok, rank == m) << "trial " << trial << ": rank " << rank << " of " << m;
+    if (!ok) {
+      ++singular;
+      // The positions that received a pivot are independent and span the
+      // matrix's column space.
+      const auto& def = lu.deficient_positions();
+      ASSERT_TRUE(std::is_sorted(def.begin(), def.end())) << "trial " << trial;
+      ASSERT_EQ(static_cast<int>(def.size()), m - rank) << "trial " << trial;
+      std::vector<int> pivoted;
+      for (int j = 0; j < m; ++j)
+        if (!std::binary_search(def.begin(), def.end(), j)) pivoted.push_back(j);
+      EXPECT_EQ(column_rank(sys.dense, pivoted), rank) << "trial " << trial;
+      continue;
+    }
+    ++nonsingular;
+    DenseLU oracle;
+    ASSERT_TRUE(oracle.factor(sys.dense)) << "trial " << trial;
+    std::vector<double> b(m), c(m), x, y;
+    for (auto& v : b) v = rng.uniform(-1, 1);
+    for (auto& v : c) v = rng.uniform(-1, 1);
+    lu.solve(b, x);
+    lu.solve_transpose(c, y);
+    fold(x);
+    fold(y);
+    const auto x_ref = oracle.solve(b);
+    const auto y_ref = oracle.solve_transpose(c);
+    for (int i = 0; i < m; ++i) {
+      ASSERT_NEAR(x[i], x_ref[i], 1e-8 * (1 + std::abs(x_ref[i]))) << "trial " << trial;
+      ASSERT_NEAR(y[i], y_ref[i], 1e-8 * (1 + std::abs(y_ref[i]))) << "trial " << trial;
+    }
+  }
+  // Every bit of every solve, pinned: recorded from the search-based
+  // factorization the linked one replaced, so it pins the pivot order and
+  // the order of every L column and U row. A change that alters the pivot
+  // order on purpose re-records it.
+  EXPECT_EQ(digest, 0x4d0e07d83c803800ull) << std::hex << digest;
+  EXPECT_GE(nonsingular, 20);
+  EXPECT_GE(singular, 5);
+  // Cancelled entries really do fill back in while their slot is still
+  // listed: this is the path the test exists for.
+  EXPECT_GE(reuses.value() - reuses0, 100);
+}
+
+// An entry below the drop tolerance (1e-12) stays live (counted, gathered)
+// until its row is first eliminated, and is dropped there. Row 0 =
+// [1, 1e-13, 1] is eliminated by the pivot in row 1 = [2, 0, 0], which drops
+// its tiny entry; column 1 then holds row 2 alone, so its pivot eliminates
+// nothing: 3 pivots + 1 L + 1 U entry. Had the tiny entry stayed, that pivot
+// would add a multiplier to L.
+TEST(SparseLU, TinyEntryLeavesAtItsRowsFirstElimination) {
+  const std::vector<Triplet> trips = {{0, 0, 1.0}, {1, 0, 2.0}, {0, 1, 1e-13},
+                                      {2, 1, 1.0}, {0, 2, 1.0}, {2, 2, 1.0}};
+  const SparseMatrix a(3, 3, trips);
+  SparseLU lu;
+  ASSERT_TRUE(lu.factor(a, {0, 1, 2}));
+  EXPECT_EQ(lu.factor_nnz(), 5u);
+  std::vector<double> x;
+  lu.solve({2.0, 2.0, 3.0}, x);  // x = (1, 2, 1 - 2e-13)
+  EXPECT_NEAR(x[0], 1.0, 1e-9);
+  EXPECT_NEAR(x[1], 2.0, 1e-9);
+  EXPECT_NEAR(x[2], 1.0, 1e-9);
 }
 
 TEST(SparseLU, ColumnSubsetBasis) {
