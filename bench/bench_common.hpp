@@ -230,8 +230,9 @@ class RunControl {
 
 /// Live telemetry behind every bench's `--heartbeat[=path]` flag
 /// (tcr::telemetry): while the run is in flight, heartbeat records — phase,
-/// sweep/sim progress, guard budget state, obs counter deltas — are
-/// appended to a crash-safe stream that `tcr-top --follow` renders live.
+/// sweep/sim/solver progress sampled from the trace spans and counters,
+/// guard budget state, obs counter deltas — are appended to a crash-safe
+/// stream that `tcr-top --follow` renders live.
 ///
 ///   --heartbeat [PATH]        enable; PATH defaults to <bench>.hb
 ///   --heartbeat-interval S    seconds between heartbeats (default 0.5)
@@ -392,10 +393,9 @@ class JsonOutput {
 /// collecting) and, on destruction at the end of the run, exports the
 /// buffer as Chrome trace-event JSON to the given path — loadable in
 /// Perfetto / chrome://tracing and analyzable with the tcr-trace tool.
-/// `--trace-sample N` overrides the simplex convergence-telemetry cadence
-/// (default: every 32 iterations); `--trace-capacity N` the ring-buffer
-/// event capacity. Without `--trace`, tracing stays off and every
-/// instrumented site costs one predicted branch.
+/// `--trace-capacity N` overrides the ring-buffer event capacity. Without
+/// `--trace`, tracing stays off and every instrumented site costs one
+/// predicted branch.
 class TraceOutput {
  public:
   explicit TraceOutput(const Cli& cli) : path_(cli.get_string("trace", "")) {
@@ -403,7 +403,6 @@ class TraceOutput {
     trace::TracerConfig cfg;
     cfg.capacity = static_cast<std::size_t>(
         cli.get_int("trace-capacity", static_cast<int>(cfg.capacity)));
-    cfg.simplex_sample_every = cli.get_int("trace-sample", cfg.simplex_sample_every);
     trace::Tracer::instance().start(cfg);
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <mutex>
 
 #include "tcr/guard/journal.hpp"
 #include "tcr/perf/perf.hpp"
@@ -109,16 +110,33 @@ std::vector<TradeoffPoint> sweep(const Torus& torus, DesignObjective objective,
   // covers the serial and pooled execution paths identically (ThreadPool::
   // submit also hands the ambient context over for everything else spawned
   // inside a chain).
-  // Announce the sweep to any live heartbeat session. Telemetry calls only
-  // read sweep state, so --heartbeat cannot change the point series.
-  telemetry::set_phase("sweep");
-  telemetry::sweep_begin(n);
-
   trace::Span sweep_span("sweep");
   sweep_span.attr("points", n);
   sweep_span.attr("chains", chains);
   sweep_span.attr("warm_start", sweep_cfg.warm_start);
   const trace::SpanContext sweep_ctx = sweep_span.context();
+
+  // Sweep progress tracks (heartbeat `progress`). Counters only read sweep
+  // state, so --heartbeat cannot change the point series. A point counts
+  // exactly when the checkpoint journal gets its record (resumed points
+  // included), so a reader can equate sweep.done with the journal record
+  // count; the lock makes the last sample written the final count even
+  // when chains finish points concurrently.
+  trace::counter("sweep.total", n);
+  trace::counter("sweep.done", 0);
+  trace::counter("sweep.warm_adopted", 0);
+  std::mutex progress_mu;
+  int done = 0, warm_adopted = 0;
+  const auto point_done = [&](const std::string& warm_start) {
+    {
+      std::lock_guard<std::mutex> lock(progress_mu);
+      ++done;
+      if (warm_start == "accepted" || warm_start == "repaired") ++warm_adopted;
+      trace::counter("sweep.done", done);
+      trace::counter("sweep.warm_adopted", warm_adopted);
+    }
+    telemetry::poll();
+  };
 
   // One chain = one contiguous block of points sharing a single design
   // model: the constraint matrix is built once, only the locality bound
@@ -146,8 +164,7 @@ std::vector<TradeoffPoint> sweep(const Torus& torus, DesignObjective objective,
           out[i] = it->second.first;
           out[i].provenance = "resumed";
           if (sweep_cfg.warm_start) warm = it->second.second;
-          telemetry::sweep_point_done(out[i].warm_start == "accepted" ||
-                                      out[i].warm_start == "repaired");
+          point_done(out[i].warm_start);
           continue;
         }
       }
@@ -180,12 +197,7 @@ std::vector<TradeoffPoint> sweep(const Torus& torus, DesignObjective objective,
       if (sweep_cfg.journal != nullptr && res.status != lp::Status::Cancelled) {
         sweep_cfg.journal->append(SweepCheckpoint::encode(i, out[i], res.basis));
       }
-      // Progress ticks mirror the journal condition exactly, so a heartbeat
-      // reader can equate progress.done with the checkpoint record count.
-      if (res.status != lp::Status::Cancelled) {
-        telemetry::sweep_point_done(res.warm_start == "accepted" ||
-                                    res.warm_start == "repaired");
-      }
+      if (res.status != lp::Status::Cancelled) point_done(res.warm_start);
       point_span.attr("index", i);
       point_span.attr("locality", localities[i]);
       point_span.attr("status", lp::to_string(res.status));

@@ -15,13 +15,6 @@ namespace tcr::guard {
 
 namespace {
 
-// Framing constants live in the header (shared with telemetry's stream
-// reader); keep the short local names the scan/write code reads naturally.
-constexpr const char* kMagic = kJournalMagic;
-constexpr std::size_t kMagicSize = kJournalMagicSize;
-constexpr std::size_t kHeaderSize = kJournalHeaderSize;
-constexpr std::uint32_t kMaxRecordSize = kJournalMaxRecordSize;
-
 std::uint32_t load_u32le(const unsigned char* p) {
   return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
          (static_cast<std::uint32_t>(p[2]) << 16) |
@@ -55,38 +48,19 @@ Scan scan_journal(const std::string& path) {
     out.error = "I/O error reading journal '" + path + "'";
     return scan;
   }
-  const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
-  if (data.size() < kMagicSize || std::memcmp(data.data(), kMagic, kMagicSize) != 0) {
+  if (!has_journal_magic(data)) {
     out.error = "'" + path + "' is not a tcr journal (bad magic at offset 0)";
     return scan;
   }
-  std::size_t pos = kMagicSize;
-  while (pos < data.size()) {
-    if (data.size() - pos < kHeaderSize) break;  // torn header => tail
-    const std::uint32_t len = load_u32le(bytes + pos);
-    const std::uint32_t crc = load_u32le(bytes + pos + 4);
-    if (len > kMaxRecordSize) {
-      out.error = "journal '" + path + "': implausible record length " +
-                  std::to_string(len) + " at offset " + std::to_string(pos);
-      return scan;
-    }
-    if (data.size() - pos - kHeaderSize < len) break;  // torn payload => tail
-    const char* payload = data.data() + pos + kHeaderSize;
-    if (crc32(payload, len) != crc) {
-      // A CRC mismatch on the final record is a torn write (kill landed
-      // mid-payload after the length happened to be fully written); anywhere
-      // else it means the middle of the file changed under us.
-      if (pos + kHeaderSize + len == data.size()) break;
-      out.error = "journal '" + path + "': CRC mismatch at offset " +
-                  std::to_string(pos) + " (record " +
-                  std::to_string(out.records.size()) + ")";
-      return scan;
-    }
-    out.records.emplace_back(payload, len);
-    pos += kHeaderSize + len;
+  const FrameScan frames =
+      scan_frames(std::string_view(data).substr(kJournalMagicSize), kJournalMagicSize, 0);
+  if (!frames.error.empty()) {
+    out.error = "journal '" + path + "': " + frames.error;
+    return scan;
   }
-  out.truncated_tail = pos < data.size();
-  scan.valid_bytes = pos;
+  for (const std::string_view payload : frames.payloads) out.records.emplace_back(payload);
+  scan.valid_bytes = kJournalMagicSize + frames.end;
+  out.truncated_tail = scan.valid_bytes < data.size();
   out.ok = true;
   return scan;
 }
@@ -107,6 +81,44 @@ std::uint32_t crc32(const void* data, std::size_t size) noexcept {
   const auto* p = static_cast<const unsigned char*>(data);
   for (std::size_t i = 0; i < size; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
+}
+
+bool has_journal_magic(std::string_view bytes) noexcept {
+  return bytes.size() >= kJournalMagicSize &&
+         std::memcmp(bytes.data(), kJournalMagic, kJournalMagicSize) == 0;
+}
+
+FrameScan scan_frames(std::string_view bytes, std::uint64_t file_offset,
+                      std::size_t first_record) {
+  FrameScan scan;
+  std::size_t pos = 0;
+  const auto at = [&] {
+    return " at offset " + std::to_string(file_offset + pos) + " (record " +
+           std::to_string(first_record + scan.payloads.size()) + ")";
+  };
+  while (bytes.size() - pos >= kJournalHeaderSize) {
+    const auto* header = reinterpret_cast<const unsigned char*>(bytes.data() + pos);
+    const std::uint32_t len = load_u32le(header);
+    const std::uint32_t crc = load_u32le(header + 4);
+    if (len > kJournalMaxRecordSize) {
+      scan.error = "implausible record length " + std::to_string(len) + at();
+      break;
+    }
+    if (bytes.size() - pos - kJournalHeaderSize < len) break;  // torn payload => tail
+    const std::string_view payload = bytes.substr(pos + kJournalHeaderSize, len);
+    if (crc32(payload.data(), len) != crc) {
+      // A CRC mismatch on the final frame is a torn write (a kill landed
+      // mid-payload after the length happened to be fully written);
+      // anywhere else it means the middle of the file changed under us.
+      if (pos + kJournalHeaderSize + len == bytes.size()) break;
+      scan.error = "CRC mismatch" + at();
+      break;
+    }
+    scan.payloads.push_back(payload);
+    pos += kJournalHeaderSize + len;
+  }
+  scan.end = pos;
+  return scan;
 }
 
 JournalContents read_journal(const std::string& path) {
@@ -145,7 +157,8 @@ bool JournalWriter::open(const std::string& path, std::string* error) {
   bool init_ok;
   std::string what;
   if (fresh) {
-    init_ok = ::write(fd_, kMagic, kMagicSize) == static_cast<ssize_t>(kMagicSize) &&
+    init_ok = ::write(fd_, kJournalMagic, kJournalMagicSize) ==
+                  static_cast<ssize_t>(kJournalMagicSize) &&
               ::fsync(fd_) == 0;
     what = "initialize";
   } else {
@@ -172,12 +185,12 @@ bool JournalWriter::append(const std::string& payload) {
 #if defined(__unix__) || defined(__APPLE__)
   std::lock_guard<std::mutex> lock(mu_);
   if (fd_ < 0 || failed_) return false;
-  unsigned char header[kHeaderSize];
+  unsigned char header[kJournalHeaderSize];
   store_u32le(static_cast<std::uint32_t>(payload.size()), header);
   store_u32le(crc32(payload.data(), payload.size()), header + 4);
   // One buffer, one write(): keeps a record's header and payload in a
   // single syscall so a concurrent appender cannot interleave mid-record.
-  std::string buf(reinterpret_cast<const char*>(header), kHeaderSize);
+  std::string buf(reinterpret_cast<const char*>(header), kJournalHeaderSize);
   buf += payload;
   const char* p = buf.data();
   std::size_t left = buf.size();

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tcr::guard {
@@ -33,14 +34,35 @@ namespace tcr::guard {
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of a byte range.
 std::uint32_t crc32(const void* data, std::size_t size) noexcept;
 
-// Framing constants, shared with incremental readers of the same format
-// (telemetry/stream.hpp tails heartbeat streams written in journal frames).
+// Framing constants. The frame scanner below is shared with incremental
+// readers of the same format (telemetry/stream.hpp tails heartbeat streams
+// written in journal frames).
 inline constexpr char kJournalMagic[8] = {'T', 'C', 'R', 'J', 'N', 'L', '0', '1'};
 inline constexpr std::size_t kJournalMagicSize = sizeof(kJournalMagic);
 inline constexpr std::size_t kJournalHeaderSize = 8;  // u32 length + u32 crc
 /// Records hold sweep points or heartbeat JSON (a few KB each); a length
 /// beyond this is not a record, it is garbage read as a length.
 inline constexpr std::uint32_t kJournalMaxRecordSize = 1u << 30;
+
+/// Does `bytes` start with the journal magic?
+bool has_journal_magic(std::string_view bytes) noexcept;
+
+/// The complete frames of a byte range (see scan_frames).
+struct FrameScan {
+  std::vector<std::string_view> payloads;  ///< views into the scanned bytes
+  std::size_t end = 0;  ///< offset just past the last complete frame
+  std::string error;    ///< hard error with byte offset; empty when ok
+};
+
+/// Walk the [len][crc][payload] frames of `bytes` (which start right after
+/// the magic, or after an earlier complete frame). Scanning stops cleanly at
+/// a torn tail — a short header, a short payload, or a CRC mismatch on the
+/// final frame — leaving `end` before it. An implausible length, or a CRC
+/// mismatch with bytes after it, is a hard error naming the file offset
+/// (`file_offset` is the offset of bytes[0]) and the record index
+/// (`first_record` is the index of the first frame in `bytes`).
+FrameScan scan_frames(std::string_view bytes, std::uint64_t file_offset,
+                      std::size_t first_record);
 
 /// Everything read back from a journal file.
 struct JournalContents {

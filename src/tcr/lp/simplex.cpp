@@ -133,6 +133,9 @@ constexpr double kCertifyTolFactor = 10.0;
 // The dense fallback stage only runs when rows + cols <= this: it is
 // O(m^2 n) per iteration, and beyond this it would dominate the solve time.
 constexpr int kDenseFallbackMaxDim = 600;
+// Convergence counters (lp.iteration, lp.objective, ...) are sampled every
+// this many iterations while a tracer or heartbeat is listening.
+constexpr long kSampleEvery = 32;
 
 using detail::kAtLower;
 using detail::kAtUpper;
@@ -849,6 +852,14 @@ class RevisedSimplex {
     return worst;
   }
 
+  // The convergence counters both optimize loops sample; lp.iteration and
+  // lp.objective also feed the heartbeat's `solver` block.
+  void sample_progress(const std::vector<double>& cost) const {
+    trace::counter("lp.iteration", static_cast<double>(iters_));
+    trace::counter("lp.objective", objective_of(cost));
+    trace::counter("lp.primal_infeas", primal_infeasibility());
+  }
+
   // L2 norm of the DEVEX reference weights: grows as the reference framework
   // goes stale; drops back to sqrt(n) at each reset.
   double devex_norm() const {
@@ -869,9 +880,8 @@ class RevisedSimplex {
     // iteration, so an un-instrumented solve pays nothing for the spans.
     const bool timed = obs::Registry::instance().timing_enabled();
     // Convergence telemetry cadence, hoisted the same way: 0 (one compare
-    // per iteration) unless a tracer is collecting.
-    const long sample_every =
-        trace::enabled() ? trace::Tracer::instance().simplex_sample_every() : 0;
+    // per iteration) unless a tracer or heartbeat is listening.
+    const long sample_every = trace::listening() ? kSampleEvery : 0;
     double min_pivot_sampled = kInf;  // min |pivot| since the last sample
     long last_sampled_iter = -1;      // dedup: re-runs of an iteration
                                       // (optimality re-confirmation after a
@@ -898,12 +908,6 @@ class RevisedSimplex {
         flush_degenerate_run();
         return Status::Cancelled;
       }
-
-      // Solver progress for heartbeats, at a coarser cadence than the
-      // safepoint: the objective costs a pass over the basics, so only
-      // compute it when a heartbeat session is live.
-      if (telemetry::enabled() && (iters_ & 255) == 0)
-        telemetry::solver_progress(iters_, objective_of(cost));
 
       if (priced_at_ != refactor_count_) reprice(cost, timed);
 
@@ -942,12 +946,10 @@ class RevisedSimplex {
       }
       pricing_timer.stop();
 
-      // ---- convergence telemetry (sampled every N iterations) ----
+      // ---- convergence telemetry (every kSampleEvery iterations) ----
       if (sample_every > 0 && iters_ % sample_every == 0 && iters_ != last_sampled_iter) {
         last_sampled_iter = iters_;
-        trace::counter("lp.iteration", static_cast<double>(iters_));
-        trace::counter("lp.objective", objective_of(cost));
-        trace::counter("lp.primal_infeas", primal_infeasibility());
+        sample_progress(cost);
         // Dual infeasibility proxy: the DEVEX winner's reduced-cost
         // violation (score = viol^2 / weight); 0 at optimality or in Bland
         // mode, where no scores are computed.
@@ -1175,6 +1177,9 @@ class RevisedSimplex {
     bool fresh_basis = true;  // no pivots since the last refactorization
     int degenerate_streak = 0;
     const bool timed = obs::Registry::instance().timing_enabled();
+    // Convergence telemetry, on the primal loop's cadence.
+    const long sample_every = trace::listening() ? kSampleEvery : 0;
+    long last_sampled_iter = -1;
     // Dual DEVEX row weights (reference framework = the rows at entry).
     dw_.assign(static_cast<std::size_t>(m_), 1.0);
     // Stall guard: a dual phase that has not reached primal feasibility
@@ -1199,8 +1204,10 @@ class RevisedSimplex {
       ++dual_iters_;
       if (cancel_safepoint()) return Status::Cancelled;
       if (dual_iters_ > stall_cap) return Status::Numerical;
-      if (telemetry::enabled() && (iters_ & 255) == 0)
-        telemetry::solver_progress(iters_, objective_of(cost));
+      if (sample_every > 0 && iters_ % sample_every == 0 && iters_ != last_sampled_iter) {
+        last_sampled_iter = iters_;
+        sample_progress(cost);
+      }
 
       if (priced_at_ != refactor_count_) reprice(cost, timed);
 

@@ -1,9 +1,12 @@
-// Minimal JSON value type and JSON-lines event sink for machine-readable
-// telemetry (the benches' --json output, BENCH_*.json trajectories).
+// Minimal JSON value type, JSON-lines event sink, and the parser that reads
+// both back, for machine-readable telemetry (the benches' --json output,
+// BENCH_*.json trajectories, heartbeat payloads, trace files, golden values).
 //
 // Deliberately small: only what serialization needs. Object keys keep
 // insertion order so records are stable and diffable; doubles render with
-// round-trip precision; NaN/Inf render as null (strict JSON).
+// round-trip precision; NaN/Inf render as null (strict JSON). The parser is
+// strict JSON (RFC 8259) with one convention matching the writer: `null` in
+// a numeric position reads back as NaN.
 #pragma once
 
 #include <atomic>
@@ -14,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -130,5 +134,25 @@ class EventSink {
   mutable std::mutex mu_;
   std::atomic<std::int64_t> records_{0};
 };
+
+/// Parse one JSON document. Returns false (and fills *error with a
+/// position-annotated message) on malformed input; *out is then unspecified.
+bool parse_json(std::string_view text, Json* out, std::string* error);
+
+/// Parse a whole JSON-lines stream (one document per line, blank lines
+/// skipped). On error, *error names the failing line number and offset.
+bool parse_json_lines(std::istream& in, std::vector<Json>* out, std::string* error);
+
+/// Like parse_json_lines, but tolerates a torn *final* line — the signature
+/// of a writer killed mid-record (crash, SIGKILL, full disk). The torn line
+/// is dropped and described in *truncated (line number + parse position);
+/// *truncated stays empty for a clean stream. Malformed records anywhere
+/// before the final line are still hard errors: mid-file corruption is not
+/// truncation and must not be silently skipped.
+bool parse_json_lines_tolerant(std::istream& in, std::vector<Json>* out,
+                               std::string* truncated, std::string* error);
+
+/// Read and parse a file holding a single JSON document.
+bool parse_json_file(const std::string& path, Json* out, std::string* error);
 
 }  // namespace tcr::obs

@@ -5,6 +5,10 @@
 //   * near-zero overhead when nobody is looking: metric updates are relaxed
 //     atomic increments, and the expensive parts (clock reads in ScopedTimer
 //     spans) are gated on Registry::timing_enabled();
+//   * one switchboard for every instrumentation sink: the obs timers, the
+//     trace ring (trace::Tracer), perf counter sampling (perf::start) and
+//     live heartbeats (telemetry::start) are bits of one relaxed atomic
+//     mask (sinks()), so every "is anyone watching?" test is one load;
 //   * a single process-wide Registry so any layer can expose a metric
 //     without plumbing objects through APIs; references handed out by the
 //     registry stay valid for the life of the process (metrics are never
@@ -33,6 +37,32 @@
 #include "tcr/util/stopwatch.hpp"
 
 namespace tcr::obs {
+
+/// The instrumentation sinks, one bit each of the process-wide enable mask.
+enum Sink : unsigned {
+  kTimers = 1u << 0,     ///< obs::Timer spans (Registry::set_timing_enabled)
+  kTrace = 1u << 1,      ///< trace ring buffer (trace::Tracer::start)
+  kPerf = 1u << 2,       ///< perf counter sampling (perf::start)
+  kHeartbeat = 1u << 3,  ///< live heartbeat session (telemetry::start)
+};
+
+namespace detail {
+// Outside any singleton so the disabled fast path of every sink is one
+// relaxed load — no function-local-static guard check.
+inline std::atomic<unsigned> g_sinks{0};
+}  // namespace detail
+
+/// The enabled sinks (a mask of Sink bits). One relaxed atomic load.
+inline unsigned sinks() noexcept { return detail::g_sinks.load(std::memory_order_relaxed); }
+
+/// Switch one sink on or off without touching the others.
+inline void set_sink(Sink sink, bool on) noexcept {
+  if (on) {
+    detail::g_sinks.fetch_or(sink, std::memory_order_relaxed);
+  } else {
+    detail::g_sinks.fetch_and(~static_cast<unsigned>(sink), std::memory_order_relaxed);
+  }
+}
 
 class Counter {
  public:
@@ -198,8 +228,8 @@ class Registry {
   /// Gates the clock reads of ScopedTimer spans. Off by default so
   /// fine-grained solver timing costs nothing unless a consumer (e.g. a
   /// bench's --json sink) turns it on.
-  bool timing_enabled() const noexcept { return timing_.load(std::memory_order_relaxed); }
-  void set_timing_enabled(bool on) noexcept { timing_.store(on, std::memory_order_relaxed); }
+  bool timing_enabled() const noexcept { return (sinks() & kTimers) != 0; }
+  void set_timing_enabled(bool on) noexcept { set_sink(kTimers, on); }
 
   Snapshot snapshot() const;
 
@@ -211,7 +241,6 @@ class Registry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Timer>> timers_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::atomic<bool> timing_{false};
 };
 
 /// RAII span feeding a Timer. When disabled (the default unless
@@ -219,7 +248,7 @@ class Registry {
 class ScopedTimer {
  public:
   explicit ScopedTimer(Timer& timer)
-      : ScopedTimer(timer, Registry::instance().timing_enabled()) {}
+      : ScopedTimer(timer, (sinks() & kTimers) != 0) {}
   ScopedTimer(Timer& timer, bool enabled) : timer_(&timer), enabled_(enabled) {
     if (enabled_) {
       wall_start_ = std::chrono::steady_clock::now();

@@ -6,17 +6,9 @@
 #include <fstream>
 #include <sstream>
 
-#include "tcr/report/json_reader.hpp"
-
 namespace tcr::perf {
 
 namespace {
-
-/// Quantities that are process high-water marks rather than per-point
-/// deltas: aggregated with max, not sum.
-bool is_high_water(const std::string& name) {
-  return name.find("rss") != std::string::npos;
-}
 
 std::string fmt_compact(double v) {
   std::ostringstream os;
@@ -162,43 +154,6 @@ std::string canonical_config(const obs::Json& params) {
   return out;
 }
 
-bool entry_from_run(const report::BenchRun& run, HistoryEntry* out, std::string* error) {
-  out->bench = run.bench;
-  out->config = canonical_config(run.params);
-  out->provenance = run.provenance;
-  out->quantities.clear();
-  out->source.clear();
-  int blocks = 0;
-  for (const report::BenchRecord& rec : run.records) {
-    if (!rec.perf.is_object()) continue;
-    ++blocks;
-    for (const auto& [name, value] : rec.perf.items()) {
-      if (name == "source") {
-        const std::string& src = value.as_string();
-        if (out->source.empty()) {
-          out->source = src;
-        } else if (out->source != src) {
-          out->source = "mixed";
-        }
-        continue;
-      }
-      if (!value.is_number()) continue;
-      const std::string key = "perf." + name;
-      double& slot = out->quantities[key];
-      slot = is_high_water(name) ? std::max(slot, value.as_number())
-                                 : slot + value.as_number();
-    }
-  }
-  if (blocks == 0) {
-    if (error != nullptr) {
-      *error = "run of bench '" + run.bench +
-               "' carries no perf blocks (was it recorded with --perf?)";
-    }
-    return false;
-  }
-  return true;
-}
-
 bool entries_from_google_benchmark(const obs::Json& doc, std::vector<HistoryEntry>* out,
                                    std::string* error) {
   const obs::Json* benchmarks = doc.find("benchmarks");
@@ -257,7 +212,7 @@ bool load_history(const std::string& path, std::vector<HistoryEntry>* out, std::
   }
   std::vector<obs::Json> lines;
   std::string err;
-  if (!report::parse_json_lines(in, &lines, &err)) {
+  if (!obs::parse_json_lines(in, &lines, &err)) {
     if (error != nullptr) *error = path + ": " + err;
     return false;
   }

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "tcr/obs/json.hpp"
-#include "tcr/report/schema.hpp"
 
 namespace tcr::perf {
 
@@ -44,13 +43,6 @@ struct HistoryEntry {
 /// with keys sorted, so the same parameters always map to the same history
 /// key regardless of flag order.
 std::string canonical_config(const obs::Json& params);
-
-/// Distill one schema-v1 bench run (whose point records carry `perf`
-/// blocks) into a history entry: delta quantities are summed across points,
-/// max_rss_kb takes the max (it is a process high-water mark). Returns
-/// false (with *error) when no record carries a perf block — the run was
-/// made without --perf.
-bool entry_from_run(const report::BenchRun& run, HistoryEntry* out, std::string* error);
 
 /// Entries from a google-benchmark --benchmark_format=json document: one
 /// entry per benchmark name (bench "micro_kernels", config = the benchmark

@@ -42,7 +42,7 @@ struct Backend {
 };
 
 // All mutable backend state behind one mutex; the hot path never takes it
-// (collecting() is the lone relaxed atomic).
+// (collecting() is one load of the obs sink mask).
 std::mutex g_mu;
 Backend g_backend;
 
@@ -184,12 +184,12 @@ void start(const PerfConfig& config) {
   }
   std::lock_guard<std::mutex> lock(g_mu);
   open_backend(&g_backend, cfg);
-  detail::g_collecting.store(true, std::memory_order_relaxed);
+  obs::set_sink(obs::kPerf, true);
 }
 
 void stop() {
   std::lock_guard<std::mutex> lock(g_mu);
-  detail::g_collecting.store(false, std::memory_order_relaxed);
+  obs::set_sink(obs::kPerf, false);
   close_backend(&g_backend);
 }
 

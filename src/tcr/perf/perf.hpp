@@ -42,10 +42,6 @@ class Span;
 namespace tcr::perf {
 
 namespace detail {
-// Global collection flag outside any singleton so the disabled fast path is
-// one relaxed load (same idiom as trace::detail::g_enabled).
-inline std::atomic<bool> g_collecting{false};
-
 // Allocation accounting, fed by the link-optional tcr_alloc_hook library's
 // operator new/delete replacements. Inline atomics: the hook references
 // them without creating an archive-order dependency on libtcr.
@@ -61,10 +57,9 @@ inline void note_alloc(std::size_t bytes) noexcept {
 inline void note_free() noexcept { g_free_count.fetch_add(1, std::memory_order_relaxed); }
 }  // namespace detail
 
-/// Is the process-wide sampler collecting? One relaxed atomic load.
-inline bool collecting() noexcept {
-  return detail::g_collecting.load(std::memory_order_relaxed);
-}
+/// Is the process-wide sampler collecting (the obs::kPerf sink bit)? One
+/// relaxed atomic load.
+inline bool collecting() noexcept { return (obs::sinks() & obs::kPerf) != 0; }
 
 /// True when the program linked tcr_alloc_hook (operator new/delete are
 /// counted). When false, the alloc_* fields of every Sample stay 0.
@@ -129,7 +124,7 @@ std::int64_t process_peak_rss_kb();
 
 /// Start process-wide collection: opens the counter backend (perf_event
 /// first unless forced to rusage, which is also what any open failure
-/// degrades to) and flips the collecting flag. Reads the TCR_PERF_* env
+/// degrades to) and sets the obs::kPerf sink bit. Reads the TCR_PERF_* env
 /// overrides documented on PerfConfig. Idempotent: a second start() reopens
 /// with the new config.
 void start(const PerfConfig& config = {});

@@ -5,7 +5,7 @@
 #include <set>
 #include <sstream>
 
-#include "tcr/report/json_reader.hpp"
+#include "tcr/obs/json.hpp"
 
 namespace tcr::report {
 
@@ -44,7 +44,7 @@ const TableSpec* GoldenFile::find_table(const std::string& name) const {
 
 bool load_golden(const std::string& path, GoldenFile* out, std::string* error) {
   obs::Json root;
-  if (!parse_json_file(path, &root, error)) return false;
+  if (!obs::parse_json_file(path, &root, error)) return false;
   if (!root.is_object()) {
     if (error != nullptr) *error = path + ": golden file is not a JSON object";
     return false;

@@ -1,9 +1,8 @@
 #include "tcr/report/schema.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
-
-#include "tcr/report/json_reader.hpp"
 
 namespace tcr::report {
 
@@ -19,8 +18,8 @@ bool parse_run_file(const std::string& path, BenchRun* out, std::string* error,
   out->truncation_note.clear();
   const bool parsed =
       options.tolerate_truncated_tail
-          ? parse_json_lines_tolerant(in, &lines, &out->truncation_note, &err)
-          : parse_json_lines(in, &lines, &err);
+          ? obs::parse_json_lines_tolerant(in, &lines, &out->truncation_note, &err)
+          : obs::parse_json_lines(in, &lines, &err);
   if (!parsed) {
     if (error != nullptr) *error = path + ": " + err;
     return false;
@@ -85,13 +84,13 @@ bool parse_run_file(const std::string& path, BenchRun* out, std::string* error,
       }
       return false;
     }
-    BenchRecord parsed;
-    parsed.point = *point;
+    BenchRecord record;
+    record.point = *point;
     const obs::Json* snapshot = rec.find("obs");
-    if (snapshot != nullptr) parsed.obs = *snapshot;
+    if (snapshot != nullptr) record.obs = *snapshot;
     const obs::Json* perf = rec.find("perf");
-    if (perf != nullptr) parsed.perf = *perf;
-    out->records.push_back(std::move(parsed));
+    if (perf != nullptr) record.perf = *perf;
+    out->records.push_back(std::move(record));
   }
   return true;
 }
@@ -133,6 +132,44 @@ CertificateTally tally_certificates(const std::vector<BenchRun>& runs) {
     }
   }
   return tally;
+}
+
+bool entry_from_run(const BenchRun& run, perf::HistoryEntry* out, std::string* error) {
+  out->bench = run.bench;
+  out->config = perf::canonical_config(run.params);
+  out->provenance = run.provenance;
+  out->quantities.clear();
+  out->source.clear();
+  int blocks = 0;
+  for (const BenchRecord& rec : run.records) {
+    if (!rec.perf.is_object()) continue;
+    ++blocks;
+    for (const auto& [name, value] : rec.perf.items()) {
+      if (name == "source") {
+        const std::string& src = value.as_string();
+        if (out->source.empty()) {
+          out->source = src;
+        } else if (out->source != src) {
+          out->source = "mixed";
+        }
+        continue;
+      }
+      if (!value.is_number()) continue;
+      const std::string key = "perf." + name;
+      double& slot = out->quantities[key];
+      // RSS is a process high-water mark: aggregate with max, not sum.
+      const bool high_water = name.find("rss") != std::string::npos;
+      slot = high_water ? std::max(slot, value.as_number()) : slot + value.as_number();
+    }
+  }
+  if (blocks == 0) {
+    if (error != nullptr) {
+      *error = "run of bench '" + run.bench +
+               "' carries no perf blocks (was it recorded with --perf?)";
+    }
+    return false;
+  }
+  return true;
 }
 
 }  // namespace tcr::report

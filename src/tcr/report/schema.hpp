@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "tcr/obs/json.hpp"
+#include "tcr/perf/history.hpp"
 
 namespace tcr::report {
 
@@ -82,5 +83,12 @@ struct CertificateTally {
   long long failed = 0;
 };
 CertificateTally tally_certificates(const std::vector<BenchRun>& runs);
+
+/// Distill one bench run (whose point records carry `perf` blocks) into a
+/// perf history entry: delta quantities are summed across points,
+/// max_rss_kb takes the max (it is a process high-water mark). Returns
+/// false (with *error) when no record carries a perf block — the run was
+/// made without --perf.
+bool entry_from_run(const BenchRun& run, perf::HistoryEntry* out, std::string* error);
 
 }  // namespace tcr::report

@@ -127,10 +127,6 @@ void Simulator::end_epoch() {
     shard_span.attr("cycles", cycles);
   }
   epoch_span_.reset();
-  // Counter tracks alongside the spans: cumulative flit totals, sampled once
-  // per epoch, grouped under the epoch's parent (the phase span).
-  trace::counter("sim.injected", static_cast<double>(injected));
-  trace::counter("sim.ejected", static_cast<double>(ejected));
   ++epoch_index_;
 }
 
@@ -142,7 +138,6 @@ void Simulator::start_phase(Phase p) {
     steps_in_phase_ = 0;
     switch (p) {
       case Phase::Warmup:
-        telemetry::set_phase("sim.warmup");
         phase_span_ = std::make_unique<trace::Span>("sim.warmup");
         begin_epoch();
         if (cfg_.warmup_cycles > 0) return;
@@ -151,7 +146,6 @@ void Simulator::start_phase(Phase p) {
         p = Phase::Measure;
         break;
       case Phase::Measure:
-        telemetry::set_phase("sim.measure");
         phase_span_ = std::make_unique<trace::Span>("sim.measure");
         begin_epoch();
         eng_.measuring = true;
@@ -164,7 +158,6 @@ void Simulator::start_phase(Phase p) {
         break;
       case Phase::Drain:
         eng_.injecting = false;
-        telemetry::set_phase("sim.drain");
         phase_span_ = std::make_unique<trace::Span>("sim.drain");
         begin_epoch();
         if (cfg_.drain_cycles > 0 && eng_.live_flits() > 0) return;
@@ -225,16 +218,21 @@ void Simulator::tick() {
   }
   // Run-control safepoint: one flag poll (plus deadline/RSS evaluation)
   // every 256 cycles — far below the cost of a single simulated cycle.
-  // Heartbeats share the cadence: tick() runs on the coordinator (at epoch
-  // barriers in the parallel loop), so the shard counters are quiescent
-  // here, and the poll only reads them — simulated state is untouched.
-  if (((steps_in_phase_ - 1) & 255) == 0 && telemetry::enabled()) {
+  // Progress counters share the cadence: tick() runs on the coordinator (at
+  // epoch barriers in the parallel loop), so the shard counters are
+  // quiescent here, and sampling only reads them — simulated state is
+  // untouched.
+  if (((steps_in_phase_ - 1) & 255) == 0 && trace::listening()) {
     std::int64_t injected = 0, ejected = 0;
     for (const auto& sh : eng_.shards) {
       injected += sh.injected;
       ejected += sh.ejected;
     }
-    telemetry::sim_progress(epoch_index_, eng_.cycle, injected, ejected);
+    trace::counter("sim.epoch", static_cast<double>(epoch_index_));
+    trace::counter("sim.cycle", static_cast<double>(eng_.cycle));
+    trace::counter("sim.injected", static_cast<double>(injected));
+    trace::counter("sim.ejected", static_cast<double>(ejected));
+    telemetry::poll();
   }
   if (cfg_.cancel != nullptr && ((steps_in_phase_ - 1) & 255) == 0 && cfg_.cancel->check()) {
     stats_.cancelled = true;

@@ -58,11 +58,13 @@ struct SimConfig {
   /// Also does not affect results.
   int shards = 0;
   /// Emit one sim.epoch trace span (with that epoch's injected/ejected flit
-  /// counts) plus sim.injected / sim.ejected counter samples every this many
-  /// cycles while a tracer is collecting. 0 = off; the knob costs one
-  /// comparison per cycle only when tracing is enabled at run() start.
-  /// Under sharding each epoch also emits one sim.epoch.shard span per
-  /// shard carrying shard_id / handoff_flits attributes.
+  /// counts) every this many cycles while a tracer is collecting. 0 = off;
+  /// the knob costs one comparison per cycle only when tracing is enabled
+  /// at run() start. Under sharding each epoch also emits one
+  /// sim.epoch.shard span per shard carrying shard_id / handoff_flits
+  /// attributes. Independently of this knob, the run-control safepoint
+  /// samples the sim.epoch, sim.cycle, sim.injected and sim.ejected counter
+  /// tracks every 256 cycles whenever a tracer or heartbeat is listening.
   int trace_every_k_cycles = 0;
   std::uint64_t seed = 42;
   /// Optional fault-injection plan (tcr::fault): links down and credit

@@ -1,22 +1,10 @@
 #include "tcr/telemetry/stream.hpp"
 
-#include <cstring>
 #include <fstream>
 
 #include "tcr/guard/journal.hpp"
-#include "tcr/report/json_reader.hpp"
 
 namespace tcr::telemetry {
-
-namespace {
-
-std::uint32_t load_u32le(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-}  // namespace
 
 bool StreamReader::poll(std::vector<obs::Json>* out, std::string* error) {
   // Pull in whatever the writer appended since the last poll. A missing or
@@ -48,49 +36,32 @@ bool StreamReader::poll(std::vector<obs::Json>* out, std::string* error) {
       pending_tail_ = !buf_.empty();
       return true;
     }
-    if (std::memcmp(buf_.data(), guard::kJournalMagic, guard::kJournalMagicSize) != 0) {
+    if (!guard::has_journal_magic(buf_)) {
       return fail("'" + path_ + "' is not a heartbeat stream (bad magic at offset 0)");
     }
     buf_.erase(0, guard::kJournalMagicSize);
     opened_ = true;
   }
 
-  // Offset (in the file) of the first unconsumed byte, for diagnostics.
-  const auto consumed_offset = [&] {
-    return static_cast<std::size_t>(file_offset_) - buf_.size();
-  };
-
-  std::size_t pos = 0;
-  while (buf_.size() - pos >= guard::kJournalHeaderSize) {
-    const auto* bytes = reinterpret_cast<const unsigned char*>(buf_.data() + pos);
-    const std::uint32_t len = load_u32le(bytes);
-    const std::uint32_t crc = load_u32le(bytes + 4);
-    if (len > guard::kJournalMaxRecordSize) {
-      return fail("heartbeat stream '" + path_ + "': implausible record length " +
-                  std::to_string(len) + " at offset " +
-                  std::to_string(consumed_offset() + pos));
-    }
-    if (buf_.size() - pos - guard::kJournalHeaderSize < len) break;  // payload in flight
-    const char* payload = buf_.data() + pos + guard::kJournalHeaderSize;
-    if (guard::crc32(payload, len) != crc) {
-      // A CRC mismatch on the final frame is a torn write (the run was
-      // killed mid-append) — leave it as tail. With bytes after it, the
-      // middle of the stream changed under us: hard error.
-      if (pos + guard::kJournalHeaderSize + len == buf_.size()) break;
-      return fail("heartbeat stream '" + path_ + "': CRC mismatch at offset " +
-                  std::to_string(consumed_offset() + pos));
-    }
+  // buf_ holds the file's unconsumed tail; scan_frames classifies a torn or
+  // in-flight final frame as tail and names file offsets in its errors.
+  const guard::FrameScan frames =
+      guard::scan_frames(buf_, file_offset_ - buf_.size(),
+                         static_cast<std::size_t>(records_read_));
+  for (const std::string_view payload : frames.payloads) {
     obs::Json rec;
     std::string parse_error;
-    if (!report::parse_json(std::string_view(payload, len), &rec, &parse_error)) {
+    if (!obs::parse_json(payload, &rec, &parse_error)) {
       return fail("heartbeat stream '" + path_ + "': record " +
                   std::to_string(records_read_) + " is not JSON: " + parse_error);
     }
     if (out != nullptr) out->push_back(std::move(rec));
     ++records_read_;
-    pos += guard::kJournalHeaderSize + len;
   }
-  buf_.erase(0, pos);
+  if (!frames.error.empty()) {
+    return fail("heartbeat stream '" + path_ + "': " + frames.error);
+  }
+  buf_.erase(0, frames.end);
   pending_tail_ = !buf_.empty();
   return true;
 }

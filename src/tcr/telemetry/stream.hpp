@@ -10,9 +10,11 @@
 // truncated_tail(). While the writer is alive that is simply an append in
 // flight and a later poll() completes it; on a crashed/killed run it is the
 // torn final record the journal format guarantees, and `tcr-top` reports
-// "stream truncated (crash?)". Hard errors (bad magic, implausible length,
-// a CRC mismatch with more bytes after it, unparsable JSON payload) mirror
-// guard::read_journal's position-bearing diagnostics.
+// "stream truncated (crash?)". Framing is checked by the same
+// guard::has_journal_magic / guard::scan_frames as guard::read_journal, so
+// the hard errors (bad magic, implausible length, a CRC mismatch with more
+// bytes after it) carry the same byte offsets; an unparsable JSON payload
+// is a hard error too.
 #pragma once
 
 #include <cstdint>

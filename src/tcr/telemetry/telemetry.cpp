@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -14,6 +15,7 @@
 #include "tcr/obs/json.hpp"
 #include "tcr/obs/registry.hpp"
 #include "tcr/perf/perf.hpp"
+#include "tcr/trace/tracer.hpp"
 
 namespace tcr::telemetry {
 
@@ -31,9 +33,10 @@ std::int64_t wall_now_ms() {
       .count();
 }
 
-/// All session state. The atomics are the fields instrumented code updates
-/// from hot paths; everything else is touched only under `mu` (emission,
-/// start/stop) — see the thread-safety note in the header.
+/// All session state. Everything is touched under `mu` (emission,
+/// start/stop) except next_emit_ns, the lock-free emitter election, and the
+/// track table, which has its own lock because trace::counter writes it
+/// from hot paths — see the thread-safety note in the header.
 struct Session {
   std::mutex mu;
   guard::JournalWriter writer;
@@ -42,19 +45,14 @@ struct Session {
   std::int64_t interval_ns = 0;
   std::int64_t start_steady_ns = 0;
   long seq = 0;
+  const guard::CancelToken* token = nullptr;
+  std::string phase;  // of the last record; repeated outside every span
   std::map<std::string, std::int64_t> last_counters;
   std::map<std::string, double> last_gauges;
-
-  std::atomic<const guard::CancelToken*> token{nullptr};
   std::atomic<std::int64_t> next_emit_ns{0};
-  std::atomic<const char*> phase{""};
-  std::atomic<bool> has_progress{false};
-  std::atomic<long> done{0}, total{0}, warm{0};
-  std::atomic<bool> has_sim{false};
-  std::atomic<long> sim_epoch{0}, sim_cycle{0}, sim_injected{0}, sim_ejected{0};
-  std::atomic<bool> has_solver{false};
-  std::atomic<long> solver_iters{0};
-  std::atomic<double> solver_obj{0.0};
+
+  std::mutex tracks_mu;
+  std::map<std::string, double, std::less<>> tracks;
 };
 
 Session& session() {
@@ -69,17 +67,59 @@ std::int64_t counter_delta(std::int64_t cur, std::int64_t last) {
   return cur >= last ? cur - last : cur;
 }
 
+/// The record's phase: the innermost span open on the calling thread, or
+/// the previous record's phase outside every span. Caller holds s.mu.
+const std::string& current_phase(Session& s) {
+  const std::string_view open = trace::current_span_name();
+  if (!open.empty()) s.phase.assign(open.data(), open.size());
+  return s.phase;
+}
+
+/// The `progress`, `sim` and `solver` blocks, read from the latest counter
+/// track values. A block appears once its first track has been sampled.
+void add_track_blocks(Session& s, obs::Json* rec) {
+  std::lock_guard<std::mutex> lock(s.tracks_mu);
+  const auto value = [&](std::string_view track) {
+    const auto it = s.tracks.find(track);
+    return it == s.tracks.end() ? 0.0 : it->second;
+  };
+  const auto count = [&](std::string_view track) {
+    return static_cast<std::int64_t>(value(track));
+  };
+  if (s.tracks.count("sweep.total") != 0) {
+    obs::Json p = obs::Json::object();
+    p.set("done", count("sweep.done"));
+    p.set("total", count("sweep.total"));
+    p.set("warm_adopted", count("sweep.warm_adopted"));
+    rec->set("progress", std::move(p));
+  }
+  if (s.tracks.count("sim.epoch") != 0) {
+    obs::Json sim = obs::Json::object();
+    sim.set("epoch", count("sim.epoch"));
+    sim.set("cycle", count("sim.cycle"));
+    sim.set("injected", count("sim.injected"));
+    sim.set("ejected", count("sim.ejected"));
+    rec->set("sim", std::move(sim));
+  }
+  if (s.tracks.count("lp.iteration") != 0) {
+    obs::Json sol = obs::Json::object();
+    sol.set("iterations", count("lp.iteration"));
+    sol.set("objective", value("lp.objective"));
+    rec->set("solver", std::move(sol));
+  }
+}
+
 /// Build one heartbeat payload. Caller holds s.mu.
 obs::Json build_heartbeat(Session& s, bool final_beat) {
   obs::Json rec = obs::Json::object();
   rec.set("kind", "heartbeat");
   rec.set("seq", ++s.seq);
   rec.set("uptime_ms", (steady_now_ns() - s.start_steady_ns) / 1'000'000);
-  rec.set("phase", std::string(s.phase.load(std::memory_order_relaxed)));
+  rec.set("phase", current_phase(s));
   if (final_beat) rec.set("final", true);
 
   obs::Json g = obs::Json::object();
-  const guard::CancelToken* token = s.token.load(std::memory_order_acquire);
+  const guard::CancelToken* token = s.token;
   g.set("cancelled", token != nullptr && token->cancelled());
   g.set("stop_reason",
         token != nullptr ? std::string(guard::to_string(token->reason())) : std::string("none"));
@@ -91,27 +131,7 @@ obs::Json build_heartbeat(Session& s, bool final_beat) {
   g.set("rss_kb", perf::process_peak_rss_kb());
   rec.set("guard", std::move(g));
 
-  if (s.has_progress.load(std::memory_order_acquire)) {
-    obs::Json p = obs::Json::object();
-    p.set("done", s.done.load(std::memory_order_relaxed));
-    p.set("total", s.total.load(std::memory_order_relaxed));
-    p.set("warm_adopted", s.warm.load(std::memory_order_relaxed));
-    rec.set("progress", std::move(p));
-  }
-  if (s.has_sim.load(std::memory_order_acquire)) {
-    obs::Json sim = obs::Json::object();
-    sim.set("epoch", s.sim_epoch.load(std::memory_order_relaxed));
-    sim.set("cycle", s.sim_cycle.load(std::memory_order_relaxed));
-    sim.set("injected", s.sim_injected.load(std::memory_order_relaxed));
-    sim.set("ejected", s.sim_ejected.load(std::memory_order_relaxed));
-    rec.set("sim", std::move(sim));
-  }
-  if (s.has_solver.load(std::memory_order_acquire)) {
-    obs::Json sol = obs::Json::object();
-    sol.set("iterations", s.solver_iters.load(std::memory_order_relaxed));
-    sol.set("objective", s.solver_obj.load(std::memory_order_relaxed));
-    rec.set("solver", std::move(sol));
-  }
+  add_track_blocks(s, &rec);
 
   // Obs registry deltas: counters as per-interval deltas (reset-aware),
   // gauges as current values; both only when changed since the last beat,
@@ -161,8 +181,6 @@ const char* to_string(Severity s) {
 
 namespace detail {
 
-std::atomic<bool> g_enabled{false};
-
 void poll_slow() {
   Session& s = session();
   const std::int64_t now = steady_now_ns();
@@ -174,62 +192,33 @@ void poll_slow() {
     return;
   }
   std::lock_guard<std::mutex> lock(s.mu);
-  if (!g_enabled.load(std::memory_order_relaxed)) return;  // stop() raced us
+  if (!enabled()) return;  // stop() raced us
   emit_heartbeat_locked(s, /*final_beat=*/false);
 }
 
 void log_slow(Severity sev, const std::string& message) {
   Session& s = session();
   std::lock_guard<std::mutex> lock(s.mu);
-  if (!g_enabled.load(std::memory_order_relaxed)) return;
+  if (!enabled()) return;
   obs::Json rec = obs::Json::object();
   rec.set("kind", "event");
   rec.set("seq", ++s.seq);
   rec.set("uptime_ms", (steady_now_ns() - s.start_steady_ns) / 1'000'000);
   rec.set("severity", to_string(sev));
   rec.set("message", message);
-  rec.set("phase", std::string(s.phase.load(std::memory_order_relaxed)));
+  rec.set("phase", current_phase(s));
   emit(s, rec);
 }
 
-void set_phase_slow(const char* phase) {
-  session().phase.store(phase == nullptr ? "" : phase, std::memory_order_relaxed);
-}
-
-void set_token_slow(const guard::CancelToken* token) {
-  session().token.store(token, std::memory_order_release);
-}
-
-void sweep_begin_slow(long total_points) {
+void note_track(std::string_view track, double value) {
   Session& s = session();
-  s.done.store(0, std::memory_order_relaxed);
-  s.warm.store(0, std::memory_order_relaxed);
-  s.total.store(total_points, std::memory_order_relaxed);
-  s.has_progress.store(true, std::memory_order_release);
-}
-
-void sweep_point_done_slow(bool warm_adopted) {
-  Session& s = session();
-  s.done.fetch_add(1, std::memory_order_relaxed);
-  if (warm_adopted) s.warm.fetch_add(1, std::memory_order_relaxed);
-  poll_slow();
-}
-
-void sim_progress_slow(long epoch, long cycle, long injected, long ejected) {
-  Session& s = session();
-  s.sim_epoch.store(epoch, std::memory_order_relaxed);
-  s.sim_cycle.store(cycle, std::memory_order_relaxed);
-  s.sim_injected.store(injected, std::memory_order_relaxed);
-  s.sim_ejected.store(ejected, std::memory_order_relaxed);
-  s.has_sim.store(true, std::memory_order_release);
-  poll_slow();
-}
-
-void solver_progress_slow(long iterations, double objective) {
-  Session& s = session();
-  s.solver_iters.store(iterations, std::memory_order_relaxed);
-  s.solver_obj.store(objective, std::memory_order_relaxed);
-  s.has_solver.store(true, std::memory_order_release);
+  std::lock_guard<std::mutex> lock(s.tracks_mu);
+  const auto it = s.tracks.find(track);
+  if (it != s.tracks.end()) {
+    it->second = value;
+  } else {
+    s.tracks.emplace(std::string(track), value);
+  }
 }
 
 }  // namespace detail
@@ -237,7 +226,7 @@ void solver_progress_slow(long iterations, double objective) {
 bool start(const HeartbeatConfig& cfg, std::string* error) {
   Session& s = session();
   std::lock_guard<std::mutex> lock(s.mu);
-  if (detail::g_enabled.load(std::memory_order_relaxed)) {
+  if (enabled()) {
     if (error != nullptr) *error = "telemetry session already active";
     return false;
   }
@@ -257,15 +246,13 @@ bool start(const HeartbeatConfig& cfg, std::string* error) {
   s.seq = 0;
   s.last_counters.clear();
   s.last_gauges.clear();
-  s.token.store(cfg.token, std::memory_order_release);
+  s.token = cfg.token;
+  s.phase.clear();
   s.next_emit_ns.store(s.start_steady_ns + s.interval_ns, std::memory_order_relaxed);
-  s.phase.store("", std::memory_order_relaxed);
-  s.has_progress.store(false, std::memory_order_relaxed);
-  s.done.store(0, std::memory_order_relaxed);
-  s.total.store(0, std::memory_order_relaxed);
-  s.warm.store(0, std::memory_order_relaxed);
-  s.has_sim.store(false, std::memory_order_relaxed);
-  s.has_solver.store(false, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> tracks_lock(s.tracks_mu);
+    s.tracks.clear();
+  }
 
   obs::Json meta = obs::Json::object();
   meta.set("kind", "meta");
@@ -281,18 +268,18 @@ bool start(const HeartbeatConfig& cfg, std::string* error) {
     return false;
   }
 
-  detail::g_enabled.store(true, std::memory_order_release);
+  obs::set_sink(obs::kHeartbeat, true);
   return true;
 }
 
 void stop() {
   Session& s = session();
   std::lock_guard<std::mutex> lock(s.mu);
-  if (!detail::g_enabled.load(std::memory_order_relaxed)) return;
+  if (!enabled()) return;
   emit_heartbeat_locked(s, /*final_beat=*/true);
-  detail::g_enabled.store(false, std::memory_order_release);
+  obs::set_sink(obs::kHeartbeat, false);
   s.writer.close();
-  s.token.store(nullptr, std::memory_order_release);
+  s.token = nullptr;
 }
 
 bool active() { return enabled(); }
@@ -300,8 +287,14 @@ bool active() { return enabled(); }
 void heartbeat_now() {
   Session& s = session();
   std::lock_guard<std::mutex> lock(s.mu);
-  if (!detail::g_enabled.load(std::memory_order_relaxed)) return;
+  if (!enabled()) return;
   emit_heartbeat_locked(s, /*final_beat=*/false);
+}
+
+std::map<std::string, double, std::less<>> tracks() {
+  Session& s = session();
+  std::lock_guard<std::mutex> lock(s.tracks_mu);
+  return s.tracks;
 }
 
 }  // namespace tcr::telemetry

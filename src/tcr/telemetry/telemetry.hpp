@@ -6,36 +6,55 @@
 // periodically appends **heartbeat records** — obs registry deltas, guard
 // budget state (deadline remaining, iterations charged, peak RSS), sweep
 // progress (points done/total, warm-start adoption), simulator progress
-// (epoch, cycle, flit counts) — plus severity-tagged log events into an
-// append-only stream a separate process (`tcr-top`) can tail live.
+// (epoch, cycle, flit counts), solver progress (iterations, objective) —
+// plus severity-tagged log events into an append-only stream a separate
+// process (`tcr-top`) can tail live.
+//
+// The heartbeat is a sink of the trace spine, not a second set of call
+// sites. Instrumented code emits each progress fact once, as a trace::Span
+// or a trace::counter; with the obs::kHeartbeat sink bit set:
+//   * a beat's `phase` is the innermost span open on the thread that emits
+//     it (a beat outside every span, such as stop()'s final beat, repeats
+//     the previous phase);
+//   * every counter sample updates a latest-value-per-track table (see
+//     tracks()), and the beat reads its blocks from it: `progress` from
+//     sweep.total/sweep.done/sweep.warm_adopted, `sim` from sim.epoch/
+//     sim.cycle/sim.injected/sim.ejected, `solver` from lp.iteration/
+//     lp.objective. A block appears once its first track has a sample.
 //
 // Stream format: the `tcr::guard` journal framing ([u32 len][u32 crc32]
 // [payload], 8-byte "TCRJNL01" magic, fsync per append) so a kill at any
 // point leaves a valid prefix plus at most one torn record; payloads are
-// single-line JSON objects (obs::Json). telemetry/stream.hpp reads it back
-// incrementally with the same torn-tail tolerance.
+// single-line JSON objects (obs::Json), schema "tcr-heartbeat-v1".
+// telemetry/stream.hpp reads it back incrementally with the same torn-tail
+// tolerance.
 //
 // Determinism contract: sampling is *cooperative* — instrumented code calls
 // poll() at sites it already passes deterministically (the simplex
-// iteration safepoint, sweep point boundaries, the simulator's epoch-bucket
-// cancel cadence). A poll only *reads* run state and writes to the stream;
+// iteration safepoint, sweep point boundaries, the simulator's 256-cycle
+// safepoint). A poll only *reads* run state and writes to the stream;
 // nothing downstream of the numerics ever reads telemetry state, so
 // --heartbeat cannot perturb bitwise results — it can only change wall
 // time. Pinned by Telemetry.SweepHeartbeatBitwiseDeterministic and the
 // heartbeat column of test_sim_parallel's determinism matrix.
 //
-// Disabled cost: every entry point is an inline relaxed atomic load of one
-// flag (pinned by BM_TelemetryPollDisabled under the CI overhead-ratio
+// Disabled cost: poll() and log() are one relaxed load of the obs sink
+// mask (pinned by BM_TelemetryPollDisabled under the CI overhead-ratio
 // guard). When enabled, at most one caller per interval takes the slow
 // path (a CAS on the next-emit deadline elects the emitter).
 //
 // Thread-safety: all entry points may be called concurrently from sweep
 // pool workers; emission serializes on an internal mutex and the journal
-// writer's own lock. start()/stop() are not safe to race with each other.
+// writer's own lock, the track table on its own mutex. start()/stop() are
+// not safe to race with each other.
 #pragma once
 
-#include <atomic>
+#include <functional>
+#include <map>
 #include <string>
+#include <string_view>
+
+#include "tcr/obs/registry.hpp"
 
 namespace tcr::guard {
 class CancelToken;
@@ -61,38 +80,37 @@ struct HeartbeatConfig {
   const guard::CancelToken* token = nullptr;
 };
 
-/// Open the stream, write the meta record, and enable the hot-path flag.
-/// Fails (false + *error) when a session is already active or the file
-/// cannot be created.
+/// Open the stream, write the meta record, clear the track table, and set
+/// the obs::kHeartbeat sink bit. Fails (false + *error) when a session is
+/// already active or the file cannot be created.
 bool start(const HeartbeatConfig& cfg, std::string* error);
 
 /// Emit a final heartbeat (marked "final": true), close the stream, and
-/// disable the hot path. No-op when inactive.
+/// clear the sink bit. No-op when inactive.
 void stop();
 
-/// Is a session active? (Query form of the hot-path flag.)
+/// Is a session active? (Same as enabled().)
 bool active();
 
 /// Force-emit a heartbeat now, ignoring the interval pacing. Used by stop()
 /// and by tests that cannot wait out an interval. No-op when disabled.
 void heartbeat_now();
 
+/// Latest value of every counter track sampled since start() while the
+/// session was live — what heartbeats read. A trace-only run leaves it
+/// untouched.
+std::map<std::string, double, std::less<>> tracks();
+
 namespace detail {
-extern std::atomic<bool> g_enabled;
 void poll_slow();
 void log_slow(Severity s, const std::string& message);
-void set_phase_slow(const char* phase);
-void set_token_slow(const guard::CancelToken* token);
-void sweep_begin_slow(long total_points);
-void sweep_point_done_slow(bool warm_adopted);
-void sim_progress_slow(long epoch, long cycle, long injected, long ejected);
-void solver_progress_slow(long iterations, double objective);
+/// trace::counter's heartbeat sink: record `value` as the track's latest.
+void note_track(std::string_view track, double value);
 }  // namespace detail
 
-/// The one-relaxed-load disabled path every other entry point hides behind.
-inline bool enabled() noexcept {
-  return detail::g_enabled.load(std::memory_order_relaxed);
-}
+/// Is a heartbeat session live (the obs::kHeartbeat sink bit)? One relaxed
+/// atomic load.
+inline bool enabled() noexcept { return (obs::sinks() & obs::kHeartbeat) != 0; }
 
 /// Cooperative sampling site: emits a heartbeat iff the interval has
 /// elapsed since the last one (one thread wins the emission; the rest
@@ -106,49 +124,6 @@ inline void poll() {
 inline void log(Severity s, const std::string& message) {
   if (!enabled()) return;
   detail::log_slow(s, message);
-}
-
-/// Name the current run phase ("sweep", "sim.measure", ...). `phase` must
-/// have static storage duration — only the pointer is stored.
-inline void set_phase(const char* phase) {
-  if (!enabled()) return;
-  detail::set_phase_slow(phase);
-}
-
-/// (Re)point heartbeats at a run token (e.g. after RunControl arms one
-/// later than telemetry started). Pass nullptr to detach.
-inline void set_token(const guard::CancelToken* token) {
-  if (!enabled()) return;
-  detail::set_token_slow(token);
-}
-
-/// A sweep of `total_points` points is starting; resets done/warm counts.
-inline void sweep_begin(long total_points) {
-  if (!enabled()) return;
-  detail::sweep_begin_slow(total_points);
-}
-
-/// One sweep point reached a terminal (non-cancelled) state — the same
-/// condition under which the checkpoint journal gets its record, so a
-/// reader can equate progress.done with the journal record count. Also
-/// polls.
-inline void sweep_point_done(bool warm_adopted) {
-  if (!enabled()) return;
-  detail::sweep_point_done_slow(warm_adopted);
-}
-
-/// Simulator progress at an epoch/cancel boundary. Also polls.
-inline void sim_progress(long epoch, long cycle, long injected, long ejected) {
-  if (!enabled()) return;
-  detail::sim_progress_slow(epoch, cycle, injected, ejected);
-}
-
-/// Solver progress from inside a solve (per-solve iteration count and
-/// current objective); feeds the inspector's convergence-stall detector.
-/// Does not poll — the simplex safepoint polls separately.
-inline void solver_progress(long iterations, double objective) {
-  if (!enabled()) return;
-  detail::solver_progress_slow(iterations, objective);
 }
 
 }  // namespace tcr::telemetry

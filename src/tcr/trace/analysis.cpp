@@ -4,8 +4,6 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "tcr/report/json_reader.hpp"
-
 namespace tcr::trace {
 
 namespace {
@@ -87,7 +85,7 @@ bool load_trace(const obs::Json& doc, Trace* out, std::string* error) {
 
 bool load_trace_file(const std::string& path, Trace* out, std::string* error) {
   obs::Json doc;
-  if (!report::parse_json_file(path, &doc, error)) return false;
+  if (!obs::parse_json_file(path, &doc, error)) return false;
   return load_trace(doc, out, error);
 }
 

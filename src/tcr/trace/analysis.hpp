@@ -2,7 +2,7 @@
 // the diagnosis logic is unit-testable (tests/test_trace.cpp) and reusable.
 //
 // Consumes the Chrome trace-event JSON written by trace/export.hpp (parsed
-// back with report::json_reader) and produces:
+// back with obs::parse_json_file) and produces:
 //   * a self-time flame summary per span name (total, self = total minus
 //     child span time, count, max);
 //   * the top-k slowest individual spans;

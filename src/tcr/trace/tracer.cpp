@@ -1,5 +1,6 @@
 #include "tcr/trace/tracer.hpp"
 
+#include "tcr/telemetry/telemetry.hpp"
 #include "tcr/util/stopwatch.hpp"
 
 namespace tcr::trace {
@@ -21,6 +22,21 @@ std::uint32_t thread_id() noexcept {
   return ts.tid;
 }
 
+void counter_slow(std::string_view track, double value, unsigned sinks) {
+  if ((sinks & obs::kTrace) != 0) {
+    auto& tracer = Tracer::instance();
+    Event e;
+    e.type = Event::Type::kCounter;
+    e.name.assign(track.data(), track.size());
+    e.parent = current_context().id;
+    e.tid = thread_id();
+    e.start_ns = tracer.now_ns();
+    e.value = value;
+    tracer.record(std::move(e));
+  }
+  if ((sinks & obs::kHeartbeat) != 0) telemetry::detail::note_track(track, value);
+}
+
 }  // namespace detail
 
 Tracer& Tracer::instance() {
@@ -36,24 +52,17 @@ void Tracer::start(const TracerConfig& config) {
   head_ = 0;
   dropped_ = 0;
   next_id_.store(1, std::memory_order_relaxed);
-  sample_every_.store(config.simplex_sample_every > 0 ? config.simplex_sample_every : 0,
-                      std::memory_order_relaxed);
   epoch_ = std::chrono::steady_clock::now();
-  detail::g_enabled.store(true, std::memory_order_relaxed);
+  obs::set_sink(obs::kTrace, true);
 }
 
-void Tracer::stop() { detail::g_enabled.store(false, std::memory_order_relaxed); }
+void Tracer::stop() { obs::set_sink(obs::kTrace, false); }
 
 void Tracer::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   ring_.clear();
   head_ = 0;
   dropped_ = 0;
-}
-
-std::size_t Tracer::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
 }
 
 std::int64_t Tracer::dropped() const {
@@ -85,14 +94,21 @@ void Tracer::record(Event&& e) {
 Span::Span(std::string_view name, obs::Timer* timer, SpanContext parent,
            bool explicit_parent)
     : name_(name), timer_(timer) {
-  traced_ = enabled();
-  timed_ = timer_ != nullptr && obs::Registry::instance().timing_enabled();
+  const unsigned sinks = obs::sinks();
+  named_ = (sinks & (obs::kTrace | obs::kHeartbeat)) != 0;
+  traced_ = (sinks & obs::kTrace) != 0;
+  timed_ = timer_ != nullptr && (sinks & obs::kTimers) != 0;
+  if (!named_ && !timed_) return;
+  detail::ThreadState& ts = detail::thread_state();
+  if (named_) {
+    saved_name_ = ts.name;
+    ts.name = name_;
+  }
   if (!traced_ && !timed_) return;
   auto& tracer = Tracer::instance();
   start_ns_ = tracer.now_ns();
   if (timed_) cpu_start_ = Stopwatch::cpu_now();
   if (traced_) {
-    detail::ThreadState& ts = detail::thread_state();
     id_ = tracer.next_span_id();
     parent_ = explicit_parent ? parent.id
                               : (ts.current != 0 ? ts.current : ts.adopted);
@@ -138,6 +154,10 @@ void Span::attr(std::string_view key, std::string_view v) {
 }
 
 void Span::end() {
+  if (named_) {
+    detail::thread_state().name = saved_name_;
+    named_ = false;
+  }
   if (!traced_ && !timed_) return;
   auto& tracer = Tracer::instance();
   const std::int64_t end_ns = tracer.now_ns();

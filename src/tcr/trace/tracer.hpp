@@ -1,21 +1,28 @@
 // tcr::trace — low-overhead hierarchical span tracing.
 //
 // Model, in order of importance:
-//   * near-zero cost when nobody is looking: the enabled flag is a single
-//     relaxed atomic load, so a Span on a disabled tracer costs one branch
-//     at construction and one at destruction — no clock reads, no
-//     allocation, no registry traffic (asserted by tests/test_trace.cpp and
-//     the BM_TraceSpanDisabled micro-kernel);
+//   * near-zero cost when nobody is looking: whether a span is traced,
+//     timed or tracked is read from the obs sink mask (obs::sinks()) in one
+//     relaxed atomic load, so a Span with every sink off costs one branch at
+//     construction and one at destruction — no clock reads, no allocation,
+//     no registry traffic (asserted by tests/test_trace.cpp and the
+//     BM_TraceSpanDisabled micro-kernel);
 //   * hierarchy without plumbing: each thread keeps a current-span cursor,
 //     so nested spans link to their enclosing span automatically. Structure
 //     survives a hop onto the ThreadPool because ThreadPool::submit()
 //     captures the scheduling thread's SpanContext and installs it as the
 //     worker's ambient parent (ScopedParent) for the duration of the task;
-//   * one call site, two consumers: the Span(name, timer) form feeds the
-//     existing obs::Registry Timer under the same condition obs::ScopedTimer
-//     did (Registry::timing_enabled()), emits a trace event when tracing is
-//     enabled, and reads clocks only when at least one of the two wants the
-//     span. Call sites are never instrumented twice.
+//   * one call site, every consumer: spans and counters are the only
+//     progress call sites, and each sink reads them —
+//       - obs timers: the Span(name, timer) form feeds an obs::Timer under
+//         the obs::kTimers bit (what obs::ScopedTimer does);
+//       - the trace ring (obs::kTrace): completed spans and counter samples
+//         become events;
+//       - live heartbeats (obs::kHeartbeat): a span keeps this thread's
+//         "innermost open span name" (the heartbeat's phase), and a counter
+//         sample lands in the heartbeat session's latest-value-per-track
+//         table (tcr::telemetry).
+//     Clocks are read only when the trace or timer sink wants the span.
 //
 // Events land in a bounded in-memory ring buffer (oldest overwritten,
 // drops counted). trace::write_chrome_trace() (export.hpp) serializes the
@@ -24,10 +31,12 @@
 // summaries and simplex convergence reports.
 //
 // Counter events (trace::counter) form Perfetto counter tracks — the
-// per-iteration simplex convergence telemetry (lp.objective,
-// lp.primal_infeas, ...) and the simulator's flit counts. Each counter
-// carries the current span as parent so tools can group telemetry per
-// solve.
+// simplex convergence telemetry (lp.iteration, lp.objective,
+// lp.primal_infeas, ..., every 32 iterations), the simulator's progress
+// (sim.epoch, sim.cycle, sim.injected, sim.ejected, every 256 cycles) and
+// sweep progress (sweep.total, sweep.done, sweep.warm_adopted). Each
+// counter carries the current span as parent so tools can group telemetry
+// per solve.
 #pragma once
 
 #include <atomic>
@@ -43,16 +52,13 @@
 
 namespace tcr::trace {
 
-namespace detail {
-// The global enabled flag lives outside the Tracer singleton so the
-// disabled-span fast path is one relaxed load — no function-local-static
-// guard check.
-inline std::atomic<bool> g_enabled{false};
-}  // namespace detail
-
 /// Is tracing currently collecting events? One relaxed atomic load.
-inline bool enabled() noexcept {
-  return detail::g_enabled.load(std::memory_order_relaxed);
+inline bool enabled() noexcept { return (obs::sinks() & obs::kTrace) != 0; }
+
+/// Is any span/counter sink listening (the trace ring or a heartbeat
+/// session)? Sites that must compute a counter's value gate on this.
+inline bool listening() noexcept {
+  return (obs::sinks() & (obs::kTrace | obs::kHeartbeat)) != 0;
 }
 
 /// One key/value span attribute (small tagged union).
@@ -84,10 +90,6 @@ struct TracerConfig {
   /// Ring-buffer capacity in events; the oldest events are overwritten once
   /// full (Tracer::dropped() counts the overwrites).
   std::size_t capacity = 1 << 18;
-  /// The simplex convergence-telemetry stream samples every this many
-  /// iterations (objective, infeasibilities, DEVEX norm, eta length,
-  /// minimum pivot). Larger = cheaper and coarser.
-  int simplex_sample_every = 32;
 };
 
 /// Handle to a live (or root) span, used for explicit cross-thread parent
@@ -102,18 +104,12 @@ class Tracer {
   static Tracer& instance();
 
   /// Enable collection: clears the buffer, resets the clock epoch and span
-  /// ids, and flips the global enabled flag.
+  /// ids, and sets the obs::kTrace sink bit.
   void start(const TracerConfig& config = {});
   /// Stop collecting. Buffered events survive for export.
   void stop();
-  /// Drop all buffered events (does not change the enabled flag).
+  /// Drop all buffered events (does not change the sink bit).
   void clear();
-
-  bool is_enabled() const noexcept { return enabled(); }
-  std::size_t capacity() const;
-  int simplex_sample_every() const noexcept {
-    return sample_every_.load(std::memory_order_relaxed);
-  }
 
   /// Events overwritten because the ring buffer was full.
   std::int64_t dropped() const;
@@ -140,7 +136,6 @@ class Tracer {
   std::size_t head_ = 0;  // overwrite cursor once the ring is full
   std::int64_t dropped_ = 0;
   std::atomic<std::uint64_t> next_id_{1};
-  std::atomic<int> sample_every_{32};
   std::chrono::steady_clock::time_point epoch_{};
 };
 
@@ -148,14 +143,20 @@ namespace detail {
 // Per-thread cursor: the innermost live span plus the ambient parent a
 // ThreadPool task adopted from its scheduler.
 struct ThreadState {
-  std::uint64_t current = 0;  // innermost live span on this thread
+  std::uint64_t current = 0;  // innermost traced span on this thread
   std::uint64_t adopted = 0;  // ambient parent for root spans (pool handoff)
+  std::string_view name;      // innermost open span (trace or heartbeat live)
   std::uint32_t tid = 0;
   bool tid_assigned = false;
 };
 ThreadState& thread_state() noexcept;
 std::uint32_t thread_id() noexcept;
+void counter_slow(std::string_view track, double value, unsigned sinks);
 }  // namespace detail
+
+/// Name of the innermost span open on this thread while the trace or
+/// heartbeat sink is on; empty outside every span. The heartbeat's phase.
+inline std::string_view current_span_name() noexcept { return detail::thread_state().name; }
 
 /// Context of the innermost live span on this thread (the ambient parent
 /// when no span is live). Cheap enough to capture unconditionally.
@@ -185,7 +186,8 @@ class ScopedParent {
 /// RAII hierarchical span. Construction captures the parent (innermost live
 /// span on this thread, the adopted ambient parent, or an explicit
 /// SpanContext) and the start time; destruction emits the completed event.
-/// All methods are no-ops when the tracer was disabled at construction.
+/// Which sinks a span feeds is fixed at construction from one read of the
+/// sink mask; with none of them on, every method is a no-op.
 class Span {
  public:
   explicit Span(std::string_view name) : Span(name, nullptr, SpanContext{}, false) {}
@@ -223,29 +225,25 @@ class Span {
 
   std::string_view name_;
   obs::Timer* timer_ = nullptr;
+  bool named_ = false;  // pushed onto the thread's open-span name cursor
   bool traced_ = false;
   bool timed_ = false;
   std::uint64_t id_ = 0;
   std::uint64_t parent_ = 0;
   std::uint64_t saved_current_ = 0;
+  std::string_view saved_name_;
   std::int64_t start_ns_ = 0;
   double cpu_start_ = 0.0;
   std::vector<Attr> attrs_;
 };
 
-/// Emit one sample of the counter track `track` (a Perfetto counter track).
-/// One branch when tracing is disabled.
+/// Emit one sample of the counter track `track`: a Perfetto counter event
+/// when tracing, the track's latest value when a heartbeat session is live.
+/// One branch when neither sink is on.
 inline void counter(std::string_view track, double value) {
-  if (!enabled()) return;
-  auto& tracer = Tracer::instance();
-  Event e;
-  e.type = Event::Type::kCounter;
-  e.name.assign(track.data(), track.size());
-  e.parent = current_context().id;
-  e.tid = detail::thread_id();
-  e.start_ns = tracer.now_ns();
-  e.value = value;
-  tracer.record(std::move(e));
+  const unsigned sinks = obs::sinks();
+  if ((sinks & (obs::kTrace | obs::kHeartbeat)) == 0) return;
+  detail::counter_slow(track, value, sinks);
 }
 
 }  // namespace tcr::trace

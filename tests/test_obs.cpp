@@ -17,7 +17,6 @@
 
 #include "tcr/obs/json.hpp"
 #include "tcr/obs/registry.hpp"
-#include "tcr/report/json_reader.hpp"
 
 namespace tcr::obs {
 namespace {
@@ -329,7 +328,7 @@ TEST(JsonTest, DoubleSerializationRoundTripsBitExactly) {
     const std::string s = Json(v).dump();
     Json parsed;
     std::string error;
-    ASSERT_TRUE(report::parse_json(s, &parsed, &error)) << s << ": " << error;
+    ASSERT_TRUE(obs::parse_json(s, &parsed, &error)) << s << ": " << error;
     ASSERT_TRUE(parsed.is_number()) << s;
     const double back = parsed.as_number();
     std::uint64_t v_bits = 0, back_bits = 0;
@@ -421,7 +420,7 @@ TEST(EventSinkTest, ConcurrentWritersAndProbesAreRaceFree) {
   while (std::getline(is, line)) {
     ++lines;
     Json rec;
-    ASSERT_TRUE(report::parse_json(line, &rec, &error)) << error;
+    ASSERT_TRUE(obs::parse_json(line, &rec, &error)) << error;
     ASSERT_TRUE(rec.find("thread") != nullptr);
   }
   EXPECT_EQ(lines, kThreads * kPerThread);

@@ -21,7 +21,6 @@
 #include "tcr/perf/history.hpp"
 #include "tcr/perf/perf.hpp"
 #include "tcr/perf/provenance.hpp"
-#include "tcr/report/json_reader.hpp"
 #include "tcr/report/schema.hpp"
 
 namespace tcr::perf {
@@ -258,7 +257,7 @@ TEST(PerfHistory, LoadMissingFileIsEmptyOnlyWhenAllowed) {
 TEST(PerfHistory, GoogleBenchmarkIngestTakesMinAcrossRepetitions) {
   obs::Json doc;
   std::string error;
-  ASSERT_TRUE(report::parse_json(R"({"benchmarks":[
+  ASSERT_TRUE(obs::parse_json(R"({"benchmarks":[
     {"name":"BM_X/4","run_type":"iteration","real_time":120.0,"cpu_time":110.0,
      "time_unit":"ns"},
     {"name":"BM_X/4","run_type":"iteration","real_time":0.1,"cpu_time":0.09,

@@ -12,7 +12,6 @@
 
 #include "tcr/obs/json.hpp"
 #include "tcr/report/golden.hpp"
-#include "tcr/report/json_reader.hpp"
 #include "tcr/report/markdown.hpp"
 #include "tcr/report/schema.hpp"
 
@@ -40,7 +39,7 @@ std::string read_file(const std::string& path) {
 obs::Json parse_ok(const std::string& text) {
   obs::Json doc;
   std::string err;
-  EXPECT_TRUE(report::parse_json(text, &doc, &err)) << err;
+  EXPECT_TRUE(obs::parse_json(text, &doc, &err)) << err;
   return doc;
 }
 
@@ -90,14 +89,14 @@ TEST(JsonReader, NanWritesAsNullAndReadsBackAsNan) {
 TEST(JsonReader, RejectsMalformedInput) {
   obs::Json doc;
   std::string err;
-  EXPECT_FALSE(report::parse_json("{\"a\":1", &doc, &err));
-  EXPECT_FALSE(report::parse_json("{\"a\":1} trailing", &doc, &err));
+  EXPECT_FALSE(obs::parse_json("{\"a\":1", &doc, &err));
+  EXPECT_FALSE(obs::parse_json("{\"a\":1} trailing", &doc, &err));
   EXPECT_NE(err.find("trailing"), std::string::npos) << err;
-  EXPECT_FALSE(report::parse_json("{'a':1}", &doc, &err));
-  EXPECT_FALSE(report::parse_json("", &doc, &err));
+  EXPECT_FALSE(obs::parse_json("{'a':1}", &doc, &err));
+  EXPECT_FALSE(obs::parse_json("", &doc, &err));
   std::string deep;
   for (int i = 0; i < 80; ++i) deep += "[";
-  EXPECT_FALSE(report::parse_json(deep, &doc, &err));
+  EXPECT_FALSE(obs::parse_json(deep, &doc, &err));
   EXPECT_NE(err.find("too deep"), std::string::npos) << err;
 }
 
@@ -105,11 +104,11 @@ TEST(JsonReader, ParsesJsonLinesWithLineNumbersInErrors) {
   std::istringstream good("{\"a\":1}\n\n{\"b\":2}\n");
   std::vector<obs::Json> docs;
   std::string err;
-  ASSERT_TRUE(report::parse_json_lines(good, &docs, &err)) << err;
+  ASSERT_TRUE(obs::parse_json_lines(good, &docs, &err)) << err;
   EXPECT_EQ(docs.size(), 2u);
 
   std::istringstream bad("{\"a\":1}\n{oops}\n");
-  EXPECT_FALSE(report::parse_json_lines(bad, &docs, &err));
+  EXPECT_FALSE(obs::parse_json_lines(bad, &docs, &err));
   EXPECT_NE(err.find("line 2"), std::string::npos) << err;
 }
 

@@ -1,5 +1,6 @@
-// tcr::telemetry: heartbeat stream round-trips (schema, sequencing, final
-// beat), the incremental StreamReader (tailing across appends, torn-tail
+// tcr::telemetry: heartbeat stream round-trips (schema, sequencing, phase
+// from the open span, final beat), sink independence from the tracer, the
+// incremental StreamReader (tailing across appends, torn-tail
 // fuzz over every truncation length, hard corruption diagnostics), the
 // tcr-top RunState/anomaly layer, and the determinism contract — a sweep
 // with --heartbeat on must produce bitwise-identical points to one without.
@@ -16,10 +17,11 @@
 #include "tcr/guard/guard.hpp"
 #include "tcr/guard/journal.hpp"
 #include "tcr/obs/json.hpp"
-#include "tcr/report/json_reader.hpp"
 #include "tcr/telemetry/inspect.hpp"
 #include "tcr/telemetry/stream.hpp"
 #include "tcr/telemetry/telemetry.hpp"
+#include "tcr/trace/tracer.hpp"
+#include "tcr/util/thread_pool.hpp"
 
 namespace tcr {
 namespace {
@@ -62,10 +64,14 @@ TEST(Telemetry, StartStopRoundTripWritesMetaBeatsAndFinal) {
   // A second session must be refused while one is active.
   EXPECT_FALSE(telemetry::start(cfg, &error));
 
-  telemetry::set_phase("unit");
-  telemetry::heartbeat_now();
-  telemetry::log(telemetry::Severity::Warn, "something odd");
-  telemetry::heartbeat_now();
+  {
+    // The phase is the innermost open span on the emitting thread.
+    trace::Span unit("unit");
+    telemetry::heartbeat_now();
+    telemetry::log(telemetry::Severity::Warn, "something odd");
+    telemetry::heartbeat_now();
+  }
+  // Outside every span: the final beat repeats the previous phase.
   telemetry::stop();
   EXPECT_FALSE(telemetry::active());
 
@@ -76,30 +82,36 @@ TEST(Telemetry, StartStopRoundTripWritesMetaBeatsAndFinal) {
   ASSERT_EQ(contents.records.size(), 5u);
 
   obs::Json meta;
-  ASSERT_TRUE(report::parse_json(contents.records[0], &meta, &error)) << error;
+  ASSERT_TRUE(obs::parse_json(contents.records[0], &meta, &error)) << error;
   EXPECT_EQ(meta.find("kind")->as_string(), "meta");
   EXPECT_EQ(meta.find("schema")->as_string(), "tcr-heartbeat-v1");
   EXPECT_EQ(meta.find("bench")->as_string(), "unit_bench");
   EXPECT_GT(meta.find("pid")->as_int(), 0);
 
   obs::Json event;
-  ASSERT_TRUE(report::parse_json(contents.records[2], &event, &error)) << error;
+  ASSERT_TRUE(obs::parse_json(contents.records[2], &event, &error)) << error;
   EXPECT_EQ(event.find("kind")->as_string(), "event");
   EXPECT_EQ(event.find("severity")->as_string(), "warn");
   EXPECT_EQ(event.find("message")->as_string(), "something odd");
   EXPECT_EQ(event.find("phase")->as_string(), "unit");
 
+  obs::Json beat;
+  ASSERT_TRUE(obs::parse_json(contents.records[1], &beat, &error)) << error;
+  EXPECT_EQ(beat.find("kind")->as_string(), "heartbeat");
+  EXPECT_EQ(beat.find("phase")->as_string(), "unit");
+
   obs::Json last;
-  ASSERT_TRUE(report::parse_json(contents.records.back(), &last, &error)) << error;
+  ASSERT_TRUE(obs::parse_json(contents.records.back(), &last, &error)) << error;
   EXPECT_EQ(last.find("kind")->as_string(), "heartbeat");
   ASSERT_NE(last.find("final"), nullptr);
   EXPECT_TRUE(last.find("final")->as_bool());
+  EXPECT_EQ(last.find("phase")->as_string(), "unit");
 
   // Sequence numbers increase monotonically across beats and events.
   std::int64_t prev_seq = -1;
   for (std::size_t r = 1; r < contents.records.size(); ++r) {
     obs::Json rec;
-    ASSERT_TRUE(report::parse_json(contents.records[r], &rec, &error)) << error;
+    ASSERT_TRUE(obs::parse_json(contents.records[r], &rec, &error)) << error;
     EXPECT_GT(rec.find("seq")->as_int(), prev_seq) << "record " << r;
     prev_seq = rec.find("seq")->as_int();
   }
@@ -110,13 +122,49 @@ TEST(Telemetry, DisabledEntryPointsAreNoOps) {
   // None of these may crash or create files while disabled.
   telemetry::poll();
   telemetry::log(telemetry::Severity::Info, "ignored");
-  telemetry::set_phase("ignored");
-  telemetry::sweep_begin(10);
-  telemetry::sweep_point_done(true);
-  telemetry::sim_progress(1, 2, 3, 4);
-  telemetry::solver_progress(5, 6.0);
   telemetry::heartbeat_now();
   telemetry::stop();
+}
+
+// Each sink reads the spine only under its own bit: a heartbeat-only
+// session tracks counters but records no trace events, and a tracer-only
+// session records events but fills no track table.
+TEST(Telemetry, HeartbeatAndTraceSinksAreIndependent) {
+  SessionCleanup cleanup;
+  const std::string path = temp_path("sinks.hb");
+  std::remove(path.c_str());
+  telemetry::HeartbeatConfig cfg;
+  cfg.path = path;
+  cfg.interval_seconds = 0.0;
+  std::string error;
+
+  trace::Tracer::instance().clear();
+  ASSERT_TRUE(telemetry::start(cfg, &error)) << error;
+  {
+    trace::Span span("unit.span");
+    trace::counter("unit.track", 7.0);
+    EXPECT_EQ(trace::current_span_name(), "unit.span");
+  }
+  EXPECT_TRUE(trace::current_span_name().empty());
+  telemetry::stop();
+  EXPECT_TRUE(trace::Tracer::instance().events().empty());
+  const auto tracked = telemetry::tracks();
+  ASSERT_EQ(tracked.count("unit.track"), 1u);
+  EXPECT_EQ(tracked.at("unit.track"), 7.0);
+
+  // A new session starts from an empty table; a trace-only run adds nothing.
+  ASSERT_TRUE(telemetry::start(cfg, &error)) << error;
+  telemetry::stop();
+  EXPECT_TRUE(telemetry::tracks().empty());
+  trace::Tracer::instance().start();
+  {
+    trace::Span span("unit.span");
+    trace::counter("unit.track", 8.0);
+  }
+  trace::Tracer::instance().stop();
+  EXPECT_EQ(trace::Tracer::instance().events().size(), 2u);
+  EXPECT_TRUE(telemetry::tracks().empty());
+  trace::Tracer::instance().clear();
 }
 
 TEST(Telemetry, StartRequiresAPath) {
@@ -209,7 +257,7 @@ TEST(TelemetryStream, TornTailFuzzEveryTruncationLength) {
       ASSERT_EQ(out.size(), want) << "len=" << len;
       for (std::size_t r = 0; r < want; ++r) {
         obs::Json ref;
-        ASSERT_TRUE(report::parse_json(payloads[r], &ref, &error)) << error;
+        ASSERT_TRUE(obs::parse_json(payloads[r], &ref, &error)) << error;
         EXPECT_EQ(out[r].dump(), ref.dump()) << "len=" << len << " record " << r;
       }
     }
@@ -290,40 +338,53 @@ void expect_same_points(const std::vector<TradeoffPoint>& a,
 // heartbeat session (interval 0, so every cooperative site emits — maximal
 // perturbation pressure) must produce bitwise-identical points to the same
 // sweep with telemetry disabled. Referenced from telemetry.hpp.
+//
+// The pooled case runs two warm chains on a two-thread pool, so sweep.done
+// is emitted from both workers: the final beat must still report every
+// point done.
 TEST(Telemetry, SweepHeartbeatBitwiseDeterministic) {
   SessionCleanup cleanup;
   const Torus t(4);
   const std::vector<double> grid = locality_grid(1.0, 2.0, 4);
+  const int points = static_cast<int>(grid.size());
+  ThreadPool pool(2);
+  SweepConfig pooled;
+  pooled.chains = 2;
 
-  const std::vector<TradeoffPoint> off = worst_case_tradeoff(t, grid);
+  for (const bool on_pool : {false, true}) {
+    SCOPED_TRACE(on_pool ? "pooled" : "serial");
+    ThreadPool* p = on_pool ? &pool : nullptr;
+    const SweepConfig sweep = on_pool ? pooled : SweepConfig{};
+    const std::vector<TradeoffPoint> off = worst_case_tradeoff(t, grid, {}, p, sweep);
 
-  const std::string path = temp_path("sweep.hb");
-  std::remove(path.c_str());
-  telemetry::HeartbeatConfig cfg;
-  cfg.path = path;
-  cfg.interval_seconds = 0.0;
-  cfg.bench = "determinism";
-  std::string error;
-  ASSERT_TRUE(telemetry::start(cfg, &error)) << error;
-  const std::vector<TradeoffPoint> on = worst_case_tradeoff(t, grid);
-  telemetry::stop();
+    const std::string path = temp_path(on_pool ? "sweep_pooled.hb" : "sweep.hb");
+    std::remove(path.c_str());
+    telemetry::HeartbeatConfig cfg;
+    cfg.path = path;
+    cfg.interval_seconds = 0.0;
+    cfg.bench = "determinism";
+    std::string error;
+    ASSERT_TRUE(telemetry::start(cfg, &error)) << error;
+    const std::vector<TradeoffPoint> on = worst_case_tradeoff(t, grid, {}, p, sweep);
+    telemetry::stop();
 
-  expect_same_points(off, on);
+    expect_same_points(off, on);
 
-  // And the stream it wrote is a readable run: progress reaches 4/4 with
-  // solver samples along the way.
-  telemetry::StreamReader reader(path);
-  std::vector<obs::Json> records;
-  ASSERT_TRUE(reader.poll(&records, &error)) << error;
-  EXPECT_FALSE(reader.truncated_tail());
-  telemetry::RunState state;
-  for (const obs::Json& rec : records) ASSERT_TRUE(state.apply(rec, &error)) << error;
-  ASSERT_TRUE(state.finished);
-  ASSERT_NE(state.last_beat(), nullptr);
-  EXPECT_TRUE(state.last_beat()->has_progress);
-  EXPECT_EQ(state.last_beat()->done, 4);
-  EXPECT_EQ(state.last_beat()->total, 4);
-  EXPECT_GT(state.cumulative_iterations(state.beats.size() - 1), 0);
+    // And the stream it wrote is a readable run: progress reaches
+    // points/points with solver samples along the way.
+    telemetry::StreamReader reader(path);
+    std::vector<obs::Json> records;
+    ASSERT_TRUE(reader.poll(&records, &error)) << error;
+    EXPECT_FALSE(reader.truncated_tail());
+    telemetry::RunState state;
+    for (const obs::Json& rec : records) ASSERT_TRUE(state.apply(rec, &error)) << error;
+    ASSERT_TRUE(state.finished);
+    ASSERT_NE(state.last_beat(), nullptr);
+    EXPECT_TRUE(state.last_beat()->has_progress);
+    EXPECT_EQ(state.last_beat()->done, points);
+    EXPECT_EQ(state.last_beat()->total, points);
+    EXPECT_GT(state.cumulative_iterations(state.beats.size() - 1), 0);
+  }
 }
 
 // ---- RunState / anomaly layer -------------------------------------------
@@ -331,7 +392,7 @@ TEST(Telemetry, SweepHeartbeatBitwiseDeterministic) {
 obs::Json parse(const std::string& text) {
   obs::Json v;
   std::string error;
-  EXPECT_TRUE(report::parse_json(text, &v, &error)) << error;
+  EXPECT_TRUE(obs::parse_json(text, &v, &error)) << error;
   return v;
 }
 

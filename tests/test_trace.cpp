@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "tcr/obs/registry.hpp"
-#include "tcr/report/json_reader.hpp"
+#include "tcr/obs/json.hpp"
 #include "tcr/trace/analysis.hpp"
 #include "tcr/trace/export.hpp"
 #include "tcr/trace/tracer.hpp"
@@ -199,7 +199,8 @@ TEST_F(TraceTest, RingBufferOverwritesOldestAndCountsDrops) {
   cfg.capacity = 8;
   Tracer::instance().start(cfg);
   for (int i = 0; i < 20; ++i) {
-    Span span("span." + std::to_string(i));
+    const std::string name = "span." + std::to_string(i);  // outlives the span
+    Span span(name);
   }
   Tracer::instance().stop();
 
@@ -289,7 +290,7 @@ TEST_F(TraceTest, ExporterEmitsValidChromeTraceJson) {
 
   obs::Json doc;
   std::string error;
-  ASSERT_TRUE(report::parse_json(os.str(), &doc, &error)) << error;
+  ASSERT_TRUE(obs::parse_json(os.str(), &doc, &error)) << error;
   // Top-level schema: displayTimeUnit + traceEvents (array) + otherData.
   ASSERT_TRUE(doc.is_object());
   EXPECT_TRUE(doc.find("displayTimeUnit") != nullptr);
@@ -347,7 +348,7 @@ class AnalysisTest : public TraceTest {
 
   static bool load_trace_string(const std::string& text, Trace* out, std::string* error) {
     obs::Json doc;
-    if (!report::parse_json(text, &doc, error)) return false;
+    if (!obs::parse_json(text, &doc, error)) return false;
     return load_trace(doc, out, error);
   }
 };
@@ -427,7 +428,8 @@ TEST_F(AnalysisTest, FlameJsonMirrorsAggregateInSelfTimeOrder) {
 TEST_F(AnalysisTest, SlowestSpansSortsByDuration) {
   Tracer::instance().start();
   for (int i = 0; i < 5; ++i) {
-    Span span("s" + std::to_string(i));
+    const std::string name = "s" + std::to_string(i);  // outlives the span
+    Span span(name);
   }
   Tracer::instance().stop();
   const Trace trace = exported();

@@ -40,8 +40,8 @@
 #include <string>
 #include <vector>
 
+#include "tcr/obs/json.hpp"
 #include "tcr/perf/history.hpp"
-#include "tcr/report/json_reader.hpp"
 #include "tcr/report/schema.hpp"
 
 namespace {
@@ -106,7 +106,7 @@ int run_append(const std::string& history_path, const std::string& commit,
       return 3;
     }
     perf::HistoryEntry e;
-    if (!perf::entry_from_run(run, &e, &error)) {
+    if (!report::entry_from_run(run, &e, &error)) {
       std::cerr << "error: " << path << ": " << error << "\n";
       return 3;
     }
@@ -114,7 +114,7 @@ int run_append(const std::string& history_path, const std::string& commit,
   }
   if (!google_benchmark.empty()) {
     obs::Json doc;
-    if (!report::parse_json_file(google_benchmark, &doc, &error)) {
+    if (!obs::parse_json_file(google_benchmark, &doc, &error)) {
       std::cerr << "error: " << google_benchmark << ": " << error << "\n";
       return 3;
     }
