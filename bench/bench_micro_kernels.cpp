@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "tcr/core/arc_flow.hpp"
 #include "tcr/lin/sparse_lu.hpp"
@@ -143,6 +144,59 @@ void BM_SparseLuFactorDenseRows(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SparseLuFactorDenseRows)->Arg(1024)->Arg(4096);
+
+// One refactorization cycle of the simplex: factor the LP-shaped basis of
+// lu_dense_rows_matrix(m), then bring in 50 network columns (a +1/-1 arc
+// and coupling-row entries) by Forrest–Tomlin updates, each after the
+// entering column's FTRAN (at the position of its largest entry) and
+// followed by one solve with B and one with B'.
+void BM_SparseLuUpdate(benchmark::State& state) {
+  constexpr int kUpdates = 50;
+  constexpr int kDense = 4;  // lu_dense_rows_matrix's coupling rows
+  const int m = static_cast<int>(state.range(0));
+  const int n = m - kDense;
+  const SparseMatrix square = lu_dense_rows_matrix(m);
+  std::vector<Triplet> trips;
+  for (int j = 0; j < m; ++j)
+    for (std::size_t k = square.col_begin(j); k < square.col_end(j); ++k)
+      trips.push_back({square.row_index(k), j, square.value(k)});
+  Rng rng(6);
+  for (int j = m; j < m + kUpdates; ++j) {
+    const int u = static_cast<int>(rng.below(n));
+    trips.push_back({u, j, 1.0});
+    trips.push_back({(u + 1 + static_cast<int>(rng.below(n - 1))) % n, j, -1.0});
+    for (int d = 0; d < kDense; ++d)
+      if (rng.uniform() < 0.5) trips.push_back({n + d, j, 1.0 + static_cast<double>(rng.below(3))});
+  }
+  const SparseMatrix a(m, m + kUpdates, trips);
+  const std::vector<int> basis = identity_basis(m);
+  std::vector<double> b(m), col, x, spike, work;
+  for (double& v : b) v = rng.uniform(-1, 1);
+  SparseLU lu;
+  if (!lu.factor(a, basis)) {
+    state.SkipWithError("singular benchmark basis");
+    return;
+  }
+  for (auto _ : state) {
+    lu.factor(a, basis);
+    for (int q = m; q < m + kUpdates; ++q) {
+      col.assign(m, 0.0);
+      a.add_column_to(q, 1.0, col);
+      lu.solve(col, x, work, &spike);
+      int p = 0;
+      for (int i = 1; i < m; ++i)
+        if (std::abs(x[i]) > std::abs(x[p])) p = i;
+      if (!lu.update(p, spike)) {
+        state.SkipWithError("singular update");
+        return;
+      }
+      lu.solve(b, x, work);
+      lu.solve_transpose(b, x, work);
+    }
+    benchmark::DoNotOptimize(x.data());
+  }
+}
+BENCHMARK(BM_SparseLuUpdate)->Arg(1024)->Arg(4096);
 
 // The simplex's FTRAN/BTRAN kernels: one solve with B (or B') per iteration,
 // with caller-kept result and scratch vectors as the solver keeps them.

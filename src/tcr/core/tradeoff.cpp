@@ -299,7 +299,8 @@ bool SweepCheckpoint::decode(const std::string& payload, int* index, TradeoffPoi
   const std::uint32_t nbasic = c.u32();
   if (!c.ok || c.left != nbasic * sizeof(int)) return false;
   basis->basic.resize(nbasic);
-  std::memcpy(basis->basic.data(), c.p, c.left);
+  // An empty basis has no storage: memcpy must not see its null data().
+  if (c.left > 0) std::memcpy(basis->basic.data(), c.p, c.left);
   c.p += c.left;
   c.left = 0;
   return c.ok;

@@ -9,7 +9,7 @@
 //     the last place, deterministically from a seed — the numerical
 //     sensitivity probe for the design LPs;
 //   * simplex test hooks: force refactorization failures, inject drift into
-//     product-form eta pivots, or corrupt the extracted solution, to seed the
+//     the LU update's new diagonals, or corrupt the extracted solution, to seed the
 //     breakdowns each recovery-ladder stage must rescue (lp/simplex.cpp
 //     consults the installed hooks; production pays one atomic pointer load);
 //   * simulator fault plans: take links down or stall credits for cycle
@@ -46,8 +46,10 @@ struct SimplexHooks {
   /// While > 0, every refactorization fails (as if the basis were singular),
   /// consuming one unit per failure.
   std::atomic<long> fail_refactors{0};
-  /// While > 0, each stored eta pivot is multiplied by (1 + eta_drift),
-  /// consuming one unit per eta — simulates product-form accumulation error.
+  /// While > 0, the new U diagonal of each Forrest–Tomlin basis update is
+  /// multiplied by (1 + eta_drift), consuming one unit per update —
+  /// simulates accumulated update rounding. The solver's determinant check
+  /// (new diagonal = pivot x old diagonal) sees it and refactorizes.
   std::atomic<long> drift_etas{0};
   double eta_drift = 0.0;
   /// While > 0, the first structural value of an extracted optimal solution
@@ -82,7 +84,7 @@ struct SimplexHooks {
 };
 
 /// Currently installed hooks, or nullptr (the default). The solver checks
-/// this at refactorization, eta creation and solution extraction.
+/// this at refactorization, basis update and solution extraction.
 SimplexHooks* simplex_hooks() noexcept;
 
 /// Install (or, with nullptr, clear) the process-wide hooks. Tests should

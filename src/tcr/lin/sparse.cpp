@@ -81,4 +81,24 @@ std::vector<double> SparseMatrix::multiply_transpose(const std::vector<double>& 
   return y;
 }
 
+SparseMatrix SparseMatrix::transpose() const {
+  SparseMatrix t;
+  t.rows_ = cols_;
+  t.cols_ = rows_;
+  t.col_ptr_.assign(static_cast<std::size_t>(rows_) + 1, 0);
+  for (const int r : row_idx_) ++t.col_ptr_[r + 1];
+  for (int i = 0; i < rows_; ++i) t.col_ptr_[i + 1] += t.col_ptr_[i];
+  t.row_idx_.resize(row_idx_.size());
+  t.values_.resize(values_.size());
+  std::vector<std::size_t> cursor(t.col_ptr_.begin(), t.col_ptr_.end() - 1);
+  for (int j = 0; j < cols_; ++j) {
+    for (std::size_t k = col_begin(j); k < col_end(j); ++k) {
+      const std::size_t at = cursor[row_idx_[k]]++;
+      t.row_idx_[at] = j;
+      t.values_[at] = values_[k];
+    }
+  }
+  return t;
+}
+
 }  // namespace tcr

@@ -5,7 +5,9 @@
 // column-by-column during pricing / FTRAN.
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace tcr {
@@ -47,12 +49,57 @@ class SparseMatrix {
   /// y = A' x (dense result).
   std::vector<double> multiply_transpose(const std::vector<double>& x) const;
 
+  /// A', whose columns are A's rows (each with its entries in column order).
+  SparseMatrix transpose() const;
+
  private:
   int rows_ = 0;
   int cols_ = 0;
   std::vector<std::size_t> col_ptr_;
   std::vector<int> row_idx_;
   std::vector<double> values_;
+};
+
+/// rho' A computed row by row: a row-wise copy of A (its transpose) visits
+/// only the rows where rho is nonzero, which pays when rho is sparse. Every
+/// product is summed in ascending row order from 0.0 — column_dot's order,
+/// less its zero terms — so it equals A.column_dot(j, rho) bit for bit.
+class RowProduct {
+ public:
+  RowProduct() = default;
+  explicit RowProduct(const SparseMatrix& a)
+      : at_(a.transpose()),
+        acc_(static_cast<std::size_t>(a.cols()), 0.0),
+        touched_((static_cast<std::size_t>(a.cols()) + 63) / 64, 0) {}
+
+  /// Calls visit(j, alpha_j) for every column j that holds an entry in a row
+  /// with rho_i != 0, in ascending j; alpha_j can still be 0 by cancellation.
+  template <typename Visit>
+  void for_each(const std::vector<double>& rho, Visit&& visit) {
+    for (int i = 0; i < at_.cols(); ++i) {
+      const double ri = rho[i];
+      if (ri == 0.0) continue;
+      for (std::size_t k = at_.col_begin(i); k < at_.col_end(i); ++k) {
+        const int j = at_.row_index(k);
+        acc_[j] += at_.value(k) * ri;
+        touched_[j >> 6] |= std::uint64_t{1} << (j & 63);
+      }
+    }
+    for (std::size_t w = 0; w < touched_.size(); ++w) {
+      for (std::uint64_t bits = touched_[w]; bits != 0; bits &= bits - 1) {
+        const int j = static_cast<int>(w * 64) + std::countr_zero(bits);
+        const double alpha = acc_[j];
+        acc_[j] = 0.0;
+        visit(j, alpha);
+      }
+      touched_[w] = 0;
+    }
+  }
+
+ private:
+  SparseMatrix at_;
+  std::vector<double> acc_;             // per column, all zero between calls
+  std::vector<std::uint64_t> touched_;  // bitset of the columns acc_ holds
 };
 
 }  // namespace tcr

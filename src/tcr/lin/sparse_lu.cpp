@@ -36,7 +36,131 @@ struct Cancelled {
   int slot;
   int next;
 };
+
+// Variable-length lists — the rows, or the column lists, of the active
+// submatrix — packed into one array that every factorization reuses. A list
+// that outgrows its room moves to the free end; when the end reaches the
+// array's size, the live lists slide down in place, and the array grows by
+// half only when that frees less than a quarter of it. A list is addressed by
+// index, never by a pointer kept across a push_back, which can move it.
+template <typename T>
+struct ListPool {
+  std::vector<T> pool;
+  std::vector<std::size_t> begin;
+  std::vector<int> len, room;
+  std::size_t end = 0;     // first unused element of pool
+  std::vector<int> order;  // compaction scratch
+
+  // Lay out lists 0..n-1 empty, in order, list i with room for count[i] + slack.
+  void reset(const std::vector<int>& count, int slack) {
+    const int n = static_cast<int>(count.size());
+    begin.resize(n);
+    len.assign(n, 0);
+    room.resize(n);
+    end = 0;
+    for (int i = 0; i < n; ++i) {
+      begin[i] = end;
+      room[i] = count[i] + slack;
+      end += static_cast<std::size_t>(room[i]);
+    }
+    if (pool.size() < end + end / 2) pool.resize(end + end / 2);
+  }
+  T* data(int i) { return pool.data() + begin[i]; }
+  T& at(int i, int k) { return pool[begin[i] + k]; }
+  int size(int i) const { return len[i]; }
+  void push_back(int i, const T& v) {
+    if (len[i] == room[i]) grow(i);
+    pool[begin[i] + len[i]++] = v;
+  }
+  void shrink(int i, int n) { len[i] = n; }
+  // Drop list i and its room.
+  void release(int i) { len[i] = room[i] = 0; }
+
+ private:
+  void grow(int i) {
+    const int want = std::max(2 * len[i], len[i] + 4);
+    if (begin[i] + room[i] == end && begin[i] + want <= pool.size()) {
+      end = begin[i] + want;  // the last list: extend in place
+      room[i] = want;
+      return;
+    }
+    if (end + want > pool.size()) {
+      compact();
+      if (4 * (end + want) > 3 * pool.size()) {
+        pool.resize(std::max(pool.size() + pool.size() / 2, end + want));
+      }
+    }
+    std::copy_n(pool.begin() + begin[i], len[i], pool.begin() + end);
+    begin[i] = end;
+    room[i] = want;
+    end += want;
+  }
+  // Slide the live lists down, in storage order, leaving no room to spare.
+  void compact() {
+    order.clear();
+    for (int i = 0; i < static_cast<int>(room.size()); ++i)
+      if (room[i] > 0) order.push_back(i);
+    std::sort(order.begin(), order.end(), [&](int x, int y) { return begin[x] < begin[y]; });
+    end = 0;
+    for (const int i : order) {
+      const auto from = pool.begin() + static_cast<std::ptrdiff_t>(begin[i]);
+      std::copy(from, from + len[i], pool.begin() + static_cast<std::ptrdiff_t>(end));
+      begin[i] = end;
+      room[i] = len[i];
+      end += len[i];
+    }
+  }
+};
 }  // namespace
+
+struct SparseLU::Workspace {
+  // Live rows of the active submatrix, and per column the slots of the rows
+  // that hold it (a slot may be cancelled, or name a retired row, until the
+  // column is next gathered).
+  ListPool<RowEntry> rows;
+  ListPool<Slot> cols;
+  std::vector<int> ccount, rcount, holes;
+  std::vector<char> row_done, col_done;
+  // Rows holding an initial entry at or below drop_tol: their first
+  // elimination checks every entry, not only the combined ones.
+  std::vector<char> unchecked;
+  // Lazy bucket queue over column counts.
+  std::vector<std::vector<int>> buckets;
+  std::vector<char> queued;
+  // Dense scratch for the scattered pivot row.
+  std::vector<double> work;
+  std::vector<int> stamp, consumed;
+  // Cancelled slots, listed per row; reuse_slot/reuse_stamp mark the ones a
+  // row's fill-in may take in the current elimination.
+  std::vector<Cancelled> cancelled;
+  std::vector<int> cancelled_head;
+  std::vector<int> reuse_slot, reuse_stamp;
+  std::vector<std::pair<int, double>> col_entries;  // (row, value)
+  std::vector<int> examined;
+
+  // Size the per-row and per-column state for an m x m factorization,
+  // keeping the storage; factor() lays out the row and column lists.
+  void reset(int m) {
+    ccount.assign(m, 0);
+    rcount.assign(m, 0);
+    holes.assign(m, 0);
+    row_done.assign(m, 0);
+    col_done.assign(m, 0);
+    unchecked.assign(m, 0);
+    buckets.resize(m + 1);
+    for (auto& b : buckets) b.clear();
+    queued.assign(m, 0);
+    work.assign(m, 0.0);
+    stamp.assign(m + 1, -1);  // stamp[kHole] stays -1
+    consumed.assign(m, -1);
+    cancelled.clear();
+    cancelled_head.assign(m, -1);
+    reuse_slot.assign(m, 0);
+    reuse_stamp.assign(m, -1);
+  }
+};
+
+void SparseLU::WorkspaceDeleter::operator()(Workspace* w) const { delete w; }
 
 bool SparseLU::factor(const SparseMatrix& a, const std::vector<int>& basis) {
   static obs::Counter& slot_reuses = obs::Registry::instance().counter("lin.lu.slot_reuses");
@@ -47,37 +171,44 @@ bool SparseLU::factor(const SparseMatrix& a, const std::vector<int>& basis) {
   l_.clear();
   u_.clear();
   deficient_.clear();
+  etas_.clear();
+  r_.clear();
+  links_.clear();
+  factored_ = 0;
+  fresh_nnz_ = 0;
 
-  // Live rows of the active submatrix, and per column the slots of the rows
-  // that hold it (a slot may be cancelled, or name a retired row, until the
-  // column is next gathered).
-  std::vector<std::vector<RowEntry>> rows(m_);
-  std::vector<std::vector<Slot>> cols(m_);
-  std::vector<int> ccount(m_, 0), rcount(m_, 0), holes(m_, 0);
-  std::vector<char> row_done(m_, 0), col_done(m_, 0);
-  // Rows holding an initial entry at or below drop_tol: their first
-  // elimination checks every entry, not only the combined ones.
-  std::vector<char> unchecked(m_, 0);
+  if (!ws_) ws_.reset(new Workspace);
+  Workspace& ws = *ws_;
+  ws.reset(m_);
+  auto& rows = ws.rows;
+  auto& cols = ws.cols;
+  auto& ccount = ws.ccount;
+  auto& rcount = ws.rcount;
+  auto& holes = ws.holes;
+  auto& row_done = ws.row_done;
+  auto& col_done = ws.col_done;
+  auto& unchecked = ws.unchecked;
   const int kHole = m_;  // column of a hole; never scattered, never a pivot
 
-  std::size_t nnz_guess = 0;
-  for (int j = 0; j < m_; ++j) nnz_guess += a.col_end(basis[j]) - a.col_begin(basis[j]);
-  for (int i = 0; i < m_; ++i) rows[i].reserve(4 + nnz_guess / static_cast<std::size_t>(m_));
-
+  for (int j = 0; j < m_; ++j) {
+    ccount[j] = static_cast<int>(a.col_end(basis[j]) - a.col_begin(basis[j]));
+    for (std::size_t k = a.col_begin(basis[j]); k < a.col_end(basis[j]); ++k) {
+      ++rcount[a.row_index(k)];
+    }
+  }
+  rows.reset(rcount, 4);
+  cols.reset(ccount, 4);
   for (int j = 0; j < m_; ++j) {
     for (std::size_t k = a.col_begin(basis[j]); k < a.col_end(basis[j]); ++k) {
       const int r = a.row_index(k);
-      rows[r].push_back({j, static_cast<int>(cols[j].size()), a.value(k)});
-      cols[j].push_back({r, static_cast<int>(rows[r].size()) - 1});
+      rows.push_back(r, {j, cols.size(j), a.value(k)});
+      cols.push_back(j, {r, rows.size(r) - 1});
       if (!(std::abs(a.value(k)) > drop_tol_)) unchecked[r] = 1;
-      ++ccount[j];
-      ++rcount[r];
     }
   }
 
-  // Lazy bucket queue over column counts.
-  std::vector<std::vector<int>> buckets(m_ + 1);
-  std::vector<char> queued(m_, 0);
+  auto& buckets = ws.buckets;
+  auto& queued = ws.queued;
   auto enqueue = [&](int j) {
     if (col_done[j] || queued[j]) return;
     const int b = std::clamp(ccount[j], 0, m_);
@@ -86,41 +217,41 @@ bool SparseLU::factor(const SparseMatrix& a, const std::vector<int>& basis) {
   };
   for (int j = 0; j < m_; ++j) enqueue(j);
 
-  // Dense scratch for the scattered pivot row.
-  std::vector<double> work(m_, 0.0);
-  std::vector<int> stamp(m_ + 1, -1), consumed(m_, -1);  // stamp[kHole] stays -1
+  auto& work = ws.work;
+  auto& stamp = ws.stamp;
+  auto& consumed = ws.consumed;
   int scan_id = 0;
 
-  // Cancelled slots, listed per row; reuse_slot/reuse_stamp mark the ones a
-  // row's fill-in may take in the current elimination.
-  std::vector<Cancelled> cancelled;
-  std::vector<int> cancelled_head(m_, -1);
-  std::vector<int> reuse_slot(m_, 0), reuse_stamp(m_, -1);
+  auto& cancelled = ws.cancelled;
+  auto& cancelled_head = ws.cancelled_head;
+  auto& reuse_slot = ws.reuse_slot;
+  auto& reuse_stamp = ws.reuse_stamp;
   std::int64_t reuses = 0;
 
   // Live entries of one column, gathered on demand. Cancelled slots and
   // slots of retired rows are dropped; the rest keep their order.
-  std::vector<std::pair<int, double>> col_entries;  // (row, value)
+  auto& col_entries = ws.col_entries;
   auto gather_column = [&](int j) {
     col_entries.clear();
-    auto& cs = cols[j];
-    std::size_t w = 0;
-    for (std::size_t s = 0; s < cs.size(); ++s) {
+    Slot* cs = cols.data(j);
+    const int n = cols.size(j);
+    int w = 0;
+    for (int s = 0; s < n; ++s) {
       const Slot slot = cs[s];
       if (slot.k == kCancelled || row_done[slot.row]) continue;
-      RowEntry& e = rows[slot.row][slot.k];
+      RowEntry& e = rows.at(slot.row, slot.k);
       if (w != s) {
-        e.slot = static_cast<int>(w);
+        e.slot = w;
         cs[w] = slot;
       }
       ++w;
       col_entries.emplace_back(slot.row, e.val);
     }
-    cs.resize(w);
-    ccount[j] = static_cast<int>(col_entries.size());
+    cols.shrink(j, w);
+    ccount[j] = w;
   };
 
-  std::vector<int> examined;  // requeued after each search to avoid re-popping
+  auto& examined = ws.examined;  // requeued after each search to avoid re-popping
   for (int t = 0; t < m_; ++t) {
     // ---- Pivot selection (partial Markowitz with threshold pivoting) ----
     int best_row = -1, best_col = -1;
@@ -179,7 +310,9 @@ bool SparseLU::factor(const SparseMatrix& a, const std::vector<int>& basis) {
     // ---- Build the U row and scatter the pivot row ----
     const std::size_t u_begin = u_.size();
     const int pivot_scan = ++scan_id;
-    for (const RowEntry& e : rows[pi]) {
+    const RowEntry* prow = rows.data(pi);
+    for (int k = 0, n = rows.size(pi); k < n; ++k) {
+      const RowEntry& e = prow[k];
       if (e.col == pj || e.col == kHole) continue;
       u_.push_back({e.col, e.val});
       work[e.col] = e.val;
@@ -197,11 +330,13 @@ bool SparseLU::factor(const SparseMatrix& a, const std::vector<int>& basis) {
 
       // Update row i in place: the pivot column's entry and every entry
       // that cancels become holes.
-      std::vector<RowEntry>& row = rows[i];
+      RowEntry* row = rows.data(i);
+      const int len = rows.size(i);
       const int row_scan = ++scan_id;
       const bool check_all = unchecked[i];
       unchecked[i] = 0;
-      for (RowEntry& e : row) {
+      for (int k = 0; k < len; ++k) {
+        RowEntry& e = row[k];
         if (e.col == pj) {
           e.col = kHole;
           ++holes[i];
@@ -216,26 +351,26 @@ bool SparseLU::factor(const SparseMatrix& a, const std::vector<int>& basis) {
         }
         if (!(std::abs(e.val) > drop_tol_)) {
           --ccount[e.col];  // numerical cancellation removed a live entry
-          cols[e.col][e.slot].k = kCancelled;
+          cols.at(e.col, e.slot).k = kCancelled;
           cancelled.push_back({e.col, e.slot, cancelled_head[i]});
           cancelled_head[i] = static_cast<int>(cancelled.size()) - 1;
           e.col = kHole;
           ++holes[i];
         }
       }
-      if (4 * holes[i] > static_cast<int>(row.size())) {
+      if (4 * holes[i] > len) {
         // Squeeze the holes out, in order, re-pointing the moved entries.
-        std::size_t w = 0;
-        for (std::size_t k = 0; k < row.size(); ++k) {
+        int w = 0;
+        for (int k = 0; k < len; ++k) {
           const RowEntry e = row[k];
           if (e.col == kHole) continue;
           if (w != k) {
-            cols[e.col][e.slot].k = static_cast<int>(w);
+            cols.at(e.col, e.slot).k = w;
             row[w] = e;
           }
           ++w;
         }
-        row.resize(w);
+        rows.shrink(i, w);
         holes[i] = 0;
       }
 
@@ -243,9 +378,8 @@ bool SparseLU::factor(const SparseMatrix& a, const std::vector<int>& basis) {
       // ones a gather has since removed.
       for (int* link = &cancelled_head[i]; *link >= 0;) {
         Cancelled& c = cancelled[*link];
-        const auto& cs = cols[c.col];
-        if (static_cast<std::size_t>(c.slot) >= cs.size() || cs[c.slot].row != i ||
-            cs[c.slot].k != kCancelled) {
+        if (c.slot >= cols.size(c.col) || cols.at(c.col, c.slot).row != i ||
+            cols.at(c.col, c.slot).k != kCancelled) {
           *link = c.next;
           continue;
         }
@@ -254,70 +388,100 @@ bool SparseLU::factor(const SparseMatrix& a, const std::vector<int>& basis) {
         link = &c.next;
       }
 
-      // Fill-in from unconsumed pivot-row columns, appended in pivot-row order.
+      // Fill-in from unconsumed pivot-row columns, appended in pivot-row
+      // order (each push_back may move row i or the column's list).
       for (std::size_t k = u_begin; k < u_end; ++k) {
         const Entry u = u_[k];
-        if (consumed[u.col] == row_scan) continue;
+        if (consumed[u.idx] == row_scan) continue;
         const double nv = -mult * u.val;
         if (std::abs(nv) > drop_tol_) {
-          auto& cs = cols[u.col];
-          const int pos = static_cast<int>(row.size());
+          const int pos = rows.size(i);
           int slot;
-          if (reuse_stamp[u.col] == row_scan) {
-            slot = reuse_slot[u.col];
-            cs[slot].k = pos;
+          if (reuse_stamp[u.idx] == row_scan) {
+            slot = reuse_slot[u.idx];
+            cols.at(u.idx, slot).k = pos;
             ++reuses;
           } else {
-            slot = static_cast<int>(cs.size());
-            cs.push_back({i, pos});
+            slot = cols.size(u.idx);
+            cols.push_back(u.idx, {i, pos});
           }
-          row.push_back({u.col, slot, nv});
-          ++ccount[u.col];
-          enqueue(u.col);
+          rows.push_back(i, {u.idx, slot, nv});
+          ++ccount[u.idx];
+          enqueue(u.idx);
         }
       }
-      rcount[i] = static_cast<int>(row.size()) - holes[i];
+      rcount[i] = rows.size(i) - holes[i];
     }
 
     // ---- Retire the pivot row/column ----
     row_done[pi] = 1;
     col_done[pj] = 1;
     for (std::size_t k = u_begin; k < u_end; ++k) {
-      --ccount[u_[k].col];
-      enqueue(u_[k].col);
+      --ccount[u_[k].idx];
+      enqueue(u_[k].idx);
     }
-    rows[pi].clear();
-    rows[pi].shrink_to_fit();
-    cols[pj].clear();
-    cols[pj].shrink_to_fit();
+    rows.release(pi);
+    cols.release(pj);
     // Clear the scatter stamps for safety (stamps are scan-id based already).
     for (std::size_t k = u_begin; k < u_end; ++k) {
-      work[u_[k].col] = 0.0;
-      stamp[u_[k].col] = -1;
+      work[u_[k].idx] = 0.0;
+      stamp[u_[k].idx] = -1;
     }
 
-    steps_.push_back({pi, pj, pval, l_begin, l_.size(), u_begin, u_end});
+    steps_.push_back({pi, pj, pval, l_begin, l_.size(), u_begin, u_end, Kind::kRow});
   }
   slot_reuses.add(reuses);
+
+  // Update state: each position's step, and the U entries of each column.
+  factored_ = steps_.size();
+  fresh_nnz_ = factor_nnz();
+  step_of_col_.assign(m_, -1);
+  for (std::size_t t = 0; t < factored_; ++t) {
+    step_of_col_[steps_[t].pivot_col] = static_cast<int>(t);
+  }
+  ucol_ptr_.assign(static_cast<std::size_t>(m_) + 1, 0);
+  for (const Entry& e : u_) ++ucol_ptr_[e.idx];
+  for (int j = 1; j < m_; ++j) ucol_ptr_[j] += ucol_ptr_[j - 1];
+  ucol_ptr_[m_] = u_.size();
+  ucol_.resize(u_.size());
+  for (std::size_t k = u_.size(); k-- > 0;) ucol_[--ucol_ptr_[u_[k].idx]] = k;
+  link_head_.assign(m_, -1);
+  upd_col_.assign(m_, 0.0);
+  upd_row_.assign(m_, 0.0);
   return true;
 }
 
 void SparseLU::solve(const std::vector<double>& b, std::vector<double>& x,
-                     std::vector<double>& work) const {
+                     std::vector<double>& work, std::vector<double>* spike) const {
   TCR_REQUIRE(static_cast<int>(b.size()) == m_, "rhs size mismatch");
   std::vector<double>& v = work;  // row space
   v.assign(b.begin(), b.end());
-  for (const Step& s : steps_) {
+  for (std::size_t t = 0; t < factored_; ++t) {
+    const Step& s = steps_[t];
     const double pivot = v[s.pivot_row];
     if (pivot != 0.0) {
       for (std::size_t k = s.l_begin; k < s.l_end; ++k) v[l_[k].first] -= l_[k].second * pivot;
     }
   }
+  for (const RowEta& e : etas_) {
+    double acc = v[e.row];
+    for (std::size_t k = e.begin; k < e.end; ++k) acc -= r_[k].second * v[r_[k].first];
+    v[e.row] = acc;
+  }
+  if (spike != nullptr) spike->assign(v.begin(), v.end());
   x.assign(m_, 0.0);
   for (auto it = steps_.rbegin(); it != steps_.rend(); ++it) {
-    double acc = v[it->pivot_row];
-    for (std::size_t k = it->u_begin; k < it->u_end; ++k) acc -= u_[k].val * x[u_[k].col];
-    x[it->pivot_col] = acc / it->pivot_val;
+    if (it->kind == Kind::kRow) {
+      double acc = v[it->pivot_row];
+      for (std::size_t k = it->u_begin; k < it->u_end; ++k) acc -= u_[k].val * x[u_[k].idx];
+      x[it->pivot_col] = acc / it->pivot_val;
+    } else if (it->kind == Kind::kSpike) {
+      const double xc = v[it->pivot_row] / it->pivot_val;
+      x[it->pivot_col] = xc;
+      if (xc != 0.0) {
+        for (std::size_t k = it->u_begin; k < it->u_end; ++k) v[u_[k].idx] -= u_[k].val * xc;
+      }
+    }
   }
 }
 
@@ -328,16 +492,107 @@ void SparseLU::solve_transpose(const std::vector<double>& c, std::vector<double>
   acc.assign(c.begin(), c.end());
   y.assign(m_, 0.0);  // row space
   for (const Step& s : steps_) {
-    const double z = acc[s.pivot_col] / s.pivot_val;
-    y[s.pivot_row] = z;
-    if (z != 0.0) {
-      for (std::size_t k = s.u_begin; k < s.u_end; ++k) acc[u_[k].col] -= u_[k].val * z;
+    if (s.kind == Kind::kRow) {
+      const double z = acc[s.pivot_col] / s.pivot_val;
+      y[s.pivot_row] = z;
+      if (z != 0.0) {
+        for (std::size_t k = s.u_begin; k < s.u_end; ++k) acc[u_[k].idx] -= u_[k].val * z;
+      }
+    } else if (s.kind == Kind::kSpike) {
+      double a = acc[s.pivot_col];
+      for (std::size_t k = s.u_begin; k < s.u_end; ++k) a -= u_[k].val * y[u_[k].idx];
+      y[s.pivot_row] = a / s.pivot_val;
     }
   }
-  for (auto it = steps_.rbegin(); it != steps_.rend(); ++it) {
-    double& yp = y[it->pivot_row];
-    for (std::size_t k = it->l_begin; k < it->l_end; ++k) yp -= l_[k].second * y[l_[k].first];
+  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
+    const double yr = y[it->row];
+    if (yr != 0.0) {
+      for (std::size_t k = it->begin; k < it->end; ++k) y[r_[k].first] -= r_[k].second * yr;
+    }
   }
+  for (std::size_t t = factored_; t-- > 0;) {
+    const Step& s = steps_[t];
+    double& yp = y[s.pivot_row];
+    for (std::size_t k = s.l_begin; k < s.l_end; ++k) yp -= l_[k].second * y[l_[k].first];
+  }
+}
+
+bool SparseLU::update(int position, const std::vector<double>& spike) {
+  TCR_REQUIRE(static_cast<int>(spike.size()) == m_, "spike size mismatch");
+  const int s = step_of_col_[position];
+  const Step old = steps_[s];
+  const int r = old.pivot_row;
+  const std::size_t eta_begin = r_.size();
+
+  // Row r of U, off the diagonal, by column: the factor step's own U row, and
+  // the entries of later spikes on row r (every live spike holding row r
+  // comes after step s).
+  std::vector<double>& row = upd_col_;  // position space
+  if (old.kind == Kind::kRow) {
+    for (std::size_t k = old.u_begin; k < old.u_end; ++k) row[u_[k].idx] += u_[k].val;
+  }
+  for (int l = link_head_[r]; l >= 0; l = links_[l].next) {
+    row[steps_[links_[l].step].pivot_col] += u_[links_[l].k].val;
+  }
+
+  // Eliminate it against the later steps in pivot order (a forward solve
+  // with U' over those steps). The multipliers, by row, go to r_ as the new
+  // row eta, and fold the spike into the new diagonal.
+  std::vector<double>& mult_of_row = upd_row_;  // row space
+  double diag = spike[r];
+  double scale = std::abs(diag);
+  for (std::size_t t = static_cast<std::size_t>(s) + 1; t < steps_.size(); ++t) {
+    const Step& st = steps_[t];
+    if (st.kind == Kind::kRetired) continue;
+    double v = row[st.pivot_col];
+    row[st.pivot_col] = 0.0;
+    if (st.kind == Kind::kSpike) {
+      for (std::size_t k = st.u_begin; k < st.u_end; ++k) v -= u_[k].val * mult_of_row[u_[k].idx];
+    }
+    if (v == 0.0) continue;
+    const double mult = v / st.pivot_val;
+    mult_of_row[st.pivot_row] = mult;
+    r_.emplace_back(st.pivot_row, mult);
+    diag -= mult * spike[st.pivot_row];
+    scale += std::abs(mult * spike[st.pivot_row]);
+    if (st.kind == Kind::kRow) {
+      for (std::size_t k = st.u_begin; k < st.u_end; ++k) row[u_[k].idx] -= u_[k].val * mult;
+    }
+  }
+  for (std::size_t k = eta_begin; k < r_.size(); ++k) mult_of_row[r_[k].first] = 0.0;
+
+  // Cancellation down to rounding noise: the new column lies in the span of
+  // the others.
+  if (!(std::abs(diag) > 1e-11 * scale)) {
+    r_.resize(eta_begin);
+    return false;
+  }
+
+  // Drop the replaced column and the moved row from U.
+  if (old.kind == Kind::kRow) {
+    for (std::size_t k = ucol_ptr_[position]; k < ucol_ptr_[position + 1]; ++k) {
+      u_[ucol_[k]].val = 0.0;
+    }
+  } else {
+    for (std::size_t k = old.u_begin; k < old.u_end; ++k) u_[k].val = 0.0;
+  }
+  for (int l = link_head_[r]; l >= 0; l = links_[l].next) u_[links_[l].k].val = 0.0;
+  link_head_[r] = -1;
+  steps_[s].kind = Kind::kRetired;
+  etas_.push_back({r, eta_begin, r_.size()});
+
+  // Append the step at the end of the pivot order, its U column the spike.
+  const int t = static_cast<int>(steps_.size());
+  const std::size_t u_begin = u_.size();
+  for (int i = 0; i < m_; ++i) {
+    if (i == r || spike[i] == 0.0) continue;
+    links_.push_back({t, link_head_[i], u_.size()});
+    link_head_[i] = static_cast<int>(links_.size()) - 1;
+    u_.push_back({i, spike[i]});
+  }
+  steps_.push_back({r, position, diag, 0, 0, u_begin, u_.size(), Kind::kSpike});
+  step_of_col_[position] = t;
+  return true;
 }
 
 }  // namespace tcr

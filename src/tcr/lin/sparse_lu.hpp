@@ -1,4 +1,5 @@
-// Sparse LU factorization for revised-simplex basis matrices.
+// Sparse LU factorization for revised-simplex basis matrices, with a
+// Forrest–Tomlin update.
 //
 // Right-looking Gaussian elimination with (partial) Markowitz pivot selection
 // and threshold pivoting for stability. The factorization is stored as a
@@ -20,15 +21,34 @@
 // slot (counted by the `lin.lu.slot_reuses` obs counter). So the order of
 // every column's entries, the bucket order, every Markowitz tie-break and
 // pivot, and the order of every L column and U row are those of a plain
-// search over compacted rows, and the factors are the same bit for bit.
+// search over compacted rows, and the factors are the same bit for bit. The
+// rows and column lists are packed into two arrays which, with the scratch,
+// are members: a refactorization reuses the previous one's storage.
 //
 // L and U live in two flat arrays; each step holds its ranges into them.
+//
+// Forrest–Tomlin update (Forrest & Tomlin, Math. Prog. 2, 1972; Suhl & Suhl,
+// Annals of OR 43, 1993). B = L R^-1 U, with R a product of row etas (empty
+// after factor()). update(p, spike) replaces basis position p by a column a
+// given as its spike R L^-1 a — the vector solve() holds between its L/R
+// pass and its U pass, which it hands back on request. In U the replaced
+// column becomes the spike, and its step moves to the end of the pivot
+// order; the moved row's entries left of the new diagonal are then
+// eliminated against the later rows, and the multipliers become one new row
+// eta. The factor steps keep their U rows in place; a moved step is appended
+// as a new step whose U entries are held column-wise (the spike), and the
+// old step is retired. Entries the update removes from U — the replaced
+// column, the moved row — are zeroed in place. In exact arithmetic the new
+// diagonal equals the old one times the pivot (B^-1 a)_p, since that pivot
+// is det(B_new) / det(B); callers compare the two to catch drift.
 //
 // Basis columns are taken from a shared CSC constraint matrix, which is how
 // the simplex refactorizes without copying the problem data.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -45,13 +65,24 @@ class SparseLU {
   bool factor(const SparseMatrix& a, const std::vector<int>& basis);
 
   int m() const { return m_; }
-  std::size_t factor_nnz() const { return steps_.size() + l_.size() + u_.size(); }
+  /// Stored nonzeros: pivots, L, U (spikes included) and row etas. Grows
+  /// with every update().
+  std::size_t factor_nnz() const { return steps_.size() + l_.size() + u_.size() + r_.size(); }
+  /// The part of factor_nnz() that update() added since factor().
+  std::size_t update_nnz() const { return factor_nnz() - fresh_nnz_; }
+  /// The fill guard: true once the updates have added more nonzeros than
+  /// the fresh factors held, when refactorizing is due.
+  bool fill_exceeded() const { return update_nnz() > fresh_nnz_; }
+  /// Updates since factor().
+  int updates() const { return static_cast<int>(etas_.size()); }
 
   /// Solve B x = b. `b` is indexed by constraint row, the result by basis
   /// position (the coefficient of basis column j). `work` is scratch: a
   /// caller that keeps it (and x) across solves allocates nothing per solve.
-  void solve(const std::vector<double>& b, std::vector<double>& x,
-             std::vector<double>& work) const;
+  /// With `spike`, it also receives R L^-1 b (row space), the argument
+  /// update() takes when b is the entering column.
+  void solve(const std::vector<double>& b, std::vector<double>& x, std::vector<double>& work,
+             std::vector<double>* spike = nullptr) const;
   void solve(const std::vector<double>& b, std::vector<double>& x) const {
     std::vector<double> work;
     solve(b, x, work);
@@ -66,6 +97,20 @@ class SparseLU {
     solve_transpose(c, y, work);
   }
 
+  /// Replace basis position `position` by the column whose spike (see
+  /// solve()) is `spike`. Returns false, leaving the factors unchanged, when
+  /// the new diagonal is zero to working precision: the new basis would be
+  /// singular.
+  bool update(int position, const std::vector<double>& spike);
+
+  /// U's diagonal entry for basis position `position`.
+  double diagonal(int position) const { return steps_[step_of_col_[position]].pivot_val; }
+  /// Multiply that diagonal entry by `factor` (fault injection: simulates a
+  /// drifted update).
+  void scale_diagonal(int position, double factor) {
+    steps_[step_of_col_[position]].pivot_val *= factor;
+  }
+
   const std::vector<int>& deficient_positions() const { return deficient_; }
 
   /// Stability threshold: pivots must satisfy |a| >= tau * max|column|.
@@ -73,24 +118,59 @@ class SparseLU {
 
  private:
   struct Entry {
-    int col;  // basis position
+    int idx;  // a U row's column (basis position), or a spike's row
     double val;
+  };
+  enum class Kind : std::uint8_t {
+    kRow,      // a factor step: U row held row-wise in u_[u_begin, u_end)
+    kSpike,    // an update step: U column held column-wise in u_[u_begin, u_end)
+    kRetired,  // moved to the end by an update; its L column still applies
   };
   struct Step {
     int pivot_row;
     int pivot_col;  // basis position
     double pivot_val;
     std::size_t l_begin, l_end;  // L column: l_[l_begin, l_end)
-    std::size_t u_begin, u_end;  // U row minus the pivot: u_[u_begin, u_end)
+    std::size_t u_begin, u_end;  // U row or column minus the pivot
+    Kind kind;
+  };
+  // Row eta: v[row] -= sum of mult * v[i] over r_[begin, end) = (i, mult).
+  struct RowEta {
+    int row;
+    std::size_t begin, end;
+  };
+  // A spike entry on its row's list: u_[k] in step `step`'s column.
+  struct SpikeLink {
+    int step;
+    int next;
+    std::size_t k;
+  };
+  struct Workspace;  // factor()'s active submatrix and scratch (sparse_lu.cpp)
+  struct WorkspaceDeleter {
+    void operator()(Workspace* w) const;
   };
 
   int m_ = 0;
   double tau_ = 0.01;
   double drop_tol_ = 1e-12;
-  std::vector<Step> steps_;
+  std::vector<Step> steps_;  // factor steps in pivot order, then update steps
+  std::size_t factored_ = 0;  // steps_[0, factored_) are factor steps
   std::vector<std::pair<int, double>> l_;  // (row, multiplier)
   std::vector<Entry> u_;
   std::vector<int> deficient_;
+  std::size_t fresh_nnz_ = 0;  // factor_nnz() right after factor()
+
+  // Update state.
+  std::vector<int> step_of_col_;  // live step of each basis position
+  // Factor-step U entries by column: u_ indices ucol_[ucol_ptr_[j], ucol_ptr_[j+1]).
+  std::vector<std::size_t> ucol_ptr_, ucol_;
+  std::vector<RowEta> etas_;
+  std::vector<std::pair<int, double>> r_;  // row-eta entries (row, multiplier)
+  std::vector<SpikeLink> links_;
+  std::vector<int> link_head_;  // per row: first SpikeLink, -1 if none
+  std::vector<double> upd_col_, upd_row_;  // update() scratch, all zero between calls
+
+  std::unique_ptr<Workspace, WorkspaceDeleter> ws_;
 };
 
 }  // namespace tcr

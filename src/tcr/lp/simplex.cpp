@@ -77,9 +77,12 @@ struct SimplexMetrics {
       obs::Registry::instance().counter("lp.dual.bound_flips");
   obs::Counter& dual_infeasible_bases =
       obs::Registry::instance().counter("lp.dual.infeasible_bases");
-  // Eta-file length at each refactorization and LU factor fill-in (nonzeros).
+  // At each refactorization: the Forrest–Tomlin updates since the last one
+  // and the nonzeros they added; then the fresh LU factor's nonzeros.
   obs::Histogram& eta_length =
       obs::Registry::instance().histogram("lp.simplex.eta_length", 1.0, 2.0);
+  obs::Histogram& update_fill_nnz =
+      obs::Registry::instance().histogram("lp.simplex.update_fill_nnz", 1.0, 2.0);
   obs::Histogram& lu_fill_nnz =
       obs::Registry::instance().histogram("lp.simplex.lu_fill_nnz", 1.0, 2.0);
   obs::Histogram& degenerate_runs =
@@ -144,13 +147,6 @@ using detail::kFree;
 using detail::StandardForm;
 using detail::VarStatus;
 
-// Product-form basis update: B_new = B_old * E with E's r-th column = w.
-struct Eta {
-  int pos;           // pivot position r
-  double pivot;      // w[r]
-  std::vector<std::pair<int, double>> entries;  // (position, w[i]) for i != r
-};
-
 class RevisedSimplex {
  public:
   RevisedSimplex(StandardForm sf, const SimplexOptions& opt, const Basis* warm = nullptr,
@@ -163,6 +159,10 @@ class RevisedSimplex {
         n_(sf_.ntotal),
         a_(sf_.m, sf_.ntotal, sf_.triplets),
         rng_(opt.seed) {
+    // a_ holds the matrix from here on; free the triplets before the
+    // row-wise copy is built.
+    std::vector<Triplet>().swap(sf_.triplets);
+    a_rows_ = RowProduct(a_);
     stat_ = sf_.stat0;
     basic_ = sf_.basis0;
     pos_of_col_.assign(n_, -1);
@@ -714,8 +714,8 @@ class RevisedSimplex {
     trace::Span t("lp.refactor", met_.t_refactor);
     met_.refactorizations.add(1);
     ++refactor_count_;
-    met_.eta_length.record(static_cast<double>(etas_.size()));
-    etas_.clear();
+    met_.eta_length.record(static_cast<double>(lu_.updates()));
+    met_.update_fill_nnz.record(static_cast<double>(lu_.update_nnz()));
     if (auto* h = fault::simplex_hooks()) {
       // Injected slowdown (deadline/budget e2e): burn stall_ms here, at the
       // same boundary the run-control token is polled near, once the
@@ -748,25 +748,38 @@ class RevisedSimplex {
   }
 
   // w = B^-1 v; v is in row space, w in basis-position space.
-  void ftran(const std::vector<double>& v, std::vector<double>& w) {
-    lu_.solve(v, w, lu_work_);
-    for (const Eta& e : etas_) {
-      double& wr = w[e.pos];
-      wr /= e.pivot;
-      if (wr != 0.0) {
-        for (const auto& [i, val] : e.entries) w[i] -= val * wr;
-      }
-    }
+  void ftran(const std::vector<double>& v, std::vector<double>& w) { lu_.solve(v, w, lu_work_); }
+
+  // w = B^-1 a_q for the entering column q, keeping its spike for update_factors().
+  void ftran_entering(int q, std::vector<double>& w) {
+    col_buf_.assign(m_, 0.0);
+    a_.add_column_to(q, 1.0, col_buf_);
+    lu_.solve(col_buf_, w, lu_work_, &spike_);
   }
 
-  // y = B^-T c; c in basis-position space (overwritten), y in row space.
-  void btran(std::vector<double>& c, std::vector<double>& y) {
-    for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-      double acc = c[it->pos];
-      for (const auto& [i, val] : it->entries) acc -= val * c[i];
-      c[it->pos] = acc / it->pivot;
-    }
+  // y = B^-T c; c in basis-position space, y in row space.
+  void btran(const std::vector<double>& c, std::vector<double>& y) {
     lu_.solve_transpose(c, y, lu_work_);
+  }
+
+  // Forrest–Tomlin update for the pivot that put the entering column, whose
+  // spike ftran_entering() kept, at position r with pivot alpha = w[r].
+  // False when the factors must be rebuilt instead: the update would leave U
+  // singular; its new diagonal is not alpha times the old one to 1e-9
+  // relative (det B_new = alpha det B, so a gap is accumulated rounding); or
+  // the nonzeros updates added since the last factorization exceed the fresh
+  // factor's.
+  bool update_factors(int r, double alpha) {
+    const double want = alpha * lu_.diagonal(r);
+    if (!lu_.update(r, spike_)) return false;
+    if (auto* h = fault::simplex_hooks()) {
+      if (h->eta_drift != 0.0 && fault::SimplexHooks::consume(h->drift_etas)) {
+        h->eta_drifts_injected.fetch_add(1, std::memory_order_relaxed);
+        lu_.scale_diagonal(r, 1.0 + h->eta_drift);
+      }
+    }
+    if (std::abs(lu_.diagonal(r) - want) > 1e-9 * std::abs(want)) return false;
+    return !lu_.fill_exceeded();
   }
 
   // rho_ = B^-T e_r: row r of B^-1, whose products a_j . rho_ are the pivot
@@ -776,6 +789,17 @@ class RevisedSimplex {
     std::fill(er_.begin(), er_.end(), 0.0);
     er_[r] = 1.0;
     btran(er_, rho_);
+  }
+
+  // row_ = the nonzeros alpha_j = a_j . rho_ of the pivot row over the
+  // nonbasic, non-fixed columns other than `skip`, in ascending j, computed
+  // row-wise over rho_'s nonzeros (equal bit for bit to column_dot).
+  void pivot_row_entries(int skip) {
+    row_.clear();
+    a_rows_.for_each(rho_, [&](int j, double alpha) {
+      if (alpha == 0.0 || stat_[j] == kBasic || j == skip || sf_.lo[j] == sf_.up[j]) return;
+      row_.emplace_back(j, alpha);
+    });
   }
 
   // ---- prices ----------------------------------------------------------
@@ -956,7 +980,7 @@ class RevisedSimplex {
         trace::counter("lp.dual_infeas",
                        q >= 0 && !bland ? std::sqrt(best * devex_[q]) : 0.0);
         trace::counter("lp.devex_norm", devex_norm());
-        trace::counter("lp.eta_len", static_cast<double>(etas_.size()));
+        trace::counter("lp.eta_len", static_cast<double>(lu_.updates()));
         trace::counter("lp.min_pivot",
                        std::isfinite(min_pivot_sampled) ? min_pivot_sampled : 0.0);
         min_pivot_sampled = kInf;
@@ -978,9 +1002,7 @@ class RevisedSimplex {
       // ---- FTRAN ----
       {
         obs::ScopedTimer t(met_.t_ftran, timed);
-        col_buf_.assign(m_, 0.0);
-        a_.add_column_to(q, 1.0, col_buf_);
-        ftran(col_buf_, w);
+        ftran_entering(q, w);
       }
 
       // ---- ratio test (two-pass Harris) ----
@@ -1090,14 +1112,12 @@ class RevisedSimplex {
         pivot_row(leave, timed);
         obs::ScopedTimer devex_timer(met_.t_pricing, timed);
         const double scale = devex_q / (alpha_q * alpha_q);
-        row_.clear();
-        for (int j = 0; j < n_; ++j) {
-          if (stat_[j] == kBasic || j == q || sf_.lo[j] == sf_.up[j]) continue;
-          const double alpha_j = a_.column_dot(j, rho_);
-          if (alpha_j == 0.0) continue;
-          row_.emplace_back(j, alpha_j);
-          const double cand = alpha_j * alpha_j * scale;
-          if (!bland && cand > devex_[j]) devex_[j] = cand;
+        pivot_row_entries(q);
+        if (!bland) {
+          for (const auto& [j, alpha_j] : row_) {
+            const double cand = alpha_j * alpha_j * scale;
+            if (cand > devex_[j]) devex_[j] = cand;
+          }
         }
         update_prices(q, leave, alpha_q, row_);
         if (!bland) {
@@ -1130,21 +1150,7 @@ class RevisedSimplex {
       }
       fresh_basis = false;
 
-      Eta eta;
-      eta.pos = leave;
-      eta.pivot = w[leave];
-      if (auto* h = fault::simplex_hooks()) {
-        if (h->eta_drift != 0.0 && fault::SimplexHooks::consume(h->drift_etas)) {
-          h->eta_drifts_injected.fetch_add(1, std::memory_order_relaxed);
-          eta.pivot *= 1.0 + h->eta_drift;
-        }
-      }
-      for (int i = 0; i < m_; ++i) {
-        if (i != leave && w[i] != 0.0) eta.entries.emplace_back(i, w[i]);
-      }
-      etas_.push_back(std::move(eta));
-
-      if (++since_refactor >= opt_.refactor_every) {
+      if (!update_factors(leave, w[leave]) || ++since_refactor >= opt_.refactor_every) {
         if (!refactorize()) return Status::Numerical;
         since_refactor = 0;
         fresh_basis = true;
@@ -1160,8 +1166,8 @@ class RevisedSimplex {
   // basic out (DEVEX-style weights per row), btran its unit vector for the
   // pivot row, run the bound-flipping dual ratio test over the nonbasic
   // columns, flip the boxed columns the dual step walks through (batched
-  // into one ftran), and pivot the blocking column in, sharing the eta file
-  // and refactorization cadence with the primal loop. Returns:
+  // into one ftran), and pivot the blocking column in, sharing the LU
+  // update and refactorization triggers with the primal loop. Returns:
   //   Optimal        — no basic violates its bound (primal feasible, so the
   //                    still-dual-feasible basis is optimal to tolerance);
   //   Unbounded      — some violated row admits no entering column even
@@ -1273,12 +1279,8 @@ class RevisedSimplex {
       const double s = below ? -1.0 : 1.0;
       double remain = below ? sf_.lo[lj] - xb_[leave] : xb_[leave] - sf_.up[lj];
       cands.clear();
-      row_.clear();
-      for (int j = 0; j < n_; ++j) {
-        if (stat_[j] == kBasic || sf_.lo[j] == sf_.up[j]) continue;
-        const double alpha = a_.column_dot(j, rho_);
-        if (alpha == 0.0) continue;
-        row_.emplace_back(j, alpha);
+      pivot_row_entries(-1);
+      for (const auto& [j, alpha] : row_) {
         const double abar = s * alpha;
         if (std::abs(abar) <= 1e-9) continue;
         if (stat_[j] == kAtLower ? abar <= 0.0
@@ -1344,15 +1346,13 @@ class RevisedSimplex {
       // ---- FTRAN of the entering column ----
       {
         obs::ScopedTimer t(met_.t_ftran, timed);
-        col_buf_.assign(m_, 0.0);
-        a_.add_column_to(q, 1.0, col_buf_);
-        ftran(col_buf_, w);
+        ftran_entering(q, w);
       }
       const double piv = w[leave];
       if (std::abs(piv) < 1e-9 ||
           std::abs(piv - ec.abar * s) > 1e-6 * (1.0 + std::abs(piv))) {
-        // The btran row and ftran column disagree on the pivot: the eta
-        // file has drifted. Refactorize and redo the iteration (committed
+        // The btran row and ftran column disagree on the pivot: the updated
+        // factors have drifted. Refactorize and redo the iteration (committed
         // bound flips stand; the next round reprices from fresh values).
         if (!refactorize()) return Status::Numerical;
         since_refactor = 0;
@@ -1404,15 +1404,7 @@ class RevisedSimplex {
       }
       fresh_basis = false;
 
-      Eta eta;
-      eta.pos = leave;
-      eta.pivot = piv;
-      for (int i = 0; i < m_; ++i) {
-        if (i != leave && w[i] != 0.0) eta.entries.emplace_back(i, w[i]);
-      }
-      etas_.push_back(std::move(eta));
-
-      if (++since_refactor >= opt_.refactor_every) {
+      if (!update_factors(leave, piv) || ++since_refactor >= opt_.refactor_every) {
         if (!refactorize()) return Status::Numerical;
         since_refactor = 0;
         fresh_basis = true;
@@ -1458,6 +1450,7 @@ class RevisedSimplex {
   const CrashHints* crash_ = nullptr;
   int m_, n_;
   SparseMatrix a_;
+  RowProduct a_rows_;  // a_ row-wise, for pivot rows
   Rng rng_;
   long max_iters_ = 0;
   long iters_ = 0;
@@ -1484,9 +1477,8 @@ class RevisedSimplex {
   std::vector<double> d_;   // reduced costs (see reprice())
   int priced_at_ = -1;      // refactor_count_ at the last reprice(); -1: none
   SparseLU lu_;
-  std::vector<Eta> etas_;
   // Per-solve scratch, sized once so FTRAN/BTRAN allocate nothing per pivot.
-  std::vector<double> col_buf_, cb_, y_, er_, rho_, lu_work_;
+  std::vector<double> col_buf_, cb_, y_, er_, rho_, lu_work_, spike_;
   std::vector<std::pair<int, double>> row_;  // nonzeros (j, alpha_j) of the pivot row
 };
 

@@ -22,7 +22,7 @@
 //   Timer     — accumulated wall + CPU nanoseconds with a span count; fed by
 //               RAII ScopedTimer spans
 //   Histogram — log-bucketed distribution with percentile queries (packet
-//               latencies, eta-file lengths, LU fill-in, ...)
+//               latencies, LU updates per factorization, LU fill-in, ...)
 //
 // All updates are thread-safe (the tradeoff sweeps solve LPs on a pool).
 #pragma once

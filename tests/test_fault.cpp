@@ -222,6 +222,8 @@ TEST(FaultLadder, CorruptionUndetectedWithoutCertification) {
   EXPECT_EQ(probe.attempts(), 0);
 }
 
+// Drifted LU-update diagonals: the solver's determinant check sees each
+// one and refactorizes, so the solve ends certified with no rescue.
 TEST(FaultLadder, EtaDriftEndsCertified) {
   fault::ScopedSimplexFaults faults;
   faults.hooks().eta_drift = 1e-4;

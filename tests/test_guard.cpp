@@ -428,6 +428,21 @@ TEST(SweepCheckpoint, UnsolvedNaNRoundTrips) {
   EXPECT_TRUE(got_basis.stat.empty());
 }
 
+// A point that exported no basis round-trips to an empty one, also when
+// decoded over a basis that held entries.
+TEST(SweepCheckpoint, EmptyBasisRoundTrips) {
+  const std::string payload = SweepCheckpoint::encode(2, sample_point(), lp::Basis{});
+  for (const lp::Basis& before : {lp::Basis{}, sample_basis()}) {
+    int index = -1;
+    TradeoffPoint got;
+    lp::Basis got_basis = before;
+    ASSERT_TRUE(SweepCheckpoint::decode(payload, &index, &got, &got_basis));
+    EXPECT_EQ(index, 2);
+    EXPECT_TRUE(got_basis.empty());
+    EXPECT_TRUE(got_basis.stat.empty());
+  }
+}
+
 TEST(SweepCheckpoint, EveryTruncationIsRejected) {
   const std::string payload = SweepCheckpoint::encode(3, sample_point(), sample_basis());
   int index;

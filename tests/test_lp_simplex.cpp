@@ -7,7 +7,8 @@
 // refactorizations; the oracle sweep runs with prices carried through every
 // pivot and in Bland mode too, and a Figure 1 sweep pins the carried prices
 // against fresh ones directly. Two k=4 sweeps pin the whole pivot path
-// (iteration and refactorization counts and every result bit).
+// (iteration and refactorization counts and every result bit), and their
+// bases check the row-wise pivot row against the column pass.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,9 +20,12 @@
 #include "tcr/core/tradeoff.hpp"
 #include "tcr/graph/torus.hpp"
 #include "tcr/lin/dense_matrix.hpp"
+#include "tcr/lin/sparse.hpp"
+#include "tcr/lin/sparse_lu.hpp"
 #include "tcr/lp/certify.hpp"
 #include "tcr/lp/dense_simplex.hpp"
 #include "tcr/lp/simplex.hpp"
+#include "tcr/lp/standard_form.hpp"
 #include "tcr/obs/registry.hpp"
 #include "tcr/util/rng.hpp"
 
@@ -452,9 +456,9 @@ void expect_pinned(const PivotPath& got, const PivotPath& want) {
 TEST(RevisedSimplex, PivotPathPinnedOnFigure1Sweep) {
   const PivotPath got = record_pivot_path(
       [] { return worst_case_tradeoff(Torus(4), locality_grid(1.0, 2.0, 5)); });
-  expect_pinned(got, {482, 25,
-                      {0x3fd5555555555554ull, 0x3fde1e1e1e1e1e1bull, 0x3fe0000000000000ull,
-                       0x3fdffffffffffffeull, 0x3fdffffffffffffcull}});
+  expect_pinned(got, {471, 27,
+                      {0x3fd5555555555555ull, 0x3fde1e1e1e1e1e22ull, 0x3fe0000000000000ull,
+                       0x3fe0000000000000ull, 0x3fe0000000000000ull}});
 }
 
 TEST(RevisedSimplex, PivotPathPinnedOnFigure6Sweep) {
@@ -464,9 +468,73 @@ TEST(RevisedSimplex, PivotPathPinnedOnFigure6Sweep) {
   for (int i = 0; i < 4; ++i) samples.push_back(rng.permutation(torus.num_nodes()));
   const PivotPath got = record_pivot_path(
       [&] { return average_case_tradeoff(torus, samples, locality_grid(1.0, 2.0, 5)); });
-  expect_pinned(got, {617, 25,
-                      {0x3fdc051832f1fd74ull, 0x3fe28f6716dcdf3aull, 0x3fe3ab1a801c711cull,
-                       0x3fe3ab1a801c711cull, 0x3fe3ab1a801c711cull}});
+  expect_pinned(got, {556, 28,
+                      {0x3fdc051832f1fd74ull, 0x3fe28f6716dcdf39ull, 0x3fe3ab1a801c7112ull,
+                       0x3fe3ab1a801c7112ull, 0x3fe3ab1a801c7112ull}});
+}
+
+// The pivot row alpha_j = a_j . rho the simplex computes row-wise over
+// rho's nonzeros (RowProduct) equals the column pass (column_dot) bit for
+// bit, on the bases of every point of the k=4 Figure 1 and Figure 6 sweeps
+// (warm-started along the locality grid as the sweeps run them), for rho =
+// B^-T e_r over a spread of rows r.
+TEST(RevisedSimplex, RowwisePivotRowMatchesColumnPassBitForBit) {
+  const Torus torus(4);
+  Rng rng(606);
+  std::vector<std::vector<int>> samples;
+  for (int i = 0; i < 4; ++i) samples.push_back(rng.permutation(torus.num_nodes()));
+  const std::vector<double> grid = locality_grid(1.0, 2.0, 5);
+  const double hmin = torus.mean_min_distance();
+  long compared = 0, nonzero = 0;
+  for (const DesignObjective objective :
+       {DesignObjective::WorstCase, DesignObjective::AverageCase}) {
+    SymmetricDesignConfig cfg;
+    cfg.objective = objective;
+    if (objective == DesignObjective::AverageCase) cfg.samples = samples;
+    cfg.locality_equals = grid[0] * hmin;
+    cfg.locality_le = true;
+    SymmetricArcDesign design(torus, cfg);
+    Basis warm;
+    for (std::size_t p = 0; p < grid.size(); ++p) {
+      if (p > 0) design.set_locality_bound(grid[p] * hmin);
+      DesignResult res = design.solve({}, warm.empty() ? nullptr : &warm);
+      ASSERT_EQ(res.status, Status::Optimal) << res.note;
+      const detail::StandardForm sf = detail::build_standard_form(design.model());
+      const SparseMatrix a(sf.m, sf.ntotal, sf.triplets);
+      RowProduct rows(a);
+      SparseLU lu;
+      ASSERT_TRUE(lu.factor(a, res.basis.basic));
+      std::vector<double> er(sf.m), rho;
+      for (int r = 0; r < sf.m; r += 1 + sf.m / 40) {
+        std::fill(er.begin(), er.end(), 0.0);
+        er[r] = 1.0;
+        lu.solve_transpose(er, rho);
+        std::vector<double> alpha(sf.ntotal, 0.0);
+        int last = -1;
+        rows.for_each(rho, [&](int j, double v) {
+          EXPECT_GT(j, last);
+          last = j;
+          alpha[j] = v;
+        });
+        for (int j = 0; j < sf.ntotal; ++j) {
+          const double col = a.column_dot(j, rho);
+          ++compared;
+          if (col == 0.0) {
+            EXPECT_EQ(alpha[j], 0.0) << "column " << j;
+            continue;
+          }
+          ++nonzero;
+          std::uint64_t want = 0, got = 0;
+          std::memcpy(&want, &col, sizeof want);
+          std::memcpy(&got, &alpha[j], sizeof got);
+          ASSERT_EQ(got, want) << "column " << j << " row " << r << " point " << p;
+        }
+      }
+      warm = std::move(res.basis);
+    }
+  }
+  EXPECT_GT(nonzero, 1000);
+  EXPECT_LT(nonzero, compared);  // zero entries were checked as well
 }
 
 TEST(RevisedSimplex, PopulatesObsMetrics) {

@@ -3,6 +3,8 @@
 // singularity, and survive permutation-like (network-basis-shaped) matrices.
 // Random +-1 bases with dense rows drive entries to cancel exactly and fill
 // back in, the path on which the factorization reuses a cancelled slot.
+// Forrest–Tomlin update sequences must keep agreeing with the dense oracle
+// of the explicitly updated basis.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -376,6 +378,207 @@ TEST(SparseLU, IdentityRoundTrip) {
   std::vector<double> y;
   lu.solve_transpose(b, y);
   for (int i = 0; i < m; ++i) EXPECT_DOUBLE_EQ(y[i], b[i]);
+}
+
+// ---- Forrest–Tomlin updates ---------------------------------------------
+
+// Dense copy of the basis columns of `a`.
+DenseMatrix basis_matrix(const SparseMatrix& a, const std::vector<int>& basis) {
+  const int m = a.rows();
+  DenseMatrix b(m, m);
+  for (int j = 0; j < m; ++j)
+    for (auto k = a.col_begin(basis[j]); k < a.col_end(basis[j]); ++k)
+      b(a.row_index(k), j) += a.value(k);
+  return b;
+}
+
+// An m x (m + extra) matrix: the identity, then `extra` random columns,
+// either real-valued (density per entry) or +-1 network-shaped like
+// random_pm1_system's (a +1/-1 pair plus +-1s in the last `dense` rows).
+SparseMatrix update_pool(Rng& rng, int m, int extra, bool pm1, double density, int dense) {
+  std::vector<Triplet> trips;
+  for (int i = 0; i < m; ++i) trips.push_back({i, i, 1.0});
+  const int n = m - dense;
+  for (int c = 0; c < extra; ++c) {
+    const int j = m + c;
+    if (pm1) {
+      const int head = static_cast<int>(rng.below(n));
+      trips.push_back({head, j, 1.0});
+      if (rng.uniform() < 0.7)
+        trips.push_back({(head + 1 + static_cast<int>(rng.below(n - 1))) % n, j, -1.0});
+      for (int d = 0; d < dense; ++d)
+        if (rng.uniform() < 0.5) trips.push_back({n + d, j, rng.uniform() < 0.5 ? 1.0 : -1.0});
+    } else {
+      for (int i = 0; i < m; ++i)
+        if (rng.uniform() < density) trips.push_back({i, j, rng.uniform(-2, 2)});
+    }
+  }
+  return SparseMatrix(m, m + extra, trips);
+}
+
+// Simplex-like update sequences from a slack basis: an entering column, a
+// leaving position among those with a large pivot, update(), and after
+// every update a solve and a transposed solve checked against DenseLU of
+// the explicitly updated basis. Also checks the determinant identity the
+// simplex relies on: the new diagonal is the old one times the pivot.
+TEST(SparseLU, UpdateSequencesMatchDenseOracle) {
+  Rng rng(1972);
+  struct Case {
+    int m;
+    bool pm1;
+    double density;
+    int dense;
+  };
+  int total_updates = 0;
+  for (const Case& cs : {Case{30, false, 0.1, 0}, Case{80, false, 0.04, 0},
+                         Case{60, true, 0.0, 3}, Case{150, true, 0.0, 4}}) {
+    const int m = cs.m;
+    const SparseMatrix a = update_pool(rng, m, 3 * m, cs.pm1, cs.density, cs.dense);
+    std::vector<int> basis(m);
+    for (int j = 0; j < m; ++j) basis[j] = j;
+    std::vector<char> in_basis(a.cols(), 0);
+    for (int j : basis) in_basis[j] = 1;
+    SparseLU lu;
+    ASSERT_TRUE(lu.factor(a, basis));
+
+    std::vector<double> col, x, spike, work, b(m), c(m), y;
+    int updates = 0;
+    for (int attempt = 0; updates < 220 && attempt < 5000; ++attempt) {
+      const int q = static_cast<int>(rng.below(a.cols()));
+      if (in_basis[q]) continue;
+      col.assign(m, 0.0);
+      a.add_column_to(q, 1.0, col);
+      lu.solve(col, x, work, &spike);
+      double xmax = 0.0;
+      for (double v : x) xmax = std::max(xmax, std::abs(v));
+      if (xmax < 1e-9) continue;
+      std::vector<int> candidates;
+      for (int p = 0; p < m; ++p)
+        if (std::abs(x[p]) >= 0.5 * xmax) candidates.push_back(p);
+      const int p = candidates[rng.below(candidates.size())];
+      const double want = x[p] * lu.diagonal(p);
+      ASSERT_TRUE(lu.update(p, spike)) << "m=" << m << " update " << updates;
+      EXPECT_NEAR(lu.diagonal(p), want, 1e-9 * std::abs(want));
+      in_basis[basis[p]] = 0;
+      in_basis[q] = 1;
+      basis[p] = q;
+      ++updates;
+      EXPECT_EQ(lu.updates(), updates);
+
+      DenseLU oracle;
+      ASSERT_TRUE(oracle.factor(basis_matrix(a, basis))) << "m=" << m;
+      for (auto& v : b) v = rng.uniform(-1, 1);
+      for (auto& v : c) v = rng.uniform(-1, 1);
+      lu.solve(b, x, work);
+      lu.solve_transpose(c, y, work);
+      const auto x_ref = oracle.solve(b);
+      const auto y_ref = oracle.solve_transpose(c);
+      for (int i = 0; i < m; ++i) {
+        ASSERT_NEAR(x[i], x_ref[i], 1e-7 * (1 + std::abs(x_ref[i])))
+            << "m=" << m << " update " << updates << " i=" << i;
+        ASSERT_NEAR(y[i], y_ref[i], 1e-7 * (1 + std::abs(y_ref[i])))
+            << "m=" << m << " update " << updates << " i=" << i;
+      }
+    }
+    EXPECT_GE(updates, 200) << "m=" << m;
+    total_updates += updates;
+  }
+  EXPECT_GE(total_updates, 800);
+}
+
+// An entering column in the span of the other basis columns would make the
+// basis singular: update() says so and leaves the factors as they were, so
+// every solve after it is bit-identical to one before it.
+TEST(SparseLU, SingularUpdateIsReportedAndNotApplied) {
+  Rng rng(31);
+  const int m = 40;
+  const SparseMatrix pool = update_pool(rng, m, 2 * m, false, 0.08, 0);
+  std::vector<int> basis(m);
+  for (int j = 0; j < m; ++j) basis[j] = j;
+  SparseLU lu;
+  ASSERT_TRUE(lu.factor(pool, basis));
+  // A few regular updates first, so the factors carry row etas and spikes.
+  std::vector<double> col, x, spike, work;
+  for (int q = m; q < m + 10; ++q) {
+    col.assign(m, 0.0);
+    pool.add_column_to(q, 1.0, col);
+    lu.solve(col, x, work, &spike);
+    int p = 0;
+    for (int i = 1; i < m; ++i)
+      if (std::abs(x[i]) > std::abs(x[p])) p = i;
+    ASSERT_TRUE(lu.update(p, spike));
+    basis[p] = q;
+  }
+  const DenseMatrix bmat = basis_matrix(pool, basis);
+  std::vector<double> b(m), c(m);
+  for (auto& v : b) v = rng.uniform(-1, 1);
+  for (auto& v : c) v = rng.uniform(-1, 1);
+  std::vector<double> x0, y0;
+  lu.solve(b, x0, work);
+  lu.solve_transpose(c, y0, work);
+  const std::size_t nnz0 = lu.factor_nnz();
+
+  // B (e_3 - 2 e_7 + 0.5 e_11): a combination of the columns at positions
+  // 3, 7 and 11, so replacing any other position leaves a singular basis.
+  col.assign(m, 0.0);
+  for (const auto& [pos, w] : {std::pair{3, 1.0}, std::pair{7, -2.0}, std::pair{11, 0.5}})
+    for (int i = 0; i < m; ++i) col[i] += w * bmat(i, pos);
+  lu.solve(col, x, work, &spike);
+  EXPECT_NEAR(x[3], 1.0, 1e-12);
+  EXPECT_NEAR(x[20], 0.0, 1e-12);
+  EXPECT_FALSE(lu.update(20, spike));
+  // The zero column is in every span.
+  EXPECT_FALSE(lu.update(5, std::vector<double>(m, 0.0)));
+
+  EXPECT_EQ(lu.factor_nnz(), nnz0);
+  EXPECT_EQ(lu.updates(), 10);
+  std::vector<double> x1, y1;
+  lu.solve(b, x1, work);
+  lu.solve_transpose(c, y1, work);
+  EXPECT_EQ(x1, x0);
+  EXPECT_EQ(y1, y0);
+  // Position 3 can still take it: that basis stays nonsingular.
+  EXPECT_TRUE(lu.update(3, spike));
+}
+
+// Sparse bases, dense entering columns: every spike is dense, so the fill
+// guard fires within a few updates; sparse spikes stay well under it.
+TEST(SparseLU, FillGuardFiresOnDenseSpikes) {
+  Rng rng(8);
+  const int m = 100;
+  const SparseMatrix dense_pool = update_pool(rng, m, 20, false, 1.0, 0);
+  const SparseMatrix sparse_pool = update_pool(rng, m, 20, false, 0.02, 0);
+  for (const bool dense : {true, false}) {
+    const SparseMatrix& a = dense ? dense_pool : sparse_pool;
+    std::vector<int> basis(m);
+    for (int j = 0; j < m; ++j) basis[j] = j;
+    SparseLU lu;
+    ASSERT_TRUE(lu.factor(a, basis));
+    EXPECT_EQ(lu.update_nnz(), 0u);
+    EXPECT_FALSE(lu.fill_exceeded());
+    std::vector<double> col, x, spike, work;
+    std::vector<char> used(m, 0);
+    int fired_at = -1;
+    for (int q = m; q < m + 20 && fired_at < 0; ++q) {
+      col.assign(m, 0.0);
+      a.add_column_to(q, 1.0, col);
+      lu.solve(col, x, work, &spike);
+      int p = -1;
+      for (int i = 0; i < m; ++i)
+        if (!used[i] && x[i] != 0.0 && (p < 0 || std::abs(x[i]) > std::abs(x[p]))) p = i;
+      if (p < 0) continue;
+      ASSERT_TRUE(lu.update(p, spike));
+      used[p] = 1;
+      EXPECT_GT(lu.update_nnz(), 0u);
+      if (lu.fill_exceeded()) fired_at = lu.updates();
+    }
+    if (dense) {
+      EXPECT_GT(fired_at, 0);
+      EXPECT_LE(fired_at, 3);
+    } else {
+      EXPECT_LT(fired_at, 0);
+    }
+  }
 }
 
 }  // namespace
