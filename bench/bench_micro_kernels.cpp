@@ -461,18 +461,20 @@ BENCHMARK(BM_SimulatorCycles)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 // Raw struct-of-arrays cycle kernel: phase 1 + phase 2 on a single shard
 // with no coordinator bookkeeping — the inner loop the saturation bench
-// spends its wall-clock in. k=8 DOR uniform at 0.40 flits/node/cycle keeps
-// the network loaded but unsaturated, so per-iteration work is steady.
-void BM_SimCycleSoA(benchmark::State& state) {
-  const Torus t(8);
+// spends its wall-clock in. DOR uniform traffic. The default row, k=8 at
+// 0.40 flits/node/cycle, keeps the network loaded but unsaturated, so
+// per-iteration work is steady; the k=16 row at 0.15 (sim-k16's light
+// load) is mostly idle nodes, so it prices the per-node cost of a cycle in
+// which little happens.
+void BM_SimCycleSoA(benchmark::State& state, int k, double rate) {
+  const Torus t(k);
   const TorusRouting dor = make_dor(t);
-  TrafficGen gen(dor, 0.40, 42);
+  TrafficGen gen(dor, rate, 42);
   gen.prepare();
   sim_detail::Engine eng;
   eng.init(t, gen, nullptr, 4, 4, 1, 42, std::max(1, gen.max_path_len()));
   obs::Histogram hist(1.0, 1.2);
   eng.run_latency = &hist;
-  eng.global_latency = &hist;
   eng.injecting = true;
   for (auto _ : state) {
     eng.phase1(0);
@@ -481,7 +483,9 @@ void BM_SimCycleSoA(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(eng.live_flits());
 }
+void BM_SimCycleSoA(benchmark::State& state) { BM_SimCycleSoA(state, 8, 0.40); }
 BENCHMARK(BM_SimCycleSoA);
+BENCHMARK_CAPTURE(BM_SimCycleSoA, k16_rate0.15, 16, 0.15);
 
 // One sharded epoch step: phase 1 over every shard, then phase 2 over every
 // shard, in shard order — exactly the work between two barrier releases of
@@ -498,7 +502,6 @@ void BM_SimShardedEpoch(benchmark::State& state) {
   eng.init(t, gen, nullptr, 4, 4, shards, 42, std::max(1, gen.max_path_len()));
   obs::Histogram hist(1.0, 1.2);
   eng.run_latency = &hist;
-  eng.global_latency = &hist;
   eng.injecting = true;
   for (auto _ : state) {
     for (int s = 0; s < shards; ++s) eng.phase1(s);

@@ -95,16 +95,22 @@ void Histogram::record(double v) noexcept {
   if (std::isnan(v)) return;
   if (v < 0.0) v = 0.0;
   buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-  const std::int64_t prev = count_.fetch_add(1, std::memory_order_relaxed);
+  count_.fetch_add(1, std::memory_order_relaxed);
   atomic_add(sum_, v);
-  if (prev == 0) {
-    // First sample initializes min/max; a racing second sample still
-    // converges via the CAS loops below.
-    min_.store(v, std::memory_order_relaxed);
-    max_.store(v, std::memory_order_relaxed);
-  }
   atomic_min(min_, v);
   atomic_max(max_, v);
+}
+
+void Histogram::merge(const std::int64_t* buckets, std::int64_t n, double sum, double min,
+                      double max) noexcept {
+  if (n <= 0) return;
+  for (int i = 0; i < kNumBuckets; ++i) {
+    if (buckets[i] != 0) buckets_[i].fetch_add(buckets[i], std::memory_order_relaxed);
+  }
+  count_.fetch_add(n, std::memory_order_relaxed);
+  atomic_add(sum_, sum);
+  atomic_min(min_, min);
+  atomic_max(max_, max);
 }
 
 double Histogram::mean() const noexcept {
@@ -137,7 +143,9 @@ double Histogram::percentile(double p) const noexcept {
       const double lo = bucket_lower(i);
       const double hi = bucket_upper(i);
       const double v = lo + frac * (hi - lo);
-      return std::clamp(v, min(), max());
+      // Not std::clamp: a reader racing the first writers may see
+      // min() > max() for a moment.
+      return std::min(std::max(v, min()), max());
     }
     seen += in_bucket;
   }
@@ -148,8 +156,8 @@ void Histogram::reset() noexcept {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(0.0, std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
+  min_.store(kEmptyMin, std::memory_order_relaxed);
+  max_.store(kEmptyMax, std::memory_order_relaxed);
 }
 
 Registry& Registry::instance() {

@@ -29,6 +29,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -142,6 +143,14 @@ class Histogram {
 
   void record(double v) noexcept;
 
+  /// Add a tally kept elsewhere, as if its n samples had been record()ed:
+  /// `buckets` holds kNumBuckets counts in this histogram's geometry (see
+  /// bucket_index) summing to n, and sum/min/max are the samples' (already
+  /// clamped to >= 0). The sum is added in one step, so it is exact when
+  /// the samples are integer-valued. n == 0 is a no-op. Thread-safe.
+  void merge(const std::int64_t* buckets, std::int64_t n, double sum, double min,
+             double max) noexcept;
+
   std::int64_t count() const noexcept { return count_.load(std::memory_order_relaxed); }
   double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }
   double mean() const noexcept;
@@ -179,8 +188,11 @@ class Histogram {
   std::atomic<std::int64_t> buckets_[kNumBuckets];
   std::atomic<std::int64_t> count_{0};
   std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};
-  std::atomic<double> max_{0.0};
+  // Empty sentinels, so concurrent first samples need no special case.
+  static constexpr double kEmptyMin = std::numeric_limits<double>::infinity();
+  static constexpr double kEmptyMax = -std::numeric_limits<double>::infinity();
+  std::atomic<double> min_{kEmptyMin};
+  std::atomic<double> max_{kEmptyMax};
 };
 
 /// Plain-value dump of every registered metric, keyed by name in sorted

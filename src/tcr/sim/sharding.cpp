@@ -1,5 +1,6 @@
 #include "tcr/sim/sharding.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "tcr/fault/fault.hpp"
@@ -46,12 +47,20 @@ void Engine::init(const Torus& t, const TrafficGen& g, const fault::SimFaultPlan
           t.channel(t.neighbor(n, opp), dir);
     }
   }
+  // Candidate masks hold the source head plus every input slot in 32 bits.
+  TCR_REQUIRE(1 + kNumDirs * vcs_ <= 32, "arbitration masks hold at most 7 VCs");
+  const std::size_t num_bufs = static_cast<std::size_t>(t.num_channels()) * vcs_;
   in_buf.resize(static_cast<std::size_t>(t.num_nodes()) * kNumDirs * vcs_);
+  buf_node.resize(num_bufs);
+  buf_slot.resize(num_bufs);
   for (int n = 0; n < t.num_nodes(); ++n) {
     for (int d = 0; d < kNumDirs; ++d) {
       const int c = in_channel[static_cast<std::size_t>(n) * kNumDirs + d];
       for (int vc = 0; vc < vcs_; ++vc) {
-        in_buf[(static_cast<std::size_t>(n) * kNumDirs + d) * vcs_ + vc] = c * vcs_ + vc;
+        const int buf = c * vcs_ + vc;
+        in_buf[(static_cast<std::size_t>(n) * kNumDirs + d) * vcs_ + vc] = buf;
+        buf_node[buf] = n;
+        buf_slot[buf] = static_cast<std::uint8_t>(d * vcs_ + vc);
       }
     }
   }
@@ -75,14 +84,20 @@ void Engine::init(const Torus& t, const TrafficGen& g, const fault::SimFaultPlan
     // Steady-state flit population is bounded by the buffer space plus a
     // source-queue allowance; start with a modest reservation and grow.
     shards[s].pool.reset(path_stride, nodes * kNumDirs * depth_);
+    // Phase 2 pops at most one buffer per output channel per cycle.
+    shards[s].popped.reserve(static_cast<std::size_t>(nodes) * kNumDirs);
   }
   rings.reset(t.num_channels() * vcs_, depth_);
   src_queues.reset(t.num_nodes());
-  occ.assign(static_cast<std::size_t>(t.num_channels()) * vcs_, 0);
+  occ.assign(num_bufs, 0);
   eject_rr.assign(t.num_nodes(), 0);
   out_rr.assign(t.num_channels(), 0);
-  want.assign(static_cast<std::size_t>(t.num_channels()) * vcs_, kWantNone);
+  want.assign(num_bufs, kWantNone);
   want_src.assign(t.num_nodes(), kWantNone);
+  want_buf.assign(num_bufs, -1);
+  want_src_buf.assign(t.num_nodes(), -1);
+  cand.assign(t.num_channels(), 0);
+  eject_mask.assign(t.num_nodes(), 0);
   node_rng.clear();
   node_rng.reserve(t.num_nodes());
   for (int n = 0; n < t.num_nodes(); ++n) {
@@ -124,7 +139,7 @@ void Engine::materialize(FlitPool& pool, int n, const Path& path, std::int64_t w
   pool.injected_at[f] = when;
   pool.measured[f] = measured_flag;
   src_queues.head[n] = f;
-  want_src[n] = ch[0];
+  set_want_src(n, {ch[0], buffer_index(ch[0], pool.vcs(f)[0])});
 }
 
 void Engine::phase1(int s) {
@@ -133,6 +148,14 @@ void Engine::phase1(int s) {
   const int node_lo = layout.node_begin[s], node_hi = layout.node_begin[s + 1];
 
   sh.moved = false;
+
+  // ---- occupancy snapshot: buffers last phase 2 popped ----
+  // Every other change to a buffer's size happens in this phase and writes
+  // its entry on the spot, so after this phase occ[b] == rings.size(b) for
+  // every buffer of the shard: phase-2 capacity checks (any shard) read
+  // these as this cycle's credits.
+  for (const std::int32_t buf : sh.popped) occ[buf] = static_cast<std::int16_t>(rings.size(buf));
+  sh.popped.clear();
 
   // ---- apply staged arrivals from the previous cycle ----
   // Mailboxes in fixed source-shard order, then same-shard moves. Each
@@ -157,13 +180,15 @@ void Engine::phase1(int s) {
         vc_dst[j] = vc_src[j];
       }
       rings.push(h.buf, f);
-      if (rings.size(h.buf) == 1) want[h.buf] = next_want(pool, f);
+      occ[h.buf] = static_cast<std::int16_t>(rings.size(h.buf));
+      if (rings.size(h.buf) == 1) set_want(h.buf, next_want(pool, f));
     }
     m.clear();
   }
   for (const ShardState::LocalMove& lm : sh.local_moves) {
     rings.push(lm.buf, lm.flit);
-    if (rings.size(lm.buf) == 1) want[lm.buf] = next_want(pool, lm.flit);
+    occ[lm.buf] = static_cast<std::int16_t>(rings.size(lm.buf));
+    if (rings.size(lm.buf) == 1) set_want(lm.buf, next_want(pool, lm.flit));
   }
   sh.local_moves.clear();
 
@@ -172,11 +197,10 @@ void Engine::phase1(int s) {
     for (int n = node_lo; n < node_hi; ++n) {
       const auto d = gen->draw(n, node_rng[n]);
       if (!d) continue;
-      const std::uint8_t m = measuring ? 1 : 0;
       if (src_queues.empty(n)) {
-        materialize(pool, n, *d->canonical, cycle, m);
+        materialize(pool, n, gen->path(d->path_id), cycle, measuring ? 1 : 0);
       } else {
-        src_queues.push_backlog(n, {d->canonical, cycle, m});
+        src_queues.push_backlog(n, SourceQueues::Pending::make(d->path_id, cycle, measuring));
         ++sh.queued;
       }
       ++sh.injected;
@@ -185,43 +209,34 @@ void Engine::phase1(int s) {
   }
 
   // ---- ejection: one flit per node per cycle ----
-  // The round-robin wrap is a conditional subtract, not `%`: the probe loops
-  // run every cycle for every node/channel and a runtime-divisor modulo is a
-  // hardware divide — removing it roughly halves the idle per-cycle cost.
+  // The round-robin pick is a cyclic bit-scan of the node's eject mask from
+  // eject_rr: the first slot at or after the pointer whose front awaits
+  // ejection, else the first one overall.
   const int eject_slots = kNumDirs * vcs;
   for (int n = node_lo; n < node_hi; ++n) {
-    const std::int32_t* bufs = in_buf.data() + static_cast<std::size_t>(n) * eject_slots;
-    for (int probe = 0; probe < eject_slots; ++probe) {
-      int slot = eject_rr[n] + probe;
-      if (slot >= eject_slots) slot -= eject_slots;
-      const int buf = bufs[slot];
-      if (want[buf] != kWantEject) continue;  // empty, or front still in transit
-      const FlitId f = rings.front(buf);
-      rings.pop(buf);
-      want[buf] = rings.empty(buf) ? kWantNone : next_want(pool, rings.front(buf));
-      ++sh.ejected;
-      if (measuring) ++sh.window_ejected;
-      if (pool.measured[f]) {
-        const long lat = static_cast<long>(cycle - pool.injected_at[f]);
-        sh.latency_sum += lat;
-        ++sh.latency_count;
-        run_latency->record(static_cast<double>(lat));
-        global_latency->record(static_cast<double>(lat));
-      }
-      pool.release(f);
-      eject_rr[n] = slot + 1 == eject_slots ? 0 : slot + 1;
-      sh.moved = true;
-      break;
+    const std::uint32_t m = eject_mask[n];
+    if (m == 0) continue;
+    const std::uint32_t rr = static_cast<std::uint32_t>(eject_rr[n]);
+    const std::uint32_t ge = (m >> rr) << rr;
+    const int slot = std::countr_zero(ge != 0 ? ge : m);
+    const int buf = in_buf[static_cast<std::size_t>(n) * eject_slots + slot];
+    const FlitId f = rings.front(buf);
+    rings.pop(buf);
+    occ[buf] = static_cast<std::int16_t>(rings.size(buf));
+    set_want(buf, rings.empty(buf) ? kNoWant : next_want(pool, rings.front(buf)));
+    ++sh.ejected;
+    if (measuring) ++sh.window_ejected;
+    if (pool.measured[f]) {
+      const long lat = static_cast<long>(cycle - pool.injected_at[f]);
+      sh.latency_min = std::min(sh.latency_min, lat);
+      sh.latency_max = std::max(sh.latency_max, lat);
+      sh.latency_sum += lat;
+      ++sh.latency_count;
+      ++sh.latency_buckets[run_latency->bucket_index(static_cast<double>(lat))];
     }
-  }
-
-  // ---- publish the post-ejection occupancy snapshot ----
-  // Phase-2 capacity checks (any shard) read these as this cycle's credits.
-  for (int n = node_lo; n < node_hi; ++n) {
-    const std::int32_t* bufs = in_buf.data() + static_cast<std::size_t>(n) * eject_slots;
-    for (int i = 0; i < eject_slots; ++i) {
-      occ[bufs[i]] = static_cast<std::int16_t>(rings.size(bufs[i]));
-    }
+    pool.release(f);
+    eject_rr[n] = slot + 1 == eject_slots ? 0 : slot + 1;
+    sh.moved = true;
   }
 }
 
@@ -246,24 +261,17 @@ void Engine::phase2(int s) {
           ++sh.link_down_cycles;
       }
     }
-    // One pass over the node's 17 arbitration slots builds a candidate
-    // bitmask per output direction (a flit buffered at n can only want one
-    // of n's four output channels — `want` IS that channel id). The four
-    // channel arbiters below then scan only their own candidates by cyclic
-    // bit-scan instead of re-probing all 17 slots each: at saturation this
-    // replaces ~68 unpredictable-branch probes per node with 17 loads plus
-    // a few bit operations. A node with nothing to send (or only flits
-    // awaiting ejection) yields four empty masks and is skipped outright.
+    // The node's four candidate masks (kept current by set_want /
+    // set_want_src), copied so this cycle's arbitration can add successors
+    // below. A node with nothing to send (or only flits awaiting ejection)
+    // has four empty masks and is skipped outright.
     const std::int32_t* bufs = in_buf.data() + static_cast<std::size_t>(n) * (slots - 1);
-    std::uint32_t cand[kNumDirs] = {0, 0, 0, 0};
-    if (const int w = want_src[n]; w >= 0) cand[w & 3] |= 1u;
-    for (int i = 0; i < slots - 1; ++i) {
-      if (const int w = want[bufs[i]]; w >= 0) cand[w & 3] |= 1u << (i + 1);
-    }
-    if ((cand[0] | cand[1] | cand[2] | cand[3]) == 0) continue;
+    const std::uint32_t* node_cand = cand.data() + static_cast<std::size_t>(n) * kNumDirs;
+    std::uint32_t local[kNumDirs] = {node_cand[0], node_cand[1], node_cand[2], node_cand[3]};
+    if ((local[0] | local[1] | local[2] | local[3]) == 0) continue;
 
     for (int c = n * kNumDirs; c < (n + 1) * kNumDirs; ++c) {
-      std::uint32_t m = cand[c & 3];
+      std::uint32_t m = local[c & 3];
       if (m == 0) continue;
       if (faults != nullptr && faults->link_down(c, cycle)) {
         continue;  // link transmits nothing this cycle (counted above)
@@ -274,22 +282,13 @@ void Engine::phase2(int s) {
         // lowest set bit at position >= rr, else the lowest set bit overall.
         const std::uint32_t ge = (m >> rr) << rr;
         const int slot = std::countr_zero(ge != 0 ? ge : m);
-        FlitId f;
-        int from_buf = -1;
-        if (slot == 0) {
-          f = src_queues.head[n];
-        } else {
-          from_buf = bufs[slot - 1];
-          f = rings.front(from_buf);
-        }
-        const int hop = pool.hop[f];
-        const int vc_next = pool.vcs(f)[hop];
-        const int dbuf = buffer_index(c, vc_next);
+        const int from_buf = slot == 0 ? -1 : bufs[slot - 1];
+        const int dbuf = slot == 0 ? want_src_buf[n] : want_buf[from_buf];
         if (occ[dbuf] >= depth) {  // no credit this cycle
           m &= ~(1u << slot);      // try the next candidate in cyclic order
           continue;
         }
-        if (faults != nullptr && faults->credit_stalled(c, vc_next, cycle)) {
+        if (faults != nullptr && faults->credit_stalled(c, dbuf - c * vcs, cycle)) {
           ++sh.credit_stalls;
           m &= ~(1u << slot);
           continue;  // downstream reports no credit despite free space
@@ -297,30 +296,28 @@ void Engine::phase2(int s) {
 
         // Commit the move: pop, advance, stage the push for next phase 1.
         // The slot's successor (promoted queue head / new ring front) is
-        // added to the candidate masks so this node's not-yet-arbitrated
-        // output channels see it this same cycle, exactly as the probe
-        // loops saw a fully re-read slot.
+        // added to the local masks so this node's not-yet-arbitrated
+        // output channels see it this same cycle. The popped buffer's
+        // snapshot entry is refreshed at the next phase 1.
+        const FlitId f = slot == 0 ? src_queues.head[n] : rings.front(from_buf);
         if (slot == 0) {
           src_queues.head[n] = kNoFlit;
           if (src_queues.has_backlog(n)) {
             const SourceQueues::Pending p = src_queues.pop_backlog(n);
             --sh.queued;
-            materialize(pool, n, *p.path, p.injected_at, p.measured);
-            cand[want_src[n] & 3] |= 1u;
+            materialize(pool, n, gen->path(p.path_id()), p.injected_at, p.measured());
+            local[want_src[n] & 3] |= 1u;
           } else {
-            want_src[n] = kWantNone;
+            set_want_src(n, kNoWant);
           }
         } else {
           rings.pop(from_buf);
-          if (rings.empty(from_buf)) {
-            want[from_buf] = kWantNone;
-          } else {
-            const int w = next_want(pool, rings.front(from_buf));
-            want[from_buf] = w;
-            if (w >= 0) cand[w & 3] |= 1u << slot;
-          }
+          sh.popped.push_back(from_buf);
+          const Want w = rings.empty(from_buf) ? kNoWant : next_want(pool, rings.front(from_buf));
+          set_want(from_buf, w);
+          if (w.channel >= 0) local[w.channel & 3] |= 1u << slot;
         }
-        pool.hop[f] = hop + 1;
+        ++pool.hop[f];
         const int dst_shard = chan_dst_shard[c];
         if (dst_shard == s) {
           sh.local_moves.push_back({dbuf, f});

@@ -6,8 +6,10 @@
 // Ownership discipline — the invariant every kernel below preserves:
 //
 //   * shard(n) exclusively mutates node n's source queue, ejection
-//     round-robin pointer, per-node Rng, and the buffers of n's *incoming*
-//     channels (plus their occupancy snapshots);
+//     round-robin pointer, per-node Rng, the buffers of n's *incoming*
+//     channels (plus their occupancy snapshots and `want` entries), and
+//     n's arbitration masks (the `cand` entries of n's four output
+//     channels and `eject_mask[n]`);
 //   * shard(src(c)) exclusively mutates channel c's traversal state (its
 //     output round-robin pointer) and performs c's one move per cycle;
 //   * every flit buffered at shard s's nodes lives in shard s's FlitPool.
@@ -15,17 +17,25 @@
 // A simulated cycle runs as two parallel phases around two barriers
 // (util::EpochBarrier), with all inter-shard communication staged:
 //
-//   phase 1 (per shard): apply last cycle's staged arrivals (mailboxes in
-//     fixed source-shard order, then same-shard moves), inject, eject,
-//     publish the post-ejection occupancy snapshot.
+//   phase 1 (per shard): refresh the occupancy snapshot of the buffers
+//     last phase 2 popped, apply last cycle's staged arrivals (mailboxes in
+//     fixed source-shard order, then same-shard moves), inject, eject.
+//     Every push and pop here writes its buffer's snapshot entry, so the
+//     snapshot ends the phase equal to the post-ejection buffer sizes.
 //   -- barrier --
-//   phase 2 (per shard): for each owned channel, probe the (same-shard)
-//     source queue and input buffers round-robin and stage at most one
-//     move: same-shard moves keep the FlitId; cross-shard moves copy the
-//     flit's remaining route into the (src-shard, dst-shard) mailbox and
-//     free the origin slot.
+//   phase 2 (per shard): for each owned channel, scan the node's candidate
+//     mask (source queue and input buffers whose front wants the channel)
+//     round-robin, check each candidate's credit against the snapshot
+//     entry of its cached downstream buffer, and stage at most one move:
+//     same-shard moves keep the FlitId; cross-shard moves copy the flit's
+//     remaining route into the (src-shard, dst-shard) mailbox and free the
+//     origin slot.
 //   -- barrier + serial tick (coordinator: stats, watchdog, windows,
 //      phase machine, cancellation) --
+//
+// Per-cycle work follows activity, not node count: the arbitration and
+// ejection masks and the snapshot are updated where a flit is pushed or
+// popped, so an idle node costs a mask load per phase.
 //
 // Determinism: traversal capacity checks read the frozen snapshot (not live
 // buffer state), each (channel, vc) buffer receives at most one flit per
@@ -40,19 +50,19 @@
 // global channel iteration order.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "tcr/graph/torus.hpp"
+#include "tcr/obs/registry.hpp"
 #include "tcr/sim/soa_state.hpp"
 #include "tcr/sim/traffic_gen.hpp"
 #include "tcr/util/rng.hpp"
 
 namespace tcr::fault {
 struct SimFaultPlan;
-}
-namespace tcr::obs {
-class Histogram;
 }
 
 namespace tcr::sim_detail {
@@ -105,12 +115,21 @@ struct alignas(64) ShardState {
   };
   std::vector<LocalMove> local_moves;
 
+  // Buffers phase 2 popped: their snapshot entries are refreshed at the
+  // start of the next phase 1 (one-cycle credit latency).
+  std::vector<std::int32_t> popped;
+
   // Cumulative counters, written only by the owning worker during phases and
   // read/reset only by the coordinator inside the serial tick.
   long injected = 0, ejected = 0;
   long window_injected = 0, window_ejected = 0;  // coordinator resets per window
-  long latency_sum = 0;                          // integer cycles, exact
+  // Measured-packet latency tally, in cycles: plain per-shard counts in
+  // Engine::run_latency's bucket geometry, merged into the histograms once
+  // per run (Simulator::run).
+  long latency_sum = 0;  // integer cycles, exact
   long latency_count = 0;
+  long latency_min = std::numeric_limits<long>::max(), latency_max = 0;
+  std::array<std::int64_t, obs::Histogram::kNumBuckets> latency_buckets{};
   long link_down_cycles = 0, credit_stalls = 0;
   long handoffs = 0;  // cumulative cross-shard flits sent
   long queued = 0;    // current backlogged (not yet materialized) source flits
@@ -140,6 +159,10 @@ struct Engine {
   std::vector<std::int32_t> node_x, node_y;      // per node: torus coordinates
   std::vector<std::uint8_t> dateline;            // per channel: crosses the wrap edge
   std::vector<std::int32_t> chan_dst_shard;      // per channel: shard of channel_dst
+  // Inverse of in_buf: the node a buffer feeds and its slot there
+  // (dir * vcs + vc), so a push/pop finds its mask bits without divides.
+  std::vector<std::int32_t> buf_node;
+  std::vector<std::uint8_t> buf_slot;
 
   // Owner-partitioned state (element i written only by its owner shard).
   std::vector<ShardState> shards;
@@ -150,15 +173,26 @@ struct Engine {
   std::vector<std::int32_t> eject_rr;  // per node
   std::vector<std::int32_t> out_rr;    // per channel
   std::vector<Rng> node_rng;           // per node, stream seeded from (seed, node)
-  // Probe accelerators: the output channel the *front* flit of each input
-  // buffer / source queue needs next (kWantEject once it is at its
-  // destination, kWantNone when empty). A buffered flit's next hop never
-  // changes while it sits in a ring, so these are maintained on push/pop
-  // only — the probe loops then test one contiguous int32 instead of three
-  // dependent random loads into a (possibly huge) flit pool. Same ownership
-  // as the rings they shadow: pushed and popped only by the owning shard.
+  // The output channel the *front* flit of each input buffer / source
+  // queue needs next (kWantEject once it is at its destination, kWantNone
+  // when empty). A buffered flit's next hop never changes while it sits in
+  // a ring, so these change only on push/pop, through set_want /
+  // set_want_src, which keep the downstream-buffer and mask arrays below in
+  // step.
   std::vector<std::int32_t> want;      // per buffer
   std::vector<std::int32_t> want_src;  // per node (source-queue head)
+  // For a want >= 0, the downstream buffer (want, the front's next VC) it
+  // would enter: arbitration checks its credit with one load, without
+  // touching the flit pool.
+  std::vector<std::int32_t> want_buf;      // per buffer
+  std::vector<std::int32_t> want_src_buf;  // per node
+  // Arbitration masks. cand[c] (c = node * kNumDirs + dir, i.e. the output
+  // channel id): bit 0 = the node's source-queue head wants c, bit 1 + i =
+  // the front of the node's input slot i (dir * vcs + vc) wants c.
+  // eject_mask[node]: bit i = slot i's front awaits ejection. Owned like
+  // the rings they index: written only by the node's shard.
+  std::vector<std::uint32_t> cand;        // per channel
+  std::vector<std::uint32_t> eject_mask;  // per node
 
   // Coordinator-written cycle state, read by all shards during phases (the
   // barrier release orders the writes before the reads).
@@ -166,15 +200,13 @@ struct Engine {
   bool injecting = true;   // false while draining
   bool measuring = false;
 
-  // Latency sinks (atomic histograms; concurrent record() is
-  // order-independent for counts/min/max, which is all we report).
-  obs::Histogram* run_latency = nullptr;     // per-run percentile histogram
-  obs::Histogram* global_latency = nullptr;  // process-wide sim.packet_latency
+  // Bucket geometry of the shard latency tallies (read-only in phases).
+  const obs::Histogram* run_latency = nullptr;
 
   void init(const Torus& t, const TrafficGen& g, const fault::SimFaultPlan* fault_plan,
             int vcs_, int depth_, int shards_, std::uint64_t seed, int path_stride);
 
-  /// Phase 1 for shard s: arrivals, injection, ejection, snapshot publish.
+  /// Phase 1 for shard s: snapshot refresh, arrivals, injection, ejection.
   void phase1(int s);
   /// Phase 2 for shard s: channel traversal with staged moves.
   void phase2(int s);
@@ -189,9 +221,49 @@ struct Engine {
   int buffer_index(int channel, int vc) const { return channel * vcs + vc; }
   static constexpr std::int32_t kWantEject = -1;
   static constexpr std::int32_t kWantNone = -2;
-  /// The output channel flit f needs next, or kWantEject at its destination.
-  int next_want(const FlitPool& pool, FlitId f) const {
-    return pool.hop[f] < pool.len[f] ? pool.channels(f)[pool.hop[f]] : kWantEject;
+
+  /// What a queue front wants: its next output channel (or kWantEject /
+  /// kWantNone) and, for a channel, the downstream buffer it would enter.
+  struct Want {
+    std::int32_t channel;
+    std::int32_t buf;
+  };
+  static constexpr Want kNoWant{kWantNone, -1};
+  /// The next hop of flit f, or kWantEject at its destination.
+  Want next_want(const FlitPool& pool, FlitId f) const {
+    const int h = pool.hop[f];
+    if (h >= pool.len[f]) return {kWantEject, -1};
+    const int c = pool.channels(f)[h];
+    return {c, buffer_index(c, pool.vcs(f)[h])};
+  }
+
+  /// The only writer of want[buf] / want_buf[buf]: moves the buffer's bit
+  /// from the mask of its old want to the mask of w. A want >= 0 is an
+  /// output channel of the buffer's node, so it indexes cand directly.
+  void set_want(int buf, Want w) {
+    const std::int32_t old = want[buf];
+    want[buf] = w.channel;
+    want_buf[buf] = w.buf;
+    const std::uint32_t bit = 1u << buf_slot[buf];
+    if (old >= 0) {
+      cand[old] &= ~(bit << 1);
+    } else if (old == kWantEject) {
+      eject_mask[buf_node[buf]] &= ~bit;
+    }
+    if (w.channel >= 0) {
+      cand[w.channel] |= bit << 1;
+    } else if (w.channel == kWantEject) {
+      eject_mask[buf_node[buf]] |= bit;
+    }
+  }
+  /// The only writer of want_src[n] / want_src_buf[n] (a head flit always
+  /// has a hop left, so w is a channel or kNoWant).
+  void set_want_src(int n, Want w) {
+    const std::int32_t old = want_src[n];
+    want_src[n] = w.channel;
+    want_src_buf[n] = w.buf;
+    if (old >= 0) cand[old] &= ~1u;
+    if (w.channel >= 0) cand[w.channel] |= 1u;
   }
   /// Live flits network-wide (pools + staged mailbox flits). Coordinator
   /// only (serial tick).

@@ -1,9 +1,11 @@
 #include "tcr/sim/simulator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <exception>
 #include <future>
+#include <limits>
 #include <string>
 
 #include "tcr/fault/fault.hpp"
@@ -52,6 +54,11 @@ Simulator::Simulator(const TorusRouting& routing, TrafficGen& gen, const SimConf
   TCR_REQUIRE(cfg_.stats_window >= 1, "stats window must be positive");
   TCR_REQUIRE(cfg_.threads >= 1, "need at least one simulation thread");
   TCR_REQUIRE(cfg_.shards >= 0, "shard count must be non-negative");
+  // Source-queue records store their queue-entry cycle in 32 bits.
+  TCR_REQUIRE(static_cast<std::int64_t>(cfg_.warmup_cycles) + cfg_.measure_cycles +
+                      cfg_.drain_cycles <
+                  (std::int64_t{1} << 32),
+              "warmup + measure + drain cycles must fit in 32 bits");
   occupancy_.reserve(cfg_.vcs);
   for (int vc = 0; vc < cfg_.vcs; ++vc) {
     occupancy_.push_back(&obs::Registry::instance().histogram(
@@ -354,7 +361,6 @@ SimStats Simulator::run() {
   eng_.init(torus_, gen_, cfg_.faults, cfg_.vcs, cfg_.buffer_depth, num_shards, cfg_.seed,
             std::max(1, gen_.max_path_len()));
   eng_.run_latency = &latency_hist_;
-  eng_.global_latency = &met.latency;
 
   start_phase(Phase::Warmup);
   if (!stop_) {
@@ -369,14 +375,29 @@ SimStats Simulator::run() {
 
   // Fold shard totals and flush the run's metric deltas (deterministic
   // order, independent of thread/shard count).
-  long latency_sum = 0, latency_count = 0, link_down = 0, stalls = 0;
+  long latency_sum = 0, latency_count = 0;
+  long latency_min = std::numeric_limits<long>::max(), latency_max = 0;
+  long link_down = 0, stalls = 0;
+  std::array<std::int64_t, obs::Histogram::kNumBuckets> latency_buckets{};
   for (const auto& sh : eng_.shards) {
     stats_.injected += sh.injected;
     stats_.ejected += sh.ejected;
+    for (int i = 0; i < obs::Histogram::kNumBuckets; ++i) latency_buckets[i] += sh.latency_buckets[i];
+    latency_min = std::min(latency_min, sh.latency_min);
+    latency_max = std::max(latency_max, sh.latency_max);
     latency_sum += sh.latency_sum;
     latency_count += sh.latency_count;
     link_down += sh.link_down_cycles;
     stalls += sh.credit_stalls;
+  }
+  // The shards tallied in latency_hist_'s geometry; the registry histogram
+  // is registered with the same one.
+  TCR_REQUIRE(met.latency.least() == latency_hist_.least() &&
+                  met.latency.growth() == latency_hist_.growth(),
+              "sim.packet_latency was registered with a different bucket geometry");
+  for (obs::Histogram* h : {&latency_hist_, &met.latency}) {
+    h->merge(latency_buckets.data(), latency_count, static_cast<double>(latency_sum),
+             static_cast<double>(latency_min), static_cast<double>(latency_max));
   }
   if (near_misses_ > 0) met.near_misses.add(near_misses_);
   if (link_down > 0) met.link_fault_cycles.add(link_down);

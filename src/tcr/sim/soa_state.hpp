@@ -14,9 +14,10 @@
 //                  (the credit limit), so occupancy checks and head probes
 //                  are single loads.
 //   * SourceQueues — per-node injection FIFOs. Only the queue head is
-//                  materialized in the pool; the backlog is kept as compact
-//                  pending records so an over-saturated run's queue growth
-//                  never bloats the pool the hot loops index into.
+//                  materialized in the pool; the backlog is kept as 8-byte
+//                  pending records (path id, cycle) so an over-saturated
+//                  run's queue growth never bloats the pool the hot loops
+//                  index into.
 //
 // Each shard of the parallel simulator owns one FlitPool: every flit
 // buffered at a shard's nodes lives in that shard's pool, so the hot phase
@@ -27,10 +28,6 @@
 
 #include <cstdint>
 #include <vector>
-
-namespace tcr {
-struct Path;
-}
 
 namespace tcr::sim_detail {
 
@@ -120,20 +117,29 @@ class VcRings {
 
 /// Per-node injection FIFOs. Channel arbitration only ever looks at the
 /// queue *head*, so only the head flit is materialized in the FlitPool; the
-/// backlog behind it is kept as compact records (canonical-path pointer +
-/// timestamp). An over-saturated run queues flits far faster than the
-/// network accepts them — hundreds of thousands at a 0.95 offered rate —
-/// and keeping that backlog out of the pool keeps the pool small enough
-/// that the random-indexed probe loops stay cache-resident at any load.
+/// backlog behind it is kept as 8-byte records (canonical path id from
+/// TrafficGen::draw, measured flag, queue-entry cycle). An over-saturated
+/// run queues flits far faster than the network accepts them — millions at
+/// a 0.95 offered rate on k=16 — and keeping that backlog out of the pool
+/// keeps the pool small enough that the random-indexed arbitration loops
+/// stay cache-resident at any load.
 /// Invariant: head[n] == kNoFlit implies the backlog of n is empty (a
 /// record is promoted to a materialized head the moment the head slot
 /// frees up — see Engine::materialize).
 struct SourceQueues {
   struct Pending {
-    const Path* path;          // canonical path; translated at materialization
-    std::int64_t injected_at;  // absolute queue-entry cycle (latency base)
-    std::uint8_t measured;
+    std::uint32_t path_measured;  // canonical path id | measured << 31
+    std::uint32_t injected_at;    // absolute queue-entry cycle (latency base);
+                                  // Simulator requires every run to fit 32 bits
+
+    static Pending make(std::uint32_t path_id, std::int64_t when, bool measured) {
+      return {path_id | (measured ? 1u << 31 : 0u), static_cast<std::uint32_t>(when)};
+    }
+    std::uint32_t path_id() const { return path_measured & ~(1u << 31); }
+    std::uint8_t measured() const { return static_cast<std::uint8_t>(path_measured >> 31); }
   };
+
+  static constexpr std::size_t kBacklogChunk = 256;  // records (2 KiB)
 
   std::vector<FlitId> head;  // materialized head flit, kNoFlit if queue empty
   std::vector<std::vector<Pending>> backlog;  // per node; FIFO from begin[n]
@@ -148,7 +154,14 @@ struct SourceQueues {
   bool has_backlog(int node) const {
     return begin[node] < static_cast<int>(backlog[node].size());
   }
-  void push_backlog(int node, const Pending& p) { backlog[node].push_back(p); }
+  /// Queue a record behind node's head. A node's first record reserves a
+  /// chunk, so a backlog that forms grows from there instead of through
+  /// the first doublings (and storage is kept until reset).
+  void push_backlog(int node, const Pending& p) {
+    auto& q = backlog[node];
+    if (q.capacity() == 0) q.reserve(kBacklogChunk);
+    q.push_back(p);
+  }
   /// Pop the oldest backlog record (must exist). The dead prefix is
   /// reclaimed when the queue drains or the prefix dominates the vector, so
   /// storage stays proportional to the live backlog.

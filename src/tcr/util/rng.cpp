@@ -12,8 +12,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
-
-std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -21,29 +19,12 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& s : s_) s = splitmix64(sm);
 }
 
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
 std::uint64_t Rng::below(std::uint64_t n) {
   TCR_REQUIRE(n > 0, "Rng::below requires n > 0");
   // Rejection sampling to remove modulo bias.
-  const std::uint64_t limit = max() - max() % n;
+  const std::uint64_t limit = below_limit(n);
   std::uint64_t r = next();
   while (r >= limit) r = next();
   return r % n;

@@ -1,6 +1,6 @@
 // tcr::obs unit tests: registry registration/reset semantics, histogram
-// bucket geometry and percentile math, and the JSON-lines serialization
-// (parseable, stable key order, round-trip doubles).
+// bucket geometry, percentile math and tally merging, and the JSON-lines
+// serialization (parseable, stable key order, round-trip doubles).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,9 @@
 
 #include "tcr/obs/json.hpp"
 #include "tcr/obs/registry.hpp"
+#include "tcr/routing/dor.hpp"
+#include "tcr/sim/simulator.hpp"
+#include "tcr/util/rng.hpp"
 
 namespace tcr::obs {
 namespace {
@@ -192,6 +195,154 @@ TEST(Histogram, PercentilesMonotoneAndWithinBucketError) {
   EXPECT_NEAR(p50, 500.0, 500.0 * 0.25);
   EXPECT_NEAR(p95, 950.0, 950.0 * 0.25);
   EXPECT_NEAR(p99, 990.0, 990.0 * 0.25);
+}
+
+// A tally of samples kept the way a simulator shard keeps latencies:
+// plain bucket counts in a histogram's geometry plus count/sum/min/max.
+struct Tally {
+  std::vector<std::int64_t> buckets = std::vector<std::int64_t>(Histogram::kNumBuckets, 0);
+  std::int64_t n = 0;
+  double sum = 0.0, min = 0.0, max = 0.0;
+
+  void add(const Histogram& geometry, double v) {
+    ++buckets[geometry.bucket_index(v)];
+    min = n == 0 ? v : std::min(min, v);
+    max = n == 0 ? v : std::max(max, v);
+    sum += v;
+    ++n;
+  }
+  void merge_into(Histogram& h) const { h.merge(buckets.data(), n, sum, min, max); }
+};
+
+void expect_same_histogram(const Histogram& a, const Histogram& b, const char* what) {
+  for (int i = 0; i < Histogram::kNumBuckets; ++i) {
+    EXPECT_EQ(a.bucket_count(i), b.bucket_count(i)) << what << " bucket " << i;
+  }
+  EXPECT_EQ(a.count(), b.count()) << what;
+  EXPECT_EQ(a.sum(), b.sum()) << what;
+  EXPECT_EQ(a.min(), b.min()) << what;
+  EXPECT_EQ(a.max(), b.max()) << what;
+  for (const double p : {0.50, 0.95, 0.99}) {
+    EXPECT_EQ(a.percentile(p), b.percentile(p)) << what << " p" << p;
+  }
+}
+
+// Integer-valued samples (latencies in cycles), so the merged one-step sum
+// and the per-sample running sum are both exact.
+std::vector<double> latency_samples(std::uint64_t seed, int count) {
+  Rng rng(seed);
+  std::vector<double> v;
+  for (int i = 0; i < count; ++i) v.push_back(static_cast<double>(rng.below(i % 50 == 0 ? 5000 : 60)));
+  return v;
+}
+
+TEST(HistogramMerge, MatchesPerSampleRecord) {
+  Histogram recorded(1.0, 1.2), merged(1.0, 1.2);
+  Tally tally;
+  for (const double v : latency_samples(1, 20000)) {
+    recorded.record(v);
+    tally.add(merged, v);
+  }
+  tally.merge_into(merged);
+  expect_same_histogram(recorded, merged, "fresh");
+}
+
+TEST(HistogramMerge, EmptyMergeIsANoOp) {
+  Histogram h(1.0, 1.2), untouched(1.0, 1.2);
+  const Tally empty;
+  empty.merge_into(h);
+  expect_same_histogram(h, untouched, "empty into empty");
+  EXPECT_EQ(h.min(), 0.0);
+  EXPECT_EQ(h.max(), 0.0);
+  for (const double v : {4.0, 17.0, 2.0}) {
+    h.record(v);
+    untouched.record(v);
+  }
+  empty.merge_into(h);
+  expect_same_histogram(h, untouched, "empty into non-empty");
+}
+
+TEST(HistogramMerge, MergeIntoNonEmptyMatchesRecord) {
+  Histogram recorded(1.0, 1.2), merged(1.0, 1.2);
+  for (const double v : latency_samples(2, 3000)) {
+    recorded.record(v);
+    merged.record(v);
+  }
+  // Two shard tallies, one of which extends the range on both ends.
+  Tally a, b;
+  for (const double v : latency_samples(3, 5000)) {
+    recorded.record(v);
+    a.add(merged, v);
+  }
+  for (const double v : {0.0, 9000.0, 31.0}) {
+    recorded.record(v);
+    b.add(merged, v);
+  }
+  a.merge_into(merged);
+  b.merge_into(merged);
+  expect_same_histogram(recorded, merged, "non-empty");
+}
+
+// The TSan job runs this case: two threads merge shard tallies into one
+// registry histogram (as concurrent simulator runs do at run end).
+TEST(HistogramMerge, ConcurrentMergesAreRaceFree) {
+  Histogram& h = Registry::instance().histogram("test.conc.merge", 1.0, 1.2);
+  Histogram expected(1.0, 1.2);
+  constexpr int kThreads = 2;
+  constexpr int kTallies = 200;
+  std::vector<std::vector<Tally>> tallies(kThreads);
+  for (int w = 0; w < kThreads; ++w) {
+    for (int i = 0; i < kTallies; ++i) {
+      Tally t;
+      for (const double v : latency_samples(100 * w + i, 50)) {
+        t.add(h, v);
+        expected.record(v);
+      }
+      tallies[w].push_back(t);
+    }
+  }
+  std::vector<std::thread> mergers;
+  for (int w = 0; w < kThreads; ++w) {
+    mergers.emplace_back([&, w] {
+      for (const Tally& t : tallies[w]) t.merge_into(h);
+    });
+  }
+  for (auto& th : mergers) th.join();
+  expect_same_histogram(expected, h, "concurrent");
+}
+
+// The simulator tallies latency per shard and merges once per run into
+// sim.packet_latency: a threads=4 run must add exactly what a threads=1 run
+// adds (buckets, count, sum, min, max, percentiles), and the registry's
+// percentiles must equal the run's own.
+TEST(HistogramMerge, SimulatorLatencyIsThreadInvariant) {
+  const Torus t(4);
+  const TorusRouting dor = make_dor(t);
+  Histogram& global = Registry::instance().histogram("sim.packet_latency", 1.0, 1.2);
+  SimConfig cfg;
+  cfg.vcs = 2;
+  cfg.warmup_cycles = 100;
+  cfg.measure_cycles = 1500;
+  cfg.drain_cycles = 2000;
+  Histogram after_serial(1.0, 1.2);
+  SimStats stats[2];
+  for (const int threads : {1, 4}) {
+    global.reset();
+    cfg.threads = threads;
+    cfg.shards = threads;
+    stats[threads == 4] = simulate(dor, 0.5, {}, cfg);
+    ASSERT_GT(global.count(), 0) << "threads=" << threads;
+    EXPECT_EQ(global.percentile(0.50), stats[threads == 4].p50_latency);
+    EXPECT_EQ(global.percentile(0.99), stats[threads == 4].p99_latency);
+    EXPECT_EQ(global.max(), stats[threads == 4].max_latency);
+    if (threads == 1) {
+      std::vector<std::int64_t> buckets(Histogram::kNumBuckets);
+      for (int i = 0; i < Histogram::kNumBuckets; ++i) buckets[i] = global.bucket_count(i);
+      after_serial.merge(buckets.data(), global.count(), global.sum(), global.min(), global.max());
+    }
+  }
+  expect_same_histogram(after_serial, global, "threads=4 vs threads=1");
+  EXPECT_EQ(stats[0].avg_latency, stats[1].avg_latency);
 }
 
 TEST(ScopedTimerTest, EnabledSpansAccumulate) {

@@ -3,10 +3,17 @@
 // and throughput tracking below saturation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "tcr/fault/fault.hpp"
 #include "tcr/metrics/loads.hpp"
 #include "tcr/metrics/worst_case.hpp"
 #include "tcr/routing/dor.hpp"
+#include "tcr/routing/romm.hpp"
 #include "tcr/routing/two_turn.hpp"
 #include "tcr/routing/valiant.hpp"
 #include "tcr/sim/simulator.hpp"
@@ -75,6 +82,60 @@ TEST(VcAssignment, DatelineSwitchesWithinRing) {
   EXPECT_EQ(vcs[0], 0);
   EXPECT_EQ(vcs[1], 1);  // the wrapping hop lands on the high VC
   EXPECT_EQ(vcs[2], 1);
+}
+
+// TrafficGen::draw() computes the destination and the pair's offset from
+// precomputed tables instead of Rng::below's and Torus::offset's divides.
+// It must return exactly what the reference formula returns and consume the
+// per-node stream identically. k=3 and k=5 have node counts that do not
+// divide 2^64, so Rng::below's rejection limit is below max(); k=16 is the
+// benchmark scale. ROMM offers several weighted paths per offset, so the
+// path pick is exercised too.
+TEST(TrafficGenDraw, MatchesReferenceFormulaAndStream) {
+  for (const int k : {3, 5, 16}) {
+    const Torus t(k);
+    const TorusRouting romm = make_romm(t);
+    const int n = t.num_nodes();
+    std::vector<std::vector<double>> cum(n);
+    for (int e = 1; e < n; ++e) {
+      double acc = 0.0;
+      for (const auto& wp : romm.paths(e)) cum[e].push_back(acc += wp.weight);
+    }
+    const std::vector<std::pair<std::string, std::vector<int>>> patterns = {
+        {"uniform", {}}, {"permutation", Rng(11 + k).permutation(n)}};
+    for (const auto& [name, perm] : patterns) {
+      const double rate = 0.7;
+      TrafficGen gen = perm.empty() ? TrafficGen(romm, rate, 3) : TrafficGen(romm, rate, perm, 3);
+      gen.prepare();
+      Rng fast(100 + k), ref(100 + k);
+      long injected = 0;
+      for (int i = 0; i < 100000; ++i) {
+        const int node = i % n;
+        const auto d = gen.draw(node, fast);
+        std::optional<std::pair<int, const Path*>> want;
+        if (ref.uniform() < rate) {
+          const int dst = perm.empty() ? static_cast<int>(ref.below(n)) : perm[node];
+          if (dst != node) {
+            const int e = t.offset(node, dst);
+            const double u = ref.uniform() * cum[e].back();
+            std::size_t idx = std::lower_bound(cum[e].begin(), cum[e].end(), u) - cum[e].begin();
+            idx = std::min(idx, cum[e].size() - 1);
+            want.emplace(dst, &romm.paths(e)[idx].path);
+          }
+        }
+        const std::string what = "k=" + std::to_string(k) + " " + name + " draw " + std::to_string(i);
+        ASSERT_EQ(d.has_value(), want.has_value()) << what;
+        if (d) {
+          ASSERT_EQ(d->dst, want->first) << what;
+          ASSERT_EQ(&gen.path(d->path_id), want->second) << what;
+          ++injected;
+        }
+        Rng fast_probe = fast, ref_probe = ref;
+        ASSERT_EQ(fast_probe.next(), ref_probe.next()) << what << ": stream diverged";
+      }
+      EXPECT_GT(injected, 50000) << "k=" << k << " " << name;
+    }
+  }
 }
 
 TEST(Simulator, DeliversEverythingAtLowLoad) {

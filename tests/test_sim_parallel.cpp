@@ -1,12 +1,16 @@
 // Parallel (sharded) simulator: bitwise equality of every statistic across
 // shard and thread counts, watchdog and fault-window behavior under
-// sharding, mailbox handoffs under real threads (the TSan job runs the
-// ShardedSimTsan suite), and the measurement-window accounting contract —
+// sharding, the engine's incrementally kept arbitration masks and credit
+// snapshot against a from-scratch rebuild, mailbox handoffs under real
+// threads (the TSan job runs the ShardedSimTsan suite), and the
+// measurement-window accounting contract —
 // partial windows are flushed on a natural phase end but discarded on
 // cancellation, so cancelled runs report the same rates an uninterrupted
 // run would over the same full-window prefix.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -17,7 +21,9 @@
 #include "tcr/guard/journal.hpp"
 #include "tcr/telemetry/telemetry.hpp"
 #include "tcr/metrics/worst_case.hpp"
+#include "tcr/obs/registry.hpp"
 #include "tcr/routing/dor.hpp"
+#include "tcr/sim/sharding.hpp"
 #include "tcr/sim/simulator.hpp"
 #include "tcr/traffic/patterns.hpp"
 
@@ -143,6 +149,130 @@ TEST(ShardedSim, FaultWindowsMatchSerialBitwise) {
   cfg.shards = 4;
   const SimStats sharded = simulate(dor, 0.4, {}, cfg);
   expect_same_stats(base, sharded, "faulted shards=4");
+}
+
+// Oracle for the engine's incrementally kept state: want/want_src and
+// their downstream buffers rebuilt from the ring fronts and source heads,
+// the candidate and eject masks rebuilt from want/want_src, and (after
+// phase 1) the occupancy snapshot rebuilt from the ring sizes.
+::testing::AssertionResult engine_state_consistent(const sim_detail::Engine& eng,
+                                                   bool after_phase1) {
+  using sim_detail::Engine;
+  using sim_detail::kNoFlit;
+  const int n_nodes = eng.torus->num_nodes();
+  const int slots = kNumDirs * eng.vcs;
+  for (int n = 0; n < n_nodes; ++n) {
+    const sim_detail::FlitPool& pool = eng.shards[eng.layout.shard_of_node[n]].pool;
+    const std::int32_t head = eng.src_queues.head[n];
+    const Engine::Want src = head == kNoFlit ? Engine::kNoWant : eng.next_want(pool, head);
+    const std::int32_t want_src = src.channel;
+    if (eng.want_src[n] != want_src || eng.want_src_buf[n] != src.buf) {
+      return ::testing::AssertionFailure()
+             << "want_src[" << n << "] = " << eng.want_src[n] << " into buffer "
+             << eng.want_src_buf[n] << ", source head wants " << want_src << " into " << src.buf;
+    }
+    std::uint32_t cand[kNumDirs] = {0, 0, 0, 0};
+    std::uint32_t eject = 0;
+    if (want_src >= 0) cand[want_src & 3] |= 1u;
+    for (int i = 0; i < slots; ++i) {
+      const int buf = eng.in_buf[static_cast<std::size_t>(n) * slots + i];
+      const Engine::Want front =
+          eng.rings.empty(buf) ? Engine::kNoWant : eng.next_want(pool, eng.rings.front(buf));
+      const std::int32_t w = front.channel;
+      if (eng.want[buf] != w || eng.want_buf[buf] != front.buf) {
+        return ::testing::AssertionFailure()
+               << "want[" << buf << "] = " << eng.want[buf] << " into buffer " << eng.want_buf[buf]
+               << ", ring front wants " << w << " into " << front.buf;
+      }
+      if (w >= 0) cand[w & 3] |= 1u << (i + 1);
+      if (w == Engine::kWantEject) eject |= 1u << i;
+      if (after_phase1 && eng.occ[buf] != eng.rings.size(buf)) {
+        return ::testing::AssertionFailure() << "occ[" << buf << "] = " << eng.occ[buf]
+                                             << ", ring holds " << eng.rings.size(buf);
+      }
+    }
+    for (int d = 0; d < kNumDirs; ++d) {
+      if (eng.cand[static_cast<std::size_t>(n) * kNumDirs + d] != cand[d]) {
+        return ::testing::AssertionFailure()
+               << "cand of node " << n << " dir " << d << " = "
+               << eng.cand[static_cast<std::size_t>(n) * kNumDirs + d] << ", rebuilt " << cand[d];
+      }
+    }
+    if (eng.eject_mask[n] != eject) {
+      return ::testing::AssertionFailure() << "eject_mask[" << n << "] = " << eng.eject_mask[n]
+                                           << ", rebuilt " << eject;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Steps the phase kernels directly for 2,000 cycles (injecting for the
+// first 1,500, then draining) and checks the oracle after every phase.
+void step_against_oracle(int k, int shards, double rate, const fault::SimFaultPlan* faults) {
+  const Torus t(k);
+  const TorusRouting dor = make_dor(t);
+  TrafficGen gen(dor, rate, 17);
+  gen.prepare();
+  sim_detail::Engine eng;
+  eng.init(t, gen, faults, /*vcs=*/4, /*depth=*/4, shards, 17, std::max(1, gen.max_path_len()));
+  const obs::Histogram geometry(1.0, 1.2);
+  eng.run_latency = &geometry;
+  eng.measuring = true;
+  const std::string what = "k=" + std::to_string(k) + " shards=" + std::to_string(shards) +
+                           " rate=" + std::to_string(rate) + (faults ? " faulted" : "");
+  for (int cycle = 0; cycle < 2000; ++cycle) {
+    eng.injecting = cycle < 1500;
+    for (int s = 0; s < shards; ++s) eng.phase1(s);
+    ASSERT_TRUE(engine_state_consistent(eng, /*after_phase1=*/true))
+        << what << " cycle " << cycle << " after phase 1";
+    for (int s = 0; s < shards; ++s) eng.phase2(s);
+    ASSERT_TRUE(engine_state_consistent(eng, /*after_phase1=*/false))
+        << what << " cycle " << cycle << " after phase 2";
+    ++eng.cycle;
+  }
+  long ejected = 0, link_down = 0, stalls = 0;
+  for (const auto& sh : eng.shards) {
+    ejected += sh.ejected;
+    link_down += sh.link_down_cycles;
+    stalls += sh.credit_stalls;
+  }
+  EXPECT_GT(ejected, 0) << what;
+  if (faults != nullptr) {
+    EXPECT_GT(link_down, 0) << what;
+    EXPECT_GT(stalls, 0) << what;
+  }
+}
+
+TEST(ShardedSim, IncrementalMasksAndSnapshotMatchOracle) {
+  for (const int k : {4, 8}) {
+    for (const int shards : {1, 3, 4}) {
+      for (const double rate : {0.3, 0.95}) {
+        step_against_oracle(k, shards, rate, nullptr);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(ShardedSim, IncrementalMasksAndSnapshotMatchOracleUnderFaults) {
+  const Torus t(4);
+  fault::SimFaultPlan plan;
+  for (const int c : {3, 17, 40, 41, 55}) {
+    fault::LinkFault f;
+    f.channel = c;
+    f.from_cycle = 200;
+    f.until_cycle = 700;
+    plan.links.push_back(f);
+  }
+  for (int c = 0; c < t.num_channels(); c += 5) {
+    fault::CreditStall f;
+    f.channel = c;
+    f.vc = c % 2 == 0 ? -1 : 1;
+    f.from_cycle = 300 + c;
+    f.until_cycle = 900 + c;
+    plan.stalls.push_back(f);
+  }
+  step_against_oracle(4, 3, 0.95, &plan);
 }
 
 // Real worker threads exchanging flits through the (src, dst)-shard
