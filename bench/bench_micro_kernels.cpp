@@ -100,18 +100,17 @@ void BM_SparseLuFactor(benchmark::State& state) {
 BENCHMARK(BM_SparseLuFactor)->Arg(256)->Arg(1024)->Arg(4096);
 
 // An LP-shaped m x m basis: slack columns, two-entry +-1 network columns
-// (a spanning tree over the network rows) and four dense coupling rows with
-// small integer coefficients, about half a column's worth of entries each.
-// That is the shape of the design LPs' bases, whose coupling rows keep
-// hundreds of live entries through the elimination; lu_bench_matrix has no
-// dense row.
-SparseMatrix lu_dense_rows_matrix(int m) {
-  constexpr int kDense = 4;
-  const int n = m - kDense;  // network rows
+// (a spanning tree over the network rows) and `dense` coupling rows (four by
+// default) with small integer coefficients, about half a column's worth of
+// entries each. That is the shape of the design LPs' bases, whose coupling
+// rows keep hundreds of live entries through the elimination;
+// lu_bench_matrix has no dense row.
+SparseMatrix lu_dense_rows_matrix(int m, int dense = 4) {
+  const int n = m - dense;  // network rows
   Rng rng(5);
   std::vector<Triplet> trips;
   auto couple = [&](int col) {
-    for (int d = 0; d < kDense; ++d)
+    for (int d = 0; d < dense; ++d)
       if (rng.uniform() < 0.5) trips.push_back({n + d, col, 1.0 + static_cast<double>(rng.below(3))});
   };
   for (int i = 0; i < n; ++i) {
@@ -121,7 +120,7 @@ SparseMatrix lu_dense_rows_matrix(int m) {
     couple(i);
   }
   // One cycle-closing arc per coupling row.
-  for (int d = 0; d < kDense; ++d) {
+  for (int d = 0; d < dense; ++d) {
     const int u = static_cast<int>(rng.below(n));
     trips.push_back({u, n + d, 1.0});
     trips.push_back({(u + 1 + static_cast<int>(rng.below(n - 1))) % n, n + d, -1.0});
@@ -144,6 +143,30 @@ void BM_SparseLuFactorDenseRows(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SparseLuFactorDenseRows)->Arg(1024)->Arg(4096);
+
+// The same shape with 150 coupling rows: elimination leaves a block of
+// 217 (m = 400) or 279 (m = 1024) rows, more than half full, which factor()
+// finishes densely. The `dense_tails` counter (switches per factorization)
+// shows it; it is left out when zero, whose repetition aggregates would
+// print a NaN coefficient of variation.
+void BM_SparseLuFactorDenseTail(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const SparseMatrix a = lu_dense_rows_matrix(m, 150);
+  const std::vector<int> basis = identity_basis(m);
+  obs::Counter& tails = obs::Registry::instance().counter("lin.lu.dense_tails");
+  const std::int64_t tails0 = tails.value();
+  if (!SparseLU().factor(a, basis)) {
+    state.SkipWithError("singular benchmark basis");
+    return;
+  }
+  const std::int64_t switched = tails.value() - tails0;
+  if (switched > 0) state.counters["dense_tails"] = static_cast<double>(switched);
+  for (auto _ : state) {
+    SparseLU lu;
+    benchmark::DoNotOptimize(lu.factor(a, basis));
+  }
+}
+BENCHMARK(BM_SparseLuFactorDenseTail)->Arg(400)->Arg(1024);
 
 // One refactorization cycle of the simplex: factor the LP-shaped basis of
 // lu_dense_rows_matrix(m), then bring in 50 network columns (a +1/-1 arc

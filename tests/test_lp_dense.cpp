@@ -143,7 +143,9 @@ TEST(DenseSimplex, DualsSatisfyStrongDuality) {
   EXPECT_NEAR(4 * sol.duals[0] + 3 * sol.duals[1], sol.objective, 1e-8);
   // Reduced costs of a minimize problem at optimum: d_j >= 0 for x_j at lower.
   for (int j = 0; j < 2; ++j) {
-    if (sol.x[j] < 1e-9) EXPECT_GE(sol.reduced[j], -1e-8);
+    if (sol.x[j] < 1e-9) {
+      EXPECT_GE(sol.reduced[j], -1e-8);
+    }
   }
 }
 

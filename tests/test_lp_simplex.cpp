@@ -267,9 +267,15 @@ TEST(RevisedSimplex, ReducedCostsCertifyOptimality) {
       // Interior variables must have (near) zero reduced cost.
       const bool at_lower = std::isfinite(m.lower(j)) && sol.x[j] < m.lower(j) + 1e-7;
       const bool at_upper = std::isfinite(m.upper(j)) && sol.x[j] > m.upper(j) - 1e-7;
-      if (!at_lower && !at_upper) EXPECT_NEAR(d, 0.0, 1e-5) << "trial " << trial;
-      if (at_lower && !at_upper) EXPECT_GE(d, -1e-5) << "trial " << trial;
-      if (at_upper && !at_lower) EXPECT_LE(d, 1e-5) << "trial " << trial;
+      if (!at_lower && !at_upper) {
+        EXPECT_NEAR(d, 0.0, 1e-5) << "trial " << trial;
+      }
+      if (at_lower && !at_upper) {
+        EXPECT_GE(d, -1e-5) << "trial " << trial;
+      }
+      if (at_upper && !at_lower) {
+        EXPECT_LE(d, 1e-5) << "trial " << trial;
+      }
     }
   }
 }
@@ -563,7 +569,9 @@ TEST(RevisedSimplex, PopulatesObsMetrics) {
   EXPECT_GT(refactors.value(), refactors0);
   EXPECT_GT(total.count(), spans0);
   EXPECT_GT(pricing.count(), pricing0);
-  if (sol.status != Status::Optimal) EXPECT_FALSE(sol.note.empty());
+  if (sol.status != Status::Optimal) {
+    EXPECT_FALSE(sol.note.empty());
+  }
 }
 
 }  // namespace

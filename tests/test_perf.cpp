@@ -279,8 +279,8 @@ TEST(PerfHistory, MedianOfRepeatsShrugsOffOneOutlier) {
   std::vector<HistoryEntry> entries(3);
   const double values[] = {10.0, 1000.0, 11.0};  // one descheduled repeat
   for (int i = 0; i < 3; ++i) {
-    entries[i].bench = "b";
-    entries[i].commit = "c";
+    entries[i].bench = std::string(1, 'b');
+    entries[i].commit = std::string(1, 'c');
     entries[i].quantities["perf.cpu_ns"] = values[i];
   }
   const std::vector<KeyStats> stats = median_by_key(entries);

@@ -4,7 +4,10 @@
 // Random +-1 bases with dense rows drive entries to cancel exactly and fill
 // back in, the path on which the factorization reuses a cancelled slot.
 // Forrest–Tomlin update sequences must keep agreeing with the dense oracle
-// of the explicitly updated basis.
+// of the explicitly updated basis. Bases with 150 dense coupling rows reach
+// the dense tail; its solves, updates on its factors, its singular verdict
+// (alone and through the simplex's basis repair) and the edges of the
+// switch rule are checked through the `lin.lu.dense_tails` counter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +18,7 @@
 
 #include "tcr/lin/dense_lu.hpp"
 #include "tcr/lin/sparse_lu.hpp"
+#include "tcr/lp/simplex.hpp"
 #include "tcr/obs/registry.hpp"
 #include "tcr/util/rng.hpp"
 
@@ -578,6 +582,279 @@ TEST(SparseLU, FillGuardFiresOnDenseSpikes) {
     } else {
       EXPECT_LT(fired_at, 0);
     }
+  }
+}
+
+// ---- Dense tail -------------------------------------------------------------
+
+std::int64_t dense_tails() {
+  return obs::Registry::instance().counter("lin.lu.dense_tails").value();
+}
+obs::Histogram& dense_tail_rows() {
+  return obs::Registry::instance().histogram("lin.lu.dense_tail_rows", 1.0, 2.0);
+}
+
+// `sys` with the given columns appended after its m columns: a pool for
+// update sequences and dependent columns. The basis stays positions 0..m-1.
+RandomSystem with_columns(const RandomSystem& sys, const std::vector<std::vector<Triplet>>& extra) {
+  const int m = sys.a.rows();
+  std::vector<Triplet> trips;
+  for (int j = 0; j < m; ++j)
+    for (auto k = sys.a.col_begin(j); k < sys.a.col_end(j); ++k)
+      trips.push_back({sys.a.row_index(k), j, sys.a.value(k)});
+  for (std::size_t c = 0; c < extra.size(); ++c)
+    for (Triplet t : extra[c]) trips.push_back({t.row, m + static_cast<int>(c), t.value});
+  return {SparseMatrix(m, m + static_cast<int>(extra.size()), trips), sys.dense, sys.basis};
+}
+
+// The entries of column j of `a` as triplets, scaled by w.
+std::vector<Triplet> column_of(const SparseMatrix& a, int j, double w = 1.0) {
+  std::vector<Triplet> col;
+  for (auto k = a.col_begin(j); k < a.col_end(j); ++k)
+    col.push_back({a.row_index(k), 0, w * a.value(k)});
+  return col;
+}
+
+void expect_solves_match(const SparseLU& lu, const DenseMatrix& b, Rng& rng, const char* what) {
+  const int m = b.rows();
+  DenseLU oracle;
+  ASSERT_TRUE(oracle.factor(b)) << what;
+  std::vector<double> rhs(m), c(m), x, y;
+  for (auto& v : rhs) v = rng.uniform(-1, 1);
+  for (auto& v : c) v = rng.uniform(-1, 1);
+  lu.solve(rhs, x);
+  lu.solve_transpose(c, y);
+  const auto x_ref = oracle.solve(rhs);
+  const auto y_ref = oracle.solve_transpose(c);
+  for (int i = 0; i < m; ++i) {
+    ASSERT_NEAR(x[i], x_ref[i], 1e-8 * (1 + std::abs(x_ref[i]))) << what << " i=" << i;
+    ASSERT_NEAR(y[i], y_ref[i], 1e-8 * (1 + std::abs(y_ref[i]))) << what << " i=" << i;
+  }
+}
+
+// LP-shaped bases with 150 dense coupling rows (random_pm1_system's shape,
+// 1e-13 entries included): the network rows eliminate sparsely, and the
+// coupling rows leave a block of well over 100 rows, about half full, which
+// factor() finishes densely. Solves agree with the dense oracle.
+TEST(SparseLU, DenseTailAgreesWithDenseOracle) {
+  Rng rng(1990);
+  auto& rows = dense_tail_rows();
+  for (const int m : {260, 300, 360}) {
+    const auto sys = random_pm1_system(rng, m, 150);
+    const auto tails0 = dense_tails();
+    const auto count0 = rows.count();
+    const double sum0 = rows.sum();
+    SparseLU lu;
+    ASSERT_TRUE(lu.factor(sys.a, sys.basis)) << "m=" << m;
+    EXPECT_EQ(dense_tails() - tails0, 1) << "m=" << m;
+    EXPECT_EQ(rows.count() - count0, 1) << "m=" << m;
+    EXPECT_GE(rows.sum() - sum0, 100.0) << "m=" << m;  // the block's rows
+    expect_solves_match(lu, sys.dense, rng, "pm1");
+  }
+}
+
+// Forrest–Tomlin updates on top of a dense tail's factors: 50 entering
+// columns of the basis's own shape, each update checked against the dense
+// oracle of the updated basis.
+TEST(SparseLU, UpdatesAfterDenseTailMatchDenseOracle) {
+  Rng rng(51);
+  const int m = 300, kDense = 150, n = m - kDense;
+  const auto base = random_pm1_system(rng, m, kDense);
+  std::vector<std::vector<Triplet>> extra(4 * m);
+  for (auto& col : extra) {
+    const int head = static_cast<int>(rng.below(n));
+    col.push_back({head, 0, 1.0});
+    if (rng.uniform() < 0.7)
+      col.push_back({(head + 1 + static_cast<int>(rng.below(n - 1))) % n, 0, -1.0});
+    for (int d = 0; d < kDense; ++d)
+      if (rng.uniform() < 0.5) col.push_back({n + d, 0, rng.uniform() < 0.5 ? 1.0 : -1.0});
+  }
+  const RandomSystem sys = with_columns(base, extra);
+  std::vector<int> basis = sys.basis;
+  std::vector<char> in_basis(sys.a.cols(), 0);
+  for (int j : basis) in_basis[j] = 1;
+  const auto tails0 = dense_tails();
+  SparseLU lu;
+  ASSERT_TRUE(lu.factor(sys.a, basis));
+  ASSERT_EQ(dense_tails() - tails0, 1);
+
+  std::vector<double> col, x, spike, work;
+  int updates = 0;
+  for (int attempt = 0; updates < 50 && attempt < 1000; ++attempt) {
+    const int q = m + static_cast<int>(rng.below(extra.size()));
+    if (in_basis[q]) continue;
+    col.assign(m, 0.0);
+    sys.a.add_column_to(q, 1.0, col);
+    lu.solve(col, x, work, &spike);
+    double xmax = 0.0;
+    for (double v : x) xmax = std::max(xmax, std::abs(v));
+    std::vector<int> candidates;
+    for (int p = 0; p < m; ++p)
+      if (std::abs(x[p]) >= 0.5 * xmax) candidates.push_back(p);
+    const int p = candidates[rng.below(candidates.size())];
+    const double want = x[p] * lu.diagonal(p);
+    ASSERT_TRUE(lu.update(p, spike)) << "update " << updates;
+    EXPECT_NEAR(lu.diagonal(p), want, 1e-9 * std::abs(want));
+    in_basis[basis[p]] = 0;
+    in_basis[q] = 1;
+    basis[p] = q;
+    ++updates;
+    expect_solves_match(lu, basis_matrix(sys.a, basis), rng, "after update");
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(updates, 50);
+}
+
+// Columns in the span of others make the dense block rank-deficient: the
+// block defers exactly the columns it cannot pivot, factor() fails with
+// those as deficient_positions(), and the pivoted positions are independent.
+// Here position p1 = col a + col b and position p2 = col a - 2 col c, with
+// a, b, c coupling columns before them, so the ascending-order block
+// elimination defers p1 and p2 and nothing else.
+TEST(SparseLU, RankDeficientDenseTailReportsDeferredPositions) {
+  Rng rng(7);
+  const int m = 300, kDense = 150, n = m - kDense;
+  const auto base = random_pm1_system(rng, m, kDense);
+  const int a = n + 3, b = n + 10, c = n + 20, p1 = n + 60, p2 = m - 1;
+  std::vector<Triplet> dep1 = column_of(base.a, a), dep2 = column_of(base.a, a);
+  for (Triplet t : column_of(base.a, b)) dep1.push_back(t);
+  for (Triplet t : column_of(base.a, c, -2.0)) dep2.push_back(t);
+  const RandomSystem sys = with_columns(base, {dep1, dep2});
+  std::vector<int> basis = sys.basis;
+  basis[p1] = m;
+  basis[p2] = m + 1;
+  const DenseMatrix bmat = basis_matrix(sys.a, basis);
+  std::vector<int> all(m);
+  for (int j = 0; j < m; ++j) all[j] = j;
+  ASSERT_EQ(column_rank(bmat, all), m - 2);
+
+  const auto tails0 = dense_tails();
+  SparseLU lu;
+  EXPECT_FALSE(lu.factor(sys.a, basis));
+  EXPECT_EQ(dense_tails() - tails0, 1);
+  EXPECT_EQ(lu.deficient_positions(), (std::vector<int>{p1, p2}));
+  std::vector<int> pivoted;
+  for (int j = 0; j < m; ++j)
+    if (j != p1 && j != p2) pivoted.push_back(j);
+  EXPECT_EQ(column_rank(bmat, pivoted), m - 2);
+
+  // The same object factors the original, nonsingular basis afterwards.
+  basis[p1] = p1;
+  basis[p2] = p2;
+  ASSERT_TRUE(lu.factor(sys.a, basis));
+  expect_solves_match(lu, basis_matrix(sys.a, basis), rng, "repaired");
+}
+
+// The same through the simplex: a warm basis whose dense block is
+// rank-deficient is patched at the deficient position and still reaches
+// the cold optimum. The LP is max c'x over 160 dense <= rows with positive
+// coefficients; column 159 is column 0 plus column 1, and the warm basis
+// holds columns 0..159. The right-hand side makes the patched basis (row
+// 159's slack in place of column 159) primal feasible, so the adoption
+// counts as repaired.
+TEST(SparseLU, RankDeficientDenseTailIsRepairedBySimplex) {
+  Rng rng(160);
+  const int rows = 160;
+  std::vector<std::vector<std::pair<int, double>>> cols(rows + 1);
+  for (int j = 0; j <= rows; ++j) {
+    if (j == rows - 1) continue;
+    for (int i = 0; i < rows; ++i)
+      if (rng.uniform() < 0.7) cols[j].push_back({i, rng.uniform(0.1, 2.0)});
+  }
+  cols[rows - 1] = cols[0];
+  for (auto [i, v] : cols[1]) cols[rows - 1].push_back({i, v});
+  lp::Model model;
+  model.set_sense(lp::Sense::Maximize);
+  for (int j = 0; j <= rows; ++j) model.add_col(0.0, lp::kInf, rng.uniform(0.5, 1.5));
+  std::vector<double> rhs(rows, 0.0);
+  rhs[rows - 1] = 1.0;
+  for (int j = 0; j < rows - 1; ++j) {
+    const double x = rng.uniform(0.5, 1.0);
+    for (auto [i, v] : cols[j]) rhs[i] += v * x;
+  }
+  for (int i = 0; i < rows; ++i) model.add_row(lp::RowType::LE, rhs[i]);
+  for (int j = 0; j <= rows; ++j)
+    for (auto [i, v] : cols[j]) model.add_term(i, j, v);
+
+  // The basis matrix alone: the dense tail defers exactly position 159.
+  std::vector<Triplet> trips;
+  for (int j = 0; j < rows; ++j)
+    for (auto [i, v] : cols[j]) trips.push_back({i, j, v});
+  std::vector<int> basis(rows);
+  for (int j = 0; j < rows; ++j) basis[j] = j;
+  auto tails0 = dense_tails();
+  SparseLU lu;
+  EXPECT_FALSE(lu.factor(SparseMatrix(rows, rows, trips), basis));
+  EXPECT_EQ(dense_tails() - tails0, 1);
+  EXPECT_EQ(lu.deficient_positions(), std::vector<int>{rows - 1});
+
+  const lp::SimplexOptions opt;
+  const lp::Solution cold = lp::solve(model, opt);
+  ASSERT_EQ(cold.status, lp::Status::Optimal);
+  lp::Basis warm;
+  warm.stat.assign(cold.basis.stat.size(), 1);  // at lower bound
+  warm.basic = basis;
+  for (int j : basis) warm.stat[static_cast<std::size_t>(j)] = 0;  // basic
+  auto& reg = obs::Registry::instance();
+  const auto repaired0 = reg.counter("lp.warmstart.repaired").value();
+  const auto rejected0 = reg.counter("lp.warmstart.rejected").value();
+  tails0 = dense_tails();
+  const lp::Solution ws = lp::solve(model, opt, &warm);
+  EXPECT_GE(dense_tails() - tails0, 1);
+  EXPECT_EQ(reg.counter("lp.warmstart.repaired").value() - repaired0, 1);
+  EXPECT_EQ(reg.counter("lp.warmstart.rejected").value() - rejected0, 0);
+  ASSERT_EQ(ws.status, lp::Status::Optimal);
+  EXPECT_NEAR(ws.objective, cold.objective, 1e-7 * (1 + std::abs(cold.objective)));
+  EXPECT_TRUE(ws.certificate.ok()) << ws.certificate.summary();
+}
+
+// The switch rule's edges: a fully dense 99 x 99 block is below the size,
+// and a 100 x 100 block with 5,000 nonzeros (exactly half) switches but one
+// with 4,999 does not — after one more step fewer than 100 rows remain.
+// With 20 singleton rows and columns beside the block, the switch comes
+// after the 20 steps that pivot them, so the count must drop by each
+// retired row.
+TEST(SparseLU, DenseTailSwitchEdges) {
+  Rng rng(100);
+  // An m x m matrix: a `block`-row block with `nnz` nonzeros (its diagonal
+  // and random off-diagonal places), then m - block singletons.
+  auto system = [&](int block, int nnz, int m) {
+    DenseMatrix dense(m, m);
+    std::vector<Triplet> trips;
+    for (int i = 0; i < m; ++i) {
+      const double v = rng.uniform(-2, 2);
+      trips.push_back({i, i, v + (v >= 0 ? 3.0 : -3.0)});
+    }
+    const auto off = rng.permutation(block * (block - 1));
+    for (int k = 0; k < nnz - block; ++k) {
+      const int i = off[k] / (block - 1), r = off[k] % (block - 1);
+      trips.push_back({i, r < i ? r : r + 1, rng.uniform(-1, 1)});
+    }
+    for (const Triplet& t : trips) dense(t.row, t.col) = t.value;
+    RandomSystem sys{SparseMatrix(m, m, trips), std::move(dense), {}};
+    for (int j = 0; j < m; ++j) sys.basis.push_back(j);
+    return sys;
+  };
+  auto& rows = dense_tail_rows();
+  struct Case {
+    int block, nnz, m;
+    bool switches;
+  };
+  for (const Case& cs : {Case{99, 99 * 99, 99, false}, Case{100, 4999, 100, false},
+                         Case{100, 5000, 100, true}, Case{100, 4999, 120, false},
+                         Case{100, 5000, 120, true}}) {
+    const auto sys = system(cs.block, cs.nnz, cs.m);
+    ASSERT_EQ(sys.a.nnz(), static_cast<std::size_t>(cs.nnz + cs.m - cs.block));
+    const auto tails0 = dense_tails();
+    const auto count0 = rows.count();
+    const double sum0 = rows.sum();
+    SparseLU lu;
+    ASSERT_TRUE(lu.factor(sys.a, sys.basis));
+    EXPECT_EQ(dense_tails() - tails0, cs.switches ? 1 : 0)
+        << "block " << cs.block << " nnz " << cs.nnz << " m " << cs.m;
+    EXPECT_EQ(rows.count() - count0, cs.switches ? 1 : 0);
+    EXPECT_EQ(rows.sum() - sum0, cs.switches ? 100.0 : 0.0);
+    expect_solves_match(lu, sys.dense, rng, "edge");
   }
 }
 

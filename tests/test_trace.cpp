@@ -428,7 +428,8 @@ TEST_F(AnalysisTest, FlameJsonMirrorsAggregateInSelfTimeOrder) {
 TEST_F(AnalysisTest, SlowestSpansSortsByDuration) {
   Tracer::instance().start();
   for (int i = 0; i < 5; ++i) {
-    const std::string name = "s" + std::to_string(i);  // outlives the span
+    std::string name(1, 's');  // outlives the span
+    name += std::to_string(i);
     Span span(name);
   }
   Tracer::instance().stop();

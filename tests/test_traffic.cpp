@@ -74,7 +74,9 @@ TEST(Sampler, BirkhoffSamplesAreDoublyStochastic) {
   for (int j : {1, 2, 4, 8}) {
     const auto m = birkhoff_sample(rng, 12, j);
     EXPECT_LT(doubly_stochastic_error(m), 1e-9) << "J=" << j;
-    if (j == 1) EXPECT_TRUE(is_permutation(m));
+    if (j == 1) {
+      EXPECT_TRUE(is_permutation(m));
+    }
   }
 }
 
