@@ -5,7 +5,7 @@
 // doubly-stochastic samples, eq. (9) with |X| = --samples (default 100).
 //
 // Flags: --k (default 8), --points (default 9), --samples (default 100),
-// --design-samples (default 24), --skip-curve, --skip-design, --warm/--cold/
+// --design-samples (default 12), --skip-curve, --skip-design, --warm/--cold/
 // --chains (warm-start chaining, see bench::sweep_config), --threads N
 // (solve the sweep's chains on a pool), --json <path>
 // (one JSON record per curve point / designed routing / algorithm point;

@@ -1,16 +1,14 @@
 #include "tcr/lp/simplex.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "tcr/fault/fault.hpp"
 #include "tcr/guard/guard.hpp"
 #include "tcr/lin/sparse.hpp"
-#include "tcr/lin/sparse_lu.hpp"
+#include "tcr/lp/basis_factor.hpp"
 #include "tcr/lp/certify.hpp"
 #include "tcr/lp/dense_simplex.hpp"
 #include "tcr/lp/scaling.hpp"
@@ -39,7 +37,6 @@ struct SimplexMetrics {
   obs::Counter& bland_activations =
       obs::Registry::instance().counter("lp.simplex.bland_activations");
   obs::Counter& bound_flips = obs::Registry::instance().counter("lp.simplex.bound_flips");
-  obs::Counter& retries = obs::Registry::instance().counter("lp.simplex.numerical_retries");
   // Warm-start outcomes: a supplied basis was adopted unchanged (accepted),
   // adopted after patching — status fixes, singular or out-of-bound
   // positions swapped back to crash columns — (repaired), or thrown away
@@ -77,14 +74,6 @@ struct SimplexMetrics {
       obs::Registry::instance().counter("lp.dual.bound_flips");
   obs::Counter& dual_infeasible_bases =
       obs::Registry::instance().counter("lp.dual.infeasible_bases");
-  // At each refactorization: the Forrest–Tomlin updates since the last one
-  // and the nonzeros they added; then the fresh LU factor's nonzeros.
-  obs::Histogram& eta_length =
-      obs::Registry::instance().histogram("lp.simplex.eta_length", 1.0, 2.0);
-  obs::Histogram& update_fill_nnz =
-      obs::Registry::instance().histogram("lp.simplex.update_fill_nnz", 1.0, 2.0);
-  obs::Histogram& lu_fill_nnz =
-      obs::Registry::instance().histogram("lp.simplex.lu_fill_nnz", 1.0, 2.0);
   obs::Histogram& degenerate_runs =
       obs::Registry::instance().histogram("lp.simplex.degenerate_run", 1.0, 2.0);
   // Largest scaled gap |d_carried - d_fresh| / (1 + |d_fresh|) between the
@@ -158,15 +147,13 @@ class RevisedSimplex {
         m_(sf_.m),
         n_(sf_.ntotal),
         a_(sf_.m, sf_.ntotal, sf_.triplets),
+        factor_(a_, opt.refactor_every),
         rng_(opt.seed) {
     // a_ holds the matrix from here on; free the triplets before the
     // row-wise copy is built.
     std::vector<Triplet>().swap(sf_.triplets);
     a_rows_ = RowProduct(a_);
-    stat_ = sf_.stat0;
-    basic_ = sf_.basis0;
-    pos_of_col_.assign(n_, -1);
-    for (int i = 0; i < m_; ++i) pos_of_col_[basic_[i]] = i;
+    restore_crash_basis();
     max_iters_ = opt_.max_iterations > 0 ? opt_.max_iterations
                                          : 200L * (m_ + n_) + 10000L;
     d_.assign(n_, 0.0);
@@ -195,9 +182,7 @@ class RevisedSimplex {
     if (opt_.cancel != nullptr && opt_.cancel->check()) {
       // A fired token means a whole-run stop: refuse the solve outright so
       // sweeps and the recovery ladder unwind without touching the basis.
-      sol.status = Status::Cancelled;
-      finish(sol);
-      return sol;
+      return finish(sol, Status::Cancelled);
     }
     WarmAdopt warm = WarmAdopt::kRejected;
     if (warm_ != nullptr && !warm_->empty()) warm = apply_warm(*warm_);
@@ -213,11 +198,7 @@ class RevisedSimplex {
         adopting_crash_ = false;
       }
     }
-    if (warm == WarmAdopt::kRejected && !refactorize()) {
-      sol.status = Status::Numerical;
-      finish(sol);
-      return sol;
-    }
+    if (warm == WarmAdopt::kRejected && !refactorize()) return finish(sol, Status::Numerical);
 
     // ---- dual simplex phase ----
     // A warm basis that survived adoption dual-feasible but whose point an
@@ -238,22 +219,22 @@ class RevisedSimplex {
       // the entering ratios become decisive — and let the clean true-cost
       // primal pass below absorb the O(1e-9) dual wobble it introduces.
       Status sd;
+      const long iters_before = iters_;
       {
         trace::Span t("lp.dual", met_.t_dual);
         sd = optimize_dual(opt_.perturb ? perturbed_costs() : sf_.cost);
+        // The iterations the dual loop ran (reconfirm() rewinds the ones it
+        // redoes); an IterationLimit exit counted one more before stopping.
+        sol.dual_iterations = iters_ - iters_before - (sd == Status::IterationLimit ? 1 : 0);
         t.attr("status", to_string(sd));
-        t.attr("iterations", dual_iters_);
+        t.attr("iterations", sol.dual_iterations);
       }
-      sol.dual_iterations = dual_iters_;
-      met_.dual_iterations.add(dual_iters_);
+      met_.dual_iterations.add(sol.dual_iterations);
       if (sd == Status::Cancelled || sd == Status::IterationLimit) {
         // The whole-run budget fired mid-phase: the warm basis was genuinely
         // used, so its staged adoption outcome stands.
         commit_adoption(pending_patched_ ? kOutcomeRepaired : kOutcomeAccepted);
-        sol.status = sd;
-        sol.iterations = iters_;
-        finish(sol);
-        return sol;
+        return finish(sol, sd);
       }
       if (sd == Status::Optimal) {
         met_.dual_reoptimized.add(1);
@@ -270,12 +251,7 @@ class RevisedSimplex {
         for (int j = 0; j < n_; ++j)
           if (sf_.artificial[j]) sf_.up[j] = kInf;
         restore_crash_basis();
-        if (!refactorize()) {
-          sol.status = Status::Numerical;
-          sol.iterations = iters_;
-          finish(sol);
-          return sol;
-        }
+        if (!refactorize()) return finish(sol, Status::Numerical);
       }
     }
 
@@ -297,19 +273,11 @@ class RevisedSimplex {
         }
         sol.phase1_iterations = iters_;
         met_.phase1_iterations.add(iters_);
-        if (s1 != Status::Optimal) {
-          sol.status = (s1 == Status::Unbounded) ? Status::Numerical : s1;
-          sol.iterations = iters_;
-          finish(sol);
-          return sol;
-        }
+        if (s1 != Status::Optimal)
+          return finish(sol, s1 == Status::Unbounded ? Status::Numerical : s1);
         phase1_residual_ = objective_of(sf_.cost1);
-        if (phase1_residual_ > 10 * opt_.feas_tol * (1 + m_ * 0.01)) {
-          sol.status = Status::Infeasible;
-          sol.iterations = iters_;
-          finish(sol);
-          return sol;
-        }
+        if (phase1_residual_ > 10 * opt_.feas_tol * (1 + m_ * 0.01))
+          return finish(sol, Status::Infeasible);
       }
     }
 
@@ -333,15 +301,8 @@ class RevisedSimplex {
       }
     }
 
-    sol.iterations = iters_;
-    sol.status = s2;
-    if (s2 != Status::Optimal) {
-      finish(sol);
-      return sol;
-    }
-    extract(sol);
-    finish(sol);
-    return sol;
+    if (s2 == Status::Optimal) extract(sol);
+    return finish(sol, s2);
   }
 
  private:
@@ -360,9 +321,12 @@ class RevisedSimplex {
 
   // ---- instrumentation -------------------------------------------------
 
-  // Final per-solve bookkeeping: registry counters, the exported basis, and
-  // the human-readable stop note for non-optimal outcomes.
-  void finish(Solution& sol) {
+  // Final per-solve bookkeeping: the verdict and iteration count, registry
+  // counters, the exported basis, and the human-readable stop note for
+  // non-optimal outcomes.
+  Solution finish(Solution& sol, Status status) {
+    sol.status = status;
+    sol.iterations = iters_;
     charge_pending_iterations();
     met_.iterations.add(iters_);
     sol.basis.stat.assign(stat_.begin(), stat_.end());
@@ -397,6 +361,7 @@ class RevisedSimplex {
         }
         break;
     }
+    return std::move(sol);
   }
 
   // ---- warm start ------------------------------------------------------
@@ -606,7 +571,7 @@ class RevisedSimplex {
       // Singular: patch each unpivotable position and try once more.
       patched = true;
       bool repairable = true;
-      for (int i : lu_.deficient_positions()) {
+      for (int i : factor_.deficient_positions()) {
         if (!patch_to_crash(i)) {
           repairable = false;
           break;
@@ -714,26 +679,17 @@ class RevisedSimplex {
     trace::Span t("lp.refactor", met_.t_refactor);
     met_.refactorizations.add(1);
     ++refactor_count_;
-    met_.eta_length.record(static_cast<double>(lu_.updates()));
-    met_.update_fill_nnz.record(static_cast<double>(lu_.update_nnz()));
-    if (auto* h = fault::simplex_hooks()) {
-      // Injected slowdown (deadline/budget e2e): burn stall_ms here, at the
-      // same boundary the run-control token is polled near, once the
-      // stall_after skip budget is spent.
-      if (h->stall_refactors.load(std::memory_order_relaxed) > 0 &&
-          !fault::SimplexHooks::consume(h->stall_after) &&
-          fault::SimplexHooks::consume(h->stall_refactors)) {
-        h->stalls_injected.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(h->stall_ms));
-      }
-      if (fault::SimplexHooks::consume(h->fail_refactors)) {
-        h->refactor_failures_injected.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-    }
-    if (!lu_.factor(a_, basic_)) return false;
-    met_.lu_fill_nnz.record(static_cast<double>(lu_.factor_nnz()));
+    if (!factor_.refactor(basic_)) return false;
     compute_basic_values();
+    return true;
+  }
+
+  // Redo the current iteration on fresh factors, so that a verdict reached
+  // on updated ones is confirmed or revised: refactorize and rewind the
+  // iteration count. False when the refactorization fails.
+  bool reconfirm() {
+    if (!refactorize()) return false;
+    --iters_;
     return true;
   }
 
@@ -744,42 +700,22 @@ class RevisedSimplex {
       const double v = nonbasic_value(j);
       if (v != 0.0) a_.add_column_to(j, -v, rhs);
     }
-    ftran(rhs, xb_);
+    factor_.ftran(rhs, xb_);
   }
 
-  // w = B^-1 v; v is in row space, w in basis-position space.
-  void ftran(const std::vector<double>& v, std::vector<double>& w) { lu_.solve(v, w, lu_work_); }
-
-  // w = B^-1 a_q for the entering column q, keeping its spike for update_factors().
-  void ftran_entering(int q, std::vector<double>& w) {
-    col_buf_.assign(m_, 0.0);
-    a_.add_column_to(q, 1.0, col_buf_);
-    lu_.solve(col_buf_, w, lu_work_, &spike_);
-  }
-
-  // y = B^-T c; c in basis-position space, y in row space.
-  void btran(const std::vector<double>& c, std::vector<double>& y) {
-    lu_.solve_transpose(c, y, lu_work_);
-  }
-
-  // Forrest–Tomlin update for the pivot that put the entering column, whose
-  // spike ftran_entering() kept, at position r with pivot alpha = w[r].
-  // False when the factors must be rebuilt instead: the update would leave U
-  // singular; its new diagonal is not alpha times the old one to 1e-9
-  // relative (det B_new = alpha det B, so a gap is accumulated rounding); or
-  // the nonzeros updates added since the last factorization exceed the fresh
-  // factor's.
-  bool update_factors(int r, double alpha) {
-    const double want = alpha * lu_.diagonal(r);
-    if (!lu_.update(r, spike_)) return false;
-    if (auto* h = fault::simplex_hooks()) {
-      if (h->eta_drift != 0.0 && fault::SimplexHooks::consume(h->drift_etas)) {
-        h->eta_drifts_injected.fetch_add(1, std::memory_order_relaxed);
-        lu_.scale_diagonal(r, 1.0 + h->eta_drift);
-      }
-    }
-    if (std::abs(lu_.diagonal(r) - want) > 1e-9 * std::abs(want)) return false;
-    return !lu_.fill_exceeded();
+  // The basis change of a pivot: the basic values step along w = B^-1 a_q
+  // (x_B -= step w), column q enters at position r with value
+  // nonbasic_value(q) + step, and the leaving column goes nonbasic at `out`.
+  void swap_in(int q, int r, VarStatus out, double step, const std::vector<double>& w) {
+    const double enter_val = nonbasic_value(q) + step;
+    for (int i = 0; i < m_; ++i) xb_[i] -= step * w[i];
+    const int leaving = basic_[r];
+    stat_[leaving] = out;
+    pos_of_col_[leaving] = -1;
+    basic_[r] = q;
+    pos_of_col_[q] = r;
+    stat_[q] = kBasic;
+    xb_[r] = enter_val;
   }
 
   // rho_ = B^-T e_r: row r of B^-1, whose products a_j . rho_ are the pivot
@@ -788,7 +724,7 @@ class RevisedSimplex {
     obs::ScopedTimer t(met_.t_btran, timed);
     std::fill(er_.begin(), er_.end(), 0.0);
     er_[r] = 1.0;
-    btran(er_, rho_);
+    factor_.btran(er_, rho_);
   }
 
   // row_ = the nonzeros alpha_j = a_j . rho_ of the pivot row over the
@@ -820,7 +756,7 @@ class RevisedSimplex {
     {
       obs::ScopedTimer t(met_.t_btran, timed);
       for (int i = 0; i < m_; ++i) cb_[i] = cost[basic_[i]];
-      btran(cb_, y_);
+      factor_.btran(cb_, y_);
     }
     obs::ScopedTimer t(met_.t_pricing, timed);
     const bool carried = priced_at_ >= 0;
@@ -884,6 +820,21 @@ class RevisedSimplex {
     trace::counter("lp.primal_infeas", primal_infeasibility());
   }
 
+  // Cadence of one optimize loop's convergence samples: every kSampleEvery
+  // iterations while a tracer or heartbeat is listening, never otherwise.
+  // Read once per loop, so an unobserved solve pays one compare per
+  // iteration.
+  struct Sampler {
+    const long every = trace::listening() ? kSampleEvery : 0;
+    long last = -1;  // the last sampled iteration: reconfirm() re-runs one
+
+    bool due(long iter) {
+      if (every == 0 || iter % every != 0 || iter == last) return false;
+      last = iter;
+      return true;
+    }
+  };
+
   // L2 norm of the DEVEX reference weights: grows as the reference framework
   // goes stale; drops back to sqrt(n) at each reset.
   double devex_norm() const {
@@ -897,20 +848,12 @@ class RevisedSimplex {
   Status optimize(const std::vector<double>& cost, bool phase1) {
     std::vector<double> w;
     int degenerate_streak = 0;
-    int since_refactor = 0;
-    bool fresh_basis = true;  // no pivots since the last refactorization
     bool bland_active = false;
     // Kernel timing is hoisted: checked once per optimize() call, not per
     // iteration, so an un-instrumented solve pays nothing for the spans.
     const bool timed = obs::Registry::instance().timing_enabled();
-    // Convergence telemetry cadence, hoisted the same way: 0 (one compare
-    // per iteration) unless a tracer or heartbeat is listening.
-    const long sample_every = trace::listening() ? kSampleEvery : 0;
+    Sampler sample;
     double min_pivot_sampled = kInf;  // min |pivot| since the last sample
-    long last_sampled_iter = -1;      // dedup: re-runs of an iteration
-                                      // (optimality re-confirmation after a
-                                      // refactorize does --iters_) must not
-                                      // emit a second sample
     // DEVEX reference weights (reset per optimize call).
     devex_.assign(n_, 1.0);
     priced_at_ = -1;  // a new cost vector: the first iteration reprices
@@ -938,11 +881,10 @@ class RevisedSimplex {
       // ---- pricing (DEVEX: maximize d^2 / reference weight) ----
       const bool bland = degenerate_streak >= opt_.bland_after;
       if (bland && !bland_active) {
-        bland_active = true;
         ++bland_activations_;
         met_.bland_activations.add(1);
       }
-      if (!bland) bland_active = false;
+      bland_active = bland;
       obs::ScopedTimer pricing_timer(met_.t_pricing, timed);
       int q = -1, dir = 0;
       double best = 0.0;
@@ -971,8 +913,7 @@ class RevisedSimplex {
       pricing_timer.stop();
 
       // ---- convergence telemetry (every kSampleEvery iterations) ----
-      if (sample_every > 0 && iters_ % sample_every == 0 && iters_ != last_sampled_iter) {
-        last_sampled_iter = iters_;
+      if (sample.due(iters_)) {
         sample_progress(cost);
         // Dual infeasibility proxy: the DEVEX winner's reduced-cost
         // violation (score = viol^2 / weight); 0 at optimality or in Bland
@@ -980,7 +921,7 @@ class RevisedSimplex {
         trace::counter("lp.dual_infeas",
                        q >= 0 && !bland ? std::sqrt(best * devex_[q]) : 0.0);
         trace::counter("lp.devex_norm", devex_norm());
-        trace::counter("lp.eta_len", static_cast<double>(lu_.updates()));
+        trace::counter("lp.eta_len", static_cast<double>(factor_.updates()));
         trace::counter("lp.min_pivot",
                        std::isfinite(min_pivot_sampled) ? min_pivot_sampled : 0.0);
         min_pivot_sampled = kInf;
@@ -988,11 +929,8 @@ class RevisedSimplex {
 
       if (q < 0) {
         // Confirm optimality against a freshly factorized basis.
-        if (!fresh_basis) {
-          if (!refactorize()) return Status::Numerical;
-          since_refactor = 0;
-          fresh_basis = true;
-          --iters_;
+        if (!factor_.fresh()) {
+          if (!reconfirm()) return Status::Numerical;
           continue;
         }
         flush_degenerate_run();
@@ -1002,7 +940,7 @@ class RevisedSimplex {
       // ---- FTRAN ----
       {
         obs::ScopedTimer t(met_.t_ftran, timed);
-        ftran_entering(q, w);
+        factor_.ftran_entering(q, w);
       }
 
       // ---- ratio test (two-pass Harris) ----
@@ -1028,11 +966,8 @@ class RevisedSimplex {
       if (!std::isfinite(t_limit)) {
         // Never trust an unbounded verdict from a stale basis: refactorize
         // and re-derive the direction once before reporting.
-        if (!fresh_basis) {
-          if (!refactorize()) return Status::Numerical;
-          since_refactor = 0;
-          fresh_basis = true;
-          --iters_;
+        if (!factor_.fresh()) {
+          if (!reconfirm()) return Status::Numerical;
           continue;
         }
         flush_degenerate_run();
@@ -1072,19 +1007,10 @@ class RevisedSimplex {
 
       ratio_timer.stop();
 
-      if (leave < 0) {
-        // Bound flip (t_step = own_range is the binding limit).
-        TCR_ASSERT(std::isfinite(t_step), "flip without finite range");
-        for (int i = 0; i < m_; ++i) xb_[i] -= t_step * dir * w[i];
-        stat_[q] = (stat_[q] == kAtLower) ? kAtUpper : kAtLower;
-        flush_degenerate_run();
-        degenerate_streak = 0;
-        met_.bound_flips.add(1);
-        continue;
-      }
-      // A basic blocker leaves; if the own-bound range is smaller, flip
-      // instead.
-      if (std::isfinite(own_range) && own_range < t_step) {
+      // Bound flip: no basic blocks (t_step is then own_range), or the
+      // entering column's own range binds before the blocker.
+      if (leave < 0 || (std::isfinite(own_range) && own_range < t_step)) {
+        TCR_ASSERT(std::isfinite(own_range), "flip without finite range");
         for (int i = 0; i < m_; ++i) xb_[i] -= own_range * dir * w[i];
         stat_[q] = (stat_[q] == kAtLower) ? kAtUpper : kAtLower;
         flush_degenerate_run();
@@ -1127,34 +1053,10 @@ class RevisedSimplex {
       }
 
       // ---- update ----
-      const double enter_val = nonbasic_value(q) + dir * t_step;
-      for (int i = 0; i < m_; ++i) xb_[i] -= t_step * dir * w[i];
-      const int out = basic_[leave];
-      const double delta_out = dir * w[leave];
-      stat_[out] = (delta_out > 0) ? kAtLower : kAtUpper;
-      basic_[leave] = q;
-      pos_of_col_[out] = -1;
-      pos_of_col_[q] = leave;
-      stat_[q] = kBasic;
-      xb_[leave] = enter_val;
-
-      if (sample_every > 0)
+      swap_in(q, leave, dir * w[leave] > 0 ? kAtLower : kAtUpper, t_step * dir, w);
+      if (sample.every > 0)
         min_pivot_sampled = std::min(min_pivot_sampled, std::abs(w[leave]));
-
-      // Numerical alarm: tiny pivot in the transformed column.
-      if (std::abs(w[leave]) < 1e-7) {
-        if (!refactorize()) return Status::Numerical;
-        since_refactor = 0;
-        fresh_basis = true;
-        continue;
-      }
-      fresh_basis = false;
-
-      if (!update_factors(leave, w[leave]) || ++since_refactor >= opt_.refactor_every) {
-        if (!refactorize()) return Status::Numerical;
-        since_refactor = 0;
-        fresh_basis = true;
-      }
+      if (!factor_.replace(leave, w[leave]) && !refactorize()) return Status::Numerical;
     }
   }
 
@@ -1179,19 +1081,16 @@ class RevisedSimplex {
   //   IterationLimit / Cancelled — shared run-control limits (final).
   Status optimize_dual(const std::vector<double>& cost) {
     std::vector<double> w, flip_sum;
-    int since_refactor = 0;
-    bool fresh_basis = true;  // no pivots since the last refactorization
     int degenerate_streak = 0;
     const bool timed = obs::Registry::instance().timing_enabled();
-    // Convergence telemetry, on the primal loop's cadence.
-    const long sample_every = trace::listening() ? kSampleEvery : 0;
-    long last_sampled_iter = -1;
+    Sampler sample;
     // Dual DEVEX row weights (reference framework = the rows at entry).
     dw_.assign(static_cast<std::size_t>(m_), 1.0);
     // Stall guard: a dual phase that has not reached primal feasibility
     // after this many pivots is not the cheap sweep repair it exists for;
     // hand the basis back to the primal ladder instead of grinding on.
     const long stall_cap = 4L * m_ + 1000;
+    const long first_iter = iters_;
     priced_at_ = -1;  // a new cost vector: the first iteration reprices
 
     // Dual ratio-test candidate: signed pivot-row coefficient abar =
@@ -1207,13 +1106,9 @@ class RevisedSimplex {
 
     for (;;) {
       if (++iters_ > max_iters_) return Status::IterationLimit;
-      ++dual_iters_;
       if (cancel_safepoint()) return Status::Cancelled;
-      if (dual_iters_ > stall_cap) return Status::Numerical;
-      if (sample_every > 0 && iters_ % sample_every == 0 && iters_ != last_sampled_iter) {
-        last_sampled_iter = iters_;
-        sample_progress(cost);
-      }
+      if (iters_ - first_iter > stall_cap) return Status::Numerical;
+      if (sample.due(iters_)) sample_progress(cost);
 
       if (priced_at_ != refactor_count_) reprice(cost, timed);
 
@@ -1253,12 +1148,8 @@ class RevisedSimplex {
       if (leave < 0) {
         // Primal feasible. Confirm against a freshly factorized basis, as
         // the primal loop does before declaring optimality.
-        if (!fresh_basis) {
-          if (!refactorize()) return Status::Numerical;
-          since_refactor = 0;
-          fresh_basis = true;
-          --iters_;
-          --dual_iters_;
+        if (!factor_.fresh()) {
+          if (!reconfirm()) return Status::Numerical;
           continue;
         }
         return Status::Optimal;
@@ -1312,12 +1203,8 @@ class RevisedSimplex {
         // No entering column covers the violation (possibly after flipping
         // every boxed candidate): the dual is unbounded, the primal
         // infeasible. Trust the verdict only from a fresh factorization.
-        if (!fresh_basis) {
-          if (!refactorize()) return Status::Numerical;
-          since_refactor = 0;
-          fresh_basis = true;
-          --iters_;
-          --dual_iters_;
+        if (!factor_.fresh()) {
+          if (!reconfirm()) return Status::Numerical;
           continue;
         }
         return Status::Unbounded;
@@ -1335,7 +1222,7 @@ class RevisedSimplex {
         met_.dual_bound_flips.add(enter_idx);
         {
           obs::ScopedTimer t(met_.t_ftran, timed);
-          ftran(flip_sum, w);
+          factor_.ftran(flip_sum, w);
         }
         for (int i = 0; i < m_; ++i) xb_[i] -= w[i];
       }
@@ -1346,7 +1233,7 @@ class RevisedSimplex {
       // ---- FTRAN of the entering column ----
       {
         obs::ScopedTimer t(met_.t_ftran, timed);
-        ftran_entering(q, w);
+        factor_.ftran_entering(q, w);
       }
       const double piv = w[leave];
       if (std::abs(piv) < 1e-9 ||
@@ -1354,11 +1241,7 @@ class RevisedSimplex {
         // The btran row and ftran column disagree on the pivot: the updated
         // factors have drifted. Refactorize and redo the iteration (committed
         // bound flips stand; the next round reprices from fresh values).
-        if (!refactorize()) return Status::Numerical;
-        since_refactor = 0;
-        fresh_basis = true;
-        --iters_;
-        --dual_iters_;
+        if (!reconfirm()) return Status::Numerical;
         continue;
       }
 
@@ -1369,12 +1252,6 @@ class RevisedSimplex {
       } else {
         degenerate_streak = 0;
       }
-
-      // ---- primal update: leaving basic lands on its violated bound ----
-      const double target = below ? sf_.lo[lj] : sf_.up[lj];
-      const double t_p = (xb_[leave] - target) / piv;
-      const double enter_val = nonbasic_value(q) + t_p;
-      for (int i = 0; i < m_; ++i) xb_[i] -= t_p * w[i];
 
       // ---- dual DEVEX row-weight update (reuses the ftran column) ----
       const double piv2 = piv * piv;
@@ -1388,27 +1265,11 @@ class RevisedSimplex {
       if (dw_r > 1e7) dw_.assign(static_cast<std::size_t>(m_), 1.0);
 
       update_prices(q, leave, piv, row_);
-      stat_[lj] = below ? kAtLower : kAtUpper;
-      pos_of_col_[lj] = -1;
-      basic_[leave] = q;
-      pos_of_col_[q] = leave;
-      stat_[q] = kBasic;
-      xb_[leave] = enter_val;
 
-      // Numerical alarm: tiny pivot in the transformed column.
-      if (std::abs(piv) < 1e-7) {
-        if (!refactorize()) return Status::Numerical;
-        since_refactor = 0;
-        fresh_basis = true;
-        continue;
-      }
-      fresh_basis = false;
-
-      if (!update_factors(leave, piv) || ++since_refactor >= opt_.refactor_every) {
-        if (!refactorize()) return Status::Numerical;
-        since_refactor = 0;
-        fresh_basis = true;
-      }
+      // ---- primal update: leaving basic lands on its violated bound ----
+      const double target = below ? sf_.lo[lj] : sf_.up[lj];
+      swap_in(q, leave, below ? kAtLower : kAtUpper, (xb_[leave] - target) / piv, w);
+      if (!factor_.replace(leave, piv) && !refactorize()) return Status::Numerical;
     }
   }
 
@@ -1427,7 +1288,7 @@ class RevisedSimplex {
     sol.objective = sign * obj;
 
     for (int i = 0; i < m_; ++i) cb_[i] = sf_.cost[basic_[i]];
-    btran(cb_, y_);
+    factor_.btran(cb_, y_);
     sol.duals.resize(static_cast<std::size_t>(m_));
     for (int i = 0; i < m_; ++i) sol.duals[i] = sign * y_[i];
     sol.reduced.resize(static_cast<std::size_t>(sf_.nstruct));
@@ -1450,11 +1311,11 @@ class RevisedSimplex {
   const CrashHints* crash_ = nullptr;
   int m_, n_;
   SparseMatrix a_;
-  RowProduct a_rows_;  // a_ row-wise, for pivot rows
+  BasisFactor factor_;  // LU of the basis columns of a_, and when to rebuild it
+  RowProduct a_rows_;   // a_ row-wise, for pivot rows
   Rng rng_;
   long max_iters_ = 0;
   long iters_ = 0;
-  long dual_iters_ = 0;     // iterations inside optimize_dual()
   long charged_iters_ = 0;  // iterations already charged to the cancel token
   bool adopting_crash_ = false;    // apply_warm() is consuming crash hints
   bool adopted_via_crash_ = false; // a crash-hint basis was adopted
@@ -1476,9 +1337,8 @@ class RevisedSimplex {
   std::vector<double> dw_;  // dual DEVEX row weights (optimize_dual)
   std::vector<double> d_;   // reduced costs (see reprice())
   int priced_at_ = -1;      // refactor_count_ at the last reprice(); -1: none
-  SparseLU lu_;
   // Per-solve scratch, sized once so FTRAN/BTRAN allocate nothing per pivot.
-  std::vector<double> col_buf_, cb_, y_, er_, rho_, lu_work_, spike_;
+  std::vector<double> cb_, y_, er_, rho_;
   std::vector<std::pair<int, double>> row_;  // nonzeros (j, alpha_j) of the pivot row
 };
 
@@ -1526,7 +1386,6 @@ Solution solve(const Model& model, const SimplexOptions& options, const Basis* w
   if (accept(best)) return best;
 
   // ---- staged recovery ladder ----
-  auto& met = SimplexMetrics::get();
   auto& rec = RecoveryMetrics::get();
   std::string history = "first attempt: " + describe(best);
 
@@ -1606,7 +1465,6 @@ Solution solve(const Model& model, const SimplexOptions& options, const Basis* w
       }
     }
     rec.attempts.add(1);
-    met.retries.add(1);
     const bool rescued_here = accept(cand);
     stage_span.attr("status", to_string(cand.status));
     stage_span.attr("rescued", rescued_here);

@@ -2,12 +2,8 @@
 //
 // Two-phase bounded-variable primal simplex:
 //   * basis kept as a sparse Markowitz LU, changed at each pivot by a
-//     Forrest–Tomlin update (the entering column's spike replaces a U
-//     column; see lin/sparse_lu.hpp), and refactorized every
-//     `refactor_every` pivots, on numerical alarm, when the updates' fill
-//     exceeds the fresh factor's, or when an update's new U diagonal is not
-//     the pivot times the old one to 1e-9 relative (det B_new = alpha_r
-//     det B; a gap is accumulated rounding);
+//     Forrest–Tomlin update; one refactorization policy, owned by
+//     lp::BasisFactor (lp/basis_factor.hpp), decides when to rebuild it;
 //   * the pivot row alpha = rho' A_N computed row-wise over rho's nonzeros
 //     from a CSR copy of A built once per solve, bit-identical to the
 //     column pass;
@@ -27,9 +23,9 @@
 // A warm basis that comes back dual-feasible but primal-infeasible — the
 // parametric-sweep case, where an rhs edit moved the basic values but left
 // every reduced cost intact — is re-optimized by a dual simplex phase
-// (dual-DEVEX row pricing, bound-flipping ratio test) that shares the LU
-// updates, refactorization triggers and carried reduced costs with the
-// primal loop.
+// (dual-DEVEX row pricing, bound-flipping ratio test) that shares the basis
+// factor, its pivot epilogue and the carried reduced costs with the primal
+// loop.
 //
 // Numerical breakdowns and failed certificates go through a four-stage
 // recovery ladder (reseed, equilibrate, careful, dense); see solve().

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "tcr/core/tradeoff.hpp"
@@ -365,36 +366,44 @@ TEST(WarmStart, AttemptsAlwaysEqualCommittedOutcomes) {
 // After a pure rhs edit the old optimal basis stays dual feasible, so the
 // warm solve must route through the dual simplex (lp.dual.solves) and
 // usually reoptimize without phase 1 — and the answer must match a cold
-// solve exactly as the certificate demands.
+// solve exactly as the certificate demands. The population runs at the
+// default refactorization cadence and at both extremes: refactor_every = 1
+// rebuilds the factors after every pivot, and 1000000 updates them through
+// every pivot until a verdict needs fresh ones.
 TEST(DualRestart, RhsEditReoptimizesThroughDualPhase) {
-  Rng rng(8888);
-  SimplexOptions opt;
-  int compared = 0;
-  const DualCounters start = DualCounters::snap();
-  for (int trial = 0; trial < 300; ++trial) {
-    opt.seed = 2600 + trial;
-    Model m = random_model(rng, 4 + static_cast<int>(rng.below(8)),
-                           4 + static_cast<int>(rng.below(10)));
-    const Solution base = solve(m, opt);
-    if (base.status != Status::Optimal) continue;
-    // Large edits so the old basic point usually leaves its bounds: a
-    // gentle nudge is often still primal feasible and adopts without any
-    // reoptimization, which would leave the dual phase untested.
-    const int row = static_cast<int>(rng.below(m.num_rows()));
-    m.set_rhs(row, m.rhs(row) + rng.uniform(2.0, 6.0) * (rng.uniform() < 0.5 ? -1.0 : 1.0));
+  for (const int refactor_every : {SimplexOptions{}.refactor_every, 1, 1000000}) {
+    SCOPED_TRACE("refactor_every = " + std::to_string(refactor_every));
+    Rng rng(8888);
+    SimplexOptions opt;
+    opt.refactor_every = refactor_every;
+    int compared = 0;
+    const DualCounters start = DualCounters::snap();
+    for (int trial = 0; trial < 300; ++trial) {
+      opt.seed = 2600 + trial;
+      Model m = random_model(rng, 4 + static_cast<int>(rng.below(8)),
+                             4 + static_cast<int>(rng.below(10)));
+      const Solution base = solve(m, opt);
+      if (base.status != Status::Optimal) continue;
+      // Large edits so the old basic point usually leaves its bounds: a
+      // gentle nudge is often still primal feasible and adopts without any
+      // reoptimization, which would leave the dual phase untested.
+      const int row = static_cast<int>(rng.below(m.num_rows()));
+      m.set_rhs(row, m.rhs(row) + rng.uniform(2.0, 6.0) * (rng.uniform() < 0.5 ? -1.0 : 1.0));
 
-    const WarmCounters before = WarmCounters::snap();
-    expect_warm_matches_cold(m, base.basis, opt, "dual rhs-edit restart");
-    WarmCounters::snap().delta_since(before).expect_balanced("dual restart");
-    ++compared;
+      const WarmCounters before = WarmCounters::snap();
+      expect_warm_matches_cold(m, base.basis, opt, "dual rhs-edit restart");
+      WarmCounters::snap().delta_since(before).expect_balanced("dual restart");
+      ++compared;
+    }
+    ASSERT_GT(compared, 40);
+    const DualCounters d = DualCounters::snap().delta_since(start);
+    // The screen must route a healthy share of these restarts into the dual
+    // phase, and most dual runs must finish there (reoptimized), not fall
+    // back.
+    EXPECT_GT(d.solves, compared / 8) << "dual phase barely engaged";
+    EXPECT_GT(d.reoptimized, 0);
+    EXPECT_GE(d.solves, d.reoptimized + d.fallbacks);
   }
-  ASSERT_GT(compared, 40);
-  const DualCounters d = DualCounters::snap().delta_since(start);
-  // The screen must route a healthy share of these restarts into the dual
-  // phase, and most dual runs must finish there (reoptimized), not fall back.
-  EXPECT_GT(d.solves, compared / 8) << "dual phase barely engaged";
-  EXPECT_GT(d.reoptimized, 0);
-  EXPECT_GE(d.solves, d.reoptimized + d.fallbacks);
 }
 
 // The caller does not have to say which row moved: a warm basis that an rhs
