@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) of the library's computational
 // kernels: Hungarian matching, channel-load evaluation, sparse LU
-// factorization and solves, the revised simplex on a capacity LP, the flit
+// factorization and solves, the revised simplex on a capacity LP and its
+// per-pivot kernels on a real Figure 1 basis, the flit
 // simulator cycle loop, and the tcr::obs / tcr::trace instrumentation primitives (the
 // LP kernels double as the overhead check: BM_CapacityLP runs with
 // fine-grained timing off, BM_CapacityLPTimed with it on, and
@@ -13,10 +14,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 
 #include "tcr/core/arc_flow.hpp"
+#include "tcr/core/tradeoff.hpp"
 #include "tcr/lin/sparse_lu.hpp"
 #include "tcr/lp/maxflow.hpp"
+#include "tcr/lp/pivot_kernels.hpp"
+#include "tcr/lp/standard_form.hpp"
 #include "tcr/matching/hungarian.hpp"
 #include "tcr/metrics/loads.hpp"
 #include "tcr/metrics/worst_case.hpp"
@@ -448,6 +453,188 @@ void BM_DualRestart(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DualRestart)->Arg(4)->Unit(benchmark::kMillisecond);
+
+// ---- the simplex's per-pivot kernels on a real basis ----------------------
+//
+// The optimal basis of the k=6 Figure 1 LP (10) at the sweep's first
+// locality point, regenerated once per process (one cold solve). Its standard
+// form has the artificials pinned to [0, 0], as in phase 2. From it:
+//   * primal states: the basic values at that point and w = B^-1 a_q for 16
+//     nonbasic priceable columns q spread over the columns;
+//   * dual states: the same basis after the sweep's next rhs edit (the next
+//     locality point), where the warm restart's dual phase starts, with one
+//     pivot row rho = B^-T e_r per violated basic;
+//   * 32 pivot rows rho = B^-T e_r for rows r spread over the rows.
+struct Fig1Basis {
+  lp::detail::StandardForm sf;
+  SparseMatrix a;
+  std::vector<lp::detail::VarStatus> stat;
+  std::vector<int> basic;
+  std::vector<char> priceable;
+  std::vector<double> blo, bup, d;
+  std::vector<double> xb;                  // at the solved point
+  std::vector<std::vector<double>> w;      // primal states
+  std::vector<int> dir;
+  std::vector<double> own_range;
+  std::vector<std::vector<double>> rho;    // spread pivot rows
+  std::vector<std::vector<double>> dual_rho;  // dual states
+  std::vector<double> dual_sign, dual_remain;
+
+  static const Fig1Basis& get() {
+    static const Fig1Basis b;
+    return b;
+  }
+
+ private:
+  Fig1Basis() {
+    const Torus t(6);
+    const double hmin = t.mean_min_distance();
+    const std::vector<double> grid = locality_grid(1.0, 2.0, 9);
+    SymmetricDesignConfig cfg;
+    cfg.objective = DesignObjective::WorstCase;
+    cfg.locality_equals = grid[0] * hmin;
+    cfg.locality_le = true;
+    SymmetricArcDesign design(t, cfg);
+    const DesignResult res = design.solve();
+    sf = lp::detail::build_standard_form(design.model());
+    design.set_locality_bound(grid[1] * hmin);
+    const std::vector<double> b_next = lp::detail::build_standard_form(design.model()).b;
+    for (int j = 0; j < sf.ntotal; ++j)
+      if (sf.artificial[j]) sf.up[j] = 0.0;
+    a = SparseMatrix(sf.m, sf.ntotal, sf.triplets);
+    basic = res.basis.basic;
+    for (const std::uint8_t s : res.basis.stat) stat.push_back(static_cast<lp::detail::VarStatus>(s));
+    for (int j = 0; j < sf.ntotal; ++j)
+      priceable.push_back(stat[j] != lp::detail::kBasic && sf.lo[j] != sf.up[j]);
+    for (const int j : basic) {
+      blo.push_back(sf.lo[j]);
+      bup.push_back(sf.up[j]);
+    }
+    SparseLU lu;
+    if (!lu.factor(a, basic)) std::abort();
+    const auto nonbasic_value = [&](int j) {
+      return stat[j] == lp::detail::kAtLower   ? sf.lo[j]
+             : stat[j] == lp::detail::kAtUpper ? sf.up[j]
+                                               : 0.0;
+    };
+    const auto basic_values = [&](std::vector<double> rhs) {
+      for (int j = 0; j < sf.ntotal; ++j)
+        if (stat[j] != lp::detail::kBasic) a.add_column_to(j, -nonbasic_value(j), rhs);
+      std::vector<double> x;
+      lu.solve(rhs, x);
+      return x;
+    };
+    xb = basic_values(sf.b);
+    std::vector<double> cb(sf.m), y;
+    for (int i = 0; i < sf.m; ++i) cb[i] = sf.cost[basic[i]];
+    lu.solve_transpose(cb, y);
+    d.resize(sf.ntotal);
+    for (int j = 0; j < sf.ntotal; ++j) d[j] = sf.cost[j] - a.column_dot(j, y);
+
+    for (int q = 0, taken = 0; q < sf.ntotal && taken < 16; q += 1 + sf.ntotal / 64) {
+      if (!priceable[q]) continue;
+      std::vector<double> col(sf.m, 0.0), x;
+      a.add_column_to(q, 1.0, col);
+      lu.solve(col, x);
+      w.push_back(std::move(x));
+      dir.push_back(stat[q] == lp::detail::kAtUpper ? -1 : 1);
+      own_range.push_back(sf.up[q] - sf.lo[q]);
+      ++taken;
+    }
+    std::vector<double> er(sf.m, 0.0), r;
+    for (int i = 0; i < sf.m; i += 1 + sf.m / 32) {
+      er[i] = 1.0;
+      lu.solve_transpose(er, r);
+      er[i] = 0.0;
+      rho.push_back(r);
+    }
+    const std::vector<double> xb_next = basic_values(b_next);
+    for (int i = 0; i < sf.m; ++i) {
+      const bool below = xb_next[i] < blo[i] - 1e-7;
+      if (!below && !(xb_next[i] > bup[i] + 1e-7)) continue;
+      er[i] = 1.0;
+      lu.solve_transpose(er, r);
+      er[i] = 0.0;
+      dual_rho.push_back(r);
+      dual_sign.push_back(below ? -1.0 : 1.0);
+      dual_remain.push_back(below ? blo[i] - xb_next[i] : xb_next[i] - bup[i]);
+    }
+  }
+};
+
+// The pivot row alpha_j = a_j . rho over the priceable columns (nonbasic,
+// not fixed), as the simplex forms it for its DEVEX and price updates
+// (primal) and its candidate pass (dual), over the 32 captured rho in turn.
+void BM_PivotRowProduct(benchmark::State& state) {
+  const Fig1Basis& fb = Fig1Basis::get();
+  RowProduct rows(fb.a);
+  rows.partition([&](int j) { return fb.priceable[j] != 0; });
+  std::vector<std::pair<int, double>> row;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    row.clear();
+    rows.for_each(fb.rho[next], [&](int j, double alpha) {
+      if (alpha != 0.0) row.emplace_back(j, alpha);
+    });
+    benchmark::DoNotOptimize(row.data());
+    next = next + 1 == fb.rho.size() ? 0 : next + 1;
+  }
+}
+BENCHMARK(BM_PivotRowProduct);
+
+// The primal Harris ratio test over the 16 captured entering columns in
+// turn, Bland mode off.
+void BM_PrimalRatioTest(benchmark::State& state) {
+  const Fig1Basis& fb = Fig1Basis::get();
+  std::vector<int> cand;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const lp::detail::HarrisStep step =
+        lp::detail::harris_ratio_test(fb.w[next], fb.dir[next], fb.xb, fb.blo, fb.bup, fb.basic,
+                                      fb.own_range[next], 1e-7, false, cand);
+    benchmark::DoNotOptimize(step);
+    next = next + 1 == fb.w.size() ? 0 : next + 1;
+  }
+}
+BENCHMARK(BM_PrimalRatioTest);
+
+// The dual ratio test after the pivot row: the bound-flipping candidates of
+// one violated row of the warm restart's first basis (the simplex's
+// candidate pass) and the walk that picks the entering column.
+void BM_DualBfrt(benchmark::State& state) {
+  const Fig1Basis& fb = Fig1Basis::get();
+  if (fb.dual_rho.empty()) {
+    state.SkipWithError("the rhs edit left the basis primal-feasible");
+    return;
+  }
+  RowProduct rows(fb.a);
+  rows.partition([&](int j) { return fb.priceable[j] != 0; });
+  std::vector<std::vector<std::pair<int, double>>> pivot_rows(fb.dual_rho.size());
+  for (std::size_t s = 0; s < fb.dual_rho.size(); ++s) {
+    rows.for_each(fb.dual_rho[s], [&](int j, double alpha) {
+      if (alpha != 0.0) pivot_rows[s].emplace_back(j, alpha);
+    });
+  }
+  std::vector<lp::detail::BfrtCand> cands;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const double s = fb.dual_sign[next];
+    cands.clear();
+    for (const auto& [j, alpha] : pivot_rows[next]) {
+      const double abar = s * alpha;
+      if (std::abs(abar) <= 1e-9) continue;
+      if (fb.stat[j] == lp::detail::kAtLower   ? abar <= 0.0
+          : fb.stat[j] == lp::detail::kAtUpper ? abar >= 0.0
+                                               : false) {
+        continue;
+      }
+      cands.push_back({j, fb.d[j] / abar, abar, fb.sf.up[j] - fb.sf.lo[j]});
+    }
+    benchmark::DoNotOptimize(lp::detail::bfrt_select(cands, fb.dual_remain[next], 1e-7));
+    next = next + 1 == pivot_rows.size() ? 0 : next + 1;
+  }
+}
+BENCHMARK(BM_DualBfrt);
 
 // Flow-crash path routing: the Dinic pass flow_crash_hints() runs per
 // representative commodity — route one unit 0 -> e over the torus channel

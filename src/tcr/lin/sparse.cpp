@@ -81,24 +81,41 @@ std::vector<double> SparseMatrix::multiply_transpose(const std::vector<double>& 
   return y;
 }
 
-SparseMatrix SparseMatrix::transpose() const {
-  SparseMatrix t;
-  t.rows_ = cols_;
-  t.cols_ = rows_;
-  t.col_ptr_.assign(static_cast<std::size_t>(rows_) + 1, 0);
-  for (const int r : row_idx_) ++t.col_ptr_[r + 1];
-  for (int i = 0; i < rows_; ++i) t.col_ptr_[i + 1] += t.col_ptr_[i];
-  t.row_idx_.resize(row_idx_.size());
-  t.values_.resize(values_.size());
-  std::vector<std::size_t> cursor(t.col_ptr_.begin(), t.col_ptr_.end() - 1);
-  for (int j = 0; j < cols_; ++j) {
-    for (std::size_t k = col_begin(j); k < col_end(j); ++k) {
-      const std::size_t at = cursor[row_idx_[k]]++;
-      t.row_idx_[at] = j;
-      t.values_[at] = values_[k];
+RowProduct::RowProduct(const SparseMatrix& a)
+    : ptr_(static_cast<std::size_t>(a.rows()) + 1, 0),
+      col_(a.nnz()),
+      val_(a.nnz()),
+      acc_(static_cast<std::size_t>(a.cols()), 0.0),
+      touched_((static_cast<std::size_t>(a.cols()) + 63) / 64, 0) {
+  for (std::size_t k = 0; k < a.nnz(); ++k) ++ptr_[a.row_index(k) + 1];
+  for (int i = 0; i < a.rows(); ++i) ptr_[i + 1] += ptr_[i];
+  split_.assign(ptr_.begin() + 1, ptr_.end());
+  std::vector<std::size_t> cursor(ptr_.begin(), ptr_.end() - 1);
+  for (int j = 0; j < a.cols(); ++j) {
+    for (std::size_t k = a.col_begin(j); k < a.col_end(j); ++k) {
+      const std::size_t at = cursor[a.row_index(k)]++;
+      col_[at] = j;
+      val_[at] = a.value(k);
     }
   }
-  return t;
+}
+
+void RowProduct::exclude(const SparseMatrix& a, int j) {
+  for (std::size_t k = a.col_begin(j); k < a.col_end(j); ++k) {
+    const int i = a.row_index(k);
+    std::size_t p = ptr_[i];
+    while (col_[p] != j) ++p;
+    swap_entries(p, --split_[i]);
+  }
+}
+
+void RowProduct::include(const SparseMatrix& a, int j) {
+  for (std::size_t k = a.col_begin(j); k < a.col_end(j); ++k) {
+    const int i = a.row_index(k);
+    std::size_t p = split_[i];
+    while (col_[p] != j) ++p;
+    swap_entries(p, split_[i]++);
+  }
 }
 
 }  // namespace tcr

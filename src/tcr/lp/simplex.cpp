@@ -11,6 +11,7 @@
 #include "tcr/lp/basis_factor.hpp"
 #include "tcr/lp/certify.hpp"
 #include "tcr/lp/dense_simplex.hpp"
+#include "tcr/lp/pivot_kernels.hpp"
 #include "tcr/lp/scaling.hpp"
 #include "tcr/lp/standard_form.hpp"
 #include "tcr/obs/registry.hpp"
@@ -82,7 +83,12 @@ struct SimplexMetrics {
   obs::Histogram& price_drift =
       obs::Registry::instance().histogram("lp.simplex.price_drift", 1e-18, 2.0);
   // Per-phase and per-kernel time. The kernel timers wrap inner-loop spans
-  // and only read clocks when Registry::timing_enabled().
+  // and only read clocks when Registry::timing_enabled(). The last five nest
+  // inside pricing and ratio_test: chuzc is the primal entering-column scan,
+  // pivot_row the pivot-row product of both loops (primal: in pricing; dual:
+  // in ratio_test), devex the primal reference-weight and price update,
+  // ratio_test_primal the Harris test, ratio_test_dual the bound-flipping
+  // candidate pass and walk.
   obs::Timer& t_total = obs::Registry::instance().timer("lp.simplex.time.total");
   obs::Timer& t_phase1 = obs::Registry::instance().timer("lp.simplex.time.phase1");
   obs::Timer& t_phase2 = obs::Registry::instance().timer("lp.simplex.time.phase2");
@@ -92,6 +98,12 @@ struct SimplexMetrics {
   obs::Timer& t_ftran = obs::Registry::instance().timer("lp.simplex.time.ftran");
   obs::Timer& t_btran = obs::Registry::instance().timer("lp.simplex.time.btran");
   obs::Timer& t_refactor = obs::Registry::instance().timer("lp.simplex.time.refactor");
+  obs::Timer& t_chuzc = obs::Registry::instance().timer("lp.simplex.time.chuzc");
+  obs::Timer& t_pivot_row = obs::Registry::instance().timer("lp.simplex.time.pivot_row");
+  obs::Timer& t_devex = obs::Registry::instance().timer("lp.simplex.time.devex");
+  obs::Timer& t_ratio_primal =
+      obs::Registry::instance().timer("lp.simplex.time.ratio_test_primal");
+  obs::Timer& t_ratio_dual = obs::Registry::instance().timer("lp.simplex.time.ratio_test_dual");
 
   static SimplexMetrics& get() {
     static SimplexMetrics m;
@@ -129,6 +141,7 @@ constexpr int kDenseFallbackMaxDim = 600;
 // this many iterations while a tracer or heartbeat is listening.
 constexpr long kSampleEvery = 32;
 
+using detail::BfrtCand;
 using detail::kAtLower;
 using detail::kAtUpper;
 using detail::kBasic;
@@ -159,6 +172,9 @@ class RevisedSimplex {
     d_.assign(n_, 0.0);
     cb_.assign(m_, 0.0);
     er_.assign(m_, 0.0);
+    blo_.assign(m_, 0.0);
+    bup_.assign(m_, 0.0);
+    attr_slot_.assign(n_, -1);
   }
 
   Solution run() {
@@ -382,8 +398,6 @@ class RevisedSimplex {
   void restore_crash_basis() {
     stat_ = sf_.stat0;
     basic_ = sf_.basis0;
-    pos_of_col_.assign(n_, -1);
-    for (int i = 0; i < m_; ++i) pos_of_col_[basic_[i]] = i;
   }
 
   // Outcome of adopting a warm basis. kFeasible: the basis is factorized and
@@ -549,7 +563,6 @@ class RevisedSimplex {
 
     stat_ = std::move(stat);
     basic_ = warm.basic;
-    pos_of_col_ = std::move(pos);
 
     // Patch position i back to its crash-basis column (the row's slack or
     // artificial), demoting the current occupant to its crash-rule bound.
@@ -557,13 +570,13 @@ class RevisedSimplex {
     // column is basic elsewhere — then the basis is beyond cheap repair.
     auto patch_to_crash = [&](int i) {
       const int crash = sf_.basis0[i];
-      if (basic_[i] == crash || pos_of_col_[crash] != -1) return false;
+      if (basic_[i] == crash || pos[crash] != -1) return false;
       const int out = basic_[i];
       stat_[out] = default_nonbasic(out);
-      pos_of_col_[out] = -1;
+      pos[out] = -1;
       basic_[i] = crash;
       stat_[crash] = kBasic;
-      pos_of_col_[crash] = i;
+      pos[crash] = i;
       return true;
     };
 
@@ -703,6 +716,21 @@ class RevisedSimplex {
     factor_.ftran(rhs, xb_);
   }
 
+  // Pricing and the pivot row consider only these columns.
+  bool priceable(int j) const { return stat_[j] != kBasic && sf_.lo[j] != sf_.up[j]; }
+
+  // Loop entry: split each row of a_rows_ into priceable columns and the
+  // rest, and read each position's bounds into blo_/bup_. swap_in() keeps
+  // both up to date within the loop; between loops the basis may be rebuilt
+  // and the artificials' bounds change.
+  void sync_pivot_state() {
+    for (int i = 0; i < m_; ++i) {
+      blo_[i] = sf_.lo[basic_[i]];
+      bup_[i] = sf_.up[basic_[i]];
+    }
+    a_rows_.partition([&](int j) { return priceable(j); });
+  }
+
   // The basis change of a pivot: the basic values step along w = B^-1 a_q
   // (x_B -= step w), column q enters at position r with value
   // nonbasic_value(q) + step, and the leaving column goes nonbasic at `out`.
@@ -711,11 +739,16 @@ class RevisedSimplex {
     for (int i = 0; i < m_; ++i) xb_[i] -= step * w[i];
     const int leaving = basic_[r];
     stat_[leaving] = out;
-    pos_of_col_[leaving] = -1;
     basic_[r] = q;
-    pos_of_col_[q] = r;
     stat_[q] = kBasic;
     xb_[r] = enter_val;
+    a_rows_.exclude(a_, q);
+    if (priceable(leaving)) a_rows_.include(a_, leaving);
+    blo_[r] = sf_.lo[q];
+    bup_[r] = sf_.up[q];
+    if (auto* o = detail::pivot_observer()) {
+      o->after_pivot({stat_, basic_, sf_.lo, sf_.up, blo_, bup_, a_rows_});
+    }
   }
 
   // rho_ = B^-T e_r: row r of B^-1, whose products a_j . rho_ are the pivot
@@ -728,12 +761,13 @@ class RevisedSimplex {
   }
 
   // row_ = the nonzeros alpha_j = a_j . rho_ of the pivot row over the
-  // nonbasic, non-fixed columns other than `skip`, in ascending j, computed
-  // row-wise over rho_'s nonzeros (equal bit for bit to column_dot).
-  void pivot_row_entries(int skip) {
+  // priceable columns other than `skip`, in ascending j, computed row-wise
+  // over rho_'s nonzeros (equal bit for bit to column_dot).
+  void pivot_row_entries(int skip, bool timed) {
+    obs::ScopedTimer t(met_.t_pivot_row, timed);
     row_.clear();
     a_rows_.for_each(rho_, [&](int j, double alpha) {
-      if (alpha == 0.0 || stat_[j] == kBasic || j == skip || sf_.lo[j] == sf_.up[j]) return;
+      if (alpha == 0.0 || j == skip) return;
       row_.emplace_back(j, alpha);
     });
   }
@@ -782,6 +816,46 @@ class RevisedSimplex {
     for (const auto& [j, alpha_j] : row) d_[j] -= theta * alpha_j;
     d_[q] = 0.0;
     d_[basic_[r]] = -theta;
+  }
+
+  // ---- primal CHUZC candidates ------------------------------------------
+  //
+  // The primal loop keeps its attractive columns — priceable, with a reduced
+  // cost that violates optimality in a direction the column may move — as
+  // an unordered list, with each column's slot in it (-1: absent). The list
+  // is rebuilt after each reprice(); after each pivot it is updated for the
+  // columns whose price or status changed: the pivot row's, the entering and
+  // the leaving column, or the one a bound flip moved.
+
+  // The direction (+1 up, -1 down) in which column j improves the
+  // objective, or 0 when it is not attractive.
+  int entering_dir(int j) const {
+    if (!priceable(j)) return 0;
+    if (d_[j] < -opt_.opt_tol && stat_[j] != kAtUpper) return 1;
+    if (d_[j] > opt_.opt_tol && stat_[j] != kAtLower) return -1;
+    return 0;
+  }
+
+  void update_attractive(int j) {
+    const bool in = entering_dir(j) != 0;
+    const int slot = attr_slot_[j];
+    if (in == (slot >= 0)) return;
+    if (in) {
+      attr_slot_[j] = static_cast<int>(attractive_.size());
+      attractive_.push_back(j);
+      return;
+    }
+    const int last = attractive_.back();
+    attractive_[slot] = last;
+    attr_slot_[last] = slot;
+    attractive_.pop_back();
+    attr_slot_[j] = -1;
+  }
+
+  void rebuild_attractive() {
+    for (const int j : attractive_) attr_slot_[j] = -1;
+    attractive_.clear();
+    for (int j = 0; j < n_; ++j) update_attractive(j);
   }
 
   double nonbasic_value(int j) const {
@@ -857,6 +931,7 @@ class RevisedSimplex {
     // DEVEX reference weights (reset per optimize call).
     devex_.assign(n_, 1.0);
     priced_at_ = -1;  // a new cost vector: the first iteration reprices
+    sync_pivot_state();
 
     // Record the final degenerate run when leaving the loop.
     const auto flush_degenerate_run = [&] {
@@ -876,9 +951,16 @@ class RevisedSimplex {
         return Status::Cancelled;
       }
 
-      if (priced_at_ != refactor_count_) reprice(cost, timed);
+      if (priced_at_ != refactor_count_) {
+        reprice(cost, timed);
+        obs::ScopedTimer pricing_timer(met_.t_pricing, timed);
+        obs::ScopedTimer chuzc_timer(met_.t_chuzc, timed);
+        rebuild_attractive();
+      }
 
       // ---- pricing (DEVEX: maximize d^2 / reference weight) ----
+      // Over the attractive columns; the largest score wins, ties going to
+      // the lowest column index, and Bland's rule takes the lowest index.
       const bool bland = degenerate_streak >= opt_.bland_after;
       if (bland && !bland_active) {
         ++bland_activations_;
@@ -886,30 +968,23 @@ class RevisedSimplex {
       }
       bland_active = bland;
       obs::ScopedTimer pricing_timer(met_.t_pricing, timed);
-      int q = -1, dir = 0;
+      obs::ScopedTimer chuzc_timer(met_.t_chuzc, timed);
+      int q = -1;
       double best = 0.0;
-      for (int j = 0; j < n_; ++j) {
-        if (stat_[j] == kBasic || sf_.lo[j] == sf_.up[j]) continue;
-        const double d = d_[j];
-        double viol = 0.0;
-        int jdir = 0;
-        if (stat_[j] == kAtLower) {
-          if (d < -opt_.opt_tol) { viol = -d; jdir = 1; }
-        } else if (stat_[j] == kAtUpper) {
-          if (d > opt_.opt_tol) { viol = d; jdir = -1; }
-        } else {  // free
-          if (d < -opt_.opt_tol) { viol = -d; jdir = 1; }
-          else if (d > opt_.opt_tol) { viol = d; jdir = -1; }
-        }
-        if (jdir == 0) continue;
-        if (bland) { q = j; dir = jdir; break; }
-        const double score = viol * viol / devex_[j];
-        if (score > best) {
-          best = score;
-          q = j;
-          dir = jdir;
+      if (bland) {
+        for (const int j : attractive_)
+          if (q < 0 || j < q) q = j;
+      } else {
+        for (const int j : attractive_) {
+          const double score = d_[j] * d_[j] / devex_[j];
+          if (score > best || (score == best && j < q)) {
+            best = score;
+            q = j;
+          }
         }
       }
+      const int dir = q >= 0 ? entering_dir(q) : 0;
+      chuzc_timer.stop();
       pricing_timer.stop();
 
       // ---- convergence telemetry (every kSampleEvery iterations) ----
@@ -946,24 +1021,13 @@ class RevisedSimplex {
       // ---- ratio test (two-pass Harris) ----
       obs::ScopedTimer ratio_timer(met_.t_ratio_test, timed);
       const double own_range = sf_.up[q] - sf_.lo[q];
-      double t_limit = std::isfinite(own_range) ? own_range : kInf;
-
-      // Pass 1: maximum step allowed with bounds relaxed by feas_tol.
-      for (int i = 0; i < m_; ++i) {
-        const double delta = dir * w[i];
-        if (std::abs(delta) <= 1e-9) continue;
-        const int bj = basic_[i];
-        double t;
-        if (delta > 0) {
-          if (!std::isfinite(sf_.lo[bj])) continue;
-          t = (xb_[i] - (sf_.lo[bj] - opt_.feas_tol)) / delta;
-        } else {
-          if (!std::isfinite(sf_.up[bj])) continue;
-          t = ((sf_.up[bj] + opt_.feas_tol) - xb_[i]) / (-delta);
-        }
-        t_limit = std::min(t_limit, std::max(t, 0.0));
+      detail::HarrisStep harris;
+      {
+        obs::ScopedTimer t(met_.t_ratio_primal, timed);
+        harris = detail::harris_ratio_test(w, dir, xb_, blo_, bup_, basic_, own_range,
+                                           opt_.feas_tol, bland, harris_rows_);
       }
-      if (!std::isfinite(t_limit)) {
+      if (!std::isfinite(harris.t_limit)) {
         // Never trust an unbounded verdict from a stale basis: refactorize
         // and re-derive the direction once before reporting.
         if (!factor_.fresh()) {
@@ -974,37 +1038,8 @@ class RevisedSimplex {
         unbounded_col_ = q;
         return phase1 ? Status::Numerical : Status::Unbounded;
       }
-
-      // Pass 2: among blockers within t_limit, pick the largest pivot.
-      int leave = -1;
-      double t_step = std::isfinite(own_range) ? own_range : kInf;
-      double best_pivot = 0.0;
-      for (int i = 0; i < m_; ++i) {
-        const double delta = dir * w[i];
-        if (std::abs(delta) <= 1e-9) continue;
-        const int bj = basic_[i];
-        double t;
-        if (delta > 0) {
-          if (!std::isfinite(sf_.lo[bj])) continue;
-          t = (xb_[i] - sf_.lo[bj]) / delta;
-        } else {
-          if (!std::isfinite(sf_.up[bj])) continue;
-          t = (sf_.up[bj] - xb_[i]) / (-delta);
-        }
-        t = std::max(t, 0.0);
-        if (t <= t_limit + 1e-12) {
-          const double piv = std::abs(w[i]);
-          if (bland) {
-            // Bland: smallest column index among eligible blockers.
-            if (leave < 0 || bj < basic_[leave]) { leave = i; t_step = t; }
-          } else if (piv > best_pivot) {
-            best_pivot = piv;
-            leave = i;
-            t_step = t;
-          }
-        }
-      }
-
+      const int leave = harris.leave;
+      const double t_step = harris.t_step;
       ratio_timer.stop();
 
       // Bound flip: no basic blocks (t_step is then own_range), or the
@@ -1013,6 +1048,7 @@ class RevisedSimplex {
         TCR_ASSERT(std::isfinite(own_range), "flip without finite range");
         for (int i = 0; i < m_; ++i) xb_[i] -= own_range * dir * w[i];
         stat_[q] = (stat_[q] == kAtLower) ? kAtUpper : kAtLower;
+        update_attractive(q);
         flush_degenerate_run();
         degenerate_streak = 0;
         met_.bound_flips.add(1);
@@ -1038,7 +1074,8 @@ class RevisedSimplex {
         pivot_row(leave, timed);
         obs::ScopedTimer devex_timer(met_.t_pricing, timed);
         const double scale = devex_q / (alpha_q * alpha_q);
-        pivot_row_entries(q);
+        pivot_row_entries(q, timed);
+        obs::ScopedTimer weights_timer(met_.t_devex, timed);
         if (!bland) {
           for (const auto& [j, alpha_j] : row_) {
             const double cand = alpha_j * alpha_j * scale;
@@ -1050,10 +1087,16 @@ class RevisedSimplex {
           devex_[basic_[leave]] = std::max(scale, 1.0);
           if (devex_q > 1e7) devex_.assign(n_, 1.0);  // reset a stale framework
         }
+        weights_timer.stop();
+        obs::ScopedTimer chuzc_upkeep(met_.t_chuzc, timed);
+        for (const auto& [j, alpha_j] : row_) update_attractive(j);
       }
 
       // ---- update ----
+      const int leaving = basic_[leave];
       swap_in(q, leave, dir * w[leave] > 0 ? kAtLower : kAtUpper, t_step * dir, w);
+      update_attractive(q);
+      update_attractive(leaving);
       if (sample.every > 0)
         min_pivot_sampled = std::min(min_pivot_sampled, std::abs(w[leave]));
       if (!factor_.replace(leave, w[leave]) && !refactorize()) return Status::Numerical;
@@ -1093,21 +1136,29 @@ class RevisedSimplex {
     const long first_iter = iters_;
     priced_at_ = -1;  // a new cost vector: the first iteration reprices
 
-    // Dual ratio-test candidate: signed pivot-row coefficient abar =
+    sync_pivot_state();
+
+    // Dual ratio-test candidates: signed pivot-row coefficient abar =
     // s * (a_j . rho) and ratio d_j / abar (>= 0 up to tolerance when the
     // basis is dual-feasible).
-    struct Cand {
-      int col;
-      double ratio;
-      double abar;
-      double range;  // up - lo (inf when unboxed)
+    std::vector<BfrtCand> cands;
+
+    // Record the current degenerate run, as the primal loop does, when a
+    // non-degenerate pivot ends it and when leaving the loop.
+    const auto flush_degenerate_run = [&] {
+      if (degenerate_streak > 0)
+        met_.degenerate_runs.record(static_cast<double>(degenerate_streak));
+      degenerate_streak = 0;
     };
-    std::vector<Cand> cands;
+    const auto leave_with = [&](Status st) {
+      flush_degenerate_run();
+      return st;
+    };
 
     for (;;) {
-      if (++iters_ > max_iters_) return Status::IterationLimit;
-      if (cancel_safepoint()) return Status::Cancelled;
-      if (iters_ - first_iter > stall_cap) return Status::Numerical;
+      if (++iters_ > max_iters_) return leave_with(Status::IterationLimit);
+      if (cancel_safepoint()) return leave_with(Status::Cancelled);
+      if (iters_ - first_iter > stall_cap) return leave_with(Status::Numerical);
       if (sample.due(iters_)) sample_progress(cost);
 
       if (priced_at_ != refactor_count_) reprice(cost, timed);
@@ -1119,14 +1170,15 @@ class RevisedSimplex {
       bool below = false;  // which bound the leaving basic violates
       double best_score = 0.0;
       for (int i = 0; i < m_; ++i) {
-        const int j = basic_[i];
+        // An infinite bound is never violated: x < -inf - tol and
+        // x > inf + tol are both false.
         double viol;
         bool b;
-        if (std::isfinite(sf_.lo[j]) && xb_[i] < sf_.lo[j] - opt_.feas_tol) {
-          viol = sf_.lo[j] - xb_[i];
+        if (xb_[i] < blo_[i] - opt_.feas_tol) {
+          viol = blo_[i] - xb_[i];
           b = true;
-        } else if (std::isfinite(sf_.up[j]) && xb_[i] > sf_.up[j] + opt_.feas_tol) {
-          viol = xb_[i] - sf_.up[j];
+        } else if (xb_[i] > bup_[i] + opt_.feas_tol) {
+          viol = xb_[i] - bup_[i];
           b = false;
         } else {
           continue;
@@ -1149,10 +1201,10 @@ class RevisedSimplex {
         // Primal feasible. Confirm against a freshly factorized basis, as
         // the primal loop does before declaring optimality.
         if (!factor_.fresh()) {
-          if (!reconfirm()) return Status::Numerical;
+          if (!reconfirm()) return leave_with(Status::Numerical);
           continue;
         }
-        return Status::Optimal;
+        return leave_with(Status::Optimal);
       }
 
       pivot_row(leave, timed);
@@ -1169,8 +1221,9 @@ class RevisedSimplex {
       const int lj = basic_[leave];
       const double s = below ? -1.0 : 1.0;
       double remain = below ? sf_.lo[lj] - xb_[leave] : xb_[leave] - sf_.up[lj];
+      pivot_row_entries(-1, timed);
+      obs::ScopedTimer bfrt_timer(met_.t_ratio_dual, timed);
       cands.clear();
-      pivot_row_entries(-1);
       for (const auto& [j, alpha] : row_) {
         const double abar = s * alpha;
         if (std::abs(abar) <= 1e-9) continue;
@@ -1181,22 +1234,8 @@ class RevisedSimplex {
         }
         cands.push_back({j, d_[j] / abar, abar, sf_.up[j] - sf_.lo[j]});
       }
-      std::sort(cands.begin(), cands.end(), [](const Cand& x, const Cand& z) {
-        if (x.ratio != z.ratio) return x.ratio < z.ratio;
-        return x.col < z.col;  // deterministic (and Bland-style) tie-break
-      });
-
-      int enter_idx = -1;
-      double absorb = 0.0;  // violation absorbed by flips so far
-      for (int c = 0; c < static_cast<int>(cands.size()); ++c) {
-        const Cand& cd = cands[c];
-        if (!std::isfinite(cd.range) ||
-            remain - absorb - std::abs(cd.abar) * cd.range <= opt_.feas_tol) {
-          enter_idx = c;
-          break;
-        }
-        absorb += std::abs(cd.abar) * cd.range;
-      }
+      const int enter_idx = detail::bfrt_select(cands, remain, opt_.feas_tol);
+      bfrt_timer.stop();
       ratio_timer.stop();
 
       if (enter_idx < 0) {
@@ -1204,10 +1243,10 @@ class RevisedSimplex {
         // every boxed candidate): the dual is unbounded, the primal
         // infeasible. Trust the verdict only from a fresh factorization.
         if (!factor_.fresh()) {
-          if (!reconfirm()) return Status::Numerical;
+          if (!reconfirm()) return leave_with(Status::Numerical);
           continue;
         }
-        return Status::Unbounded;
+        return leave_with(Status::Unbounded);
       }
 
       // ---- apply the bound flips (batched into one ftran) ----
@@ -1227,7 +1266,7 @@ class RevisedSimplex {
         for (int i = 0; i < m_; ++i) xb_[i] -= w[i];
       }
 
-      const Cand& ec = cands[enter_idx];
+      const BfrtCand& ec = cands[enter_idx];
       const int q = ec.col;
 
       // ---- FTRAN of the entering column ----
@@ -1241,7 +1280,7 @@ class RevisedSimplex {
         // The btran row and ftran column disagree on the pivot: the updated
         // factors have drifted. Refactorize and redo the iteration (committed
         // bound flips stand; the next round reprices from fresh values).
-        if (!reconfirm()) return Status::Numerical;
+        if (!reconfirm()) return leave_with(Status::Numerical);
         continue;
       }
 
@@ -1250,7 +1289,7 @@ class RevisedSimplex {
         ++degenerate_total_;
         met_.degenerate_pivots.add(1);
       } else {
-        degenerate_streak = 0;
+        flush_degenerate_run();
       }
 
       // ---- dual DEVEX row-weight update (reuses the ftran column) ----
@@ -1269,7 +1308,7 @@ class RevisedSimplex {
       // ---- primal update: leaving basic lands on its violated bound ----
       const double target = below ? sf_.lo[lj] : sf_.up[lj];
       swap_in(q, leave, below ? kAtLower : kAtUpper, (xb_[leave] - target) / piv, w);
-      if (!factor_.replace(leave, piv) && !refactorize()) return Status::Numerical;
+      if (!factor_.replace(leave, piv) && !refactorize()) return leave_with(Status::Numerical);
     }
   }
 
@@ -1331,7 +1370,6 @@ class RevisedSimplex {
 
   std::vector<VarStatus> stat_;
   std::vector<int> basic_;
-  std::vector<int> pos_of_col_;
   std::vector<double> xb_;
   std::vector<double> devex_;
   std::vector<double> dw_;  // dual DEVEX row weights (optimize_dual)
@@ -1340,6 +1378,10 @@ class RevisedSimplex {
   // Per-solve scratch, sized once so FTRAN/BTRAN allocate nothing per pivot.
   std::vector<double> cb_, y_, er_, rho_;
   std::vector<std::pair<int, double>> row_;  // nonzeros (j, alpha_j) of the pivot row
+  std::vector<double> blo_, bup_;  // bounds of basic_[i] (see sync_pivot_state())
+  std::vector<int> harris_rows_;   // work buffer of the primal ratio test
+  std::vector<int> attractive_;    // primal CHUZC candidates (see entering_dir())
+  std::vector<int> attr_slot_;     // each column's slot in attractive_, or -1
 };
 
 }  // namespace

@@ -5,27 +5,32 @@
 //     Forrest–Tomlin update; one refactorization policy, owned by
 //     lp::BasisFactor (lp/basis_factor.hpp), decides when to rebuild it;
 //   * the pivot row alpha = rho' A_N computed row-wise over rho's nonzeros
-//     from a CSR copy of A built once per solve, bit-identical to the
-//     column pass;
+//     from a CSR copy of A built once per solve, each of whose rows keeps
+//     its priceable (nonbasic, non-fixed) columns first, so only those are
+//     swept; bit-identical to the column pass;
 //   * reduced costs kept as solver state: recomputed (one BTRAN of c_B and
 //     one pass over the matrix) on the first iteration after each
 //     refactorization, and carried across every other pivot by the textbook
 //     update along the pivot row rho = B^-T e_r, which each iteration
 //     computes anyway; Optimal and Unbounded verdicts are only issued on a
 //     fresh factorization, so always on fresh prices;
-//   * DEVEX pricing over the carried reduced costs with a Bland's-rule
-//     fallback after `bland_after` consecutive degenerate pivots
-//     (anti-cycling);
-//   * two-pass Harris-style ratio test with a feasibility tolerance;
+//   * DEVEX pricing over the carried reduced costs, scanning a kept list
+//     of the attractive columns, with a Bland's-rule fallback after
+//     `bland_after` consecutive degenerate pivots (anti-cycling);
+//   * two-pass Harris-style ratio test with a feasibility tolerance, over
+//     per-position copies of the basic columns' bounds, whose second pass
+//     visits only the rows the first found near the limit
+//     (lp/pivot_kernels.hpp);
 //   * a deterministic 1e-9 objective perturbation for the heavily degenerate
 //     multicommodity-flow models, removed by a final clean re-optimization.
 //
 // A warm basis that comes back dual-feasible but primal-infeasible — the
 // parametric-sweep case, where an rhs edit moved the basic values but left
 // every reduced cost intact — is re-optimized by a dual simplex phase
-// (dual-DEVEX row pricing, bound-flipping ratio test) that shares the basis
-// factor, its pivot epilogue and the carried reduced costs with the primal
-// loop.
+// (dual-DEVEX row pricing, bound-flipping ratio test whose candidates are
+// ordered by selection only as far as the walk reads them) that shares the
+// basis factor, its pivot epilogue and the carried reduced costs with the
+// primal loop.
 //
 // Numerical breakdowns and failed certificates go through a four-stage
 // recovery ladder (reseed, equilibrate, careful, dense); see solve().

@@ -11,6 +11,7 @@
 // bases check the row-wise pivot row against the column pass.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -24,6 +25,7 @@
 #include "tcr/lin/sparse_lu.hpp"
 #include "tcr/lp/certify.hpp"
 #include "tcr/lp/dense_simplex.hpp"
+#include "tcr/lp/pivot_kernels.hpp"
 #include "tcr/lp/simplex.hpp"
 #include "tcr/lp/standard_form.hpp"
 #include "tcr/obs/registry.hpp"
@@ -479,11 +481,20 @@ TEST(RevisedSimplex, PivotPathPinnedOnFigure6Sweep) {
                        0x3fe3ab1a801c7112ull, 0x3fe3ab1a801c7112ull}});
 }
 
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
 // The pivot row alpha_j = a_j . rho the simplex computes row-wise over
 // rho's nonzeros (RowProduct) equals the column pass (column_dot) bit for
 // bit, on the bases of every point of the k=4 Figure 1 and Figure 6 sweeps
 // (warm-started along the locality grid as the sweeps run them), for rho =
-// B^-T e_r over a spread of rows r.
+// B^-T e_r over a spread of rows r. Three copies are checked: the
+// unsplit one (every column priceable), one split by partition() on the
+// basis's statuses, and one that reaches the same split by exclude() and
+// include() moves, the way pivots move columns.
 TEST(RevisedSimplex, RowwisePivotRowMatchesColumnPassBitForBit) {
   const Torus torus(4);
   Rng rng(606);
@@ -491,7 +502,7 @@ TEST(RevisedSimplex, RowwisePivotRowMatchesColumnPassBitForBit) {
   for (int i = 0; i < 4; ++i) samples.push_back(rng.permutation(torus.num_nodes()));
   const std::vector<double> grid = locality_grid(1.0, 2.0, 5);
   const double hmin = torus.mean_min_distance();
-  long compared = 0, nonzero = 0;
+  long compared = 0, nonzero = 0, skipped = 0;
   for (const DesignObjective objective :
        {DesignObjective::WorstCase, DesignObjective::AverageCase}) {
     SymmetricDesignConfig cfg;
@@ -505,9 +516,24 @@ TEST(RevisedSimplex, RowwisePivotRowMatchesColumnPassBitForBit) {
       if (p > 0) design.set_locality_bound(grid[p] * hmin);
       DesignResult res = design.solve({}, warm.empty() ? nullptr : &warm);
       ASSERT_EQ(res.status, Status::Optimal) << res.note;
-      const detail::StandardForm sf = detail::build_standard_form(design.model());
+      detail::StandardForm sf = detail::build_standard_form(design.model());
+      for (int j = 0; j < sf.ntotal; ++j)
+        if (sf.artificial[j]) sf.up[j] = 0.0;  // pinned, as in phase 2
       const SparseMatrix a(sf.m, sf.ntotal, sf.triplets);
+      std::vector<char> priceable(sf.ntotal);
+      for (int j = 0; j < sf.ntotal; ++j)
+        priceable[j] = res.basis.stat[j] != detail::kBasic && sf.lo[j] != sf.up[j];
+      const std::vector<char> all(sf.ntotal, 1);
       RowProduct rows(a);
+      RowProduct split(a);
+      split.partition([&](int j) { return priceable[j] != 0; });
+      RowProduct moved(a);
+      for (int j = 0; j < sf.ntotal; ++j)
+        if (!priceable[j]) moved.exclude(a, j);
+      for (int j = 0; j < sf.ntotal; j += 3)
+        if (priceable[j]) moved.exclude(a, j);
+      for (int j = 0; j < sf.ntotal; j += 3)
+        if (priceable[j]) moved.include(a, j);
       SparseLU lu;
       ASSERT_TRUE(lu.factor(a, res.basis.basic));
       std::vector<double> er(sf.m), rho;
@@ -515,25 +541,35 @@ TEST(RevisedSimplex, RowwisePivotRowMatchesColumnPassBitForBit) {
         std::fill(er.begin(), er.end(), 0.0);
         er[r] = 1.0;
         lu.solve_transpose(er, rho);
-        std::vector<double> alpha(sf.ntotal, 0.0);
-        int last = -1;
-        rows.for_each(rho, [&](int j, double v) {
-          EXPECT_GT(j, last);
-          last = j;
-          alpha[j] = v;
-        });
-        for (int j = 0; j < sf.ntotal; ++j) {
-          const double col = a.column_dot(j, rho);
-          ++compared;
-          if (col == 0.0) {
-            EXPECT_EQ(alpha[j], 0.0) << "column " << j;
-            continue;
+        using Copy = std::pair<RowProduct*, const std::vector<char>*>;
+        for (auto [copy, want] : {Copy{&rows, &all}, Copy{&split, &priceable},
+                                  Copy{&moved, &priceable}}) {
+          std::vector<double> alpha(sf.ntotal, 0.0);
+          std::vector<char> seen(sf.ntotal, 0);
+          int last = -1;
+          copy->for_each(rho, [&](int j, double v) {
+            EXPECT_GT(j, last);
+            last = j;
+            ASSERT_TRUE((*want)[j]) << "column " << j << " is not priceable";
+            seen[j] = 1;
+            alpha[j] = v;
+          });
+          for (int j = 0; j < sf.ntotal; ++j) {
+            if (!(*want)[j]) {
+              ++skipped;
+              continue;
+            }
+            const double col = a.column_dot(j, rho);
+            ++compared;
+            if (col == 0.0) {
+              EXPECT_EQ(alpha[j], 0.0) << "column " << j;
+              continue;
+            }
+            ++nonzero;
+            ASSERT_TRUE(seen[j]) << "column " << j << " row " << r << " point " << p;
+            ASSERT_EQ(bits_of(alpha[j]), bits_of(col))
+                << "column " << j << " row " << r << " point " << p;
           }
-          ++nonzero;
-          std::uint64_t want = 0, got = 0;
-          std::memcpy(&want, &col, sizeof want);
-          std::memcpy(&got, &alpha[j], sizeof got);
-          ASSERT_EQ(got, want) << "column " << j << " row " << r << " point " << p;
         }
       }
       warm = std::move(res.basis);
@@ -541,6 +577,387 @@ TEST(RevisedSimplex, RowwisePivotRowMatchesColumnPassBitForBit) {
   }
   EXPECT_GT(nonzero, 1000);
   EXPECT_LT(nonzero, compared);  // zero entries were checked as well
+  EXPECT_GT(skipped, 1000);      // the split copies left columns out
+}
+
+// After every basis change of the k=4 Figure 1 and Figure 6 sweeps, the
+// state the simplex keeps so that it sweeps only what can pivot is
+// rebuilt from the statuses and bounds and compared: each row's priceable
+// part holds exactly its nonbasic, non-fixed columns, each row still holds
+// the entries it was built with, and blo/bup hold each position's basic
+// column's bounds.
+class KeptStateOracle final : public detail::PivotObserver {
+ public:
+  KeptStateOracle() { detail::install_pivot_observer(this); }
+  ~KeptStateOracle() { detail::install_pivot_observer(nullptr); }
+  KeptStateOracle(const KeptStateOracle&) = delete;
+  KeptStateOracle& operator=(const KeptStateOracle&) = delete;
+
+  void after_pivot(const detail::PivotState& s) override {
+    ++pivots;
+    const int m = s.rows.rows();
+    // Each row's column sum and xor of value bits, order-free, taken at the
+    // first pivot of each solve.
+    std::vector<std::pair<long, std::uint64_t>> content(m, {0, 0});
+    for (int i = 0; i < m; ++i) {
+      for (std::size_t k = s.rows.row_begin(i); k < s.rows.row_end(i); ++k) {
+        const int j = s.rows.col(k);
+        const bool priceable = s.stat[j] != detail::kBasic && s.lo[j] != s.up[j];
+        if ((k < s.rows.split(i)) != priceable) ++split_errors;
+        content[i].first += j;
+        content[i].second ^= bits_of(s.rows.value(k));
+      }
+    }
+    const auto solve = solves_.value();
+    if (solve != solve_) {
+      solve_ = solve;
+      content_ = content;
+    } else if (content != content_) {
+      ++content_errors;
+    }
+    for (std::size_t i = 0; i < s.basic.size(); ++i) {
+      if (bits_of(s.blo[i]) != bits_of(s.lo[s.basic[i]]) ||
+          bits_of(s.bup[i]) != bits_of(s.up[s.basic[i]])) {
+        ++bound_errors;
+      }
+    }
+  }
+
+  long pivots = 0, split_errors = 0, content_errors = 0, bound_errors = 0;
+
+ private:
+  obs::Counter& solves_ = obs::Registry::instance().counter("lp.simplex.solves");
+  std::int64_t solve_ = -1;
+  std::vector<std::pair<long, std::uint64_t>> content_;
+};
+
+TEST(RevisedSimplex, KeptPivotStateMatchesOracleAfterEveryPivot) {
+  const Torus torus(4);
+  Rng rng(606);
+  std::vector<std::vector<int>> samples;
+  for (int i = 0; i < 4; ++i) samples.push_back(rng.permutation(torus.num_nodes()));
+  const std::vector<double> grid = locality_grid(1.0, 2.0, 5);
+  KeptStateOracle oracle;
+  const auto fig1 = worst_case_tradeoff(torus, grid);
+  const auto fig6 = average_case_tradeoff(torus, samples, grid);
+  for (const auto& p : fig1) ASSERT_TRUE(p.solved()) << p.note;
+  for (const auto& p : fig6) ASSERT_TRUE(p.solved()) << p.note;
+  EXPECT_GT(oracle.pivots, 800);
+  EXPECT_EQ(oracle.split_errors, 0);
+  EXPECT_EQ(oracle.content_errors, 0);
+  EXPECT_EQ(oracle.bound_errors, 0);
+}
+
+// ---- ratio tests against their textbook forms ------------------------------
+// The primal Harris test as two full passes over the rows, reading each
+// basic column's bounds, and the dual bound-flipping walk over a fully
+// sorted candidate list: the forms the solver ran before it swept only what
+// can pivot. The kernels must return exactly what these return.
+detail::HarrisStep two_pass_harris(const std::vector<double>& w, int dir,
+                                   const std::vector<double>& xb,
+                                   const std::vector<double>& lo,
+                                   const std::vector<double>& up,
+                                   const std::vector<int>& basic, double own_range,
+                                   double feas_tol, bool bland) {
+  const int m = static_cast<int>(w.size());
+  detail::HarrisStep r;
+  double t_limit = std::isfinite(own_range) ? own_range : kInf;
+  for (int i = 0; i < m; ++i) {
+    const double delta = dir * w[i];
+    if (std::abs(delta) <= 1e-9) continue;
+    const int bj = basic[i];
+    double t;
+    if (delta > 0) {
+      if (!std::isfinite(lo[bj])) continue;
+      t = (xb[i] - (lo[bj] - feas_tol)) / delta;
+    } else {
+      if (!std::isfinite(up[bj])) continue;
+      t = ((up[bj] + feas_tol) - xb[i]) / (-delta);
+    }
+    t_limit = std::min(t_limit, std::max(t, 0.0));
+  }
+  r.t_limit = t_limit;
+  if (!std::isfinite(t_limit)) return r;
+  r.t_step = std::isfinite(own_range) ? own_range : kInf;
+  double best_pivot = 0.0;
+  for (int i = 0; i < m; ++i) {
+    const double delta = dir * w[i];
+    if (std::abs(delta) <= 1e-9) continue;
+    const int bj = basic[i];
+    double t;
+    if (delta > 0) {
+      if (!std::isfinite(lo[bj])) continue;
+      t = (xb[i] - lo[bj]) / delta;
+    } else {
+      if (!std::isfinite(up[bj])) continue;
+      t = (up[bj] - xb[i]) / (-delta);
+    }
+    t = std::max(t, 0.0);
+    if (t <= t_limit + 1e-12) {
+      const double piv = std::abs(w[i]);
+      if (bland) {
+        if (r.leave < 0 || bj < basic[r.leave]) {
+          r.leave = i;
+          r.t_step = t;
+        }
+      } else if (piv > best_pivot) {
+        best_pivot = piv;
+        r.leave = i;
+        r.t_step = t;
+      }
+    }
+  }
+  return r;
+}
+
+int sorted_bfrt(std::vector<detail::BfrtCand>& cands, double remain, double feas_tol) {
+  std::sort(cands.begin(), cands.end(), [](const detail::BfrtCand& x, const detail::BfrtCand& z) {
+    if (x.ratio != z.ratio) return x.ratio < z.ratio;
+    return x.col < z.col;
+  });
+  double absorb = 0.0;
+  for (int c = 0; c < static_cast<int>(cands.size()); ++c) {
+    const detail::BfrtCand& cd = cands[c];
+    if (!std::isfinite(cd.range) ||
+        remain - absorb - std::abs(cd.abar) * cd.range <= feas_tol) {
+      return c;
+    }
+    absorb += std::abs(cd.abar) * cd.range;
+  }
+  return -1;
+}
+
+// Runs both primal ratio tests on one state; true when they agree (the
+// verdict, the limit and the step, bit for bit).
+bool same_harris(const std::vector<double>& w, int dir, const std::vector<double>& xb,
+                 const std::vector<double>& lo, const std::vector<double>& up,
+                 const std::vector<int>& basic, double own_range, bool bland) {
+  const detail::HarrisStep want = two_pass_harris(w, dir, xb, lo, up, basic, own_range, 1e-7, bland);
+  std::vector<double> blo, bup;
+  for (const int j : basic) {
+    blo.push_back(lo[j]);
+    bup.push_back(up[j]);
+  }
+  std::vector<int> cand;
+  const detail::HarrisStep got =
+      detail::harris_ratio_test(w, dir, xb, blo, bup, basic, own_range, 1e-7, bland, cand);
+  // The limit's zero may differ in sign; the limit is only compared.
+  EXPECT_EQ(got.t_limit, want.t_limit);
+  EXPECT_EQ(got.leave, want.leave);
+  if (std::isfinite(want.t_limit)) {
+    EXPECT_EQ(bits_of(got.t_step), bits_of(want.t_step));
+  }
+  return got.leave == want.leave && got.t_limit == want.t_limit &&
+         (!std::isfinite(want.t_limit) || bits_of(got.t_step) == bits_of(want.t_step));
+}
+
+// Runs both bound-flipping walks on one candidate list; true when they
+// pick the same entering candidate after the same flips, in the same order.
+bool same_bfrt(std::vector<detail::BfrtCand> cands, double remain) {
+  std::vector<detail::BfrtCand> want = cands;
+  const int e_want = sorted_bfrt(want, remain, 1e-7);
+  const int e_got = detail::bfrt_select(cands, remain, 1e-7);
+  EXPECT_EQ(e_got, e_want);
+  if (e_got != e_want) return false;
+  for (int c = 0; c <= e_got; ++c) {
+    EXPECT_EQ(cands[c].col, want[c].col) << "position " << c;
+    if (cands[c].col != want[c].col) return false;
+  }
+  return true;
+}
+
+// Ratio-test states captured from the k=4 Figure 1 sweep: the optimal basis
+// of each point, with the artificials pinned as in phase 2, and
+//   * the primal test for every nonbasic priceable column entering, at the
+//     point's basic values, with and without Bland's rule;
+//   * the dual test for every basic the next point's rhs puts out of bounds
+//     (where the warm restart's dual phase starts), and for a spread of
+//     rows at several violation sizes. The first candidate of these walks
+//     is never boxed, so they never flip; the random states below do.
+TEST(RevisedSimplex, RatioTestsMatchTextbookFormsOnCapturedStates) {
+  const Torus torus(4);
+  const std::vector<double> grid = locality_grid(1.0, 2.0, 5);
+  const double hmin = torus.mean_min_distance();
+  SymmetricDesignConfig cfg;
+  cfg.objective = DesignObjective::WorstCase;
+  cfg.locality_equals = grid[0] * hmin;
+  cfg.locality_le = true;
+  SymmetricArcDesign design(torus, cfg);
+  Basis warm;
+  long primal_states = 0, dual_states = 0, contested = 0;
+  for (std::size_t p = 0; p + 1 < grid.size(); ++p) {
+    if (p > 0) design.set_locality_bound(grid[p] * hmin);
+    DesignResult res = design.solve({}, warm.empty() ? nullptr : &warm);
+    ASSERT_EQ(res.status, Status::Optimal) << res.note;
+    detail::StandardForm sf = detail::build_standard_form(design.model());
+    for (int j = 0; j < sf.ntotal; ++j)
+      if (sf.artificial[j]) sf.up[j] = 0.0;
+    const SparseMatrix a(sf.m, sf.ntotal, sf.triplets);
+    const std::vector<int>& basic = res.basis.basic;
+    const auto stat = [&](int j) { return static_cast<detail::VarStatus>(res.basis.stat[j]); };
+    SparseLU lu;
+    ASSERT_TRUE(lu.factor(a, basic));
+    const auto basic_values = [&](std::vector<double> rhs) {
+      for (int j = 0; j < sf.ntotal; ++j) {
+        if (stat(j) == detail::kBasic) continue;
+        const double v = stat(j) == detail::kAtLower   ? sf.lo[j]
+                         : stat(j) == detail::kAtUpper ? sf.up[j]
+                                                       : 0.0;
+        a.add_column_to(j, -v, rhs);
+      }
+      std::vector<double> x;
+      lu.solve(rhs, x);
+      return x;
+    };
+    const std::vector<double> xb = basic_values(sf.b);
+    for (int q = 0; q < sf.ntotal; ++q) {
+      if (stat(q) == detail::kBasic || sf.lo[q] == sf.up[q]) continue;
+      std::vector<double> col(sf.m, 0.0), w;
+      a.add_column_to(q, 1.0, col);
+      lu.solve(col, w);
+      const int dir = stat(q) == detail::kAtUpper ? -1 : 1;
+      for (const bool bland : {false, true}) {
+        ASSERT_TRUE(same_harris(w, dir, xb, sf.lo, sf.up, basic, sf.up[q] - sf.lo[q], bland))
+            << "point " << p << " column " << q;
+        ++primal_states;
+      }
+    }
+
+    std::vector<double> cb(sf.m), y;
+    for (int i = 0; i < sf.m; ++i) cb[i] = sf.cost[basic[i]];
+    lu.solve_transpose(cb, y);
+    design.set_locality_bound(grid[p + 1] * hmin);
+    const std::vector<double> xb_next =
+        basic_values(detail::build_standard_form(design.model()).b);
+    std::vector<double> er(sf.m, 0.0), rho;
+    for (int i = 0; i < sf.m; ++i) {
+      const int bj = basic[i];
+      const bool below = xb_next[i] < sf.lo[bj] - 1e-7;
+      const bool above = xb_next[i] > sf.up[bj] + 1e-7;
+      const bool spread = i % 7 == 0;
+      if (!below && !above && !spread) continue;
+      er[i] = 1.0;
+      lu.solve_transpose(er, rho);
+      er[i] = 0.0;
+      const double s = below || (!above && i % 2 == 0) ? -1.0 : 1.0;
+      std::vector<detail::BfrtCand> cands;
+      for (int j = 0; j < sf.ntotal; ++j) {
+        if (stat(j) == detail::kBasic || sf.lo[j] == sf.up[j]) continue;
+        const double abar = s * a.column_dot(j, rho);
+        if (std::abs(abar) <= 1e-9) continue;
+        if (stat(j) == detail::kAtLower ? abar <= 0.0
+            : stat(j) == detail::kAtUpper ? abar >= 0.0
+                                          : false) {
+          continue;
+        }
+        cands.push_back({j, (sf.cost[j] - a.column_dot(j, y)) / abar, abar, sf.up[j] - sf.lo[j]});
+      }
+      std::vector<double> remains;
+      if (below) remains.push_back(sf.lo[bj] - xb_next[i]);
+      if (above) remains.push_back(xb_next[i] - sf.up[bj]);
+      if (spread) remains.insert(remains.end(), {1e-6, 0.01, 1.0, 100.0});
+      for (const double remain : remains) {
+        ASSERT_TRUE(same_bfrt(cands, remain)) << "point " << p << " row " << i;
+        ++dual_states;
+        if (cands.size() > 1) ++contested;
+      }
+    }
+    warm = std::move(res.basis);
+  }
+  EXPECT_GT(primal_states, 1000);
+  EXPECT_GT(dual_states, 100);
+  EXPECT_GT(contested, 100);
+}
+
+// Random states built to hit the corners: ties in ratio and in pivot size,
+// infinite and fixed bounds, |delta| at and below 1e-9, basics already
+// beyond their bounds, finite and infinite own ranges, Bland's rule; and
+// candidate lists with tied ratios, infinite ranges and walks past the
+// point where bfrt_select() stops selecting and sorts.
+TEST(RevisedSimplex, RatioTestsMatchTextbookFormsOnRandomStates) {
+  Rng rng(2505);
+  const double pivots[] = {0.5, 1.0, 2.0};
+  long primal_found = 0, dual_long = 0, dual_none = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int m = 1 + static_cast<int>(rng.below(120));
+    const int n = m + 20;
+    std::vector<double> lo(n), up(n);
+    for (int j = 0; j < n; ++j) {
+      const double r = rng.uniform();
+      lo[j] = r < 0.15 ? -kInf : rng.uniform(-1, 1);
+      up[j] = r < 0.05   ? kInf                  // free
+              : r < 0.15 ? rng.uniform(-1, 1)    // upper bound only
+              : r < 0.3  ? kInf                  // lower bound only
+              : r < 0.4  ? lo[j]                 // fixed
+                         : lo[j] + rng.uniform(0, 3);
+    }
+    std::vector<int> basic = rng.permutation(n);
+    basic.resize(m);
+    std::vector<double> w(m), xb(m);
+    for (int i = 0; i < m; ++i) {
+      const double r = rng.uniform();
+      const double sign = rng.uniform() < 0.5 ? -1.0 : 1.0;
+      w[i] = r < 0.1    ? 0.0
+             : r < 0.15 ? sign * 1e-9
+             : r < 0.2  ? sign * rng.uniform(0, 1e-9)
+             : r < 0.45 ? sign * pivots[rng.below(3)]
+                        : rng.uniform(-3, 3);
+      const int bj = basic[i];
+      const double lo_f = std::isfinite(lo[bj]) ? lo[bj] : -2.0;
+      const double up_f = std::isfinite(up[bj]) ? up[bj] : lo_f + 2.0;
+      const double x = rng.uniform();
+      xb[i] = x < 0.25   ? lo_f
+              : x < 0.45 ? up_f
+              : x < 0.5  ? lo_f - 5e-8
+              : x < 0.55 ? up_f + 1e-6
+                         : lo_f + rng.uniform() * (up_f - lo_f);
+    }
+    const double r = rng.uniform();
+    const double own_range = r < 0.4 ? kInf : r < 0.5 ? 0.0 : rng.uniform(0, 4);
+    const int dir = rng.uniform() < 0.5 ? -1 : 1;
+    const bool bland = rng.uniform() < 0.3;
+    ASSERT_TRUE(same_harris(w, dir, xb, lo, up, basic, own_range, bland)) << "trial " << trial;
+    if (two_pass_harris(w, dir, xb, lo, up, basic, own_range, 1e-7, bland).leave >= 0)
+      ++primal_found;
+
+    const int k = static_cast<int>(rng.below(100));
+    const double ratios[] = {0.0, 1e-12, 0.5, 1.0, 2.0};
+    std::vector<detail::BfrtCand> cands;
+    const std::vector<int> cols = rng.permutation(k);
+    for (int c = 0; c < k; ++c) {
+      const double abar = (rng.uniform() < 0.5 ? -1.0 : 1.0) * rng.uniform(1e-8, 3.0);
+      const double ratio = rng.uniform() < 0.5 ? ratios[rng.below(5)] : rng.uniform(-1e-9, 3.0);
+      const double range = rng.uniform() < 0.1 ? kInf : rng.uniform() < 0.1 ? 0.0 : rng.uniform(0, 0.2);
+      cands.push_back({cols[c], ratio, abar, range});
+    }
+    const double remain = rng.uniform() < 0.3 ? rng.uniform(0, 1e-6) : rng.uniform(0, 20);
+    ASSERT_TRUE(same_bfrt(cands, remain)) << "trial " << trial;
+    const int e = sorted_bfrt(cands, remain, 1e-7);
+    if (e > 32) ++dual_long;
+    if (e < 0) ++dual_none;
+  }
+  EXPECT_GT(primal_found, 1000);
+  EXPECT_GT(dual_long, 20);
+  EXPECT_GT(dual_none, 20);
+}
+
+// Every degenerate pivot of either loop belongs to exactly one recorded
+// run, so on the k=4 Figure 1 warm sweep, which runs the dual phase at
+// every point after the first, the lp.simplex.degenerate_run histogram
+// sums to the lp.simplex.degenerate_pivots count.
+TEST(RevisedSimplex, DegenerateRunsSumToDegeneratePivots) {
+  auto& reg = obs::Registry::instance();
+  auto& runs = reg.histogram("lp.simplex.degenerate_run", 1.0, 2.0);
+  auto& degenerate = reg.counter("lp.simplex.degenerate_pivots");
+  auto& dual_iterations = reg.counter("lp.dual.iterations");
+  const double runs0 = runs.sum();
+  const auto degenerate0 = degenerate.value();
+  const auto dual0 = dual_iterations.value();
+  const auto pts = worst_case_tradeoff(Torus(4), locality_grid(1.0, 2.0, 5));
+  for (const auto& p : pts) ASSERT_TRUE(p.solved()) << p.note;
+  EXPECT_GT(dual_iterations.value() - dual0, 0);
+  EXPECT_GT(degenerate.value() - degenerate0, 0);
+  EXPECT_EQ(runs.sum() - runs0, static_cast<double>(degenerate.value() - degenerate0));
 }
 
 TEST(RevisedSimplex, PopulatesObsMetrics) {
