@@ -12,7 +12,6 @@
 #include "tcr/lp/certify.hpp"
 #include "tcr/lp/dense_simplex.hpp"
 #include "tcr/lp/pivot_kernels.hpp"
-#include "tcr/lp/scaling.hpp"
 #include "tcr/lp/standard_form.hpp"
 #include "tcr/obs/registry.hpp"
 #include "tcr/telemetry/telemetry.hpp"
@@ -39,12 +38,12 @@ struct SimplexMetrics {
       obs::Registry::instance().counter("lp.simplex.bland_activations");
   obs::Counter& bound_flips = obs::Registry::instance().counter("lp.simplex.bound_flips");
   // Warm-start outcomes: a supplied basis was adopted unchanged (accepted),
-  // adopted after patching — status fixes, singular or out-of-bound
-  // positions swapped back to crash columns — (repaired), or thrown away
-  // for a cold start (rejected). phase1_skipped counts solves where the
-  // adopted basis was primal-feasible on a model that would otherwise have
-  // needed phase 1; a repaired basis whose leftover load sits on basic
-  // artificials still runs phase 1, warm, and is not counted there.
+  // adopted after patching — status fixes, or singular positions swapped
+  // back to crash columns — (repaired), or thrown away for a cold start
+  // (rejected). phase1_skipped counts solves where the adopted basis was
+  // primal-feasible on a model that would otherwise have needed phase 1; an
+  // adopted basis whose leftover load sits on basic artificials still runs
+  // phase 1, warm, and is not counted there.
   obs::Counter& warm_attempts = obs::Registry::instance().counter("lp.warmstart.attempts");
   obs::Counter& warm_accepted = obs::Registry::instance().counter("lp.warmstart.accepted");
   obs::Counter& warm_repaired = obs::Registry::instance().counter("lp.warmstart.repaired");
@@ -117,8 +116,6 @@ struct RecoveryMetrics {
   obs::Counter& exhausted = obs::Registry::instance().counter("lp.recovery.exhausted");
   obs::Counter& rescued_reseed =
       obs::Registry::instance().counter("lp.recovery.rescued.reseed");
-  obs::Counter& rescued_equilibrate =
-      obs::Registry::instance().counter("lp.recovery.rescued.equilibrate");
   obs::Counter& rescued_careful =
       obs::Registry::instance().counter("lp.recovery.rescued.careful");
   obs::Counter& rescued_dense =
@@ -278,7 +275,7 @@ class RevisedSimplex {
         (adopted_via_crash_ ? met_.crash_phase1_skipped : met_.warm_phase1_skipped)
             .add(1);
       } else {
-        // Cold crash basis, or a repaired warm basis whose residual
+        // Cold crash basis, or an adopted basis whose residual
         // infeasibility sits entirely on basic artificials (kPhase1): either
         // way phase 1 starts from the current basis and drives the
         // artificial load to zero.
@@ -496,11 +493,12 @@ class RevisedSimplex {
 
   // Install a caller-supplied basis, repairing what can be repaired:
   // out-of-range statuses are re-derived and singular positions are patched
-  // back to their rows' crash columns. A warm basis left primal-infeasible
-  // but dual-feasible goes to the dual phase (kDual); otherwise out-of-bound
-  // *basic* variables (which phase 1's artificial framework cannot express)
-  // are patched back to their crash columns too, which hands their load to
-  // the rows' slacks or artificials and leaves a phase 1 from the rest.
+  // back to their rows' crash columns. The factorized basis is then
+  // classified once: primal-feasible (kFeasible); a warm basis that is
+  // dual-feasible (kDual); infeasible only through load on basic
+  // artificials, which is phase 1's own work (kPhase1); or rejected, since
+  // out-of-bound basic variables are something phase 1's artificial
+  // framework cannot express.
   WarmAdopt apply_warm(const Basis& warm) {
     begin_adoption();
     if (static_cast<int>(warm.basic.size()) != m_ ||
@@ -564,31 +562,26 @@ class RevisedSimplex {
     stat_ = std::move(stat);
     basic_ = warm.basic;
 
-    // Patch position i back to its crash-basis column (the row's slack or
-    // artificial), demoting the current occupant to its crash-rule bound.
-    // Fails when the position already holds the crash column or the crash
-    // column is basic elsewhere — then the basis is beyond cheap repair.
-    auto patch_to_crash = [&](int i) {
-      const int crash = sf_.basis0[i];
-      if (basic_[i] == crash || pos[crash] != -1) return false;
-      const int out = basic_[i];
-      stat_[out] = default_nonbasic(out);
-      pos[out] = -1;
-      basic_[i] = crash;
-      stat_[crash] = kBasic;
-      pos[crash] = i;
-      return true;
-    };
-
     if (!refactorize()) {
-      // Singular: patch each unpivotable position and try once more.
+      // Singular: patch each unpivotable position back to its crash-basis
+      // column (the row's slack or artificial), demoting the current
+      // occupant to its crash-rule bound, and try once more. A position that
+      // already holds its crash column, or whose crash column is basic
+      // elsewhere, is beyond cheap repair.
       patched = true;
       bool repairable = true;
       for (int i : factor_.deficient_positions()) {
-        if (!patch_to_crash(i)) {
+        const int crash = sf_.basis0[i];
+        if (basic_[i] == crash || pos[crash] != -1) {
           repairable = false;
           break;
         }
+        const int out = basic_[i];
+        stat_[out] = default_nonbasic(out);
+        pos[out] = -1;
+        basic_[i] = crash;
+        stat_[crash] = kBasic;
+        pos[crash] = i;
       }
       if (!repairable || !refactorize()) {
         restore_crash_basis();
@@ -597,61 +590,43 @@ class RevisedSimplex {
       }
     }
 
-    // Primal-feasibility check with repair. Each round classifies the basic
-    // values and, when some are out of bounds, patches each offender back
-    // to its crash column. A patch strictly changes the basis, so the round
-    // cap bounds the cost of a hopeless basis. Load on basic artificials is
-    // left alone when phase 1 will run — that is exactly what phase 1
-    // minimizes.
-    for (int round = 0; round < 8; ++round) {
-      std::vector<int> bad;
-      bool artificial_load = false;
-      for (int i = 0; i < m_; ++i) {
-        const int j = basic_[i];
-        if (sf_.artificial[j]) {
-          // Build-time artificial bounds are [0, inf); the sign of the
-          // residual is folded into the column, so negative load is a bound
-          // violation while positive load is phase-1 work (unless this model
-          // never runs phase 1, in which case it must be patched out too).
-          if (xb_[i] < -opt_.feas_tol || (xb_[i] > opt_.feas_tol && !sf_.need_phase1)) {
-            bad.push_back(i);
-          } else if (xb_[i] > opt_.feas_tol) {
-            artificial_load = true;
-          }
-        } else if (xb_[i] < sf_.lo[j] - opt_.feas_tol ||
-                   xb_[i] > sf_.up[j] + opt_.feas_tol) {
-          bad.push_back(i);
+    // Primal-feasibility classification of the basic values.
+    bool out_of_bounds = false;
+    bool artificial_load = false;
+    for (int i = 0; i < m_ && !out_of_bounds; ++i) {
+      const int j = basic_[i];
+      if (sf_.artificial[j]) {
+        // Build-time artificial bounds are [0, inf); the sign of the
+        // residual is folded into the column, so negative load is a bound
+        // violation while positive load is phase-1 work (unless this model
+        // never runs phase 1, in which case it is a violation too).
+        if (xb_[i] < -opt_.feas_tol || (xb_[i] > opt_.feas_tol && !sf_.need_phase1)) {
+          out_of_bounds = true;
+        } else if (xb_[i] > opt_.feas_tol) {
+          artificial_load = true;
         }
+      } else if (xb_[i] < sf_.lo[j] - opt_.feas_tol || xb_[i] > sf_.up[j] + opt_.feas_tol) {
+        out_of_bounds = true;
       }
-      if (bad.empty() && !artificial_load) {
-        commit_adoption(patched ? kOutcomeRepaired : kOutcomeAccepted);
-        return WarmAdopt::kFeasible;
+    }
+    if (!out_of_bounds && !artificial_load) {
+      commit_adoption(patched ? kOutcomeRepaired : kOutcomeAccepted);
+      return WarmAdopt::kFeasible;
+    }
+    // Dual screen: a warm basis an rhs edit left primal-infeasible — out-of-
+    // bound basics or artificial load — but dual-feasible goes to the dual
+    // phase. Its adoption outcome stays staged until the dual verdict is in.
+    // Crash-hint bases never take this route.
+    if (!adopting_crash_) {
+      if (dual_feasible()) {
+        pending_patched_ = patched;
+        return WarmAdopt::kDual;
       }
-      // Dual screen, once, before any primal repair: a warm basis an rhs
-      // edit left primal-infeasible — out-of-bound basics or artificial
-      // load — but dual-feasible goes to the dual phase instead of the
-      // patch + phase-1 ladder. Its adoption outcome stays staged until the
-      // dual verdict is in. Crash-hint bases never take this route.
-      if (round == 0 && !adopting_crash_) {
-        if (dual_feasible()) {
-          pending_patched_ = patched;
-          return WarmAdopt::kDual;
-        }
-        met_.dual_infeasible_bases.add(1);
-      }
-      if (bad.empty()) {
-        commit_adoption(patched ? kOutcomeRepaired : kOutcomeAccepted);
-        return WarmAdopt::kPhase1;
-      }
-      patched = true;
-      bool repairable = true;
-      for (int i : bad) {
-        if (!patch_to_crash(i)) {
-          repairable = false;
-          break;
-        }
-      }
-      if (!repairable || !refactorize()) break;
+      met_.dual_infeasible_bases.add(1);
+    }
+    if (!out_of_bounds) {
+      commit_adoption(patched ? kOutcomeRepaired : kOutcomeAccepted);
+      return WarmAdopt::kPhase1;
     }
     restore_crash_basis();
     commit_adoption(kOutcomeRejected);
@@ -909,14 +884,6 @@ class RevisedSimplex {
     }
   };
 
-  // L2 norm of the DEVEX reference weights: grows as the reference framework
-  // goes stale; drops back to sqrt(n) at each reset.
-  double devex_norm() const {
-    double sq = 0.0;
-    for (const double d : devex_) sq += d * d;
-    return std::sqrt(sq);
-  }
-
   // ---- main loop -------------------------------------------------------
 
   Status optimize(const std::vector<double>& cost, bool phase1) {
@@ -927,7 +894,6 @@ class RevisedSimplex {
     // iteration, so an un-instrumented solve pays nothing for the spans.
     const bool timed = obs::Registry::instance().timing_enabled();
     Sampler sample;
-    double min_pivot_sampled = kInf;  // min |pivot| since the last sample
     // DEVEX reference weights (reset per optimize call).
     devex_.assign(n_, 1.0);
     priced_at_ = -1;  // a new cost vector: the first iteration reprices
@@ -995,11 +961,6 @@ class RevisedSimplex {
         // mode, where no scores are computed.
         trace::counter("lp.dual_infeas",
                        q >= 0 && !bland ? std::sqrt(best * devex_[q]) : 0.0);
-        trace::counter("lp.devex_norm", devex_norm());
-        trace::counter("lp.eta_len", static_cast<double>(factor_.updates()));
-        trace::counter("lp.min_pivot",
-                       std::isfinite(min_pivot_sampled) ? min_pivot_sampled : 0.0);
-        min_pivot_sampled = kInf;
       }
 
       if (q < 0) {
@@ -1097,8 +1058,6 @@ class RevisedSimplex {
       swap_in(q, leave, dir * w[leave] > 0 ? kAtLower : kAtUpper, t_step * dir, w);
       update_attractive(q);
       update_attractive(leaving);
-      if (sample.every > 0)
-        min_pivot_sampled = std::min(min_pivot_sampled, std::abs(w[leave]));
       if (!factor_.replace(leave, w[leave]) && !refactorize()) return Status::Numerical;
     }
   }
@@ -1452,10 +1411,10 @@ Solution solve(const Model& model, const SimplexOptions& options, const Basis* w
     if (take) std::swap(best, cand);
   };
 
-  enum StageId { kReseed = 0, kEquilibrate, kCareful, kDense, kNumStages };
-  obs::Counter* rescued[kNumStages] = {&rec.rescued_reseed, &rec.rescued_equilibrate,
-                                       &rec.rescued_careful, &rec.rescued_dense};
-  const char* names[kNumStages] = {"reseed", "equilibrate", "careful", "dense"};
+  enum StageId { kReseed = 0, kCareful, kDense, kNumStages };
+  obs::Counter* rescued[kNumStages] = {&rec.rescued_reseed, &rec.rescued_careful,
+                                       &rec.rescued_dense};
+  const char* names[kNumStages] = {"reseed", "careful", "dense"};
 
   for (int stage = 0; stage < kNumStages; ++stage) {
     const std::string stage_span_name = std::string("lp.recovery.") + names[stage];
@@ -1469,19 +1428,6 @@ Solution solve(const Model& model, const SimplexOptions& options, const Basis* w
         o.seed = options.seed * 2654435761ULL + 17;
         o.perturb = !options.perturb;
         cand = run_attempt(model, o, &chain);
-        break;
-      }
-      case kEquilibrate: {
-        // Solve the geometric-mean-equilibrated model and map the solution
-        // back; the power-of-two factors make the transform exact.
-        // The basis transfers: power-of-two scaling keeps the standard-form
-        // shape, bound finiteness and basis nonsingularity intact.
-        const Scaling s = geometric_mean_scaling(model);
-        const Model scaled = apply_scaling(model, s);
-        SimplexOptions o = options;
-        o.seed = options.seed ^ 0x9e3779b97f4a7c15ULL;
-        cand = run_attempt(scaled, o, &chain);
-        unscale_solution(model, s, cand);
         break;
       }
       case kCareful: {

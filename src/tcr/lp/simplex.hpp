@@ -32,8 +32,8 @@
 // basis factor, its pivot epilogue and the carried reduced costs with the
 // primal loop.
 //
-// Numerical breakdowns and failed certificates go through a four-stage
-// recovery ladder (reseed, equilibrate, careful, dense); see solve().
+// Numerical breakdowns and failed certificates go through a three-stage
+// recovery ladder (reseed, careful, dense); see solve().
 //
 // The paper solved its routing-design LPs with CPLEX; this solver is the
 // from-scratch replacement (see DESIGN.md, substitutions).
@@ -82,26 +82,26 @@ struct SimplexOptions {
 /// options.certify is set, on an optimal solution whose independent
 /// certificate fails — a recovery ladder re-solves with progressively more
 /// conservative settings: reseed (new perturbation seed, perturbation
-/// flipped), equilibrate (power-of-two scaling), careful (tight
-/// refactorization, Bland pricing) and dense (the independent dense tableau
-/// simplex, for rows + cols <= 600). The returned Solution carries the
-/// certificate of the accepted attempt; if every stage fails the most
-/// defensible attempt is returned with a note recording the ladder.
+/// flipped), careful (tight refactorization, Bland pricing) and dense (the
+/// independent dense tableau simplex, for rows + cols <= 600). The returned
+/// Solution carries the certificate of the accepted attempt; if every stage
+/// fails the most defensible attempt is returned with a note recording the
+/// ladder.
 ///
 /// `warm` optionally supplies a starting basis (typically the previous
 /// Solution::basis of a near-identical model in a sweep). The basis is
 /// validated against the model's standard form: a dimension-mismatched or
-/// inconsistent basis is rejected (cold start), a singular one is repaired
-/// by patching the unpivotable positions back to the crash basis, a basis
-/// whose point is primal-feasible skips phase 1 entirely, and a
-/// primal-infeasible one that is still dual-feasible is re-optimized by the
-/// dual simplex phase. A basis that fails the dual screen has its
-/// out-of-bound positions patched back to the crash basis and runs phase 1,
-/// or is rejected. Every adoption attempt increments exactly one of the
-/// lp.warmstart.{accepted,repaired,rejected} obs counters
-/// (lp.warmstart.attempts counts them all). The reseed/equilibrate/careful
-/// recovery stages restart from the failed attempt's exported basis rather
-/// than from scratch.
+/// inconsistent basis is rejected (cold start), and a singular one is
+/// repaired by patching the unpivotable positions back to the crash basis.
+/// The factorized basis is then classified once: one whose point is
+/// primal-feasible skips phase 1 entirely; a primal-infeasible one that is
+/// still dual-feasible is re-optimized by the dual simplex phase; one whose
+/// only infeasibility is load on basic artificials runs phase 1 from that
+/// basis; any other is rejected. Every adoption attempt increments exactly
+/// one of the lp.warmstart.{accepted,repaired,rejected} obs counters
+/// (lp.warmstart.attempts counts them all). The reseed and careful recovery
+/// stages restart from the failed attempt's exported basis rather than from
+/// scratch.
 ///
 /// `crash` optionally supplies combinatorial crash-basis hints used when no
 /// warm basis is adopted (cold start) and options.flow_crash is set; they go

@@ -116,12 +116,11 @@ class LadderProbe {
   long exhausted() const { return counter_value("lp.recovery.exhausted") - exhausted0_; }
 
  private:
-  static constexpr std::array<const char*, 4> kStages = {"reseed", "equilibrate", "careful",
-                                                         "dense"};
+  static constexpr std::array<const char*, 3> kStages = {"reseed", "careful", "dense"};
   static long rescued(const char* stage) {
     return counter_value(("lp.recovery.rescued." + std::string(stage)).c_str());
   }
-  std::array<long, 4> start_ = {};
+  std::array<long, 3> start_ = {};
   long attempts0_ = counter_value("lp.recovery.attempts");
   long exhausted0_ = counter_value("lp.recovery.exhausted");
 };
@@ -130,9 +129,8 @@ class LadderProbe {
 // stage rescues textbook(): the first attempt consumes one failure and each
 // sparse stage three (one per factorization it tries: the chained warm
 // basis, its patched repair, the crash basis), so reseed takes budgets 1-3,
-// equilibrate 4-6, careful 7-9 and the dense stage, which shares no code
-// with the sparse solver and never sees an injected failure, everything
-// from 10 up.
+// careful 4-6 and the dense stage, which shares no code with the sparse
+// solver and never sees an injected failure, everything from 7 up.
 std::string rescuer_for_refactor_failures(long budget) {
   fault::ScopedSimplexFaults faults;
   faults.hooks().fail_refactors = budget;
@@ -150,18 +148,13 @@ TEST(FaultLadder, ReseedRescuesRefactorFailure) {
   EXPECT_EQ(rescuer_for_refactor_failures(3), "reseed");
 }
 
-TEST(FaultLadder, EquilibrateRescuesWhenReseedExhausted) {
-  EXPECT_EQ(rescuer_for_refactor_failures(4), "equilibrate");
-  EXPECT_EQ(rescuer_for_refactor_failures(6), "equilibrate");
-}
-
-TEST(FaultLadder, CarefulRescuesWhenEquilibrateExhausted) {
-  EXPECT_EQ(rescuer_for_refactor_failures(7), "careful");
-  EXPECT_EQ(rescuer_for_refactor_failures(9), "careful");
+TEST(FaultLadder, CarefulRescuesWhenReseedExhausted) {
+  EXPECT_EQ(rescuer_for_refactor_failures(4), "careful");
+  EXPECT_EQ(rescuer_for_refactor_failures(6), "careful");
 }
 
 TEST(FaultLadder, DenseRescuesPersistentSparseFailure) {
-  EXPECT_EQ(rescuer_for_refactor_failures(10), "dense");
+  EXPECT_EQ(rescuer_for_refactor_failures(7), "dense");
   // Every sparse attempt breaks; the dense stage shares no code with them.
   fault::ScopedSimplexFaults faults;
   faults.hooks().fail_refactors = 1'000'000;
@@ -171,8 +164,8 @@ TEST(FaultLadder, DenseRescuesPersistentSparseFailure) {
   EXPECT_TRUE(sol.certificate.ok());
   EXPECT_NEAR(sol.objective, 36.0, 1e-9);
   EXPECT_EQ(probe.rescuer(), "dense");
-  EXPECT_EQ(probe.attempts(), 4);
-  EXPECT_EQ(faults.hooks().refactor_failures_injected.load(), 10);
+  EXPECT_EQ(probe.attempts(), 3);
+  EXPECT_EQ(faults.hooks().refactor_failures_injected.load(), 7);
 }
 
 // chain_model(400) has 400 columns and 399 rows, above the dense stage's
@@ -189,7 +182,7 @@ TEST(FaultLadder, ExhaustionKeepsFirstAttemptDiagnosis) {
   EXPECT_NE(sol.note.find("first attempt"), std::string::npos) << sol.note;
   EXPECT_NE(sol.note.find("dense: skipped (model too large)"), std::string::npos) << sol.note;
   EXPECT_EQ(probe.rescuer(), "none");
-  EXPECT_EQ(probe.attempts(), 3);
+  EXPECT_EQ(probe.attempts(), 2);
   EXPECT_EQ(probe.exhausted(), 1);
 }
 

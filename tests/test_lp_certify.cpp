@@ -1,14 +1,11 @@
-// Independent certification of LP solutions (lp/certify.hpp) and the
-// geometric-mean equilibration used by the recovery ladder (lp/scaling.hpp):
-// textbook problems certify in both senses, every kind of corruption is
-// rejected, and scaling round-trips exactly.
+// Independent certification of LP solutions (lp/certify.hpp): textbook
+// problems certify in both senses and every kind of corruption is rejected.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <limits>
 
 #include "tcr/lp/certify.hpp"
 #include "tcr/lp/dense_simplex.hpp"
-#include "tcr/lp/scaling.hpp"
 #include "tcr/lp/simplex.hpp"
 #include "tcr/util/rng.hpp"
 
@@ -174,80 +171,6 @@ TEST(Certify, DenseSolverSolutionsAlsoCertify) {
     EXPECT_TRUE(cert.ok()) << "trial " << trial << ": " << cert.summary();
   }
   EXPECT_GT(certified, 5);
-}
-
-// ---- scaling -----------------------------------------------------------
-
-TEST(Scaling, FactorsArePowersOfTwoAndEquilibrate) {
-  Model m;
-  const int x = m.add_col(0, kInf, 1e-4);
-  const int y = m.add_col(0, kInf, 1e4);
-  m.add_row(RowType::GE, 1e6, {{x, 1e3}, {y, 1e-3}});
-  const Scaling s = geometric_mean_scaling(m);
-  for (double f : s.row) {
-    int exp;
-    EXPECT_EQ(std::frexp(f, &exp), 0.5) << "row factor " << f << " not a power of two";
-  }
-  for (double f : s.col) {
-    int exp;
-    EXPECT_EQ(std::frexp(f, &exp), 0.5) << "col factor " << f << " not a power of two";
-  }
-  const Model scaled = apply_scaling(m, s);
-  double mn = kInf, mx = 0.0;
-  for (const auto& t : scaled.triplets()) {
-    mn = std::min(mn, std::abs(t.value));
-    mx = std::max(mx, std::abs(t.value));
-  }
-  EXPECT_LT(mx / mn, 1e6 / 4.0);  // original spread, strictly improved
-}
-
-TEST(Scaling, RoundTripsSolutionAndObjective) {
-  Rng rng(99);
-  for (int trial = 0; trial < 25; ++trial) {
-    Model m;
-    m.set_sense(trial % 2 ? Sense::Maximize : Sense::Minimize);
-    const int cols = 2 + static_cast<int>(rng.below(8));
-    for (int j = 0; j < cols; ++j) {
-      const double mag = std::pow(10.0, rng.uniform(-4, 4));
-      m.add_col(0, rng.uniform(0.5, 3.0) * mag, rng.uniform(-2, 2) / mag);
-    }
-    for (int i = 0; i < 1 + static_cast<int>(rng.below(5)); ++i) {
-      const int row = m.add_row(RowType::LE, rng.uniform(0.5, 5.0));
-      for (int j = 0; j < cols; ++j) {
-        if (rng.uniform() < 0.6) {
-          m.add_term(row, j, rng.uniform(-2, 2) * std::pow(10.0, rng.uniform(-3, 3)));
-        }
-      }
-    }
-    const Solution direct = solve(m);
-    if (direct.status != Status::Optimal) continue;
-
-    const Scaling s = geometric_mean_scaling(m);
-    const Model scaled = apply_scaling(m, s);
-    Solution via = solve(scaled);
-    ASSERT_EQ(via.status, Status::Optimal) << "trial " << trial;
-    unscale_solution(m, s, via);
-    EXPECT_NEAR(via.objective, direct.objective,
-                1e-6 * (1.0 + std::abs(direct.objective)))
-        << "trial " << trial;
-    // The unscaled point must certify against the ORIGINAL model.
-    const Certificate cert = certify(m, via);
-    EXPECT_TRUE(cert.ok()) << "trial " << trial << ": " << cert.summary();
-  }
-}
-
-TEST(Scaling, PreservesFixedColumnsAndInfiniteBounds) {
-  Model m;
-  m.add_col(2.5, 2.5, 1e5);        // fixed
-  m.add_col(-kInf, kInf, 1e-5);    // free
-  const int row = m.add_row(RowType::EQ, 1e4);
-  m.add_term(row, 0, 1e4);
-  m.add_term(row, 1, 1e-4);
-  const Scaling s = geometric_mean_scaling(m);
-  const Model scaled = apply_scaling(m, s);
-  EXPECT_EQ(scaled.lower(0), scaled.upper(0));  // still exactly fixed
-  EXPECT_TRUE(std::isinf(scaled.lower(1)) && scaled.lower(1) < 0);
-  EXPECT_TRUE(std::isinf(scaled.upper(1)) && scaled.upper(1) > 0);
 }
 
 }  // namespace

@@ -458,6 +458,9 @@ TEST(DualRestart, DualInfeasibleBasisIsScreenedOut) {
     expect_warm_matches_cold(m, base.basis, opt, "dual-infeasible basis");
     const WarmCounters d = WarmCounters::snap().delta_since(before);
     EXPECT_EQ(d.attempts, 1) << "trial " << trial;
+    // Clean statuses and a nonsingular basis leave nothing to repair: the
+    // basis is accepted, sent to the dual phase or rejected.
+    EXPECT_EQ(d.repaired, 0) << "trial " << trial;
     d.expect_balanced("dual-infeasible basis");
     ++compared;
   }
