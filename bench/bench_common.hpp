@@ -60,8 +60,9 @@ inline SweepConfig sweep_config(const Cli& cli) {
 }
 
 /// Solver flags shared by the LP-backed benches: `--no-flow-crash` disables
-/// the Dinic flow-crash basis for cold solves (`--flow-crash`, the default,
-/// re-enables it), so runs can be compared flag-for-flag. Results are
+/// the crash basis from a feasible routing for cold solves, which then start
+/// all-slack and run phase 1 (`--flow-crash`, the default, re-enables it),
+/// so runs can be compared flag-for-flag. Results are
 /// identical either way — the flag trades simplex iterations, never optima
 /// (the golden gate runs both).
 inline lp::SimplexOptions solver_options(const Cli& cli) {

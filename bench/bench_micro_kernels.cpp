@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) of the library's computational
 // kernels: Hungarian matching, channel-load evaluation, sparse LU
 // factorization and solves, the revised simplex on a capacity LP and its
-// per-pivot kernels on a real Figure 1 basis, the flit
+// per-pivot kernels on a real Figure 1 basis, the cold-start crash, the flit
 // simulator cycle loop, and the tcr::obs / tcr::trace instrumentation primitives (the
 // LP kernels double as the overhead check: BM_CapacityLP runs with
 // fine-grained timing off, BM_CapacityLPTimed with it on, and
@@ -19,7 +19,7 @@
 #include "tcr/core/arc_flow.hpp"
 #include "tcr/core/tradeoff.hpp"
 #include "tcr/lin/sparse_lu.hpp"
-#include "tcr/lp/maxflow.hpp"
+#include "tcr/lp/crossover.hpp"
 #include "tcr/lp/pivot_kernels.hpp"
 #include "tcr/lp/standard_form.hpp"
 #include "tcr/matching/hungarian.hpp"
@@ -636,24 +636,27 @@ void BM_DualBfrt(benchmark::State& state) {
 }
 BENCHMARK(BM_DualBfrt);
 
-// Flow-crash path routing: the Dinic pass flow_crash_hints() runs per
-// representative commodity — route one unit 0 -> e over the torus channel
-// graph and peel the path. Pure combinatorial kernel, no LP.
-void BM_DinicCrashPath(benchmark::State& state) {
-  const Torus t(static_cast<int>(state.range(0)));
-  const int n = t.num_nodes(), nc = t.num_channels();
+// The cold-start crash of the k=8 Figure 1 (arg 0) and Figure 6 (arg 1)
+// sweeps at their first point, L = 1: the DOR start point and the crossover
+// to a vertex (flow_crash_hints() without its cache). The design is built
+// in set-up.
+void BM_PointCrash(benchmark::State& state) {
+  const Torus t(8);
+  SymmetricDesignConfig cfg;
+  cfg.locality_equals = t.mean_min_distance();
+  cfg.locality_le = true;
+  if (state.range(0) == 1) {
+    cfg.objective = DesignObjective::AverageCase;
+    Rng rng(606);
+    for (int i = 0; i < 4; ++i) cfg.samples.push_back(rng.permutation(t.num_nodes()));
+  }
+  const SymmetricArcDesign design(t, cfg);
   for (auto _ : state) {
-    std::size_t total_arcs = 0;
-    for (int e = 1; e < n; ++e) {
-      lp::MaxFlow mf(n);
-      for (int c = 0; c < nc; ++c) mf.add_arc(t.channel_src(c), t.channel_dst(c), 1.0);
-      mf.solve(0, e, 1.0);
-      total_arcs += mf.decompose_paths(0, e).front().size();
-    }
-    benchmark::DoNotOptimize(total_arcs);
+    const lp::CrashHints hints = lp::crash_from_point(design.model(), design.start_point());
+    benchmark::DoNotOptimize(hints.basic_of_row.data());
   }
 }
-BENCHMARK(BM_DinicCrashPath)->Arg(4)->Arg(8);
+BENCHMARK(BM_PointCrash)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_SimulatorCycles(benchmark::State& state) {
   const Torus t(4);

@@ -5,8 +5,10 @@
 #include <queue>
 
 #include "tcr/graph/symmetry.hpp"
-#include "tcr/lp/maxflow.hpp"
+#include "tcr/lp/crossover.hpp"
+#include "tcr/matching/hungarian.hpp"
 #include "tcr/obs/registry.hpp"
+#include "tcr/routing/dor.hpp"
 #include "tcr/trace/tracer.hpp"
 #include "tcr/util/check.hpp"
 
@@ -29,9 +31,10 @@ struct DesignMetrics {
   obs::Gauge& flow_vars_unfolded =
       obs::Registry::instance().gauge("core.design.flow_vars_unfolded");
   obs::Gauge& last_objective = obs::Registry::instance().gauge("core.design.last_objective");
-  // Rows covered by the flow crash basis (flow_crash_hints()): how much of
-  // the model starts on combinatorial columns instead of slacks/artificials.
+  // Rows whose crash column a structural replaces in the last crash basis
+  // built (flow_crash_hints()), and how many crash bases were built.
   obs::Gauge& crash_hints = obs::Registry::instance().gauge("core.design.crash_hints");
+  obs::Counter& crash_points = obs::Registry::instance().counter("core.design.crash_points");
   // Objective trajectory across the solves of a pipeline stage (lexicographic
   // stages, cutting-plane rounds, tradeoff sweeps): the snapshot reports
   // count/min/max/percentiles of all objectives seen since the last reset.
@@ -136,7 +139,6 @@ void SymmetricArcDesign::build_orbits() {
 
 void SymmetricArcDesign::add_flow_conservation() {
   const int n = torus_.num_nodes();
-  cons_row_base_ = model_.num_rows();
   for (int e : rep_commodities_) {
     for (int nd = 0; nd < n; ++nd) {
       const double rhs = (nd == e) ? 1.0 : (nd == 0 ? -1.0 : 0.0);
@@ -168,7 +170,6 @@ void SymmetricArcDesign::add_worst_case_block() {
     TCR_REQUIRE(!config_.cut_permutations.empty(),
                 "cut-based worst case needs at least one permutation");
     const int c0 = torus_.channel(0, Dir::PX);
-    first_cut_row_ = model_.num_rows();
     for (const auto& perm : config_.cut_permutations) {
       const int row = model_.add_row(RowType::LE, 0.0);
       for (int s = 0; s < n; ++s) {
@@ -193,7 +194,6 @@ void SymmetricArcDesign::add_worst_case_block() {
       u[s] = (s == 0) ? model_.add_col(0.0, 0.0, 0.0) : model_.add_col(-lp::kInf, lp::kInf, 0.0);
     for (int d = 0; d < n; ++d) v[d] = model_.add_col(-lp::kInf, lp::kInf, 0.0);
 
-    wc_block_row_base_.push_back(model_.num_rows());
     for (int s = 0; s < n; ++s) {
       // Channel whose canonical load equals the load of (s, *) on c0.
       const int ct = torus_.translate_channel(c0, torus_.negate_node(s));
@@ -209,7 +209,6 @@ void SymmetricArcDesign::add_worst_case_block() {
     for (int d = 0; d < n; ++d) model_.add_term(sum_row, v[d], 1.0);
     for (int s = 0; s < n; ++s) model_.add_term(sum_row, u[s], -1.0);
     model_.add_term(sum_row, wc_var_, -1.0);  // b_c = 1
-    wc_sum_rows_.push_back(sum_row);
     wc_u_cols_.push_back(u);
     wc_v_cols_.push_back(v);
   }
@@ -224,7 +223,6 @@ void SymmetricArcDesign::add_uniform_block() {
   const int num_blocks = config_.fold_dihedral ? 1 : kNumDirs;
   for (int dir = 0; dir < num_blocks; ++dir) {
     const int row = model_.add_row(RowType::LE, 0.0);
-    uni_rows_.push_back(row);
     for (int v = 0; v < num_flow_vars_; ++v) {
       if (dir_count_[v][dir] != 0.0) model_.add_term(row, v, dir_count_[v][dir]);
     }
@@ -247,7 +245,6 @@ void SymmetricArcDesign::add_average_block() {
   for (std::size_t i = 0; i < config_.samples.size(); ++i) {
     const auto& perm = config_.samples[i];
     TCR_REQUIRE(static_cast<int>(perm.size()) == n, "sample permutation size mismatch");
-    avg_row_base_.push_back(model_.num_rows());
     for (int c = 0; c < nc; ++c) {
       const int row = model_.add_row(RowType::LE, 0.0);
       for (int s = 0; s < n; ++s) {
@@ -283,56 +280,137 @@ void SymmetricArcDesign::set_locality_bound(double locality_equals) {
   model_.set_rhs(locality_row_, locality_equals * torus_.num_nodes());
 }
 
-const lp::CrashHints& SymmetricArcDesign::flow_crash_hints() {
-  if (crash_hints_built_) return crash_hints_;
-  crash_hints_built_ = true;
-  auto& hints = crash_hints_.basic_of_row;
-  hints.assign(static_cast<std::size_t>(model_.num_rows()), -1);
-  std::vector<char> used(static_cast<std::size_t>(model_.num_cols()), 0);
-  auto take = [&](int row, int col) {
-    if (col < 0 || used[static_cast<std::size_t>(col)]) return;
-    hints[static_cast<std::size_t>(row)] = col;
-    used[static_cast<std::size_t>(col)] = 1;
+std::vector<double> SymmetricArcDesign::start_point() const {
+  const int n = torus_.num_nodes(), nc = torus_.num_channels();
+  // A load table as folded flows: the mean over each orbit, which is the
+  // load table of the routing's D4 average.
+  const auto folded = [&](const DenseMatrix& table) {
+    std::vector<double> f(static_cast<std::size_t>(num_flow_vars_), 0.0);
+    for (int e = 1; e < n; ++e) {
+      for (int c = 0; c < nc; ++c) f[flow_var(e, c)] += table(e, c);
+    }
+    for (int v = 0; v < num_flow_vars_; ++v) f[v] /= orbit_size_[v];
+    return f;
+  };
+  // VAL's load table from DOR's: each intermediate i with probability 1/N,
+  // DOR from 0 to i, then the DOR route of offset e - i translated by i.
+  const DenseMatrix dor_table = make_dor(torus_).load_table();
+  const auto valiant_table = [&] {
+    DenseMatrix table(n, nc);
+    for (int e = 1; e < n; ++e) {
+      for (int i = 0; i < n; ++i) {
+        const int rest = torus_.offset(i, e), back = torus_.negate_node(i);
+        for (int c = 0; c < nc; ++c) {
+          table(e, c) += (dor_table(i, c) + dor_table(rest, torus_.translate_channel(c, back))) / n;
+        }
+      }
+    }
+    return table;
+  };
+  const auto total_hops = [&](const std::vector<double>& f) {
+    double t = 0.0;
+    for (int v = 0; v < num_flow_vars_; ++v) t += orbit_size_[v] * f[v];
+    return t;
   };
 
-  // Conservation rows: route each representative commodity along one
-  // shortest 0 -> e path (Dinic, unit flow limit) and nominate the path's
-  // flow variables as basic in the rows of the nodes the arcs enter. The
-  // dihedral fold can map two path arcs (of this or an earlier commodity)
-  // to the same variable; `used` keeps the first nomination and leaves the
-  // later row on its crash column.
-  const int n = torus_.num_nodes(), nc = torus_.num_channels();
-  for (std::size_t r = 0; r < rep_commodities_.size(); ++r) {
-    const int e = rep_commodities_[r];
-    lp::MaxFlow mf(n);
-    for (int c = 0; c < nc; ++c) {
-      mf.add_arc(torus_.channel_src(c), torus_.channel_dst(c), 1.0);
-    }
-    if (mf.solve(0, e, 1.0) <= 0.0) continue;
-    const auto paths = mf.decompose_paths(0, e);
-    if (paths.empty()) continue;
-    for (const int arc : paths.front()) {
-      const int c = arc / 2;  // arcs were added in channel order
-      take(cons_row_base_ + static_cast<int>(r) * n + torus_.channel_dst(c), flow_var(e, c));
+  // The start routing, by its weight alpha on DOR against VAL (eq. 11).
+  // For the worst case: DOR where the bound admits only minimal routes, VAL
+  // where it admits VAL's locality (or where there is no locality row), and
+  // in between the interpolant whose H_avg is the bound (H_avg is linear in
+  // alpha, eq. 12). Every other objective starts at DOR, which meets any
+  // bound L >= 1: on LP (15), DOR-started cold solves beat interpolant- and
+  // VAL-started ones at every L measured (see DESIGN.md).
+  const std::vector<double> dor = folded(dor_table);
+  double alpha = 1.0;
+  std::vector<double> val;
+  if (config_.objective == DesignObjective::WorstCase) {
+    const double t_dor = total_hops(dor);
+    const double bound = locality_row_ >= 0 ? config_.locality_equals * n : lp::kInf;
+    if (bound > t_dor * (1.0 + 1e-12)) {
+      val = folded(valiant_table());
+      const double t_val = total_hops(val);
+      alpha = bound >= t_val ? 0.0 : (t_val - bound) / (t_val - t_dor);
     }
   }
-
-  // Worst-case exact blocks: the free dual potentials want to be basic —
-  // v_d in its first row (s = 0), u_s in its first row (d = 0; u_0 is fixed
-  // at zero and stays nonbasic) — and w replaces the sum row's artificial.
-  for (std::size_t b = 0; b < wc_block_row_base_.size(); ++b) {
-    const int base = wc_block_row_base_[b];
-    for (int d = 0; d < n; ++d) take(base + d, wc_v_cols_[b][d]);
-    for (int s = 1; s < n; ++s) take(base + s * n, wc_u_cols_[b][s]);
-    take(wc_sum_rows_[b], wc_var_);
+  std::vector<double> x(static_cast<std::size_t>(model_.num_cols()), 0.0);
+  for (int v = 0; v < num_flow_vars_; ++v) {
+    x[v] = alpha == 1.0 ? dor[v] : alpha * dor[v] + (1.0 - alpha) * val[v];
   }
-  if (first_cut_row_ >= 0) take(first_cut_row_, wc_var_);
-  for (const int row : uni_rows_) take(row, uni_var_);
-  for (std::size_t i = 0; i < avg_row_base_.size(); ++i) take(avg_row_base_[i], avg_vars_[i]);
+  // Load of permutation perm on channel c (the cut and sample rows' sum).
+  const auto perm_load = [&](const std::vector<int>& perm, int c) {
+    double load = 0.0;
+    for (int s = 0; s < n; ++s) {
+      const int e = torus_.offset(s, perm[s]);
+      if (e != 0) load += x[flow_var(e, torus_.translate_channel(c, torus_.negate_node(s)))];
+    }
+    return load;
+  };
 
+  if (wc_var_ >= 0) {
+    double w = 0.0;
+    if (!config_.worst_case_exact_block) {
+      for (const auto& perm : config_.cut_permutations)
+        w = std::max(w, perm_load(perm, torus_.channel(0, Dir::PX)));
+    }
+    // Exact blocks: the matching duals of the channel's pair-load matrix,
+    // shifted so that u_0 = 0; the block's w is then sum v - sum u, the
+    // worst-case load of the channel.
+    std::vector<double> block_w;
+    for (std::size_t b = 0; b < wc_u_cols_.size(); ++b) {
+      const int c0 = torus_.channel(0, static_cast<Dir>(b));
+      DenseMatrix loads(n, n);
+      for (int s = 0; s < n; ++s) {
+        const int ct = torus_.translate_channel(c0, torus_.negate_node(s));
+        for (int d = 0; d < n; ++d) {
+          const int e = torus_.offset(s, d);
+          if (e != 0) loads(s, d) = x[flow_var(e, ct)];
+        }
+      }
+      const AssignmentResult match = solve_assignment_max(loads);
+      const double shift = match.row_dual[0];
+      double wb = 0.0;
+      for (int s = 0; s < n; ++s) {
+        x[wc_u_cols_[b][s]] = s == 0 ? 0.0 : shift - match.row_dual[s];
+        wb -= x[wc_u_cols_[b][s]];
+      }
+      for (int d = 0; d < n; ++d) {
+        x[wc_v_cols_[b][d]] = match.col_dual[d] + shift;
+        wb += x[wc_v_cols_[b][d]];
+      }
+      block_w.push_back(wb);
+      w = std::max(w, wb);
+    }
+    // A block below the largest w meets its sum row by a looser v_0.
+    for (std::size_t b = 0; b < block_w.size(); ++b) x[wc_v_cols_[b][0]] += w - block_w[b];
+    x[wc_var_] = w;
+  }
+  if (uni_var_ >= 0) {
+    double u = 0.0;
+    const int num_blocks = config_.fold_dihedral ? 1 : kNumDirs;
+    for (int dir = 0; dir < num_blocks; ++dir) {
+      double load = 0.0;
+      for (int v = 0; v < num_flow_vars_; ++v) load += dir_count_[v][dir] * x[v];
+      u = std::max(u, load / n);
+    }
+    x[uni_var_] = u;
+  }
+  for (std::size_t i = 0; i < avg_vars_.size(); ++i) {
+    double gamma = 0.0;
+    for (int c = 0; c < nc; ++c) gamma = std::max(gamma, perm_load(config_.samples[i], c));
+    x[avg_vars_[i]] = gamma;
+  }
+  return x;
+}
+
+const lp::CrashHints& SymmetricArcDesign::flow_crash_hints() {
+  if (crash_bound_ == config_.locality_equals) return crash_hints_;
+  auto& met = DesignMetrics::get();
+  met.crash_points.add(1);
+  crash_hints_ = lp::crash_from_point(model_, start_point());
+  crash_bound_ = config_.locality_equals;
   int covered = 0;
-  for (const int col : hints) covered += (col >= 0);
-  DesignMetrics::get().crash_hints.set(covered);
+  for (const int col : crash_hints_.basic_of_row) covered += (col >= 0);
+  met.crash_hints.set(covered);
   return crash_hints_;
 }
 
@@ -346,7 +424,8 @@ DesignResult SymmetricArcDesign::solve(const lp::SimplexOptions& opts,
     t.attr("rows", model_.num_rows());
     t.attr("cols", model_.num_cols());
     t.attr("nnz", static_cast<std::int64_t>(model_.num_terms()));
-    const lp::CrashHints* crash = opts.flow_crash ? &flow_crash_hints() : nullptr;
+    const bool cold = warm == nullptr || warm->empty();
+    const lp::CrashHints* crash = opts.flow_crash && cold ? &flow_crash_hints() : nullptr;
     sol = lp::solve(model_, opts, warm, crash);
     t.attr("status", lp::to_string(sol.status));
     t.attr("warm_start", sol.warm_start);

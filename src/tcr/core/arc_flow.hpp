@@ -102,14 +102,26 @@ class SymmetricArcDesign {
   /// point from the previous basis.
   void set_locality_bound(double locality_equals);
 
-  /// Combinatorial crash basis for cold solves: a Dinic max-flow pass
-  /// (lp/maxflow.hpp) routes one shortest 0 -> e path per representative
-  /// commodity and nominates the path's flow variables as initial basic
-  /// columns for their conservation rows; the dual-potential and load-bound
-  /// columns of the side blocks are nominated for one row each. The hints
-  /// depend only on the constraint structure, never on right-hand sides, so
-  /// they are computed once and cached. solve() passes them to lp::solve
-  /// automatically when opts.flow_crash is set (the default).
+  /// A feasible point of the model, known in closed form (structural
+  /// values, size model().num_cols()). The flows are the D4 orbit mean of
+  /// a start routing's load table. For the worst-case objective that is DOR
+  /// when the locality bound admits only minimal routes, VAL when it admits
+  /// VAL's locality or there is no locality row, and in between the §5.3
+  /// interpolant alpha DOR + (1 - alpha) VAL whose H_avg equals the bound;
+  /// every other objective starts at DOR. The worst-case potentials are the
+  /// Hungarian duals of each representative channel's pair-load matrix
+  /// (u_0 = 0), w is that channel's worst-case load, and each sample's load
+  /// variable is its most-loaded channel. Caps and equality rows are not
+  /// adjusted for: the point can violate them (check with
+  /// Model::max_violation).
+  std::vector<double> start_point() const;
+
+  /// Crash basis for cold solves: the vertex lp::crash_from_point() reaches
+  /// from start_point(). Empty when the point violates a row or bound (for
+  /// example a worst_case_cap below the start routing's worst case), which
+  /// leaves the all-slack start. Built for the current locality bound and
+  /// cached until the bound moves. solve() passes it to lp::solve when no
+  /// warm basis is given and opts.flow_crash is set (the default).
   const lp::CrashHints& flow_crash_hints();
 
   /// Decomposed routing from the last successful solve.
@@ -145,19 +157,10 @@ class SymmetricArcDesign {
   std::vector<int> avg_vars_;  // per-sample max-load variables
   std::vector<double> solution_flows_;  // (N-1) * C flow values after solve
 
-  // Row/column bookkeeping for flow_crash_hints(). Conservation rows start
-  // at cons_row_base_ and run commodity-major ((rep index) * N + node); the
-  // worst-case exact blocks record their (s, d)-grid base row, sum row and
-  // potential columns; uniform/average rows are recorded directly.
-  int cons_row_base_ = 0;
-  std::vector<int> wc_block_row_base_;
-  std::vector<int> wc_sum_rows_;
+  // The worst-case exact blocks' potential columns, for start_point().
   std::vector<std::vector<int>> wc_u_cols_, wc_v_cols_;
-  int first_cut_row_ = -1;
-  std::vector<int> uni_rows_;
-  std::vector<int> avg_row_base_;  // first row of each sample's block
   lp::CrashHints crash_hints_;
-  bool crash_hints_built_ = false;
+  std::optional<double> crash_bound_;  // locality bound crash_hints_ was built for
 };
 
 /// Decompose one commodity's channel flows into weighted 0->e paths

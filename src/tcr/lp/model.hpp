@@ -85,19 +85,26 @@ struct Basis {
   bool empty() const { return basic.empty(); }
 };
 
-/// Combinatorial crash-basis hints for a *cold* solve: per model row, the
-/// index of a structural column to seed basic in that row's position instead
-/// of the row's slack/artificial crash column (-1 keeps the crash column).
-/// Callers that understand the model's combinatorial structure (e.g. a
-/// max-flow pass over the arc graph, core/arc_flow.cpp) build these once per
-/// model; lp::solve() turns them into a candidate basis and routes it through
-/// the same validation/repair machinery as a warm basis, counted separately
-/// under the lp.crash.* obs counters. Hints are advisory: an inconsistent or
-/// singular hint set degrades to the all-slack crash, never to a failure.
+/// Crash-basis hints for a *cold* solve: per model row, the index of a
+/// structural column to seed basic in that row's position instead of the
+/// row's slack/artificial crash column (-1 keeps the crash column). Every
+/// other structural column starts nonbasic at the crash rule's bound (the
+/// one nearest zero; zero for a free column), or at its other bound when
+/// listed in far_bound. lp::crash_from_point() (lp/crossover.hpp) builds
+/// them from a feasible point, so that the basis they describe is primal
+/// feasible (SymmetricArcDesign::flow_crash_hints() does so from a known
+/// routing). lp::solve() turns them into a candidate basis and routes it
+/// through the same validation/repair machinery as a warm basis, counted
+/// separately under the lp.crash.* obs counters; a primal-feasible one skips
+/// phase 1. Hints are advisory: an inconsistent or singular hint set
+/// degrades to the all-slack crash, never to a failure.
 struct CrashHints {
   /// Size num_rows; basic_of_row[r] = structural column to make basic at row
   /// r's position, or -1. Out-of-range and duplicate columns are ignored.
   std::vector<int> basic_of_row;
+  /// Nonbasic structural columns that start at the finite bound the crash
+  /// rule does not pick. Basic, out-of-range and unboxed columns are ignored.
+  std::vector<int> far_bound;
 
   bool empty() const { return basic_of_row.empty(); }
 };

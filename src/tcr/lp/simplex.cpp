@@ -468,10 +468,11 @@ class RevisedSimplex {
     return true;
   }
 
-  // Build a candidate basis from combinatorial crash hints: row r's basic
-  // column becomes hints.basic_of_row[r] when that is a usable structural
-  // column (in range, not fixed, not claimed by an earlier row), the row's
-  // crash aux column otherwise. The result goes through apply_warm() like
+  // Build a candidate basis from crash hints: row r's basic column becomes
+  // hints.basic_of_row[r] when that is a usable structural column (in
+  // range, not fixed, not claimed by an earlier row), the row's crash aux
+  // column otherwise; a nonbasic boxed column listed in hints.far_bound
+  // starts at its other bound. The result goes through apply_warm() like
   // any supplied basis, so inconsistent or singular hints degrade to the
   // all-slack crash instead of failing the solve.
   Basis crash_basis_from_hints(const CrashHints& hints) const {
@@ -487,6 +488,12 @@ class RevisedSimplex {
       b.stat[b.basic[r]] = static_cast<std::uint8_t>(default_nonbasic(b.basic[r]));
       b.basic[r] = c;
       b.stat[c] = static_cast<std::uint8_t>(kBasic);
+    }
+    for (const int c : hints.far_bound) {
+      if (c < 0 || c >= sf_.nstruct || b.stat[c] == kBasic || !std::isfinite(sf_.lo[c]) ||
+          !std::isfinite(sf_.up[c]))
+        continue;
+      b.stat[c] = static_cast<std::uint8_t>(sf_.stat0[c] == kAtLower ? kAtUpper : kAtLower);
     }
     return b;
   }

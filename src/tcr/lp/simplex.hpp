@@ -58,9 +58,10 @@ struct SimplexOptions {
   std::uint64_t seed = 0x5eedULL;
   int bland_after = 3000;  // consecutive degenerate pivots before Bland mode
 
-  /// Adopt caller-supplied CrashHints (flow-based crash basis) on cold
-  /// solves. Off: hints passed to solve() are ignored and the all-slack
-  /// crash is used. Callers also gate hint *construction* on this flag.
+  /// Adopt caller-supplied CrashHints (a basis from a feasible point, see
+  /// lp/crossover.hpp) on cold solves. Off: hints passed to solve() are
+  /// ignored and the all-slack crash and phase 1 are used. Callers also
+  /// gate hint *construction* on this flag.
   bool flow_crash = true;
 
   /// Run lp::certify() on every Optimal solve (at 10x the solver
@@ -103,10 +104,11 @@ struct SimplexOptions {
 /// stages restart from the failed attempt's exported basis rather than from
 /// scratch.
 ///
-/// `crash` optionally supplies combinatorial crash-basis hints used when no
-/// warm basis is adopted (cold start) and options.flow_crash is set; they go
-/// through the same validation/repair machinery (never the dual phase),
-/// counted under lp.crash.*.
+/// `crash` optionally supplies crash-basis hints used when no warm basis is
+/// adopted (cold start) and options.flow_crash is set; they go through the
+/// same validation/repair machinery (never the dual phase), counted under
+/// lp.crash.*. Hints from lp::crash_from_point() describe a primal-feasible
+/// basis, which skips phase 1.
 Solution solve(const Model& model, const SimplexOptions& options = {},
                const Basis* warm = nullptr, const CrashHints* crash = nullptr);
 

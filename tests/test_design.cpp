@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "tcr/core/design.hpp"
@@ -13,7 +15,9 @@
 #include "tcr/metrics/loads.hpp"
 #include "tcr/metrics/worst_case.hpp"
 #include "tcr/routing/dor.hpp"
+#include "tcr/routing/valiant.hpp"
 #include "tcr/traffic/sampler.hpp"
+#include "tcr/util/rng.hpp"
 
 namespace tcr {
 namespace {
@@ -182,16 +186,21 @@ TEST(FlowDecomposition, RecoversPathsAndDiscardsCycles) {
   EXPECT_EQ(paths[0].path.length(), 3);
 }
 
-// The Dinic-based crash hints must be well-formed (right size, in-range
-// columns, no duplicates), substantial (the flow pass covers at least the
-// conservation rows of one shortest path per commodity), rhs-independent,
-// and cached across calls.
+// The crash hints must be well-formed (right size, in-range columns, no
+// duplicates) and substantial, built for the current locality bound, cached
+// until the bound moves, and never built for a warm solve.
 TEST(FlowCrash, HintsAreWellFormedAndCached) {
+  auto& builds = obs::Registry::instance().counter("core.design.crash_points");
   const Torus t(4);
+  const double hmin = t.mean_min_distance();
   SymmetricDesignConfig cfg;
   cfg.objective = DesignObjective::WorstCase;
+  cfg.locality_equals = hmin;
+  cfg.locality_le = true;
   SymmetricArcDesign design(t, cfg);
+  const std::int64_t builds0 = builds.value();
   const lp::CrashHints& hints = design.flow_crash_hints();
+  EXPECT_EQ(builds.value() - builds0, 1);
   const lp::Model& m = design.model();
   ASSERT_EQ(static_cast<int>(hints.basic_of_row.size()), m.num_rows());
 
@@ -204,17 +213,170 @@ TEST(FlowCrash, HintsAreWellFormedAndCached) {
     seen[static_cast<std::size_t>(col)] = 1;
     ++covered;
   }
-  // Each representative commodity contributes min_dist(0, e) conservation
-  // nominations; the side blocks add more. A loose floor guards against the
-  // pass silently nominating nothing.
+  // DOR's positive flows and the matching potentials are basic; a loose
+  // floor guards against the crossover silently nominating nothing.
   int floor = 0;
   for (int e = 1; e < t.num_nodes(); ++e) floor += t.min_dist(0, e);
   EXPECT_GE(covered, floor / 2);
 
-  // Cached: the second call must hand back the same object and data.
-  const lp::CrashHints& again = design.flow_crash_hints();
-  EXPECT_EQ(&again, &hints);
-  EXPECT_EQ(again.basic_of_row, hints.basic_of_row);
+  // Cached: the same bound builds nothing and hands back the same hints.
+  const std::vector<int> at_one = hints.basic_of_row;
+  EXPECT_EQ(design.flow_crash_hints().basic_of_row, at_one);
+  EXPECT_EQ(builds.value() - builds0, 1);
+
+  // Per locality bound: a moved bound builds the hints a fresh design at
+  // that bound builds, once.
+  design.set_locality_bound(1.5 * hmin);
+  const std::vector<int> at_mid = design.flow_crash_hints().basic_of_row;
+  EXPECT_EQ(builds.value() - builds0, 2);
+  EXPECT_EQ(design.flow_crash_hints().basic_of_row, at_mid);
+  EXPECT_EQ(builds.value() - builds0, 2);
+  SymmetricDesignConfig mid_cfg = cfg;
+  mid_cfg.locality_equals = 1.5 * hmin;
+  SymmetricArcDesign fresh(t, mid_cfg);
+  EXPECT_EQ(fresh.flow_crash_hints().basic_of_row, at_mid);
+
+  // A warm solve has its basis; it does not build a crash.
+  const DesignResult cold = design.solve();
+  ASSERT_EQ(cold.status, lp::Status::Optimal);
+  design.set_locality_bound(1.75 * hmin);
+  const std::int64_t before_warm = builds.value();
+  const DesignResult warm = design.solve({}, &cold.basis);
+  ASSERT_EQ(warm.status, lp::Status::Optimal);
+  EXPECT_EQ(builds.value(), before_warm);
+}
+
+// Figure 1 and Figure 6 at k = 4, 6 and 8 over the 9-point grid: the start
+// point is feasible, and every cold solve adopts its crash basis as feasible
+// and runs no phase 1. Adoption is decided before the first pivot, so at
+// k = 8 one iteration shows it; at k = 4 and 6 the solves run to a
+// certified optimum, which at k = 4 equals the all-slack start's.
+class StartPoint : public ::testing::TestWithParam<std::tuple<int, DesignObjective>> {};
+
+TEST_P(StartPoint, IsFeasibleAndSkipsPhase1) {
+  const auto [k, objective] = GetParam();
+  const Torus t(k);
+  const double hmin = t.mean_min_distance();
+  SymmetricDesignConfig cfg;
+  cfg.objective = objective;
+  cfg.locality_equals = hmin;
+  cfg.locality_le = true;
+  if (objective == DesignObjective::AverageCase) {
+    Rng rng(606);
+    for (int i = 0; i < 4; ++i) cfg.samples.push_back(rng.permutation(t.num_nodes()));
+  }
+  SymmetricArcDesign design(t, cfg);
+  lp::SimplexOptions opts;
+  if (k == 8) opts.max_iterations = 1;
+  for (const double l : locality_grid(1.0, 2.0, 9)) {
+    SCOPED_TRACE("L = " + std::to_string(l));
+    design.set_locality_bound(l * hmin);
+    EXPECT_LE(design.model().max_violation(design.start_point()), 1e-9);
+    const lp::CrashHints& hints = design.flow_crash_hints();
+    ASSERT_FALSE(hints.empty());
+    const lp::Solution sol = lp::solve(design.model(), opts, nullptr, &hints);
+    EXPECT_EQ(sol.warm_start, "crash-accepted");
+    EXPECT_EQ(sol.phase1_iterations, 0);
+    if (k == 8) continue;
+    ASSERT_EQ(sol.status, lp::Status::Optimal) << sol.note;
+    EXPECT_TRUE(sol.certificate.ok()) << sol.certificate.summary();
+    if (k == 4) {
+      lp::SimplexOptions slack = opts;
+      slack.flow_crash = false;
+      const lp::Solution ref = lp::solve(design.model(), slack);
+      ASSERT_EQ(ref.status, lp::Status::Optimal) << ref.note;
+      EXPECT_NEAR(sol.objective, ref.objective, 1e-9 * (1 + std::abs(ref.objective)));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FlowCrash, StartPoint,
+                         ::testing::Combine(::testing::Values(4, 6, 8),
+                                            ::testing::Values(DesignObjective::WorstCase,
+                                                              DesignObjective::AverageCase)));
+
+// The start routing is the one the bound asks for: the interpolant's H_avg
+// is the bound exactly (an equality row holds at it), VAL's worst case is
+// the optimal cap/2 load, and at L = 1 on Figure 1 the D4 average of DOR is
+// already optimal, so its w is the LP's optimum.
+TEST(FlowCrash, StartRoutingMatchesTheBound) {
+  const Torus t(6);
+  const double hmin = t.mean_min_distance();
+  SymmetricDesignConfig cfg;
+  cfg.objective = DesignObjective::WorstCase;
+  cfg.locality_equals = 1.5 * hmin;  // equality: H_avg must be exactly L
+  const SymmetricArcDesign mid(t, cfg);
+  EXPECT_LE(mid.model().max_violation(mid.start_point()), 1e-9);
+
+  const TorusRouting val = make_valiant(t);
+  cfg.locality_equals = val.avg_path_length();  // VAL's own locality, exactly
+  const SymmetricArcDesign at_val(t, cfg);
+  EXPECT_LE(at_val.model().max_violation(at_val.start_point()), 1e-9);
+
+  cfg.locality_equals = -1.0;  // no locality row: VAL
+  const SymmetricArcDesign free_design(t, cfg);
+  const std::vector<double> val_point = free_design.start_point();
+  const double val_load = t.ideal_uniform_load() / worst_case_capacity_fraction(val);
+  EXPECT_NEAR(free_design.model().objective_value(val_point), val_load, 1e-9);
+
+  cfg.locality_equals = hmin;
+  cfg.locality_le = true;
+  SymmetricArcDesign at_one(t, cfg);
+  const DesignResult opt = at_one.solve();
+  ASSERT_EQ(opt.status, lp::Status::Optimal);
+  EXPECT_NEAR(at_one.model().objective_value(at_one.start_point()), opt.objective, 1e-9);
+}
+
+// A start point that breaks a cap yields no hints: the solve takes the
+// all-slack start and lands on the same optimum as with the crash off. Here
+// the locality objective starts at DOR, whose worst case is far above a cap
+// just over the worst-case optimum.
+TEST(FlowCrash, PointBreakingACapEmitsNoHints) {
+  const Torus t(4);
+  const OptimalDesign wc = design_worst_case_optimal(t);
+  ASSERT_EQ(wc.status, lp::Status::Optimal);
+  SymmetricDesignConfig cfg;
+  cfg.objective = DesignObjective::Locality;
+  cfg.worst_case_cap = wc.objective * 1.01;
+  SymmetricArcDesign design(t, cfg);
+  EXPECT_GT(design.model().max_violation(design.start_point()), 1e-3);
+  EXPECT_TRUE(design.flow_crash_hints().empty());
+
+  const DesignResult on = design.solve();
+  ASSERT_EQ(on.status, lp::Status::Optimal) << on.note;
+  EXPECT_EQ(on.warm_start, "cold");
+  lp::SimplexOptions off_opts;
+  off_opts.flow_crash = false;
+  SymmetricArcDesign off_design(t, cfg);
+  const DesignResult off = off_design.solve(off_opts);
+  ASSERT_EQ(off.status, lp::Status::Optimal) << off.note;
+  EXPECT_EQ(on.objective, off.objective);
+  EXPECT_EQ(on.iterations, off.iterations);
+}
+
+// The permutation sets that stalled LP (15) in phase 1 at k = 8, L = 1
+// (Rng(606 + S) for S = 4, 9 and 10; S = 9 took 45,507 iterations from the
+// all-slack start). From the crash each solves, certified, with no phase 1,
+// well inside a 5,000-iteration cap.
+TEST(FlowCrash, StalledPermutationSetsSolveFromTheCrash) {
+  const Torus t(8);
+  for (const int set : {4, 9, 10}) {
+    SCOPED_TRACE("S = " + std::to_string(set));
+    SymmetricDesignConfig cfg;
+    cfg.objective = DesignObjective::AverageCase;
+    cfg.locality_equals = t.mean_min_distance();
+    cfg.locality_le = true;
+    Rng rng(606 + set);
+    for (int i = 0; i < 4; ++i) cfg.samples.push_back(rng.permutation(t.num_nodes()));
+    SymmetricArcDesign design(t, cfg);
+    lp::SimplexOptions opts;
+    opts.max_iterations = 5000;
+    const lp::Solution sol = lp::solve(design.model(), opts, nullptr, &design.flow_crash_hints());
+    ASSERT_EQ(sol.status, lp::Status::Optimal) << sol.note;
+    EXPECT_TRUE(sol.certificate.ok()) << sol.certificate.summary();
+    EXPECT_EQ(sol.warm_start, "crash-accepted");
+    EXPECT_EQ(sol.phase1_iterations, 0);
+  }
 }
 
 // Crash hints are an iteration optimization, never a semantic switch: the

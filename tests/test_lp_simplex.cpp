@@ -464,9 +464,9 @@ void expect_pinned(const PivotPath& got, const PivotPath& want) {
 TEST(RevisedSimplex, PivotPathPinnedOnFigure1Sweep) {
   const PivotPath got = record_pivot_path(
       [] { return worst_case_tradeoff(Torus(4), locality_grid(1.0, 2.0, 5)); });
-  expect_pinned(got, {471, 27,
-                      {0x3fd5555555555555ull, 0x3fde1e1e1e1e1e22ull, 0x3fe0000000000000ull,
-                       0x3fe0000000000000ull, 0x3fe0000000000000ull}});
+  expect_pinned(got, {327, 22,
+                      {0x3fd5555555555555ull, 0x3fde1e1e1e1e1e1eull, 0x3fe0000000000002ull,
+                       0x3fdffffffffffff6ull, 0x3fdffffffffffffeull}});
 }
 
 TEST(RevisedSimplex, PivotPathPinnedOnFigure6Sweep) {
@@ -476,9 +476,9 @@ TEST(RevisedSimplex, PivotPathPinnedOnFigure6Sweep) {
   for (int i = 0; i < 4; ++i) samples.push_back(rng.permutation(torus.num_nodes()));
   const PivotPath got = record_pivot_path(
       [&] { return average_case_tradeoff(torus, samples, locality_grid(1.0, 2.0, 5)); });
-  expect_pinned(got, {556, 28,
-                      {0x3fdc051832f1fd74ull, 0x3fe28f6716dcdf39ull, 0x3fe3ab1a801c7112ull,
-                       0x3fe3ab1a801c7112ull, 0x3fe3ab1a801c7112ull}});
+  expect_pinned(got, {261, 17,
+                      {0x3fdc051832f1fd74ull, 0x3fe28f6716dcdf3aull, 0x3fe3ab1a801c7114ull,
+                       0x3fe3ab1a801c7114ull, 0x3fe3ab1a801c7114ull}});
 }
 
 std::uint64_t bits_of(double v) {
@@ -638,10 +638,16 @@ TEST(RevisedSimplex, KeptPivotStateMatchesOracleAfterEveryPivot) {
   for (int i = 0; i < 4; ++i) samples.push_back(rng.permutation(torus.num_nodes()));
   const std::vector<double> grid = locality_grid(1.0, 2.0, 5);
   KeptStateOracle oracle;
-  const auto fig1 = worst_case_tradeoff(torus, grid);
-  const auto fig6 = average_case_tradeoff(torus, samples, grid);
-  for (const auto& p : fig1) ASSERT_TRUE(p.solved()) << p.note;
-  for (const auto& p : fig6) ASSERT_TRUE(p.solved()) << p.note;
+  // Both cold starts: the crash basis of a feasible point (the default) and
+  // the all-slack basis, whose phase 1 adds the artificials' pivots.
+  for (const bool crash : {true, false}) {
+    SimplexOptions opts;
+    opts.flow_crash = crash;
+    const auto fig1 = worst_case_tradeoff(torus, grid, opts);
+    const auto fig6 = average_case_tradeoff(torus, samples, grid, opts);
+    for (const auto& p : fig1) ASSERT_TRUE(p.solved()) << p.note;
+    for (const auto& p : fig6) ASSERT_TRUE(p.solved()) << p.note;
+  }
   EXPECT_GT(oracle.pivots, 800);
   EXPECT_EQ(oracle.split_errors, 0);
   EXPECT_EQ(oracle.content_errors, 0);

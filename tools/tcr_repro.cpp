@@ -32,8 +32,9 @@
 //                       --k and --samples change the measured quantities, so
 //                       they disable the golden gate (recorded in report.json)
 //   --flow-crash/--no-flow-crash   forwarded to the LP-backed benches
-//                       (bench::solver_options): toggle the Dinic flow crash
-//                       basis. Iteration counts move; the optima must not, so
+//                       (bench::solver_options): toggle the crash basis
+//                       from a feasible routing, whose cold solves skip
+//                       phase 1. Iteration counts move; the optima must not, so
 //                       the golden gate stays armed — CI runs the smoke
 //                       preset in both modes against the same goldens
 //   --trace             also collect a span trace per bench: each bench runs
