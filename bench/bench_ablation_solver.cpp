@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
         cfg.objective = DesignObjective::WorstCase;
         cfg.fold_dihedral = fold;
         SymmetricArcDesign design(torus, cfg);
-        lp::SimplexOptions opts = bench::solver_options(cli);
+        lp::SimplexOptions opts;
         opts.perturb = perturb;
         Stopwatch sw;
         const auto res = design.solve(opts);

@@ -59,19 +59,6 @@ inline SweepConfig sweep_config(const Cli& cli) {
   return cfg;
 }
 
-/// Solver flags shared by the LP-backed benches: `--no-flow-crash` disables
-/// the crash basis from a feasible routing for cold solves, which then start
-/// all-slack and run phase 1 (`--flow-crash`, the default, re-enables it),
-/// so runs can be compared flag-for-flag. Results are
-/// identical either way — the flag trades simplex iterations, never optima
-/// (the golden gate runs both).
-inline lp::SimplexOptions solver_options(const Cli& cli) {
-  lp::SimplexOptions opts;
-  if (cli.has("no-flow-crash")) opts.flow_crash = false;
-  if (cli.has("flow-crash")) opts.flow_crash = true;
-  return opts;
-}
-
 /// `--threads N` pool for the tradeoff sweeps: N > 1 returns a pool of that
 /// size, otherwise nullptr (serial). The point series is identical either
 /// way — the chain partition depends only on (points, chains) — so the flag

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   SweepConfig sweep = bench::sweep_config(cli);
   const int threads = cli.get_int("threads", 1);
   bench::RunControl rc(cli);
-  lp::SimplexOptions opts = bench::solver_options(cli);
+  lp::SimplexOptions opts;
   rc.apply(sweep, opts);
   bench::JsonOutput jout(cli, "fig1_wc_tradeoff",
                          obs::Json::object()
@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
                              .set("points", points)
                              .set("warm_start", sweep.warm_start)
                              .set("chains", sweep.chains)
-                             .set("flow_crash", opts.flow_crash)
                              .set("threads", threads));
   bench::TraceOutput trace(cli);
   bench::HeartbeatOutput heartbeat(cli, "fig1_wc_tradeoff", &rc.token());

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   if (!cli.has("skip-curve")) {
     const auto pool = bench::sweep_pool(cli);
     curve = worst_case_tradeoff(torus, locality_grid(1.0, 2.0, cli.get_int("curve-points", 9)),
-                                bench::solver_options(cli), pool.get(),
+                                {}, pool.get(),
                                 bench::sweep_config(cli));
   }
 

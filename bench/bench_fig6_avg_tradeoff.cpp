@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   const int design_count = cli.get_int("design-samples", 12);
   SweepConfig sweep = bench::sweep_config(cli);
   bench::RunControl rc(cli);
-  lp::SimplexOptions opts = bench::solver_options(cli);
+  lp::SimplexOptions opts;
   rc.apply(sweep, opts);
   bench::JsonOutput jout(cli, "fig6_avg_tradeoff",
                          obs::Json::object()
@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
                              .set("design_samples", design_count)
                              .set("warm_start", sweep.warm_start)
                              .set("chains", sweep.chains)
-                             .set("flow_crash", opts.flow_crash)
                              .set("skip_curve", cli.has("skip-curve"))
                              .set("skip_design", cli.has("skip-design")));
   bench::TraceOutput trace(cli);

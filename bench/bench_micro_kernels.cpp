@@ -652,8 +652,8 @@ void BM_PointCrash(benchmark::State& state) {
   }
   const SymmetricArcDesign design(t, cfg);
   for (auto _ : state) {
-    const lp::CrashHints hints = lp::crash_from_point(design.model(), design.start_point());
-    benchmark::DoNotOptimize(hints.basic_of_row.data());
+    const lp::Basis basis = lp::crash_from_point(design.model(), design.start_point());
+    benchmark::DoNotOptimize(basis.basic.data());
   }
 }
 BENCHMARK(BM_PointCrash)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);

@@ -31,9 +31,7 @@ struct DesignMetrics {
   obs::Gauge& flow_vars_unfolded =
       obs::Registry::instance().gauge("core.design.flow_vars_unfolded");
   obs::Gauge& last_objective = obs::Registry::instance().gauge("core.design.last_objective");
-  // Rows whose crash column a structural replaces in the last crash basis
-  // built (flow_crash_hints()), and how many crash bases were built.
-  obs::Gauge& crash_hints = obs::Registry::instance().gauge("core.design.crash_hints");
+  // How many crash bases were built (flow_crash_hints()).
   obs::Counter& crash_points = obs::Registry::instance().counter("core.design.crash_points");
   // Objective trajectory across the solves of a pipeline stage (lexicographic
   // stages, cutting-plane rounds, tradeoff sweeps): the snapshot reports
@@ -402,16 +400,13 @@ std::vector<double> SymmetricArcDesign::start_point() const {
   return x;
 }
 
-const lp::CrashHints& SymmetricArcDesign::flow_crash_hints() {
-  if (crash_bound_ == config_.locality_equals) return crash_hints_;
+const lp::Basis& SymmetricArcDesign::flow_crash_hints() {
+  if (crash_bound_ == config_.locality_equals) return crash_basis_;
   auto& met = DesignMetrics::get();
   met.crash_points.add(1);
-  crash_hints_ = lp::crash_from_point(model_, start_point());
+  crash_basis_ = lp::crash_from_point(model_, start_point());
   crash_bound_ = config_.locality_equals;
-  int covered = 0;
-  for (const int col : crash_hints_.basic_of_row) covered += (col >= 0);
-  met.crash_hints.set(covered);
-  return crash_hints_;
+  return crash_basis_;
 }
 
 DesignResult SymmetricArcDesign::solve(const lp::SimplexOptions& opts,
@@ -425,7 +420,7 @@ DesignResult SymmetricArcDesign::solve(const lp::SimplexOptions& opts,
     t.attr("cols", model_.num_cols());
     t.attr("nnz", static_cast<std::int64_t>(model_.num_terms()));
     const bool cold = warm == nullptr || warm->empty();
-    const lp::CrashHints* crash = opts.flow_crash && cold ? &flow_crash_hints() : nullptr;
+    const lp::Basis* crash = cold ? &flow_crash_hints() : nullptr;
     sol = lp::solve(model_, opts, warm, crash);
     t.attr("status", lp::to_string(sol.status));
     t.attr("warm_start", sol.warm_start);

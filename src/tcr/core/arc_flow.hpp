@@ -78,8 +78,8 @@ struct DesignResult {
   /// Final simplex basis (exported on every outcome); feed it back into
   /// solve() of an incrementally-updated design to warm-start.
   lp::Basis basis;
-  /// Warm-start adoption outcome of the underlying LP solve
-  /// ("cold"/"accepted"/"repaired"/"rejected"; see lp::Solution::warm_start).
+  /// Start-basis adoption outcome of the underlying LP solve (see
+  /// lp::Solution::warm_start).
   std::string warm_start = "cold";
 };
 
@@ -116,13 +116,13 @@ class SymmetricArcDesign {
   /// Model::max_violation).
   std::vector<double> start_point() const;
 
-  /// Crash basis for cold solves: the vertex lp::crash_from_point() reaches
+  /// Crash basis for cold solves: the basis lp::crash_from_point() reaches
   /// from start_point(). Empty when the point violates a row or bound (for
   /// example a worst_case_cap below the start routing's worst case), which
   /// leaves the all-slack start. Built for the current locality bound and
-  /// cached until the bound moves. solve() passes it to lp::solve when no
-  /// warm basis is given and opts.flow_crash is set (the default).
-  const lp::CrashHints& flow_crash_hints();
+  /// cached until the bound moves; solve() passes it to lp::solve when no
+  /// warm basis is given.
+  const lp::Basis& flow_crash_hints();
 
   /// Decomposed routing from the last successful solve.
   TorusRouting routing(const std::string& name) const;
@@ -159,8 +159,8 @@ class SymmetricArcDesign {
 
   // The worst-case exact blocks' potential columns, for start_point().
   std::vector<std::vector<int>> wc_u_cols_, wc_v_cols_;
-  lp::CrashHints crash_hints_;
-  std::optional<double> crash_bound_;  // locality bound crash_hints_ was built for
+  lp::Basis crash_basis_;
+  std::optional<double> crash_bound_;  // locality bound crash_basis_ was built for
 };
 
 /// Decompose one commodity's channel flows into weighted 0->e paths

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "tcr/lin/sparse_lu.hpp"
+#include "tcr/lp/basis_factor.hpp"
 #include "tcr/lp/pivot_kernels.hpp"
+#include "tcr/lp/simplex.hpp"
 #include "tcr/lp/standard_form.hpp"
 
 namespace tcr::lp {
@@ -17,40 +18,40 @@ using detail::kAtUpper;
 // Smallest |(B^-1 a_j)_i| taken as a pivot when a column swaps in for a
 // basic at a bound without moving the point.
 constexpr double kPivotTol = 1e-7;
+// How far x may violate a row or bound, and how close to a bound a basic
+// variable counts as at it.
+constexpr double kTol = 1e-9;
 // Values this close to a column's crash value count as at it.
 constexpr double kSnapTol = 1e-12;
-// Forrest–Tomlin updates between refactorizations.
-constexpr int kRefactorEvery = 50;
 
 class Crossover {
  public:
-  Crossover(const Model& model, double feas_tol)
+  explicit Crossover(const Model& model)
       : sf_(detail::build_standard_form(model)),
         m_(sf_.m),
         n_(sf_.ntotal),
-        tol_(feas_tol),
-        a_(sf_.m, sf_.ntotal, sf_.triplets) {
+        a_(sf_.m, sf_.ntotal, sf_.triplets),
+        factor_(a_, SimplexOptions().refactor_every) {
     std::vector<Triplet>().swap(sf_.triplets);
   }
 
-  // The hints' basis, written into `hints` (basic_of_row sized to the row
-  // count); false when x is not placeable (see place()) or a factorization
+  // The vertex's basis, written into `basis` (whose basic list is already
+  // sized to the row count); false when x is infeasible or a factorization
   // fails.
-  bool run(const std::vector<double>& x, CrashHints& hints) {
+  bool run(const std::vector<double>& x, Basis& basis) {
     if (m_ == 0 || !place(x) || !refactor()) return false;
-    for (int j = 0; j < sf_.nstruct; ++j) {
-      if (sf_.lo[j] == sf_.up[j] || std::abs(z_[j] - crash_value(j)) <= kSnapTol) continue;
+    // Structural columns first, then the slacks that x leaves off zero in
+    // rows whose crash column is the artificial.
+    for (int j = 0; j < n_; ++j) {
+      if (sf_.lo[j] == sf_.up[j] || z_[j] == crash_value(j)) continue;
       if (!bring_in(j)) return false;
     }
-    std::vector<char> in_basis(static_cast<std::size_t>(sf_.nstruct), 0);
-    for (int i = 0; i < m_; ++i) {
-      const bool structural = basic_[i] < sf_.nstruct;
-      hints.basic_of_row[i] = structural ? basic_[i] : -1;
-      if (structural) in_basis[basic_[i]] = 1;
+    std::copy(basic_.begin(), basic_.end(), basis.basic.begin());
+    basis.stat.resize(static_cast<std::size_t>(n_));
+    for (int j = 0; j < n_; ++j) {
+      basis.stat[j] = z_[j] == sf_.lo[j] ? kAtLower : z_[j] == sf_.up[j] ? kAtUpper : detail::kFree;
     }
-    for (int j = 0; j < sf_.nstruct; ++j) {
-      if (!in_basis[j] && z_[j] != crash_value(j)) hints.far_bound.push_back(j);
-    }
+    for (const int j : basic_) basis.stat[j] = detail::kBasic;
     return true;
   }
 
@@ -63,30 +64,30 @@ class Crossover {
   }
 
   // The standard-form point of x and the all-slack crash basis. False when x
-  // is infeasible, or when a row whose crash column is its artificial has a
-  // nonzero slack (that slack would have to be basic, which hints cannot say).
+  // is infeasible. A slack that is not its row's crash column (the row's
+  // artificial is) keeps its value at x, so the artificial sits at zero.
   bool place(const std::vector<double>& x) {
     z_.assign(static_cast<std::size_t>(n_), 0.0);
     std::vector<double> r = sf_.b;
     for (int j = 0; j < sf_.nstruct; ++j) {
       const double v = x[j];
-      if (!(v >= sf_.lo[j] - tol_ && v <= sf_.up[j] + tol_)) return false;
+      if (!(v >= sf_.lo[j] - kTol && v <= sf_.up[j] + kTol)) return false;
       z_[j] = std::clamp(v, sf_.lo[j], sf_.up[j]);
       if (std::abs(z_[j] - crash_value(j)) <= kSnapTol) z_[j] = crash_value(j);
       a_.add_column_to(j, -z_[j], r);
     }
     std::vector<char> has_slack(static_cast<std::size_t>(m_), 0);
-    for (int j = sf_.nstruct; j < n_; ++j) {
+    for (int j = sf_.nstruct; j < n_; ++j) {  // basic slacks keep z_ = 0
       if (sf_.artificial[j]) continue;
       const std::size_t k = a_.col_begin(j);
       const int i = a_.row_index(k);
       const double s = r[i] / a_.value(k);
       has_slack[i] = 1;
-      if (s < -tol_ || (sf_.basis0[i] != j && s > tol_)) return false;
-      z_[j] = sf_.basis0[i] == j ? std::max(s, 0.0) : 0.0;
+      if (s < -kTol) return false;
+      if (sf_.basis0[i] != j && s > kTol) z_[j] = s;
     }
     for (int i = 0; i < m_; ++i) {
-      if (!has_slack[i] && std::abs(r[i]) > tol_) return false;
+      if (!has_slack[i] && std::abs(r[i]) > kTol) return false;
     }
     basic_ = sf_.basis0;
     blo_.assign(static_cast<std::size_t>(m_), 0.0);
@@ -104,24 +105,21 @@ class Crossover {
 
   // Fresh LU of the basis, and the basic values from the nonbasic ones.
   bool refactor() {
-    if (!lu_.factor(a_, basic_)) return false;
-    std::vector<char> in_basis(static_cast<std::size_t>(n_), 0);
-    for (const int j : basic_) in_basis[j] = 1;
+    if (!factor_.refactor(basic_)) return false;
     std::vector<double> rhs = sf_.b;
     for (int j = 0; j < n_; ++j) {
-      if (!in_basis[j] && z_[j] != 0.0) a_.add_column_to(j, -z_[j], rhs);
+      if (z_[j] != 0.0) a_.add_column_to(j, -z_[j], rhs);
     }
-    lu_.solve(rhs, xb_, work_);
-    updates_ = 0;
+    factor_.ftran(rhs, xb_);
     return true;
   }
 
   // The value the basic variable at position i takes if it leaves now: the
   // bound it sits at (zero for a free variable at zero), NaN if none.
   double leave_value(int i) const {
-    if (std::abs(xb_[i] - blo_[i]) <= tol_) return blo_[i];
-    if (std::abs(xb_[i] - bup_[i]) <= tol_) return bup_[i];
-    if (!std::isfinite(blo_[i]) && !std::isfinite(bup_[i]) && std::abs(xb_[i]) <= tol_) return 0.0;
+    if (std::abs(xb_[i] - blo_[i]) <= kTol) return blo_[i];
+    if (std::abs(xb_[i] - bup_[i]) <= kTol) return bup_[i];
+    if (!std::isfinite(blo_[i]) && !std::isfinite(bup_[i]) && std::abs(xb_[i]) <= kTol) return 0.0;
     return std::nan("");
   }
 
@@ -131,9 +129,7 @@ class Crossover {
     const double cv = crash_value(j);
     bool toward = false;  // the improving way is unbounded: head for cv
     for (;;) {
-      col_.assign(static_cast<std::size_t>(m_), 0.0);
-      a_.add_column_to(j, 1.0, col_);
-      lu_.solve(col_, d_, work_, &spike_);
+      factor_.ftran_entering(j, d_);
 
       // A basic at a bound the column can replace without moving the point.
       int swap = -1;
@@ -154,7 +150,7 @@ class Crossover {
       const double target = dir > 0 ? (z_[j] < cv ? cv : sf_.up[j]) : (z_[j] > cv ? cv : sf_.lo[j]);
       const double range = std::abs(target - z_[j]);
       const detail::HarrisStep step = detail::harris_ratio_test(
-          d_, dir, xb_, blo_, bup_, basic_, range, tol_, /*bland=*/false, cand_);
+          d_, dir, xb_, blo_, bup_, basic_, range, kTol, /*bland=*/false, cand_);
       if (!std::isfinite(step.t_limit)) {
         toward = true;
         continue;
@@ -175,7 +171,7 @@ class Crossover {
   }
 
   // Column j takes basis position r; the leaving column stays at the bound
-  // it reached. d_ and spike_ hold j's FTRAN.
+  // it reached. d_ holds j's FTRAN, whose spike the factor kept.
   bool enter(int j, int r) {
     const int out = basic_[r];
     const double at = leave_value(r);
@@ -185,36 +181,32 @@ class Crossover {
                              : at;
     basic_[r] = j;
     xb_[r] = z_[j];
+    z_[j] = 0.0;
     set_bounds(r);
-    if (++updates_ < kRefactorEvery && lu_.update(r, spike_) && !lu_.fill_exceeded()) {
-      return true;
-    }
-    return refactor();
+    return factor_.replace(r, d_[r]) || refactor();
   }
 
   detail::StandardForm sf_;
   int m_, n_;
-  double tol_;
   SparseMatrix a_;
-  SparseLU lu_;
-  int updates_ = 0;
-  std::vector<double> z_;  // every column's value; the basic ones are in xb_
+  BasisFactor factor_;
+  std::vector<double> z_;  // each nonbasic column's value; 0 for basic ones (see xb_)
   std::vector<int> basic_;
   std::vector<double> xb_, blo_, bup_;
-  std::vector<double> col_, d_, spike_, work_;
+  std::vector<double> d_;
   std::vector<int> cand_;
 };
 
 }  // namespace
 
-CrashHints crash_from_point(const Model& model, const std::vector<double>& x, double feas_tol) {
+Basis crash_from_point(const Model& model, const std::vector<double>& x) {
   if (static_cast<int>(x.size()) != model.num_cols()) return {};
-  // The result is allocated before the crossover's working set, so freeing
-  // that leaves one contiguous hole for the solve that follows.
-  CrashHints hints;
-  hints.basic_of_row.resize(static_cast<std::size_t>(model.num_rows()));
-  if (!Crossover(model, feas_tol).run(x, hints)) hints.basic_of_row.clear();
-  return hints;
+  // The basic list is allocated before the crossover's working set, so
+  // freeing that leaves one contiguous hole for the solve that follows.
+  Basis basis;
+  basis.basic.resize(static_cast<std::size_t>(model.num_rows()));
+  if (!Crossover(model).run(x, basis)) return {};
+  return basis;
 }
 
 }  // namespace tcr::lp

@@ -1,15 +1,16 @@
-// Crash hints from a feasible point: a crossover to a nearby vertex.
+// A crash basis from a feasible point: a crossover to a nearby vertex.
 //
 // A cold solve that starts from a basis whose point is primal-feasible skips
 // phase 1. When a caller knows a feasible point x of the model — not
 // necessarily a vertex — crash_from_point() finds such a basis and returns it
-// as CrashHints, the form lp::solve() accepts for cold starts.
+// as an lp::Basis, which lp::solve() takes as its `crash` argument.
 //
 // Every structural column away from its crash-rule value (the bound nearest
 // zero; zero for a free column; see standard_form.hpp) must end up basic or
-// at a bound, and every row whose slack is not zero must keep it basic. The
-// routine starts from the all-slack crash basis and brings the columns in
-// one at a time:
+// at a bound, and so must every slack that x leaves off zero in a row whose
+// crash column is the artificial. The routine starts from the all-slack
+// crash basis and brings those columns in one at a time, structural columns
+// first:
 //   * if some basic variable sitting at a bound (a tight row's slack, an
 //     artificial, a column at a bound) has a usable pivot in the column's
 //     direction B^-1 a_j, the column takes its place and the point does not
@@ -21,8 +22,9 @@
 //     that does not raise the objective, or toward the crash value when the
 //     reduced cost is zero (Bixby & Saltzman, "Recovering an optimal LP
 //     basis from an interior point solution", OR Letters 15, 1994).
-// The basis is kept as a sparse LU with Forrest–Tomlin updates, so memory is
-// O(nnz) and each column costs one FTRAN and two passes over the rows.
+// The basis is kept in an lp::BasisFactor (lp/basis_factor.hpp), under the
+// refactorization policy both simplex loops use, so memory is O(nnz) and
+// each column costs one FTRAN and two passes over the rows.
 #pragma once
 
 #include <vector>
@@ -31,13 +33,11 @@
 
 namespace tcr::lp {
 
-/// Crash hints whose basis reproduces a vertex reached from the feasible
-/// point `x` (structural values, size model.num_cols()). Empty when x has
-/// the wrong size or violates a row or bound by more than `feas_tol`, when a
-/// row whose crash column is its artificial has a nonzero slack at x (the
-/// hints cannot make that slack basic), or when a factorization fails; an
-/// empty result makes lp::solve() use the all-slack crash.
-CrashHints crash_from_point(const Model& model, const std::vector<double>& x,
-                            double feas_tol = 1e-9);
+/// The basis, in lp::solve()'s standard form, of a vertex reached from the
+/// feasible point `x` (structural values, size model.num_cols()). Empty when
+/// x has the wrong size or violates a row or bound by more than 1e-9, or
+/// when a factorization fails; an empty basis makes lp::solve() use the
+/// all-slack crash.
+Basis crash_from_point(const Model& model, const std::vector<double>& x);
 
 }  // namespace tcr::lp

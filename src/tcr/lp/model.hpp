@@ -75,6 +75,8 @@ struct Certificate {
 /// re-optimizes a dual-feasible one whose point an rhs edit moved out of
 /// bounds with the dual simplex, and falls back to a cold start when the
 /// basis cannot be salvaged (see lp.warmstart.* and lp.dual.* obs counters).
+/// lp::solve() also takes one as a cold solve's crash basis (see
+/// lp::crash_from_point()).
 struct Basis {
   /// Per standard-form column: 0 = basic, 1 = at lower bound, 2 = at upper
   /// bound, 3 = free at zero (matches lp::detail::VarStatus).
@@ -83,30 +85,6 @@ struct Basis {
   std::vector<int> basic;
 
   bool empty() const { return basic.empty(); }
-};
-
-/// Crash-basis hints for a *cold* solve: per model row, the index of a
-/// structural column to seed basic in that row's position instead of the
-/// row's slack/artificial crash column (-1 keeps the crash column). Every
-/// other structural column starts nonbasic at the crash rule's bound (the
-/// one nearest zero; zero for a free column), or at its other bound when
-/// listed in far_bound. lp::crash_from_point() (lp/crossover.hpp) builds
-/// them from a feasible point, so that the basis they describe is primal
-/// feasible (SymmetricArcDesign::flow_crash_hints() does so from a known
-/// routing). lp::solve() turns them into a candidate basis and routes it
-/// through the same validation/repair machinery as a warm basis, counted
-/// separately under the lp.crash.* obs counters; a primal-feasible one skips
-/// phase 1. Hints are advisory: an inconsistent or singular hint set
-/// degrades to the all-slack crash, never to a failure.
-struct CrashHints {
-  /// Size num_rows; basic_of_row[r] = structural column to make basic at row
-  /// r's position, or -1. Out-of-range and duplicate columns are ignored.
-  std::vector<int> basic_of_row;
-  /// Nonbasic structural columns that start at the finite bound the crash
-  /// rule does not pick. Basic, out-of-range and unboxed columns are ignored.
-  std::vector<int> far_bound;
-
-  bool empty() const { return basic_of_row.empty(); }
 };
 
 struct Solution {
@@ -133,10 +111,11 @@ struct Solution {
   /// Final simplex basis, exported on every outcome (including failures, so
   /// the recovery ladder and sweep chaining can restart from it).
   Basis basis;
-  /// How the supplied warm basis fared: "cold" (none supplied), "accepted"
-  /// (adopted unchanged), "repaired" (adopted after patching) or "rejected"
-  /// (unusable; the solve cold-started). Mirrors the lp.warmstart.* obs
-  /// counters, per solve instead of in aggregate.
+  /// How the start basis fared: "cold" (none adopted), "accepted" (the warm
+  /// basis, unchanged), "repaired" (after patching), "rejected" (unusable;
+  /// the solve cold-started), or "crash-accepted"/"crash-repaired" (the
+  /// crash basis, unchanged or patched). Mirrors the lp.warmstart.* and
+  /// lp.crash.* obs counters, per solve instead of in aggregate.
   std::string warm_start = "cold";
 
   bool optimal() const { return status == Status::Optimal; }

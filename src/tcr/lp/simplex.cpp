@@ -50,7 +50,7 @@ struct SimplexMetrics {
   obs::Counter& warm_rejected = obs::Registry::instance().counter("lp.warmstart.rejected");
   obs::Counter& warm_phase1_skipped =
       obs::Registry::instance().counter("lp.warmstart.phase1_skipped");
-  // Crash-hint adoption (CrashHints on a cold solve) mirrors the warm-start
+  // Crash-basis adoption (lp::solve's `crash`) mirrors the warm-start
   // counters under a separate prefix so the two channels stay attributable:
   // attempts == accepted + repaired + rejected holds independently for each.
   obs::Counter& crash_attempts = obs::Registry::instance().counter("lp.crash.attempts");
@@ -149,7 +149,7 @@ using detail::VarStatus;
 class RevisedSimplex {
  public:
   RevisedSimplex(StandardForm sf, const SimplexOptions& opt, const Basis* warm = nullptr,
-                 const CrashHints* crash = nullptr)
+                 const Basis* crash = nullptr)
       : sf_(std::move(sf)),
         opt_(opt),
         warm_(warm),
@@ -199,17 +199,11 @@ class RevisedSimplex {
     }
     WarmAdopt warm = WarmAdopt::kRejected;
     if (warm_ != nullptr && !warm_->empty()) warm = apply_warm(*warm_);
-    if (warm == WarmAdopt::kRejected && opt_.flow_crash && crash_ != nullptr &&
-        !crash_->empty()) {
-      // Cold start with combinatorial crash hints: synthesize a basis from
-      // them and push it through the same adoption machinery as a warm basis
-      // (separate lp.crash.* accounting; never routed to the dual phase).
-      const Basis cb = crash_basis_from_hints(*crash_);
-      if (!cb.empty()) {
-        adopting_crash_ = true;
-        warm = apply_warm(cb);
-        adopting_crash_ = false;
-      }
+    if (warm == WarmAdopt::kRejected && crash_ != nullptr && !crash_->empty()) {
+      // Cold start from the caller's crash basis, adopted like a warm basis
+      // (own lp.crash.* accounting; never routed to the dual phase).
+      adopting_crash_ = true;
+      warm = apply_warm(*crash_);
     }
     if (warm == WarmAdopt::kRejected && !refactorize()) return finish(sol, Status::Numerical);
 
@@ -272,7 +266,7 @@ class RevisedSimplex {
       if (warm == WarmAdopt::kFeasible) {
         // The adopted basis represents a primal-feasible point, so phase 1
         // has nothing left to do: go straight to optimizing the true costs.
-        (adopted_via_crash_ ? met_.crash_phase1_skipped : met_.warm_phase1_skipped)
+        (adopting_crash_ ? met_.crash_phase1_skipped : met_.warm_phase1_skipped)
             .add(1);
       } else {
         // Cold crash basis, or an adopted basis whose residual
@@ -409,7 +403,7 @@ class RevisedSimplex {
   enum class WarmAdopt { kRejected, kFeasible, kPhase1, kDual };
 
   // Exactly-one-outcome bookkeeping for a basis adoption attempt, warm basis
-  // or crash hints (lp.{warmstart,crash}.attempts == accepted + repaired +
+  // or crash basis (lp.{warmstart,crash}.attempts == accepted + repaired +
   // rejected, asserted by the property tests). begin_adoption() opens an
   // attempt; every path out of adoption calls commit_adoption() exactly
   // once. The dual route defers: apply_warm() stages patched-or-not in
@@ -427,10 +421,8 @@ class RevisedSimplex {
        : o == kOutcomeRepaired ? met_.crash_repaired
                                : met_.crash_accepted)
           .add(1);
-      if (o != kOutcomeRejected) {
-        adopted_via_crash_ = true;
-        warm_outcome_ = o == kOutcomeRepaired ? "crash-repaired" : "crash-accepted";
-      }
+      if (o == kOutcomeAccepted) warm_outcome_ = "crash-accepted";
+      if (o == kOutcomeRepaired) warm_outcome_ = "crash-repaired";
       // A rejected crash basis leaves warm_outcome_ alone: the solve either
       // stays "cold" or keeps the warm basis's earlier "rejected".
     } else {
@@ -466,36 +458,6 @@ class RevisedSimplex {
       }
     }
     return true;
-  }
-
-  // Build a candidate basis from crash hints: row r's basic column becomes
-  // hints.basic_of_row[r] when that is a usable structural column (in
-  // range, not fixed, not claimed by an earlier row), the row's crash aux
-  // column otherwise; a nonbasic boxed column listed in hints.far_bound
-  // starts at its other bound. The result goes through apply_warm() like
-  // any supplied basis, so inconsistent or singular hints degrade to the
-  // all-slack crash instead of failing the solve.
-  Basis crash_basis_from_hints(const CrashHints& hints) const {
-    Basis b;
-    if (static_cast<int>(hints.basic_of_row.size()) != m_) return b;
-    b.stat.assign(sf_.stat0.begin(), sf_.stat0.end());
-    b.basic = sf_.basis0;
-    std::vector<char> used(static_cast<std::size_t>(n_), 0);
-    for (int r = 0; r < m_; ++r) {
-      const int c = hints.basic_of_row[r];
-      if (c < 0 || c >= sf_.nstruct || used[c] || sf_.lo[c] == sf_.up[c]) continue;
-      used[c] = 1;
-      b.stat[b.basic[r]] = static_cast<std::uint8_t>(default_nonbasic(b.basic[r]));
-      b.basic[r] = c;
-      b.stat[c] = static_cast<std::uint8_t>(kBasic);
-    }
-    for (const int c : hints.far_bound) {
-      if (c < 0 || c >= sf_.nstruct || b.stat[c] == kBasic || !std::isfinite(sf_.lo[c]) ||
-          !std::isfinite(sf_.up[c]))
-        continue;
-      b.stat[c] = static_cast<std::uint8_t>(sf_.stat0[c] == kAtLower ? kAtUpper : kAtLower);
-    }
-    return b;
   }
 
   // Install a caller-supplied basis, repairing what can be repaired:
@@ -623,7 +585,7 @@ class RevisedSimplex {
     // Dual screen: a warm basis an rhs edit left primal-infeasible — out-of-
     // bound basics or artificial load — but dual-feasible goes to the dual
     // phase. Its adoption outcome stays staged until the dual verdict is in.
-    // Crash-hint bases never take this route.
+    // Crash bases never take this route.
     if (!adopting_crash_) {
       if (dual_feasible()) {
         pending_patched_ = patched;
@@ -1313,7 +1275,7 @@ class RevisedSimplex {
   StandardForm sf_;
   SimplexOptions opt_;
   const Basis* warm_ = nullptr;
-  const CrashHints* crash_ = nullptr;
+  const Basis* crash_ = nullptr;
   int m_, n_;
   SparseMatrix a_;
   BasisFactor factor_;  // LU of the basis columns of a_, and when to rebuild it
@@ -1322,8 +1284,7 @@ class RevisedSimplex {
   long max_iters_ = 0;
   long iters_ = 0;
   long charged_iters_ = 0;  // iterations already charged to the cancel token
-  bool adopting_crash_ = false;    // apply_warm() is consuming crash hints
-  bool adopted_via_crash_ = false; // a crash-hint basis was adopted
+  bool adopting_crash_ = false;    // the start basis on offer is the crash basis
   bool pending_patched_ = false;   // staged outcome for the deferred dual commit
 
   SimplexMetrics& met_ = SimplexMetrics::get();
@@ -1353,15 +1314,15 @@ class RevisedSimplex {
 }  // namespace
 
 Solution solve(const Model& model, const SimplexOptions& options, const Basis* warm,
-               const CrashHints* crash) {
+               const Basis* crash) {
   TCR_REQUIRE(model.num_cols() > 0, "model has no variables");
 
   const CertifyOptions cert_opts = CertifyOptions::from_solver_tols(
       options.feas_tol, options.opt_tol, kCertifyTolFactor);
 
-  // Crash hints ride along to every sparse attempt (they only kick in when
-  // no warm basis is adopted); the dense fallback stays hint-free — its
-  // value is independence from the revised solver's machinery.
+  // The crash basis rides along to every sparse attempt (it only kicks in
+  // when no warm basis is adopted); the dense fallback stays crash-free —
+  // its value is independence from the revised solver's machinery.
   auto run_attempt = [crash](const Model& mdl, const SimplexOptions& o, const Basis* w) {
     auto sf = detail::build_standard_form(mdl);
     RevisedSimplex simplex(std::move(sf), o, w, crash);

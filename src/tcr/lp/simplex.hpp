@@ -32,6 +32,10 @@
 // basis factor, its pivot epilogue and the carried reduced costs with the
 // primal loop.
 //
+// A cold solve can start from a caller's crash basis instead of the
+// all-slack one, adopted like a warm basis; the primal-feasible one
+// lp::crash_from_point() (lp/crossover.hpp) builds skips phase 1.
+//
 // Numerical breakdowns and failed certificates go through a three-stage
 // recovery ladder (reseed, careful, dense); see solve().
 //
@@ -57,12 +61,6 @@ struct SimplexOptions {
   bool perturb = true;          // anti-degeneracy cost perturbation
   std::uint64_t seed = 0x5eedULL;
   int bland_after = 3000;  // consecutive degenerate pivots before Bland mode
-
-  /// Adopt caller-supplied CrashHints (a basis from a feasible point, see
-  /// lp/crossover.hpp) on cold solves. Off: hints passed to solve() are
-  /// ignored and the all-slack crash and phase 1 are used. Callers also
-  /// gate hint *construction* on this flag.
-  bool flow_crash = true;
 
   /// Run lp::certify() on every Optimal solve (at 10x the solver
   /// tolerances) and store the result in Solution::certificate. A failing
@@ -104,12 +102,12 @@ struct SimplexOptions {
 /// stages restart from the failed attempt's exported basis rather than from
 /// scratch.
 ///
-/// `crash` optionally supplies crash-basis hints used when no warm basis is
-/// adopted (cold start) and options.flow_crash is set; they go through the
-/// same validation/repair machinery (never the dual phase), counted under
-/// lp.crash.*. Hints from lp::crash_from_point() describe a primal-feasible
-/// basis, which skips phase 1.
+/// `crash` optionally supplies the basis a cold solve starts from in place
+/// of the all-slack crash, used when no warm basis is adopted. It goes
+/// through the same validation/repair machinery (never the dual phase),
+/// counted under lp.crash.*. The basis lp::crash_from_point() builds from a
+/// feasible point is primal-feasible, so it skips phase 1.
 Solution solve(const Model& model, const SimplexOptions& options = {},
-               const Basis* warm = nullptr, const CrashHints* crash = nullptr);
+               const Basis* warm = nullptr, const Basis* crash = nullptr);
 
 }  // namespace tcr::lp

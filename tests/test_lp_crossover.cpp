@@ -1,10 +1,12 @@
-// Crash hints from a feasible point (tcr/lp/crossover.hpp). On random small
-// LPs whose known feasible point lies strictly inside most bounds — more
-// such columns than rows, so it is not a vertex, and some columns duplicated
-// so that the crossover must move along null directions — the hints must be
-// adopted as a primal-feasible crash basis (no phase 1) and the solve must
-// reach the dense oracle's optimum. With more such columns than rows, every
-// trial moves the point. Infeasible points must yield no hints.
+// A crash basis from a feasible point (tcr/lp/crossover.hpp). On random
+// small LPs whose known feasible point lies strictly inside most bounds —
+// more such columns than rows, so it is not a vertex, some columns
+// duplicated so that the crossover must move along null directions, and
+// some rows whose crash column is the artificial while x leaves the slack
+// off zero — the basis must be adopted as primal-feasible (no phase 1) and
+// the solve must reach the dense oracle's optimum. With more such columns
+// than rows, every trial moves the point. Infeasible points must yield no
+// basis.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +15,7 @@
 #include "tcr/lp/crossover.hpp"
 #include "tcr/lp/dense_simplex.hpp"
 #include "tcr/lp/simplex.hpp"
+#include "tcr/lp/standard_form.hpp"
 #include "tcr/util/rng.hpp"
 
 namespace tcr::lp {
@@ -21,14 +24,18 @@ namespace {
 struct PointLp {
   Model model;
   std::vector<double> x;  // feasible, strictly inside most bounds
+  int artificial_rows = 0;  // inequalities whose crash column is the artificial
 };
 
 // Columns: most in [0, up] with x inside, some free (cost 0, so the LP
 // stays bounded), some in [0, inf) with a cost that cannot run away, and a
-// few copies of earlier columns. Rows take the sign of their activity at x:
-// LE above it, GE below it, or EQ, so the slack (or, for EQ, the
-// artificial) is the row's crash column; a third of the inequalities are
-// tight at x.
+// few copies of earlier columns; every column's crash value is zero. Rows
+// are EQ (the artificial is the crash column), or inequalities. Most
+// inequalities take the sign of their activity at x, LE above it or GE
+// below it, so the slack is the crash column; a third of those are tight at
+// x. The others put the rhs strictly between 0 and the activity at x, so the
+// crash point violates them: the artificial is their crash column and the
+// slack is nonzero at x.
 PointLp random_point_lp(Rng& rng, int m, int n) {
   PointLp lp;
   const bool maximize = rng.below(3) == 0;
@@ -74,9 +81,12 @@ PointLp random_point_lp(Rng& rng, int m, int n) {
     double act = 0.0;
     for (const auto& [j, v] : row) act += v * lp.x[j];
     const double slack = rng.below(3) == 0 ? 0.0 : rng.uniform(0.1, 2.0);
-    const int kind = static_cast<int>(rng.below(4));
+    const int kind = static_cast<int>(rng.below(5));
     if (kind == 0) {
       lp.model.add_row(RowType::EQ, act, row);
+    } else if (kind == 1 && act != 0.0) {
+      lp.model.add_row(act > 0.0 ? RowType::GE : RowType::LE, act * rng.uniform(0.2, 0.8), row);
+      ++lp.artificial_rows;
     } else if (act >= 0.0) {
       lp.model.add_row(RowType::LE, act + slack, row);
     } else {
@@ -88,18 +98,21 @@ PointLp random_point_lp(Rng& rng, int m, int n) {
 
 TEST(Crossover, RandomPointsReachTheOracleOptimumWithoutPhase1) {
   Rng rng(2026);
-  int solved = 0, far = 0;
+  int solved = 0, far = 0, with_artificial = 0;
   for (int trial = 0; trial < 60; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const int m = 3 + static_cast<int>(rng.below(10));
     const int n = m + 2 + static_cast<int>(rng.below(static_cast<std::uint64_t>(m + 5)));
     const PointLp lp = random_point_lp(rng, m, n);
     ASSERT_LE(lp.model.max_violation(lp.x), 1e-9);
+    with_artificial += lp.artificial_rows > 0;
 
-    const CrashHints hints = crash_from_point(lp.model, lp.x);
-    ASSERT_EQ(static_cast<int>(hints.basic_of_row.size()), m);
-    far += !hints.far_bound.empty();
-    const Solution sol = solve(lp.model, {}, nullptr, &hints);
+    const Basis crash = crash_from_point(lp.model, lp.x);
+    ASSERT_EQ(static_cast<int>(crash.basic.size()), m);
+    bool at_upper = false;
+    for (int j = 0; j < n; ++j) at_upper |= crash.stat[j] == detail::kAtUpper;
+    far += at_upper;
+    const Solution sol = solve(lp.model, {}, nullptr, &crash);
     const Solution oracle = solve_dense(lp.model);
     ASSERT_EQ(sol.status, oracle.status) << sol.note;
     EXPECT_EQ(sol.warm_start, "crash-accepted");
@@ -111,6 +124,7 @@ TEST(Crossover, RandomPointsReachTheOracleOptimumWithoutPhase1) {
   }
   EXPECT_GE(solved, 50);
   EXPECT_GE(far, 5);  // some columns stop at the bound farther from zero
+  EXPECT_GE(with_artificial, 30);
 }
 
 // Two copies of one column, both strictly inside their bounds: they cannot
@@ -121,12 +135,12 @@ TEST(Crossover, DependentColumnsMoveToABound) {
   const int a = m.add_col(0.0, 4.0, -1.0);
   const int b = m.add_col(0.0, 4.0, -2.0);
   m.add_row(RowType::LE, 3.0, {{a, 1.0}, {b, 1.0}});
-  const CrashHints hints = crash_from_point(m, {1.0, 2.0});
-  ASSERT_EQ(hints.basic_of_row.size(), 1u);
+  const Basis crash = crash_from_point(m, {1.0, 2.0});
+  ASSERT_EQ(crash.basic.size(), 1u);
   // The improving move shifts load onto b until the row is tight or a hits
   // zero; b ends basic.
-  EXPECT_EQ(hints.basic_of_row[0], b);
-  const Solution sol = solve(m, {}, nullptr, &hints);
+  EXPECT_EQ(crash.basic[0], b);
+  const Solution sol = solve(m, {}, nullptr, &crash);
   ASSERT_EQ(sol.status, Status::Optimal);
   EXPECT_EQ(sol.warm_start, "crash-accepted");
   EXPECT_NEAR(sol.objective, -6.0, 1e-9);

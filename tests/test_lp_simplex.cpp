@@ -638,15 +638,25 @@ TEST(RevisedSimplex, KeptPivotStateMatchesOracleAfterEveryPivot) {
   for (int i = 0; i < 4; ++i) samples.push_back(rng.permutation(torus.num_nodes()));
   const std::vector<double> grid = locality_grid(1.0, 2.0, 5);
   KeptStateOracle oracle;
-  // Both cold starts: the crash basis of a feasible point (the default) and
-  // the all-slack basis, whose phase 1 adds the artificials' pivots.
-  for (const bool crash : {true, false}) {
-    SimplexOptions opts;
-    opts.flow_crash = crash;
-    const auto fig1 = worst_case_tradeoff(torus, grid, opts);
-    const auto fig6 = average_case_tradeoff(torus, samples, grid, opts);
-    for (const auto& p : fig1) ASSERT_TRUE(p.solved()) << p.note;
-    for (const auto& p : fig6) ASSERT_TRUE(p.solved()) << p.note;
+  // Both cold starts: the sweeps start from the crash basis of a feasible
+  // point, and direct solves of their designs from the all-slack basis,
+  // whose phase 1 adds the artificials' pivots.
+  const auto fig1 = worst_case_tradeoff(torus, grid);
+  const auto fig6 = average_case_tradeoff(torus, samples, grid);
+  for (const auto& p : fig1) ASSERT_TRUE(p.solved()) << p.note;
+  for (const auto& p : fig6) ASSERT_TRUE(p.solved()) << p.note;
+  for (const bool average : {false, true}) {
+    SymmetricDesignConfig cfg;
+    cfg.objective = average ? DesignObjective::AverageCase : DesignObjective::WorstCase;
+    cfg.locality_equals = torus.mean_min_distance();
+    cfg.locality_le = true;
+    if (average) cfg.samples = samples;
+    SymmetricArcDesign design(torus, cfg);
+    for (const double l : grid) {
+      design.set_locality_bound(l * torus.mean_min_distance());
+      const Solution sol = solve(design.model());
+      ASSERT_EQ(sol.status, Status::Optimal) << sol.note;
+    }
   }
   EXPECT_GT(oracle.pivots, 800);
   EXPECT_EQ(oracle.split_errors, 0);

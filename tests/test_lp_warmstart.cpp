@@ -433,6 +433,56 @@ TEST(DualRestart, UnannotatedRhsEditEntersDualPhase) {
   EXPECT_EQ(ws.phase1_iterations, 0);
 }
 
+// The dual loop takes pivots down to |alpha| = 1e-9, but the basis factor
+// updates only through pivots of at least 1e-7 and rebuilds for smaller
+// ones. Two copies of min x + 2y s.t. x + a y >= 2, x <= 3 are optimal at
+// (2, 0) with the x <= 3 slack basic. Tightening that row by 1e-3 in the
+// first copy (a = eps) and by 1e-4 in the second (a = 1) puts both x out of
+// bounds; the dual loop repairs the larger violation first, bringing y in
+// through a pivot of -eps, then the second copy's y through a pivot of -1.
+// At eps = 1e-8 the first pivot must be taken and the factor rebuilt: one
+// refactorization more than at eps = 1e-6, whose pivot is updated. Both
+// restarts must end at the optimum, certified.
+TEST(DualRestart, TinyDualPivotRebuildsTheFactor) {
+  auto& refactorizations = obs::Registry::instance().counter("lp.simplex.refactorizations");
+  // The refactorizations of the restart, which must end at the optimum.
+  const auto restart = [&](double eps) {
+    Model m;
+    std::vector<int> caps, ys;
+    double optimum = 0.0;
+    for (const auto& [a, cut] : {std::pair{eps, 1e-3}, std::pair{1.0, 1e-4}}) {
+      const int x = m.add_col(0.0, kInf, 1.0);
+      const int y = m.add_col(0.0, kInf, 2.0);
+      m.add_row(RowType::GE, 2.0, {{x, 1.0}, {y, a}});
+      caps.push_back(m.add_row(RowType::LE, 3.0, {{x, 1.0}}));
+      ys.push_back(y);
+      optimum += 2.0 - cut + 2.0 * cut / a;
+    }
+    const Solution base = solve(m);
+    EXPECT_EQ(base.status, Status::Optimal);
+    m.set_rhs(caps[0], 2.0 - 1e-3);
+    m.set_rhs(caps[1], 2.0 - 1e-4);
+    const std::int64_t before = refactorizations.value();
+    const Solution ws = solve(m, {}, &base.basis);
+    const std::int64_t refactors = refactorizations.value() - before;
+    EXPECT_EQ(ws.status, Status::Optimal) << ws.note;
+    EXPECT_EQ(ws.warm_start, "accepted");
+    EXPECT_EQ(ws.phase1_iterations, 0);
+    EXPECT_NEAR(ws.x[ys[0]], 1e-3 / eps, 1e-9 / eps);
+    EXPECT_NEAR(ws.x[ys[1]], 1e-4, 1e-9);
+    EXPECT_NEAR(ws.objective, optimum, 1e-9 * optimum);
+    EXPECT_TRUE(ws.certificate.ok()) << ws.certificate.summary();
+    return refactors;
+  };
+  const std::int64_t updated = restart(1e-6);
+  const DualCounters before = DualCounters::snap();
+  const std::int64_t rebuilt = restart(1e-8);
+  const DualCounters d = DualCounters::snap().delta_since(before);
+  EXPECT_EQ(d.solves, 1);
+  EXPECT_EQ(d.reoptimized, 1);
+  EXPECT_EQ(rebuilt, updated + 1);
+}
+
 // A dual-infeasible warm basis (rhs edit plus a cost flip) must be caught by
 // the dual-feasibility screen — counted in lp.dual.infeasible_bases, not
 // launched into the dual phase — and still reproduce the cold answer through

@@ -31,12 +31,6 @@
 //   --k/--samples/--threads N   forwarded to the benches that accept them;
 //                       --k and --samples change the measured quantities, so
 //                       they disable the golden gate (recorded in report.json)
-//   --flow-crash/--no-flow-crash   forwarded to the LP-backed benches
-//                       (bench::solver_options): toggle the crash basis
-//                       from a feasible routing, whose cold solves skip
-//                       phase 1. Iteration counts move; the optima must not, so
-//                       the golden gate stays armed — CI runs the smoke
-//                       preset in both modes against the same goldens
 //   --trace             also collect a span trace per bench: each bench runs
 //                       with --trace <out>/<bench>.trace.json (Perfetto
 //                       loadable, analyzable with tcr-trace); does not affect
@@ -105,21 +99,20 @@ struct BenchSpec {
   bool takes_k = false;           // accepts the --k override
   bool takes_samples = false;     // accepts the --samples override
   bool takes_threads = false;     // accepts the --threads override
-  bool takes_solver = false;      // accepts --flow-crash/--no-flow-crash
 };
 
 // The preset registry. "smoke" is sized for CI: every bench at k=4-scale,
 // seconds of wall clock, while still exercising every LP/simulator path the
 // full run uses. The golden file carries quantities for both scales.
 std::vector<BenchSpec> preset_benches(const std::string& preset) {
-  const BenchSpec table1{"table1_algorithms", {}, true, true, false, false};
-  const BenchSpec fig1{"fig1_wc_tradeoff", {}, true, false, true, true};
-  const BenchSpec fig4{"fig4_locality_vs_radix", {}, false, false, false, false};
-  const BenchSpec fig5{"fig5_interpolation", {}, true, false, true, true};
-  const BenchSpec fig6{"fig6_avg_tradeoff", {}, true, true, true, true};
-  const BenchSpec avgcase{"avgcase_approx", {}, true, true, false, false};
-  const BenchSpec sim{"sim_saturation", {}, true, false, true, false};
-  const BenchSpec ablation{"ablation_solver", {}, false, false, false, true};
+  const BenchSpec table1{"table1_algorithms", {}, true, true, false};
+  const BenchSpec fig1{"fig1_wc_tradeoff", {}, true, false, true};
+  const BenchSpec fig4{"fig4_locality_vs_radix", {}, false, false, false};
+  const BenchSpec fig5{"fig5_interpolation", {}, true, false, true};
+  const BenchSpec fig6{"fig6_avg_tradeoff", {}, true, true, true};
+  const BenchSpec avgcase{"avgcase_approx", {}, true, true, false};
+  const BenchSpec sim{"sim_saturation", {}, true, false, true};
+  const BenchSpec ablation{"ablation_solver", {}, false, false, false};
 
   auto with_args = [](BenchSpec spec, std::vector<std::string> args) {
     spec.args = std::move(args);
@@ -340,14 +333,6 @@ int main(int argc, char** argv) {
       if (has_threads && spec.takes_threads) {
         overrides.push_back("--threads");
         overrides.push_back(cli.get_string("threads", ""));
-      }
-      if (spec.takes_solver) {
-        // Solver-ablation pass-through: lets CI re-run a preset with the
-        // flow crash basis disabled and gate the result against the same
-        // goldens (the optima must not move).
-        for (const char* flag : {"flow-crash", "no-flow-crash"}) {
-          if (cli.has(flag)) overrides.push_back(std::string("--") + flag);
-        }
       }
       std::cout << "running bench_" << spec.bench << " ..." << std::flush;
       outcome.exit_code =
