@@ -87,7 +87,8 @@ struct Cursor {
   }
 };
 
-constexpr std::uint32_t kCheckpointVersion = 1;
+// Version 2 added the basis's dual steepest-edge weights.
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 std::vector<TradeoffPoint> sweep(const Torus& torus, DesignObjective objective,
                                  const std::vector<std::vector<int>>& samples,
@@ -257,6 +258,8 @@ std::string SweepCheckpoint::encode(int index, const TradeoffPoint& pt,
   put_u32(s, static_cast<std::uint32_t>(basis.basic.size()));
   s.append(reinterpret_cast<const char*>(basis.basic.data()),
            basis.basic.size() * sizeof(int));
+  put_u32(s, static_cast<std::uint32_t>(basis.weights.size()));
+  for (const double v : basis.weights) put_double(s, v);
   return s;
 }
 
@@ -297,12 +300,13 @@ bool SweepCheckpoint::decode(const std::string& payload, int* index, TradeoffPoi
   c.p += nstat;
   c.left -= nstat;
   const std::uint32_t nbasic = c.u32();
-  if (!c.ok || c.left != nbasic * sizeof(int)) return false;
+  if (!c.ok || c.left < std::size_t{nbasic} * sizeof(int)) return false;
   basis->basic.resize(nbasic);
-  // An empty basis has no storage: memcpy must not see its null data().
-  if (c.left > 0) std::memcpy(basis->basic.data(), c.p, c.left);
-  c.p += c.left;
-  c.left = 0;
+  for (int& b : basis->basic) c.take(&b, sizeof b);
+  const std::uint32_t nweights = c.u32();
+  if (!c.ok || c.left != std::size_t{nweights} * sizeof(double)) return false;
+  basis->weights.resize(nweights);
+  for (double& v : basis->weights) v = c.f64();
   return c.ok;
 }
 

@@ -97,7 +97,9 @@ struct SweepResume {
 };
 
 /// Codec for one journaled sweep point: the TradeoffPoint result plus the
-/// exported simplex basis that warm-starts the next point. Binary and
+/// exported simplex basis, with its dual steepest-edge weights, that
+/// warm-starts the next point. Version 2; a version-1 payload (no weights)
+/// is refused, since a resume from it would not pivot as the run did. Binary and
 /// machine-local (doubles are stored bit-exact — resume must reproduce the
 /// uninterrupted run bitwise; journals are not an interchange format).
 struct SweepCheckpoint {

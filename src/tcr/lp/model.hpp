@@ -83,6 +83,12 @@ struct Basis {
   std::vector<std::uint8_t> stat;
   /// Basic column per row (size = number of rows).
   std::vector<int> basic;
+  /// Dual steepest-edge weight of each basis position, ||B^-T e_i||^2, or 0
+  /// where the dual simplex never needed it. Exported only when the basis
+  /// is the one a dual phase ended on (else empty); lp::solve() adopts the
+  /// weights only with a warm basis it accepts unchanged for the dual
+  /// phase, and drops them when their size or any entry is invalid.
+  std::vector<double> weights;
 
   bool empty() const { return basic.empty(); }
 };

@@ -12,6 +12,10 @@ namespace {
 // more sorts the rest once, so its cost stays O(n log n).
 constexpr int kSelectFirst = 32;
 
+// dse_update() makes a weight unknown when its update cancels to under this
+// share of its terms: the rounding left in it could exceed 1e-9 of it.
+constexpr double kDseCancel = 1e-6;
+
 std::atomic<PivotObserver*> g_pivot_observer{nullptr};
 
 }  // namespace
@@ -103,6 +107,22 @@ int bfrt_select(std::vector<BfrtCand>& cands, double remain, double feas_tol) {
     absorb += std::abs(cd.abar) * cd.range;
   }
   return -1;
+}
+
+void dse_update(std::vector<double>& weights, const std::vector<double>& alpha,
+                const std::vector<double>& rho, const std::vector<double>& tau, int r) {
+  const int m = static_cast<int>(weights.size());
+  double rho_norm2 = 0.0;
+  for (const double v : rho) rho_norm2 += v * v;
+  const double piv = alpha[r];
+  for (int i = 0; i < m; ++i) {
+    if (i == r || alpha[i] == 0.0 || weights[i] == 0.0) continue;
+    const double ratio = alpha[i] / piv;
+    const double terms = weights[i] + ratio * ratio * rho_norm2;
+    const double w = terms - 2.0 * ratio * tau[i];
+    weights[i] = w > kDseCancel * terms ? w : 0.0;
+  }
+  weights[r] = rho_norm2 / (piv * piv);
 }
 
 PivotObserver* pivot_observer() noexcept {

@@ -1,6 +1,7 @@
-// The revised simplex's two ratio tests, as free functions so tests and
-// micro-benchmarks can run them on captured states, plus a test hook that
-// sees the solver's kept per-pivot state.
+// The revised simplex's two ratio tests and its dual steepest-edge weight
+// update, as free functions so tests and micro-benchmarks can run them on
+// captured states, plus a test hook that sees the solver's kept per-pivot
+// state.
 //
 // Both ratio tests sweep only what can change the pivot:
 //   * harris_ratio_test() reads the basic variables' bounds from
@@ -63,10 +64,25 @@ struct BfrtCand {
 /// violation.
 int bfrt_select(std::vector<BfrtCand>& cands, double remain, double feas_tol);
 
+/// Carries the dual steepest-edge weights w_i = ||B^-T e_i||^2 across the
+/// pivot that brings a column with alpha = B^-1 a_q into position r
+/// (Forrest & Goldfarb, Math. Prog. 57, 1992). With rho = B^-T e_r and
+/// tau = B^-1 rho, row i of the new inverse is rho_i - (alpha_i/alpha_r) rho,
+/// so
+///   w_i <- w_i - 2 (alpha_i/alpha_r) tau_i + (alpha_i/alpha_r)^2 ||rho||^2
+/// and w_r <- ||rho||^2 / alpha_r^2, exact. A weight of 0 is unknown and
+/// stays so; one whose update cancels to under 1e-6 of its terms becomes
+/// unknown, so that its next use recomputes it.
+void dse_update(std::vector<double>& weights, const std::vector<double>& alpha,
+                const std::vector<double>& rho, const std::vector<double>& tau, int r);
+
 /// What the simplex keeps per pivot so that pricing and the ratio tests
 /// sweep only what can pivot: the row-wise matrix split into priceable and
-/// other columns, and the bounds of each position's basic column.
+/// other columns, and the bounds of each position's basic column; and, in
+/// the dual loop, the dual steepest-edge weights (empty in the primal loop).
 struct PivotState {
+  const SparseMatrix& a;
+  const std::vector<double>& weights;  // per position, 0 = unknown
   const std::vector<VarStatus>& stat;
   const std::vector<int>& basic;
   const std::vector<double>& lo;  // column bounds

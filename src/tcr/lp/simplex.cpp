@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tcr/fault/fault.hpp"
@@ -237,6 +238,10 @@ class RevisedSimplex {
         t.attr("iterations", sol.dual_iterations);
       }
       met_.dual_iterations.add(sol.dual_iterations);
+      // The weights describe the basis the dual phase ended on; finish()
+      // exports them only if that is the basis the solve ends on.
+      sol.basis.basic = basic_;
+      sol.basis.weights = std::exchange(dse_, {});
       if (sd == Status::Cancelled || sd == Status::IterationLimit) {
         // The whole-run budget fired mid-phase: the warm basis was genuinely
         // used, so its staged adoption outcome stands.
@@ -337,6 +342,7 @@ class RevisedSimplex {
     charge_pending_iterations();
     met_.iterations.add(iters_);
     sol.basis.stat.assign(stat_.begin(), stat_.end());
+    if (sol.basis.basic != basic_) sol.basis.weights.clear();
     sol.basis.basic = basic_;
     sol.warm_start = warm_outcome_;
     switch (sol.status) {
@@ -589,6 +595,14 @@ class RevisedSimplex {
     if (!adopting_crash_) {
       if (dual_feasible()) {
         pending_patched_ = patched;
+        // Its dual steepest-edge weights describe the basis as given: keep
+        // them only when it was accepted unchanged, and only when each one
+        // is a weight (0 = unknown, computed on first use).
+        const std::vector<double>& wt = warm.weights;
+        if (!patched && static_cast<int>(wt.size()) == m_ &&
+            std::all_of(wt.begin(), wt.end(), [](double v) { return v >= 0.0 && v < kInf; })) {
+          dse_ = wt;
+        }
         return WarmAdopt::kDual;
       }
       met_.dual_infeasible_bases.add(1);
@@ -691,17 +705,17 @@ class RevisedSimplex {
     blo_[r] = sf_.lo[q];
     bup_[r] = sf_.up[q];
     if (auto* o = detail::pivot_observer()) {
-      o->after_pivot({stat_, basic_, sf_.lo, sf_.up, blo_, bup_, a_rows_});
+      o->after_pivot({a_, dse_, stat_, basic_, sf_.lo, sf_.up, blo_, bup_, a_rows_});
     }
   }
 
   // rho_ = B^-T e_r: row r of B^-1, whose products a_j . rho_ are the pivot
-  // row of the tableau.
+  // row of the tableau. er_ is all zero between calls.
   void pivot_row(int r, bool timed) {
     obs::ScopedTimer t(met_.t_btran, timed);
-    std::fill(er_.begin(), er_.end(), 0.0);
     er_[r] = 1.0;
     factor_.btran(er_, rho_);
+    er_[r] = 0.0;
   }
 
   // row_ = the nonzeros alpha_j = a_j . rho_ of the pivot row over the
@@ -1036,11 +1050,12 @@ class RevisedSimplex {
   // Re-optimizes a dual-feasible basis whose point is primal-infeasible —
   // the parametric-sweep case, where one rhs edit moved the basic values but
   // left every reduced cost intact. Per iteration: price the most violated
-  // basic out (DEVEX-style weights per row), btran its unit vector for the
-  // pivot row, run the bound-flipping dual ratio test over the nonbasic
-  // columns, flip the boxed columns the dual step walks through (batched
-  // into one ftran), and pivot the blocking column in, sharing the LU
-  // update and refactorization triggers with the primal loop. Returns:
+  // basic out (dual steepest edge: violation^2 / ||B^-T e_i||^2), btran its
+  // unit vector for the pivot row, run the bound-flipping dual ratio test
+  // over the nonbasic columns, flip the boxed columns the dual step walks
+  // through (batched into one ftran), and pivot the blocking column in,
+  // sharing the LU update and refactorization triggers with the primal
+  // loop. Returns:
   //   Optimal        — no basic violates its bound (primal feasible, so the
   //                    still-dual-feasible basis is optimal to tolerance);
   //   Unbounded      — some violated row admits no entering column even
@@ -1055,8 +1070,8 @@ class RevisedSimplex {
     int degenerate_streak = 0;
     const bool timed = obs::Registry::instance().timing_enabled();
     Sampler sample;
-    // Dual DEVEX row weights (reference framework = the rows at entry).
-    dw_.assign(static_cast<std::size_t>(m_), 1.0);
+    // The weights adopted with the warm basis, else all unknown.
+    dse_.resize(static_cast<std::size_t>(m_), 0.0);
     // Stall guard: a dual phase that has not reached primal feasibility
     // after this many pivots is not the cheap sweep repair it exists for;
     // hand the basis back to the primal ladder instead of grinding on.
@@ -1091,7 +1106,9 @@ class RevisedSimplex {
 
       if (priced_at_ != refactor_count_) reprice(cost, timed);
 
-      // ---- leaving-row pricing (largest weighted bound violation) ----
+      // ---- leaving-row pricing (dual steepest edge) ----
+      // The largest viol^2 / w_i; a row's weight is computed exactly the
+      // first time the row is a candidate (see dual_weight()).
       const bool bland = degenerate_streak >= opt_.bland_after;
       obs::ScopedTimer pricing_timer(met_.t_pricing, timed);
       int leave = -1;
@@ -1116,7 +1133,7 @@ class RevisedSimplex {
           below = b;
           break;
         }
-        const double score = viol * viol / dw_[i];
+        const double score = viol * viol / dual_weight(i);
         if (score > best_score) {
           best_score = score;
           leave = i;
@@ -1220,16 +1237,15 @@ class RevisedSimplex {
         flush_degenerate_run();
       }
 
-      // ---- dual DEVEX row-weight update (reuses the ftran column) ----
-      const double piv2 = piv * piv;
-      const double dw_r = dw_[leave];
-      for (int i = 0; i < m_; ++i) {
-        if (i == leave || w[i] == 0.0) continue;
-        const double cand_w = (w[i] * w[i] / piv2) * dw_r;
-        if (cand_w > dw_[i]) dw_[i] = cand_w;
+      // ---- dual steepest-edge weights: tau = B^-1 rho, then the update ----
+      {
+        obs::ScopedTimer t(met_.t_ftran, timed);
+        factor_.ftran(rho_, tau_);  // leaves the entering column's spike alone
       }
-      dw_[leave] = std::max(dw_r / piv2, 1.0);
-      if (dw_r > 1e7) dw_.assign(static_cast<std::size_t>(m_), 1.0);
+      {
+        obs::ScopedTimer t(met_.t_pricing, timed);
+        detail::dse_update(dse_, w, rho_, tau_, leave);
+      }
 
       update_prices(q, leave, piv, row_);
 
@@ -1238,6 +1254,19 @@ class RevisedSimplex {
       swap_in(q, leave, below ? kAtLower : kAtUpper, (xb_[leave] - target) / piv, w);
       if (!factor_.replace(leave, piv) && !refactorize()) return leave_with(Status::Numerical);
     }
+  }
+
+  // The dual steepest-edge weight ||B^-T e_i||^2 of position i: one BTRAN,
+  // timed as pricing, the first time it is needed; dse_update() carries it
+  // from then on.
+  double dual_weight(int i) {
+    if (dse_[i] == 0.0) {
+      pivot_row(i, /*timed=*/false);
+      double norm2 = 0.0;
+      for (const double v : rho_) norm2 += v * v;
+      dse_[i] = norm2;
+    }
+    return dse_[i];
   }
 
   void extract(Solution& sol) {
@@ -1299,11 +1328,11 @@ class RevisedSimplex {
   std::vector<int> basic_;
   std::vector<double> xb_;
   std::vector<double> devex_;
-  std::vector<double> dw_;  // dual DEVEX row weights (optimize_dual)
-  std::vector<double> d_;   // reduced costs (see reprice())
-  int priced_at_ = -1;      // refactor_count_ at the last reprice(); -1: none
+  std::vector<double> dse_;  // dual steepest-edge weights (optimize_dual)
+  std::vector<double> d_;    // reduced costs (see reprice())
+  int priced_at_ = -1;       // refactor_count_ at the last reprice(); -1: none
   // Per-solve scratch, sized once so FTRAN/BTRAN allocate nothing per pivot.
-  std::vector<double> cb_, y_, er_, rho_;
+  std::vector<double> cb_, y_, er_, rho_, tau_;
   std::vector<std::pair<int, double>> row_;  // nonzeros (j, alpha_j) of the pivot row
   std::vector<double> blo_, bup_;  // bounds of basic_[i] (see sync_pivot_state())
   std::vector<int> harris_rows_;   // work buffer of the primal ratio test

@@ -27,10 +27,23 @@
 // A warm basis that comes back dual-feasible but primal-infeasible — the
 // parametric-sweep case, where an rhs edit moved the basic values but left
 // every reduced cost intact — is re-optimized by a dual simplex phase
-// (dual-DEVEX row pricing, bound-flipping ratio test whose candidates are
-// ordered by selection only as far as the walk reads them) that shares the
-// basis factor, its pivot epilogue and the carried reduced costs with the
-// primal loop.
+// (bound-flipping ratio test whose candidates are ordered by selection only
+// as far as the walk reads them) that shares the basis factor, its pivot
+// epilogue and the carried reduced costs with the primal loop. Its leaving
+// row is chosen by dual steepest edge, the largest violation^2 / w_i with
+// w_i = ||B^-T e_i||^2, and the weights live with the basis:
+//   * exact on first use: a row's weight is one BTRAN of e_i, the first
+//     time the row is violated;
+//   * updated: each pivot carries the known weights by the Forrest–Goldfarb
+//     update (one extra FTRAN, tau = B^-1 rho_r; lp/pivot_kernels.hpp), and
+//     the pivot row's becomes ||rho_r||^2 / alpha_r^2;
+//   * carried: Solution::basis exports them when it is the basis the dual
+//     phase ended on, and a warm basis accepted unchanged brings them back,
+//     so a sweep's chain pays the exact start cost once;
+//   * journaled: sweep checkpoints store them with the basis (version 2);
+//   * dropped: a patched warm basis, or weights of the wrong size or with an
+//     entry that is not a finite, non-negative number, starts from unknown
+//     weights instead.
 //
 // A cold solve can start from a caller's crash basis instead of the
 // all-slack one, adopted like a warm basis; the primal-feasible one

@@ -8,11 +8,14 @@ namespace tcr {
 
 namespace {
 
-// Channel image table under translation by s: sigma_s[c] = c translated.
-std::vector<int> channel_translation(const Torus& t, int s) {
-  std::vector<int> sigma(static_cast<std::size_t>(t.num_channels()));
-  for (int c = 0; c < t.num_channels(); ++c) sigma[c] = t.translate_channel(c, s);
-  return sigma;
+// gamma[c translated by s] += loads[c] for every channel c. Channels are
+// numbered channel(node, d) = 4 node + d, and translation moves the node.
+void add_translated(const Torus& t, int s, const double* loads, std::vector<double>& gamma) {
+  for (int node = 0; node < t.num_nodes(); ++node) {
+    const double* from = loads + t.channel(node, Dir::PX);
+    double* to = gamma.data() + t.channel(t.translate_node(node, s), Dir::PX);
+    for (int d = 0; d < kNumDirs; ++d) to[d] += from[d];
+  }
 }
 
 }  // namespace
@@ -22,17 +25,19 @@ std::vector<double> channel_loads(const TorusRouting& r, const TrafficMatrix& la
   const int n = t.num_nodes(), nc = t.num_channels();
   TCR_REQUIRE(lambda.rows() == n && lambda.cols() == n, "traffic matrix size mismatch");
   const DenseMatrix& l0 = r.load_table();
-  std::vector<double> gamma(static_cast<std::size_t>(nc), 0.0);
+  // Each source's loads are summed in the canonical frame, sum_e w_e L0[e],
+  // by whole-row axpys (a zero entry adds an exact zero), then translated
+  // once onto the channels they load.
+  std::vector<double> gamma(static_cast<std::size_t>(nc), 0.0), local(gamma.size());
   for (int s = 0; s < n; ++s) {
-    const auto sigma = channel_translation(t, s);
+    std::fill(local.begin(), local.end(), 0.0);
     for (int e = 0; e < n; ++e) {
       const double w = lambda(s, t.translate_node(s, e));
       if (w == 0.0) continue;
       const double* row = l0.row(e);
-      for (int c = 0; c < nc; ++c) {
-        if (row[c] != 0.0) gamma[sigma[c]] += w * row[c];
-      }
+      for (int c = 0; c < nc; ++c) local[c] += w * row[c];
     }
+    add_translated(t, s, local.data(), gamma);
   }
   return gamma;
 }
@@ -43,14 +48,7 @@ std::vector<double> channel_loads(const TorusRouting& r, const std::vector<int>&
   TCR_REQUIRE(static_cast<int>(perm.size()) == n, "permutation size mismatch");
   const DenseMatrix& l0 = r.load_table();
   std::vector<double> gamma(static_cast<std::size_t>(nc), 0.0);
-  for (int s = 0; s < n; ++s) {
-    const auto sigma = channel_translation(t, s);
-    const int e = t.offset(s, perm[s]);
-    const double* row = l0.row(e);
-    for (int c = 0; c < nc; ++c) {
-      if (row[c] != 0.0) gamma[sigma[c]] += row[c];
-    }
-  }
+  for (int s = 0; s < n; ++s) add_translated(t, s, l0.row(t.offset(s, perm[s])), gamma);
   return gamma;
 }
 

@@ -386,6 +386,7 @@ lp::Basis sample_basis() {
   lp::Basis basis;
   basis.stat = {0, 1, 2, 3, 0, 1};
   basis.basic = {5, 9, 11};
+  basis.weights = {2.5, 0.0, 1.0 / 3.0};
   return basis;
 }
 
@@ -412,6 +413,10 @@ TEST(SweepCheckpoint, RoundTripsBitExact) {
   EXPECT_TRUE(bits_equal(got.certificate.duality_gap, pt.certificate.duality_gap));
   EXPECT_EQ(got_basis.stat, basis.stat);
   EXPECT_EQ(got_basis.basic, basis.basic);
+  ASSERT_EQ(got_basis.weights.size(), basis.weights.size());
+  for (std::size_t i = 0; i < basis.weights.size(); ++i) {
+    EXPECT_TRUE(bits_equal(got_basis.weights[i], basis.weights[i])) << "weight " << i;
+  }
 }
 
 TEST(SweepCheckpoint, UnsolvedNaNRoundTrips) {
@@ -452,6 +457,26 @@ TEST(SweepCheckpoint, EveryTruncationIsRejected) {
     EXPECT_FALSE(SweepCheckpoint::decode(payload.substr(0, len), &index, &pt, &basis))
         << "truncation to " << len << " of " << payload.size() << " bytes parsed";
   }
+}
+
+// Version 2 added the basis's dual steepest-edge weights. A version-1
+// payload, the same fields without the weight list, is refused: resuming
+// from it would start the next point without the weights the run had.
+TEST(SweepCheckpoint, VersionOnePayloadIsRefused) {
+  lp::Basis basis = sample_basis();
+  basis.weights.clear();
+  std::string v1 = SweepCheckpoint::encode(3, sample_point(), basis);
+  v1.resize(v1.size() - sizeof(std::uint32_t));  // no weight count
+  const std::uint32_t version = 1;
+  std::memcpy(v1.data(), &version, sizeof version);
+  int index;
+  TradeoffPoint pt;
+  lp::Basis got;
+  EXPECT_FALSE(SweepCheckpoint::decode(v1, &index, &pt, &got));
+  // Nor is a version-2 body stamped with version 1.
+  std::string stamped = SweepCheckpoint::encode(3, sample_point(), sample_basis());
+  std::memcpy(stamped.data(), &version, sizeof version);
+  EXPECT_FALSE(SweepCheckpoint::decode(stamped, &index, &pt, &got));
 }
 
 TEST(SweepCheckpoint, TrailingBytesAndBadVersionRejected) {
@@ -622,6 +647,41 @@ TEST(SweepResumeTest, BudgetCutJournalThenResumeReproducesBitwise) {
     EXPECT_EQ(resumed[i].iterations, ref[i].iterations) << "point " << i;
     EXPECT_EQ(resumed[i].provenance, resume.has(static_cast<int>(i)) ? "resumed" : "measured")
         << "point " << i;
+  }
+}
+
+// A sweep resumed after a warm point re-solves the next one from the
+// journaled basis and its dual steepest-edge weights, so it pivots exactly
+// as the uninterrupted run did.
+TEST(SweepResumeTest, ResumeAfterWarmPointReproducesItsPivots) {
+  const Torus torus(4);
+  const auto grid = locality_grid(1.0, 2.0, 5);
+  const std::string path = temp_path("warm-sweep.jnl");
+  std::remove(path.c_str());
+  JournalWriter journal;
+  std::string error;
+  ASSERT_TRUE(journal.open(path, &error)) << error;
+  SweepConfig cfg;
+  cfg.journal = &journal;
+  const auto ref = worst_case_tradeoff(torus, grid, {}, nullptr, cfg);
+  journal.close();
+
+  SweepResume resume;
+  bool torn = false;
+  ASSERT_TRUE(load_sweep_resume(path, &resume, &torn, &error)) << error;
+  ASSERT_EQ(resume.points.size(), ref.size());
+  // Point 1 was a dual restart: its journaled basis carries weights.
+  ASSERT_FALSE(resume.points.at(1).second.weights.empty());
+  for (int i = 2; i < static_cast<int>(ref.size()); ++i) resume.points.erase(i);
+
+  SweepConfig resume_cfg;
+  resume_cfg.resume = &resume;
+  const auto resumed = worst_case_tradeoff(torus, grid, {}, nullptr, resume_cfg);
+  ASSERT_EQ(resumed.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_TRUE(bits_equal(resumed[i].capacity_fraction, ref[i].capacity_fraction))
+        << "point " << i;
+    EXPECT_EQ(resumed[i].iterations, ref[i].iterations) << "point " << i;
   }
 }
 

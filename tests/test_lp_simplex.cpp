@@ -8,7 +8,9 @@
 // pivot and in Bland mode too, and a Figure 1 sweep pins the carried prices
 // against fresh ones directly. Two k=4 sweeps pin the whole pivot path
 // (iteration and refactorization counts and every result bit), and their
-// bases check the row-wise pivot row against the column pass.
+// bases check the row-wise pivot row against the column pass; after every
+// dual pivot of the same sweeps, the dual steepest-edge weights are checked
+// against norms from a fresh factorization.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -464,9 +466,9 @@ void expect_pinned(const PivotPath& got, const PivotPath& want) {
 TEST(RevisedSimplex, PivotPathPinnedOnFigure1Sweep) {
   const PivotPath got = record_pivot_path(
       [] { return worst_case_tradeoff(Torus(4), locality_grid(1.0, 2.0, 5)); });
-  expect_pinned(got, {327, 22,
-                      {0x3fd5555555555555ull, 0x3fde1e1e1e1e1e1eull, 0x3fe0000000000002ull,
-                       0x3fdffffffffffff6ull, 0x3fdffffffffffffeull}});
+  expect_pinned(got, {279, 19,
+                      {0x3fd5555555555555ull, 0x3fde1e1e1e1e1e1eull, 0x3fe0000000000001ull,
+                       0x3fe0000000000001ull, 0x3fe0000000000001ull}});
 }
 
 TEST(RevisedSimplex, PivotPathPinnedOnFigure6Sweep) {
@@ -476,9 +478,9 @@ TEST(RevisedSimplex, PivotPathPinnedOnFigure6Sweep) {
   for (int i = 0; i < 4; ++i) samples.push_back(rng.permutation(torus.num_nodes()));
   const PivotPath got = record_pivot_path(
       [&] { return average_case_tradeoff(torus, samples, locality_grid(1.0, 2.0, 5)); });
-  expect_pinned(got, {261, 17,
-                      {0x3fdc051832f1fd74ull, 0x3fe28f6716dcdf3aull, 0x3fe3ab1a801c7114ull,
-                       0x3fe3ab1a801c7114ull, 0x3fe3ab1a801c7114ull}});
+  expect_pinned(got, {166, 16,
+                      {0x3fdc051832f1fd74ull, 0x3fe28f6716dcdf39ull, 0x3fe3ab1a801c7113ull,
+                       0x3fe3ab1a801c7113ull, 0x3fe3ab1a801c7113ull}});
 }
 
 std::uint64_t bits_of(double v) {
@@ -662,6 +664,59 @@ TEST(RevisedSimplex, KeptPivotStateMatchesOracleAfterEveryPivot) {
   EXPECT_EQ(oracle.split_errors, 0);
   EXPECT_EQ(oracle.content_errors, 0);
   EXPECT_EQ(oracle.bound_errors, 0);
+}
+
+// After every dual pivot of the k=4 Figure 1 and Figure 6 warm sweeps, each
+// dual steepest-edge weight the solver knows equals ||B^-T e_i||^2 computed
+// from a fresh factorization of the new basis, to 1e-6 relative.
+class DseWeightOracle final : public detail::PivotObserver {
+ public:
+  DseWeightOracle() { detail::install_pivot_observer(this); }
+  ~DseWeightOracle() { detail::install_pivot_observer(nullptr); }
+  DseWeightOracle(const DseWeightOracle&) = delete;
+  DseWeightOracle& operator=(const DseWeightOracle&) = delete;
+
+  void after_pivot(const detail::PivotState& s) override {
+    if (s.weights.empty()) return;  // a primal pivot
+    ++pivots;
+    SparseLU lu;
+    if (!lu.factor(s.a, s.basic)) {
+      ++factor_failures;
+      return;
+    }
+    const int m = static_cast<int>(s.basic.size());
+    std::vector<double> e(static_cast<std::size_t>(m), 0.0), rho;
+    for (int i = 0; i < m; ++i) {
+      if (s.weights[i] == 0.0) continue;  // unknown until first use
+      e[i] = 1.0;
+      lu.solve_transpose(e, rho);
+      e[i] = 0.0;
+      double norm2 = 0.0;
+      for (const double v : rho) norm2 += v * v;
+      ++checked;
+      worst = std::max(worst, std::abs(s.weights[i] - norm2) / norm2);
+    }
+  }
+
+  long pivots = 0, checked = 0, factor_failures = 0;
+  double worst = 0.0;
+};
+
+TEST(RevisedSimplex, DualSteepestEdgeWeightsMatchOracleAfterEveryDualPivot) {
+  const Torus torus(4);
+  Rng rng(606);
+  std::vector<std::vector<int>> samples;
+  for (int i = 0; i < 4; ++i) samples.push_back(rng.permutation(torus.num_nodes()));
+  const std::vector<double> grid = locality_grid(1.0, 2.0, 5);
+  DseWeightOracle oracle;
+  for (const auto& p : worst_case_tradeoff(torus, grid)) ASSERT_TRUE(p.solved()) << p.note;
+  for (const auto& p : average_case_tradeoff(torus, samples, grid)) {
+    ASSERT_TRUE(p.solved()) << p.note;
+  }
+  EXPECT_GT(oracle.pivots, 100);
+  EXPECT_GT(oracle.checked, 10000);
+  EXPECT_EQ(oracle.factor_failures, 0);
+  EXPECT_LE(oracle.worst, 1e-6);
 }
 
 // ---- ratio tests against their textbook forms ------------------------------

@@ -8,9 +8,11 @@
 // bitwise-identical to serial ones.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -553,6 +555,63 @@ TEST(DualRestart, SweepDualRestartsMatchColdTightly) {
   // actually engage and carry most of them to optimality.
   EXPECT_GT(d.solves, 0);
   EXPECT_GT(d.reoptimized, 0);
+}
+
+// The dual steepest-edge weights ride with the basis: a dual restart
+// exports them and a warm basis accepted unchanged brings them back.
+// Weights of the wrong size or with a non-finite entry are dropped, not the
+// basis: the restart then pivots exactly as from the same basis without
+// weights, and reaches the same optimum.
+TEST(DualRestart, InvalidWeightsAreDroppedAndTheBasisKept) {
+  const Torus torus(4);
+  const double hmin = torus.mean_min_distance();
+  SymmetricDesignConfig cfg;
+  cfg.objective = DesignObjective::WorstCase;
+  cfg.locality_equals = hmin;
+  cfg.locality_le = true;
+  SymmetricArcDesign design(torus, cfg);
+  const DesignResult head = design.solve();
+  ASSERT_EQ(head.status, Status::Optimal) << head.note;
+  EXPECT_TRUE(head.basis.weights.empty());  // no dual phase ran
+  design.set_locality_bound(1.25 * hmin);
+  const DesignResult mid = design.solve({}, &head.basis);
+  ASSERT_EQ(mid.status, Status::Optimal) << mid.note;
+  ASSERT_GT(mid.dual_iterations, 0);
+  ASSERT_EQ(mid.basis.weights.size(), mid.basis.basic.size());
+
+  design.set_locality_bound(1.5 * hmin);
+  Basis bare = mid.basis;
+  bare.weights.clear();
+  const DesignResult ref = design.solve({}, &bare);
+  ASSERT_EQ(ref.status, Status::Optimal) << ref.note;
+  ASSERT_GT(ref.dual_iterations, 0);
+
+  const DesignResult carried = design.solve({}, &mid.basis);
+  ASSERT_EQ(carried.status, Status::Optimal) << carried.note;
+  EXPECT_EQ(carried.warm_start, "accepted");
+  EXPECT_NEAR(carried.objective, ref.objective, 1e-9 * ref.objective);
+  // The adopted weights stay known: the restart that carried them ends
+  // knowing more than the one that computed only its own.
+  const auto known = [](const Basis& b) {
+    return std::count_if(b.weights.begin(), b.weights.end(), [](double v) { return v > 0.0; });
+  };
+  EXPECT_GT(known(carried.basis), known(ref.basis));
+
+  Basis short_weights = mid.basis;
+  short_weights.weights.pop_back();
+  Basis nan_weight = mid.basis;
+  nan_weight.weights[0] = std::numeric_limits<double>::quiet_NaN();
+  Basis inf_weight = mid.basis;
+  inf_weight.weights.back() = kInf;
+  for (const Basis* bad : {&short_weights, &nan_weight, &inf_weight}) {
+    const DesignResult res = design.solve({}, bad);
+    ASSERT_EQ(res.status, Status::Optimal) << res.note;
+    EXPECT_TRUE(res.certificate.pass) << res.certificate.summary();
+    EXPECT_EQ(res.warm_start, "accepted");
+    EXPECT_EQ(res.iterations, ref.iterations);
+    EXPECT_EQ(res.dual_iterations, ref.dual_iterations);
+    EXPECT_EQ(res.objective, ref.objective);
+  }
 }
 
 // Parallel chains with the dual phase active must stay bitwise-deterministic

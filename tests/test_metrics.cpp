@@ -2,10 +2,15 @@
 // (eq. 7 / [11]) and the sampled average case (eq. 9).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "tcr/metrics/average_case.hpp"
 #include "tcr/metrics/loads.hpp"
 #include "tcr/metrics/worst_case.hpp"
 #include "tcr/routing/dor.hpp"
+#include "tcr/routing/rlb.hpp"
+#include "tcr/routing/romm.hpp"
 #include "tcr/routing/valiant.hpp"
 #include "tcr/traffic/patterns.hpp"
 #include "tcr/traffic/sampler.hpp"
@@ -34,6 +39,50 @@ TEST(Loads, PermutationOverloadAgreesWithMatrix) {
   const auto g2 = channel_loads(dor, permutation_matrix(perm));
   ASSERT_EQ(g1.size(), g2.size());
   for (std::size_t i = 0; i < g1.size(); ++i) EXPECT_NEAR(g1[i], g2[i], 1e-9);
+}
+
+// Reference for channel_loads(): eq. 2 in its direct form, each (source,
+// destination) pair's canonical load-table row added channel by channel into
+// its translated place. channel_loads() sums each source in the canonical
+// frame and translates once, so the two agree to rounding.
+std::vector<double> channel_loads_oracle(const TorusRouting& r, const TrafficMatrix& lambda) {
+  const Torus& t = r.torus();
+  const int n = t.num_nodes(), nc = t.num_channels();
+  const DenseMatrix& l0 = r.load_table();
+  std::vector<double> gamma(static_cast<std::size_t>(nc), 0.0);
+  for (int s = 0; s < n; ++s) {
+    for (int e = 0; e < n; ++e) {
+      const double w = lambda(s, t.translate_node(s, e));
+      if (w == 0.0) continue;
+      const double* row = l0.row(e);
+      for (int c = 0; c < nc; ++c) {
+        if (row[c] != 0.0) gamma[t.translate_channel(c, s)] += w * row[c];
+      }
+    }
+  }
+  return gamma;
+}
+
+TEST(Loads, KernelMatchesOracleOnTableOneAlgorithms) {
+  const Torus t(6);
+  const std::vector<TorusRouting> algos = {make_dor(t),     make_romm(t),    make_rlb(t),
+                                           make_rlbth(t),   make_valiant(t), make_ival(t)};
+  Rng rng(31);
+  std::vector<TrafficMatrix> samples = sample_traffic_set(rng, t.num_nodes(), 6, "sinkhorn");
+  for (const auto& m : sample_traffic_set(rng, t.num_nodes(), 6, "perm")) samples.push_back(m);
+  int compared = 0;
+  for (const TorusRouting& r : algos) {
+    for (const TrafficMatrix& lambda : samples) {
+      const auto got = channel_loads(r, lambda);
+      const auto want = channel_loads_oracle(r, lambda);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t c = 0; c < got.size(); ++c) {
+        EXPECT_LE(std::abs(got[c] - want[c]), 1e-12 * std::abs(want[c])) << "channel " << c;
+        compared += want[c] != 0.0;
+      }
+    }
+  }
+  EXPECT_GT(compared, 10000);
 }
 
 TEST(Loads, TotalLoadEqualsTotalHops) {
