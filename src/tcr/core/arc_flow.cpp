@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
+#include <span>
 
+#include "tcr/core/formulation.hpp"
 #include "tcr/graph/symmetry.hpp"
 #include "tcr/lp/crossover.hpp"
 #include "tcr/matching/hungarian.hpp"
@@ -34,8 +36,8 @@ struct DesignMetrics {
   // How many crash bases were built (flow_crash_hints()).
   obs::Counter& crash_points = obs::Registry::instance().counter("core.design.crash_points");
   // Objective trajectory across the solves of a pipeline stage (lexicographic
-  // stages, cutting-plane rounds, tradeoff sweeps): the snapshot reports
-  // count/min/max/percentiles of all objectives seen since the last reset.
+  // stages, tradeoff sweeps): the snapshot reports count/min/max/percentiles
+  // of all objectives seen since the last reset.
   obs::Histogram& objectives =
       obs::Registry::instance().histogram("core.design.objective", 1e-3, 1.1);
   obs::Timer& t_build = obs::Registry::instance().timer("core.design.time.build");
@@ -76,15 +78,25 @@ void SymmetricArcDesign::build() {
 
   add_flow_conservation();
 
-  const bool want_wc = config_.objective == DesignObjective::WorstCase ||
-                       config_.worst_case_cap >= 0.0;
-  const bool want_uni = config_.objective == DesignObjective::Uniform ||
-                        config_.uniform_cap >= 0.0;
-  const bool want_avg = config_.objective == DesignObjective::AverageCase ||
-                        config_.average_cap >= 0.0;
-  if (want_wc) add_worst_case_block();
-  if (want_uni) add_uniform_block();
-  if (want_avg) add_average_block();
+  // The load of offset e on channel c is its one flow variable.
+  const int nc = torus_.num_channels();
+  const auto load = [&](int e, int c) {
+    return std::span<const int>(&var_of_[(e - 1) * nc + c], 1);
+  };
+  // With the dihedral fold the four direction classes are equivalent, so a
+  // single representative channel suffices; otherwise one per class.
+  std::vector<int> channels;
+  for (int dir = 0; dir < (config_.fold_dihedral ? 1 : kNumDirs); ++dir) {
+    channels.push_back(torus_.channel(0, static_cast<Dir>(dir)));
+  }
+  detail::WorstCaseBlock wc = detail::add_worst_case_block(model_, torus_, config_, channels, load);
+  wc_var_ = wc.w;
+  wc_u_cols_ = std::move(wc.u);
+  wc_v_cols_ = std::move(wc.v);
+  if (config_.objective == DesignObjective::Uniform || config_.uniform_cap >= 0.0) {
+    add_uniform_block();
+  }
+  avg_vars_ = detail::add_average_block(model_, torus_, config_, load);
   if (config_.locality_equals >= 0.0) add_locality_row();
 }
 
@@ -153,67 +165,8 @@ void SymmetricArcDesign::add_flow_conservation() {
   }
 }
 
-void SymmetricArcDesign::add_worst_case_block() {
-  const int n = torus_.num_nodes();
-  const bool is_obj = config_.objective == DesignObjective::WorstCase;
-  const double w_up = config_.worst_case_cap >= 0.0 ? config_.worst_case_cap : lp::kInf;
-  wc_var_ = model_.add_col(0.0, w_up, is_obj ? 1.0 : 0.0);
-
-  if (!config_.worst_case_exact_block) {
-    // Cutting-plane relaxation: one row per known adversarial permutation,
-    // gamma_{c0}(R, pi) <= w on the representative channel (+X at node 0;
-    // folding makes the classes equivalent — require it).
-    TCR_REQUIRE(config_.fold_dihedral,
-                "cut-based worst case requires the dihedral fold (one rep channel)");
-    TCR_REQUIRE(!config_.cut_permutations.empty(),
-                "cut-based worst case needs at least one permutation");
-    const int c0 = torus_.channel(0, Dir::PX);
-    for (const auto& perm : config_.cut_permutations) {
-      const int row = model_.add_row(RowType::LE, 0.0);
-      for (int s = 0; s < n; ++s) {
-        const int e = torus_.offset(s, perm[s]);
-        if (e == 0) continue;
-        model_.add_term(row, flow_var(e, torus_.translate_channel(c0, torus_.negate_node(s))),
-                        1.0);
-      }
-      model_.add_term(row, wc_var_, -1.0);
-    }
-    return;
-  }
-
-  // With the dihedral fold the four direction classes are equivalent, so a
-  // single representative channel suffices; otherwise one per class.
-  const int num_blocks = config_.fold_dihedral ? 1 : kNumDirs;
-  for (int dir = 0; dir < num_blocks; ++dir) {
-    const int c0 = torus_.channel(0, static_cast<Dir>(dir));
-    std::vector<int> u(n), v(n);
-    // Ground the potentials' constant-shift null direction: u[0] = 0.
-    for (int s = 0; s < n; ++s)
-      u[s] = (s == 0) ? model_.add_col(0.0, 0.0, 0.0) : model_.add_col(-lp::kInf, lp::kInf, 0.0);
-    for (int d = 0; d < n; ++d) v[d] = model_.add_col(-lp::kInf, lp::kInf, 0.0);
-
-    for (int s = 0; s < n; ++s) {
-      // Channel whose canonical load equals the load of (s, *) on c0.
-      const int ct = torus_.translate_channel(c0, torus_.negate_node(s));
-      for (int d = 0; d < n; ++d) {
-        const int row = model_.add_row(RowType::LE, 0.0);
-        const int e = torus_.offset(s, d);
-        if (e != 0) model_.add_term(row, flow_var(e, ct), 1.0);
-        model_.add_term(row, v[d], -1.0);
-        model_.add_term(row, u[s], 1.0);
-      }
-    }
-    const int sum_row = model_.add_row(RowType::EQ, 0.0);
-    for (int d = 0; d < n; ++d) model_.add_term(sum_row, v[d], 1.0);
-    for (int s = 0; s < n; ++s) model_.add_term(sum_row, u[s], -1.0);
-    model_.add_term(sum_row, wc_var_, -1.0);  // b_c = 1
-    wc_u_cols_.push_back(u);
-    wc_v_cols_.push_back(v);
-  }
-}
-
 void SymmetricArcDesign::add_uniform_block() {
-  const int n = torus_.num_nodes(), nc = torus_.num_channels();
+  const int n = torus_.num_nodes();
   const bool is_obj = config_.objective == DesignObjective::Uniform;
   const double up = config_.uniform_cap >= 0.0 ? config_.uniform_cap : lp::kInf;
   uni_var_ = model_.add_col(0.0, up, is_obj ? 1.0 : 0.0);
@@ -225,38 +178,6 @@ void SymmetricArcDesign::add_uniform_block() {
       if (dir_count_[v][dir] != 0.0) model_.add_term(row, v, dir_count_[v][dir]);
     }
     model_.add_term(row, uni_var_, -static_cast<double>(n));
-  }
-  (void)nc;
-}
-
-void SymmetricArcDesign::add_average_block() {
-  TCR_REQUIRE(!config_.samples.empty(),
-              "average-case design needs permutation traffic samples");
-  const int n = torus_.num_nodes(), nc = torus_.num_channels();
-  const bool is_obj = config_.objective == DesignObjective::AverageCase;
-  const double per = 1.0 / static_cast<double>(config_.samples.size());
-
-  avg_vars_.clear();
-  for (std::size_t i = 0; i < config_.samples.size(); ++i) {
-    avg_vars_.push_back(model_.add_col(0.0, lp::kInf, is_obj ? per : 0.0));
-  }
-  for (std::size_t i = 0; i < config_.samples.size(); ++i) {
-    const auto& perm = config_.samples[i];
-    TCR_REQUIRE(static_cast<int>(perm.size()) == n, "sample permutation size mismatch");
-    for (int c = 0; c < nc; ++c) {
-      const int row = model_.add_row(RowType::LE, 0.0);
-      for (int s = 0; s < n; ++s) {
-        const int e = torus_.offset(s, perm[s]);
-        if (e == 0) continue;
-        model_.add_term(row, flow_var(e, torus_.translate_channel(c, torus_.negate_node(s))),
-                        1.0);
-      }
-      model_.add_term(row, avg_vars_[i], -1.0);
-    }
-  }
-  if (config_.average_cap >= 0.0) {
-    const int row = model_.add_row(RowType::LE, config_.average_cap);
-    for (int var : avg_vars_) model_.add_term(row, var, per);
   }
 }
 
@@ -334,7 +255,7 @@ std::vector<double> SymmetricArcDesign::start_point() const {
   for (int v = 0; v < num_flow_vars_; ++v) {
     x[v] = alpha == 1.0 ? dor[v] : alpha * dor[v] + (1.0 - alpha) * val[v];
   }
-  // Load of permutation perm on channel c (the cut and sample rows' sum).
+  // Load of permutation perm on channel c (the sample rows' sum).
   const auto perm_load = [&](const std::vector<int>& perm, int c) {
     double load = 0.0;
     for (int s = 0; s < n; ++s) {
@@ -346,13 +267,8 @@ std::vector<double> SymmetricArcDesign::start_point() const {
 
   if (wc_var_ >= 0) {
     double w = 0.0;
-    if (!config_.worst_case_exact_block) {
-      for (const auto& perm : config_.cut_permutations)
-        w = std::max(w, perm_load(perm, torus_.channel(0, Dir::PX)));
-    }
-    // Exact blocks: the matching duals of the channel's pair-load matrix,
-    // shifted so that u_0 = 0; the block's w is then sum v - sum u, the
-    // worst-case load of the channel.
+    // The matching duals of each channel's pair-load matrix, shifted so that
+    // u_0 = 0; the block's w is then sum v - sum u, the channel's worst case.
     std::vector<double> block_w;
     for (std::size_t b = 0; b < wc_u_cols_.size(); ++b) {
       const int c0 = torus_.channel(0, static_cast<Dir>(b));
@@ -426,16 +342,8 @@ DesignResult SymmetricArcDesign::solve(const lp::SimplexOptions& opts,
     t.attr("warm_start", sol.warm_start);
     t.attr("dual_iterations", static_cast<std::int64_t>(sol.dual_iterations));
   }
-  DesignResult res;
-  res.status = sol.status;
-  res.iterations = sol.iterations;
-  res.dual_iterations = sol.dual_iterations;
-  res.note = sol.note;
-  res.certificate = sol.certificate;
-  res.basis = std::move(sol.basis);
-  res.warm_start = sol.warm_start;
+  DesignResult res = detail::design_result(sol);
   if (sol.status != lp::Status::Optimal) return res;
-  res.objective = sol.objective;
   met.last_objective.set(sol.objective);
   met.objectives.record(sol.objective);
   const int n = torus_.num_nodes(), nc = torus_.num_channels();
@@ -524,7 +432,6 @@ namespace {
 
 struct GeneralVars {
   int n = 0, nc = 0;
-  int pair_stride = 0;
   int flow_var(int s, int d, int c) const { return (s * n + d) * nc + c; }
 };
 

@@ -56,15 +56,9 @@ struct SymmetricDesignConfig {
   double worst_case_cap = -1.0;
   double uniform_cap = -1.0;
   double average_cap = -1.0;
-  /// Permutation traffic samples (perm[s] = d) for the average-case rows.
+  /// Permutation traffic samples (perm[s] = d) for the average-case rows:
+  /// each holds N destinations in [0, N).
   std::vector<std::vector<int>> samples;
-  /// Worst-case handling: with `true` the full matching-dual block of LP (8)
-  /// is embedded (exact in one solve). With `false`, only explicit
-  /// permutation rows from `cut_permutations` constrain the worst case —
-  /// the relaxation used by the cutting-plane method (design.hpp), whose
-  /// separation oracle (a Hungarian matching) supplies the permutations.
-  bool worst_case_exact_block = true;
-  std::vector<std::vector<int>> cut_permutations;
 };
 
 struct DesignResult {
@@ -127,10 +121,6 @@ class SymmetricArcDesign {
   /// Decomposed routing from the last successful solve.
   TorusRouting routing(const std::string& name) const;
 
-  /// Raw per-(offset, channel) flows from the last successful solve,
-  /// indexed (e - 1) * C + c. Used by the cutting-plane separation oracle.
-  const std::vector<double>& flows() const { return solution_flows_; }
-
   const lp::Model& model() const { return model_; }
 
  private:
@@ -138,9 +128,7 @@ class SymmetricArcDesign {
   void build();
   void build_orbits();
   void add_flow_conservation();
-  void add_worst_case_block();
   void add_uniform_block();
-  void add_average_block();
   void add_locality_row();
 
   const Torus& torus_;
@@ -157,7 +145,7 @@ class SymmetricArcDesign {
   std::vector<int> avg_vars_;  // per-sample max-load variables
   std::vector<double> solution_flows_;  // (N-1) * C flow values after solve
 
-  // The worst-case exact blocks' potential columns, for start_point().
+  // LP (8)'s potential columns per representative channel, for start_point().
   std::vector<std::vector<int>> wc_u_cols_, wc_v_cols_;
   lp::Basis crash_basis_;
   std::optional<double> crash_bound_;  // locality bound crash_basis_ was built for

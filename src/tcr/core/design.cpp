@@ -1,12 +1,6 @@
 #include "tcr/core/design.hpp"
 
-#include <set>
-
-#include "tcr/graph/symmetry.hpp"
-#include "tcr/lp/certify.hpp"
-#include "tcr/matching/hungarian.hpp"
-#include "tcr/trace/tracer.hpp"
-#include "tcr/traffic/patterns.hpp"
+#include "tcr/core/formulation.hpp"
 #include "tcr/util/check.hpp"
 
 namespace tcr {
@@ -23,152 +17,28 @@ double capacity_design_load(const Torus& torus, const lp::SimplexOptions& opts) 
 
 namespace {
 
-OptimalDesign lexicographic(const Torus& torus, DesignObjective objective,
-                            const std::vector<std::vector<int>>& samples,
-                            const std::string& name, const lp::SimplexOptions& opts) {
-  // Stage 1: optimize the throughput objective.
+OptimalDesign arc_flow_optimal(const Torus& torus, DesignObjective objective,
+                               const std::vector<std::vector<int>>& samples,
+                               const std::string& name, const lp::SimplexOptions& opts) {
   SymmetricDesignConfig cfg;
   cfg.objective = objective;
   cfg.samples = samples;
-  OptimalDesign out{.status = lp::Status::Numerical,
-                    .objective = 0.0,
-                    .avg_hops = 0.0,
-                    .locality_norm = 0.0,
-                    .note = {},
-                    .certificate = {},
-                    .routing = TorusRouting(torus, name)};
-  lp::Basis stage1_basis;
-  int stage1_rows = 0, stage1_cols = 0;
-  {
-    trace::Span span("design.lexicographic.stage1");
-    SymmetricArcDesign stage1(torus, cfg);
-    DesignResult r1 = stage1.solve(opts);
-    span.attr("status", lp::to_string(r1.status));
-    out.certificate = r1.certificate;
-    if (r1.status != lp::Status::Optimal) {
-      out.status = r1.status;
-      out.note = "stage-1 (throughput) LP: " + r1.note;
-      return out;
-    }
-    out.objective = r1.objective;
-    stage1_basis = std::move(r1.basis);
-    stage1_rows = stage1.model().num_rows();
-    stage1_cols = stage1.model().num_cols();
-  }
-
-  // Stage 2: best locality subject to the stage-1 optimum.
-  SymmetricDesignConfig cfg2;
-  cfg2.objective = DesignObjective::Locality;
-  cfg2.samples = samples;
-  const double cap = out.objective * (1.0 + kLexicographicSlack);
-  if (objective == DesignObjective::WorstCase) cfg2.worst_case_cap = cap;
-  if (objective == DesignObjective::Uniform) cfg2.uniform_cap = cap;
-  if (objective == DesignObjective::AverageCase) cfg2.average_cap = cap;
-  trace::Span stage2_span("design.lexicographic.stage2");
-  SymmetricArcDesign stage2(torus, cfg2);
-  // The worst-case/uniform caps only tighten a variable bound, so the
-  // stage-2 model keeps stage 1's shape and its optimal basis is a natural
-  // warm start (the stage-1 optimum is primal-feasible for stage 2). The
-  // average-case cap adds a row, which changes the standard form — skip.
-  const bool same_shape = stage2.model().num_rows() == stage1_rows &&
-                          stage2.model().num_cols() == stage1_cols;
-  const DesignResult r2 = stage2.solve(opts, same_shape ? &stage1_basis : nullptr);
-  stage2_span.attr("status", lp::to_string(r2.status));
-  stage2_span.attr("warm_start", r2.warm_start);
-  out.status = r2.status;
-  out.certificate = lp::worse_certificate(out.certificate, r2.certificate);
-  if (r2.status != lp::Status::Optimal) {
-    out.note = "stage-2 (locality) LP: " + r2.note;
-    return out;
-  }
-  out.avg_hops = r2.avg_hops;
-  out.locality_norm = r2.avg_hops / torus.mean_min_distance();
-  out.routing = stage2.routing(name);
-  return out;
+  return detail::lexicographic(torus, name, cfg, opts, /*locality_stage=*/true,
+                               [&](const SymmetricDesignConfig& c) {
+                                 return SymmetricArcDesign(torus, c);
+                               });
 }
 
 }  // namespace
 
-CuttingPlaneResult design_worst_case_cutting_plane(const Torus& torus,
-                                                   const lp::SimplexOptions& opts,
-                                                   int max_rounds, double tol) {
-  const int n = torus.num_nodes(), nc = torus.num_channels();
-  const int c0 = torus.channel(0, Dir::PX);
-  const TorusSymmetry sym(torus);
-  CuttingPlaneResult out;
-  std::set<std::vector<int>> seen;
-
-  // A violated permutation pi stays a valid (and distinct) cut under
-  // conjugation by every torus automorphism a: gamma_{c0}(R, a pi a^-1)
-  // equals the load of pi on the channel a^-1(c0), which the relaxation
-  // must also bound. Adding the whole orbit (up to 8N cuts) instead of one
-  // cut per round is what makes the method converge in a few rounds.
-  auto add_orbit = [&](const std::vector<int>& pi) {
-    for (int g = 0; g < TorusSymmetry::kOrder; ++g) {
-      for (int t = 0; t < n; ++t) {
-        std::vector<int> img(n);
-        for (int s = 0; s < n; ++s) {
-          // a = translation-by-t after dihedral g; img = a . pi . a^-1.
-          const int a_s = torus.translate_node(sym.map_node(g, s), t);
-          const int a_pis = torus.translate_node(sym.map_node(g, pi[s]), t);
-          img[a_s] = a_pis;
-        }
-        if (seen.insert(img).second) out.cuts.push_back(std::move(img));
-      }
-    }
-  };
-  add_orbit(tornado_permutation(torus));  // cheap warm start
-
-  for (out.rounds = 1; out.rounds <= max_rounds; ++out.rounds) {
-    trace::Span round_span("design.cutting_plane.round");
-    round_span.attr("round", out.rounds);
-    round_span.attr("cuts", static_cast<std::int64_t>(out.cuts.size()));
-    SymmetricDesignConfig cfg;
-    cfg.objective = DesignObjective::WorstCase;
-    cfg.worst_case_exact_block = false;
-    cfg.cut_permutations = out.cuts;
-    SymmetricArcDesign design(torus, cfg);
-    const DesignResult res = design.solve(opts);
-    out.certificate = out.rounds == 1
-                          ? res.certificate
-                          : lp::worse_certificate(out.certificate, res.certificate);
-    if (res.status != lp::Status::Optimal) {
-      out.status = res.status;
-      return out;
-    }
-    out.objective = res.objective;
-    out.total_iterations += res.iterations;
-
-    // Separation: exact worst permutation for the representative channel
-    // via a max-weight matching on the current flows.
-    const auto& flows = design.flows();
-    DenseMatrix w(n, n);
-    for (int s = 0; s < n; ++s) {
-      const int ct = torus.translate_channel(c0, torus.negate_node(s));
-      for (int d = 0; d < n; ++d) {
-        const int e = torus.offset(s, d);
-        w(s, d) = (e == 0) ? 0.0 : flows[(e - 1) * nc + ct];
-      }
-    }
-    const AssignmentResult worst = solve_assignment_max(w);
-    if (worst.value <= res.objective * (1.0 + tol) + tol) {
-      out.status = lp::Status::Optimal;
-      return out;  // no violated permutation: the relaxation is exact
-    }
-    add_orbit(worst.assignment);
-  }
-  out.status = lp::Status::IterationLimit;
-  return out;
-}
-
 OptimalDesign design_worst_case_optimal(const Torus& torus, const lp::SimplexOptions& opts) {
-  return lexicographic(torus, DesignObjective::WorstCase, {}, "WC-OPT", opts);
+  return arc_flow_optimal(torus, DesignObjective::WorstCase, {}, "WC-OPT", opts);
 }
 
 OptimalDesign design_average_case_optimal(const Torus& torus,
                                           const std::vector<std::vector<int>>& samples,
                                           const lp::SimplexOptions& opts) {
-  return lexicographic(torus, DesignObjective::AverageCase, samples, "AVG-OPT", opts);
+  return arc_flow_optimal(torus, DesignObjective::AverageCase, samples, "AVG-OPT", opts);
 }
 
 }  // namespace tcr

@@ -11,6 +11,8 @@
 
 namespace tcr {
 
+/// The result of a lexicographic design, arc-flow (here) or path-restricted
+/// (path_design.hpp).
 struct OptimalDesign {
   lp::Status status = lp::Status::Numerical;
   double objective = 0.0;       // optimal gamma (worst-case / uniform / mean)
@@ -40,29 +42,5 @@ OptimalDesign design_average_case_optimal(const Torus& torus,
 /// Relative tolerance used when re-imposing a stage-one optimum as a cap in
 /// the lexicographic second stage.
 inline constexpr double kLexicographicSlack = 1e-6;
-
-// ---- Cutting-plane worst-case design ----------------------------------
-//
-// The Appendix observes that selecting adversarial permutations gives
-// approximations to the worst-case design problem. With an *exact*
-// separation oracle — the Hungarian matching of [11] applied to the current
-// flows — the idea becomes an exact method: solve min w subject to
-// gamma(R, pi) <= w for a growing set of permutations, add the most-violated
-// permutation each round, stop when the matching value meets w. Usually
-// needs only tens of permutations instead of LP (8)'s N^2 dual rows.
-
-struct CuttingPlaneResult {
-  lp::Status status = lp::Status::Numerical;
-  double objective = 0.0;  // gamma_wc at convergence
-  int rounds = 0;
-  long total_iterations = 0;
-  std::vector<std::vector<int>> cuts;  // permutations generated
-  /// Worst certificate across the rounds' master solves (lp::certify).
-  lp::Certificate certificate;
-};
-
-CuttingPlaneResult design_worst_case_cutting_plane(const Torus& torus,
-                                                   const lp::SimplexOptions& opts = {},
-                                                   int max_rounds = 80, double tol = 1e-6);
 
 }  // namespace tcr

@@ -1,254 +1,125 @@
 #include "tcr/core/path_design.hpp"
 
-#include <cmath>
 #include <map>
+#include <span>
 #include <utility>
 
+#include "tcr/core/formulation.hpp"
 #include "tcr/graph/symmetry.hpp"
-#include "tcr/lp/certify.hpp"
 #include "tcr/routing/two_turn.hpp"
 #include "tcr/util/check.hpp"
 
 namespace tcr {
 
-namespace {
+PathDesign::PathDesign(const Torus& torus, const PathFamily& family,
+                       const SymmetricDesignConfig& config)
+    : torus_(torus) {
+  TCR_REQUIRE(config.objective != DesignObjective::Uniform && config.uniform_cap < 0.0,
+              "a path design has no uniform-load block");
+  const int n = torus.num_nodes(), nc = torus.num_channels();
+  const TorusSymmetry sym(torus);
 
-using lp::Model;
-using lp::RowType;
-
-// Path-weight LP over a fixed family, with variables tied across orbits of
-// the dihedral point group (valid for the same reasons as in arc_flow.cpp;
-// the candidate families are closed under the group).
-class PathLP {
- public:
-  PathLP(const Torus& torus, const PathFamily& family, const PathDesignConfig& config,
-         DesignObjective objective, double cap)
-      : torus_(torus) {
-    const int n = torus.num_nodes();
-    const bool min_locality = objective == DesignObjective::Locality;
-    const TorusSymmetry sym(torus);
-
-    // Enumerate representative commodities' paths and tie orbits.
-    by_commodity_.resize(n);
-    std::map<std::pair<int, std::vector<int>>, int> var_of;
-    int num_vars = 0;
-    std::vector<double> orbit_len_sum;  // total hops across orbit members
-    for (int e = 1; e < n; ++e) {
-      if (sym.node_rep(e) != e) continue;
-      for (const Path& p : family(torus, e)) {
-        // Walk the orbit; create the variable on first contact.
-        int v = -1;
-        for (int g = 0; g < TorusSymmetry::kOrder; ++g) {
-          const Path q = sym.map_path(g, p);
-          auto [it, fresh] = var_of.try_emplace({q.dst, q.channels}, num_vars);
-          if (fresh) {
-            by_commodity_[q.dst].push_back({q, it->second});
-            orbit_member_count_.resize(num_vars + 1, 0.0);
-            orbit_len_sum.resize(num_vars + 1, 0.0);
-            orbit_member_count_[it->second] += 1.0;
-            orbit_len_sum[it->second] += q.length();
-          }
-          v = it->second;
-        }
-        if (v == num_vars) ++num_vars;
+  // Enumerate representative commodities' paths and tie orbits.
+  by_commodity_.resize(n);
+  std::map<std::pair<int, std::vector<int>>, int> var_of;
+  for (int e = 1; e < n; ++e) {
+    if (sym.node_rep(e) != e) continue;
+    for (const Path& p : family(torus, e)) {
+      // Walk the orbit; create the variable on first contact.
+      const int next = static_cast<int>(hops_.size());
+      for (int g = 0; g < TorusSymmetry::kOrder; ++g) {
+        const Path q = sym.map_path(g, p);
+        if (!var_of.try_emplace({q.dst, q.channels}, next).second) continue;
+        if (hops_.size() == static_cast<std::size_t>(next)) hops_.push_back(0.0);
+        hops_[next] += q.length();
+        by_commodity_[q.dst].push_back({q, next});
       }
-    }
-    for (int v = 0; v < num_vars; ++v) {
-      model_.add_col(0.0, lp::kInf, min_locality ? orbit_len_sum[v] / n : 0.0);
-    }
-
-    // Unit probability mass per representative commodity (eq. 1); the other
-    // commodities' constraints are the same rows under the symmetry.
-    for (int e = 1; e < n; ++e) {
-      if (sym.node_rep(e) != e || by_commodity_[e].empty()) continue;
-      const int row = model_.add_row(RowType::EQ, 1.0);
-      for (const auto& [p, v] : by_commodity_[e]) model_.add_term(row, v, 1.0);
-    }
-    for (int e = 1; e < n; ++e) {
-      TCR_REQUIRE(!by_commodity_[e].empty(), "path family must cover every offset");
-    }
-
-    const bool want_wc = objective == DesignObjective::WorstCase ||
-                         (cap >= 0.0 && config.objective == DesignObjective::WorstCase);
-    const bool want_avg = objective == DesignObjective::AverageCase ||
-                          (cap >= 0.0 && config.objective == DesignObjective::AverageCase);
-    if (want_wc) add_worst_case(objective == DesignObjective::WorstCase, cap);
-    if (want_avg) add_average(config.samples, objective == DesignObjective::AverageCase, cap);
-  }
-
-  lp::Solution solve(const lp::SimplexOptions& opts, const lp::Basis* warm = nullptr) {
-    return lp::solve(model_, opts, warm);
-  }
-
-  const Model& model() const { return model_; }
-
-  TorusRouting extract(const lp::Solution& sol, const std::string& name) const {
-    TorusRouting r(torus_, name);
-    for (int e = 1; e < torus_.num_nodes(); ++e) {
-      for (const auto& [p, v] : by_commodity_[e]) {
-        if (sol.x[v] > 1e-9) r.add_path(e, p, sol.x[v]);
-      }
-    }
-    r.normalize();
-    return r;
-  }
-
- private:
-  void add_worst_case(bool is_obj, double cap) {
-    const int n = torus_.num_nodes();
-    const double up = (!is_obj && cap >= 0.0) ? cap : lp::kInf;
-    const int w = model_.add_col(0.0, up, is_obj ? 1.0 : 0.0);
-
-    // One representative channel (+X at node 0); the fold makes the four
-    // classes equivalent.
-    std::vector<int> u(n), v(n);
-    for (int s = 0; s < n; ++s)
-      u[s] = (s == 0) ? model_.add_col(0.0, 0.0, 0.0)
-                      : model_.add_col(-lp::kInf, lp::kInf, 0.0);
-    for (int d = 0; d < n; ++d) v[d] = model_.add_col(-lp::kInf, lp::kInf, 0.0);
-
-    std::vector<int> row(n * n);
-    for (int s = 0; s < n; ++s) {
-      for (int d = 0; d < n; ++d) {
-        row[s * n + d] = model_.add_row(RowType::LE, 0.0);
-        model_.add_term(row[s * n + d], v[d], -1.0);
-        model_.add_term(row[s * n + d], u[s], 1.0);
-      }
-    }
-    // A +X channel of a path at node m loads the representative channel for
-    // the pair (s = -m, d = s + e).
-    for (int e = 1; e < n; ++e) {
-      for (const auto& [p, pv] : by_commodity_[e]) {
-        for (int c : p.channels) {
-          if (torus_.channel_dir(c) != Dir::PX) continue;
-          const int s = torus_.negate_node(torus_.channel_src(c));
-          const int d = torus_.translate_node(s, e);
-          model_.add_term(row[s * n + d], pv, 1.0);
-        }
-      }
-    }
-    const int sum_row = model_.add_row(RowType::EQ, 0.0);
-    for (int d = 0; d < n; ++d) model_.add_term(sum_row, v[d], 1.0);
-    for (int s = 0; s < n; ++s) model_.add_term(sum_row, u[s], -1.0);
-    model_.add_term(sum_row, w, -1.0);
-  }
-
-  void add_average(const std::vector<std::vector<int>>& samples, bool is_obj, double cap) {
-    TCR_REQUIRE(!samples.empty(), "average-case path design needs samples");
-    const int n = torus_.num_nodes(), nc = torus_.num_channels();
-    const double per = 1.0 / static_cast<double>(samples.size());
-    std::vector<int> mvars;
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      mvars.push_back(model_.add_col(0.0, lp::kInf, is_obj ? per : 0.0));
-    }
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      const auto& perm = samples[i];
-      std::vector<int> row(nc);
-      for (int c = 0; c < nc; ++c) {
-        row[c] = model_.add_row(RowType::LE, 0.0);
-        model_.add_term(row[c], mvars[i], -1.0);
-      }
-      for (int s = 0; s < n; ++s) {
-        const int e = torus_.offset(s, perm[s]);
-        if (e == 0) continue;
-        for (const auto& [p, pv] : by_commodity_[e]) {
-          for (int c : p.channels) {
-            model_.add_term(row[torus_.translate_channel(c, s)], pv, 1.0);
-          }
-        }
-      }
-    }
-    if (!is_obj && cap >= 0.0) {
-      const int row = model_.add_row(RowType::LE, cap);
-      for (int m : mvars) model_.add_term(row, m, per);
     }
   }
+  const bool min_locality = config.objective == DesignObjective::Locality;
+  for (double& h : hops_) {
+    h /= n;
+    model_.add_col(0.0, lp::kInf, min_locality ? h : 0.0);
+  }
 
-  const Torus& torus_;
-  Model model_;
-  // Every family path for every commodity, with its (orbit-folded) variable.
-  std::vector<std::vector<std::pair<Path, int>>> by_commodity_;
-  std::vector<double> orbit_member_count_;
-};
+  // Unit probability mass per representative commodity (eq. 1); the other
+  // commodities' constraints are the same rows under the symmetry.
+  for (int e = 1; e < n; ++e) {
+    if (sym.node_rep(e) != e || by_commodity_[e].empty()) continue;
+    const int row = model_.add_row(lp::RowType::EQ, 1.0);
+    for (const auto& [p, v] : by_commodity_[e]) model_.add_term(row, v, 1.0);
+  }
+  for (int e = 1; e < n; ++e) {
+    TCR_REQUIRE(!by_commodity_[e].empty(), "path family must cover every offset");
+  }
 
-}  // namespace
+  // The load index: the variables of offset e's paths through channel c.
+  std::vector<std::vector<int>> through(static_cast<std::size_t>(n - 1) * nc);
+  for (int e = 1; e < n; ++e) {
+    for (const auto& [p, v] : by_commodity_[e]) {
+      for (int c : p.channels) through[(e - 1) * nc + c].push_back(v);
+    }
+  }
+  const auto load = [&](int e, int c) { return std::span<const int>(through[(e - 1) * nc + c]); };
+  // One representative channel (+X at node 0): the fold makes the four
+  // direction classes equivalent.
+  detail::add_worst_case_block(model_, torus, config, {torus.channel(0, Dir::PX)}, load);
+  detail::add_average_block(model_, torus, config, load);
+}
 
-PathDesignResult design_over_paths(const Torus& torus, const std::string& name,
-                                   const PathFamily& family, const PathDesignConfig& config,
-                                   const lp::SimplexOptions& opts) {
+DesignResult PathDesign::solve(const lp::SimplexOptions& opts, const lp::Basis* warm) {
+  lp::Solution sol = lp::solve(model_, opts, warm);
+  DesignResult res = detail::design_result(sol);
+  if (sol.status != lp::Status::Optimal) return res;
+  x_.assign(sol.x.begin(), sol.x.begin() + static_cast<std::ptrdiff_t>(hops_.size()));
+  for (std::size_t v = 0; v < hops_.size(); ++v) res.avg_hops += hops_[v] * x_[v];
+  return res;
+}
+
+TorusRouting PathDesign::routing(const std::string& name) const {
+  TCR_REQUIRE(!x_.empty(), "no stored solution; call solve() first");
+  TorusRouting r(torus_, name);
+  for (int e = 1; e < torus_.num_nodes(); ++e) {
+    for (const auto& [p, v] : by_commodity_[e]) {
+      if (x_[v] > 1e-9) r.add_path(e, p, x_[v]);
+    }
+  }
+  r.normalize();
+  return r;
+}
+
+OptimalDesign design_over_paths(const Torus& torus, const std::string& name,
+                                const PathFamily& family, const PathDesignConfig& config,
+                                const lp::SimplexOptions& opts) {
   TCR_REQUIRE(config.objective == DesignObjective::WorstCase ||
                   config.objective == DesignObjective::AverageCase,
               "path design optimizes worst-case or average-case throughput");
-
-  PathDesignResult out{.status = lp::Status::Numerical,
-                       .objective = 0.0,
-                       .note = {},
-                       .certificate = {},
-                       .routing = TorusRouting(torus, name)};
-
-  // Stage 1: optimal throughput over the family.
-  PathLP stage1(torus, family, config, config.objective, -1.0);
-  const lp::Solution s1 = stage1.solve(opts);
-  out.certificate = s1.certificate;
-  if (s1.status != lp::Status::Optimal) {
-    out.status = s1.status;
-    out.note = "stage-1 (throughput) path LP: " + s1.note;
-    return out;
-  }
-  out.objective = s1.objective;
-  if (!config.lexicographic_locality) {
-    out.status = s1.status;
-    out.routing = stage1.extract(s1, name);
-    return out;
-  }
-
-  // Stage 2: shortest average path length at that throughput. For the
-  // worst-case objective the cap only tightens w's upper bound, so stage 2
-  // keeps stage 1's shape and warm-starts from its optimal basis; the
-  // average-case cap adds a row (different standard form), so start cold.
-  const double cap = s1.objective * (1.0 + 1e-6);
-  PathLP stage2(torus, family, config, DesignObjective::Locality, cap);
-  const bool same_shape = stage2.model().num_rows() == stage1.model().num_rows() &&
-                          stage2.model().num_cols() == stage1.model().num_cols();
-  const lp::Solution s2 = stage2.solve(opts, same_shape ? &s1.basis : nullptr);
-  out.status = s2.status;
-  out.certificate = lp::worse_certificate(out.certificate, s2.certificate);
-  if (s2.status != lp::Status::Optimal) {
-    out.note = "stage-2 (locality) path LP: " + s2.note;
-    return out;
-  }
-  out.routing = stage2.extract(s2, name);
-  return out;
+  SymmetricDesignConfig cfg;
+  cfg.objective = config.objective;
+  cfg.samples = config.samples;
+  return detail::lexicographic(torus, name, cfg, opts, config.lexicographic_locality,
+                               [&](const SymmetricDesignConfig& c) {
+                                 return PathDesign(torus, family, c);
+                               });
 }
 
-PathDesignResult design_two_turn(const Torus& torus, const lp::SimplexOptions& opts) {
-  PathDesignConfig cfg;
-  cfg.objective = DesignObjective::WorstCase;
-  return design_over_paths(
-      torus, "2TURN", [](const Torus& t, int e) { return enumerate_two_turn_paths(t, e); },
-      cfg, opts);
+OptimalDesign design_two_turn(const Torus& torus, const lp::SimplexOptions& opts) {
+  return design_over_paths(torus, "2TURN", enumerate_two_turn_paths,
+                           {.objective = DesignObjective::WorstCase, .samples = {}}, opts);
 }
 
-PathDesignResult design_two_turn_avg(const Torus& torus,
-                                     const std::vector<std::vector<int>>& samples,
-                                     const lp::SimplexOptions& opts) {
-  PathDesignConfig cfg;
-  cfg.objective = DesignObjective::AverageCase;
-  cfg.samples = samples;
-  return design_over_paths(
-      torus, "2TURNA", [](const Torus& t, int e) { return enumerate_two_turn_paths(t, e); },
-      cfg, opts);
+OptimalDesign design_two_turn_avg(const Torus& torus,
+                                  const std::vector<std::vector<int>>& samples,
+                                  const lp::SimplexOptions& opts) {
+  return design_over_paths(torus, "2TURNA", enumerate_two_turn_paths,
+                           {.objective = DesignObjective::AverageCase, .samples = samples}, opts);
 }
 
-PathDesignResult design_minimal_avg(const Torus& torus,
-                                    const std::vector<std::vector<int>>& samples,
-                                    const lp::SimplexOptions& opts) {
-  PathDesignConfig cfg;
-  cfg.objective = DesignObjective::AverageCase;
-  cfg.samples = samples;
-  return design_over_paths(
-      torus, "MIN-A", [](const Torus& t, int e) { return enumerate_minimal_paths(t, e); },
-      cfg, opts);
+OptimalDesign design_minimal_avg(const Torus& torus,
+                                 const std::vector<std::vector<int>>& samples,
+                                 const lp::SimplexOptions& opts) {
+  return design_over_paths(torus, "MIN-A", enumerate_minimal_paths,
+                           {.objective = DesignObjective::AverageCase, .samples = samples}, opts);
 }
 
 }  // namespace tcr

@@ -48,7 +48,7 @@ Certificate certify(const Model& model, const Solution& sol, const CertifyOption
 /// The less trustworthy of two certificates: an unchecked or failing one
 /// wins over a passing one; among equals, the larger worst() residual.
 /// Used when a result aggregates several solves (lexicographic designs,
-/// cutting-plane rounds) and must report a single proof.
+/// tradeoff sweeps) and must report a single proof.
 const Certificate& worse_certificate(const Certificate& a, const Certificate& b);
 
 }  // namespace tcr::lp

@@ -104,17 +104,8 @@ bool RunState::apply(const obs::Json& record, std::string* error) {
     beats.push_back(std::move(b));
     return true;
   }
-  if (kind == "event") {
-    EventSample e;
-    e.seq = static_cast<long>(int_or(record.find("seq"), 0));
-    e.uptime_s = 1e-3 * static_cast<double>(int_or(record.find("uptime_ms"), 0));
-    e.severity = str_or(record.find("severity"), "info");
-    e.message = str_or(record.find("message"), "");
-    e.phase = str_or(record.find("phase"), "");
-    events.push_back(std::move(e));
-    return true;
-  }
-  // Unknown kinds are ignored: newer writers may add record types.
+  // Unknown kinds are ignored: newer writers may add record types, and
+  // older ones wrote "event" records.
   return true;
 }
 
@@ -282,13 +273,6 @@ std::string render_table(const RunState& state, const std::vector<Anomaly>& anom
   }
   table.print(os);
 
-  // Tail of the event log (most recent last), then anomalies.
-  const std::size_t show = std::min<std::size_t>(state.events.size(), 5);
-  for (std::size_t i = state.events.size() - show; i < state.events.size(); ++i) {
-    const EventSample& e = state.events[i];
-    os << "  [" << e.severity << "] " << fmt_seconds(e.uptime_s) << " " << e.message
-       << "\n";
-  }
   for (const Anomaly& a : anomalies) {
     os << "  [warn] " << a.kind << ": " << a.message << "\n";
   }
@@ -301,7 +285,6 @@ obs::Json state_json(const RunState& state, const std::vector<Anomaly>& anomalie
   out.set("bench", state.bench);
   out.set("pid", static_cast<long>(state.pid));
   out.set("beats", static_cast<long>(state.beats.size()));
-  out.set("events", static_cast<long>(state.events.size()));
   out.set("finished", state.finished);
   out.set("truncated_tail", truncated_tail);
 

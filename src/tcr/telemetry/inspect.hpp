@@ -44,15 +44,6 @@ struct HeartbeatSample {
   std::int64_t simplex_iters_delta = 0;
 };
 
-/// One decoded event record.
-struct EventSample {
-  long seq = 0;
-  double uptime_s = 0.0;
-  std::string severity;
-  std::string message;
-  std::string phase;
-};
-
 /// Everything known about a run from the records read so far.
 struct RunState {
   bool has_meta = false;
@@ -63,7 +54,6 @@ struct RunState {
   std::int64_t start_unix_ms = 0;
 
   std::vector<HeartbeatSample> beats;
-  std::vector<EventSample> events;
   bool finished = false;  ///< saw a heartbeat marked "final"
 
   /// Fold one parsed stream record; unknown kinds are ignored (forward
@@ -107,8 +97,8 @@ std::vector<Anomaly> detect_anomalies(const RunState& state,
                                       const AnomalyOptions& opts = {});
 
 /// The live progress table `tcr-top` prints: run identity, phase, progress
-/// done/total with ETA, iteration rate, guard budget state, sim state,
-/// recent events and anomalies. `truncated_tail` appends the crash note.
+/// done/total with ETA, iteration rate, guard budget state, sim state and
+/// anomalies. `truncated_tail` appends the crash note.
 std::string render_table(const RunState& state, const std::vector<Anomaly>& anomalies,
                          bool truncated_tail);
 

@@ -170,15 +170,6 @@ void emit_heartbeat_locked(Session& s, bool final_beat) {
 
 }  // namespace
 
-const char* to_string(Severity s) {
-  switch (s) {
-    case Severity::Info: return "info";
-    case Severity::Warn: return "warn";
-    case Severity::Error: return "error";
-  }
-  return "?";
-}
-
 namespace detail {
 
 void poll_slow() {
@@ -194,20 +185,6 @@ void poll_slow() {
   std::lock_guard<std::mutex> lock(s.mu);
   if (!enabled()) return;  // stop() raced us
   emit_heartbeat_locked(s, /*final_beat=*/false);
-}
-
-void log_slow(Severity sev, const std::string& message) {
-  Session& s = session();
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (!enabled()) return;
-  obs::Json rec = obs::Json::object();
-  rec.set("kind", "event");
-  rec.set("seq", ++s.seq);
-  rec.set("uptime_ms", (steady_now_ns() - s.start_steady_ns) / 1'000'000);
-  rec.set("severity", to_string(sev));
-  rec.set("message", message);
-  rec.set("phase", current_phase(s));
-  emit(s, rec);
 }
 
 void note_track(std::string_view track, double value) {

@@ -7,8 +7,7 @@
 // budget state (deadline remaining, iterations charged, peak RSS), sweep
 // progress (points done/total, warm-start adoption), simulator progress
 // (epoch, cycle, flit counts), solver progress (iterations, objective) —
-// plus severity-tagged log events into an append-only stream a separate
-// process (`tcr-top`) can tail live.
+// into an append-only stream a separate process (`tcr-top`) can tail live.
 //
 // The heartbeat is a sink of the trace spine, not a second set of call
 // sites. Instrumented code emits each progress fact once, as a trace::Span
@@ -38,10 +37,10 @@
 // time. Pinned by Telemetry.SweepHeartbeatBitwiseDeterministic and the
 // heartbeat column of test_sim_parallel's determinism matrix.
 //
-// Disabled cost: poll() and log() are one relaxed load of the obs sink
-// mask (pinned by BM_TelemetryPollDisabled under the CI overhead-ratio
-// guard). When enabled, at most one caller per interval takes the slow
-// path (a CAS on the next-emit deadline elects the emitter).
+// Disabled cost: poll() is one relaxed load of the obs sink mask (pinned by
+// BM_TelemetryPollDisabled under the CI overhead-ratio guard). When
+// enabled, at most one caller per interval takes the slow path (a CAS on
+// the next-emit deadline elects the emitter).
 //
 // Thread-safety: all entry points may be called concurrently from sweep
 // pool workers; emission serializes on an internal mutex and the journal
@@ -61,11 +60,6 @@ class CancelToken;
 }
 
 namespace tcr::telemetry {
-
-/// Severity tag for structured log events.
-enum class Severity : int { Info = 0, Warn = 1, Error = 2 };
-
-const char* to_string(Severity s);
 
 /// One heartbeat session per process (mirrors the obs::Registry and
 /// SignalGuard singletons benches already rely on).
@@ -103,7 +97,6 @@ std::map<std::string, double, std::less<>> tracks();
 
 namespace detail {
 void poll_slow();
-void log_slow(Severity s, const std::string& message);
 /// trace::counter's heartbeat sink: record `value` as the track's latest.
 void note_track(std::string_view track, double value);
 }  // namespace detail
@@ -118,12 +111,6 @@ inline bool enabled() noexcept { return (obs::sinks() & obs::kHeartbeat) != 0; }
 inline void poll() {
   if (!enabled()) return;
   detail::poll_slow();
-}
-
-/// Append a severity-tagged event record immediately (not interval-paced).
-inline void log(Severity s, const std::string& message) {
-  if (!enabled()) return;
-  detail::log_slow(s, message);
 }
 
 }  // namespace tcr::telemetry

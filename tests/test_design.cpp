@@ -99,21 +99,6 @@ TEST(WorstCaseDesign, LocalityConstraintOneIsDorLike) {
   EXPECT_GT(res.objective, 2.0 * t.ideal_uniform_load() - 1e-6);  // worse than cap/2
 }
 
-TEST(CuttingPlane, ConvergesToExactOptimum) {
-  // The Appendix-inspired permutation-generation method (with the Hungarian
-  // separation oracle and orbit-expanded cuts) must reach the same optimum
-  // as the embedded matching-dual block. Practical only at small radices —
-  // the cut set grows quickly (see EXPERIMENTS.md) — but exact when it
-  // converges.
-  for (int k : {3, 4}) {
-    const Torus t(k);
-    const auto res = design_worst_case_cutting_plane(t);
-    ASSERT_EQ(res.status, lp::Status::Optimal) << "k=" << k;
-    EXPECT_NEAR(res.objective, 2.0 * t.ideal_uniform_load(), 1e-5) << "k=" << k;
-    EXPECT_LE(res.rounds, 40) << "k=" << k;
-  }
-}
-
 TEST(WorstCaseDesign, FoldedAndUnfoldedAgree) {
   // The dihedral variable folding must be lossless for the worst-case
   // objective (group-averaging/convexity argument, DESIGN.md).

@@ -408,6 +408,10 @@ TEST(RevisedSimplex, IterationLimitExportsReusableBasis) {
     const auto cont = solve(m, SimplexOptions{}, &cut.basis);
     ASSERT_EQ(cont.status, Status::Optimal) << cont.note;
     EXPECT_NEAR(cont.objective, ref.objective, 1e-6 * (1 + std::abs(ref.objective)));
+    // The continuation starts from the exported basis (a budget cut mid
+    // phase 1 resumes phase 1 from it), not from a cold restart.
+    EXPECT_TRUE(cont.warm_start == "accepted" || cont.warm_start == "repaired")
+        << cont.warm_start;
   }
   // The 3-iteration cap must actually bite on most non-trivial models.
   EXPECT_GE(limited, 5);

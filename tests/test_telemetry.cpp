@@ -68,7 +68,6 @@ TEST(Telemetry, StartStopRoundTripWritesMetaBeatsAndFinal) {
     // The phase is the innermost open span on the emitting thread.
     trace::Span unit("unit");
     telemetry::heartbeat_now();
-    telemetry::log(telemetry::Severity::Warn, "something odd");
     telemetry::heartbeat_now();
   }
   // Outside every span: the final beat repeats the previous phase.
@@ -78,8 +77,8 @@ TEST(Telemetry, StartStopRoundTripWritesMetaBeatsAndFinal) {
   const guard::JournalContents contents = guard::read_journal(path);
   ASSERT_TRUE(contents.ok) << contents.error;
   EXPECT_FALSE(contents.truncated_tail);
-  // meta + 2 explicit beats + 1 event + the final beat from stop().
-  ASSERT_EQ(contents.records.size(), 5u);
+  // meta + 2 explicit beats + the final beat from stop().
+  ASSERT_EQ(contents.records.size(), 4u);
 
   obs::Json meta;
   ASSERT_TRUE(obs::parse_json(contents.records[0], &meta, &error)) << error;
@@ -87,13 +86,6 @@ TEST(Telemetry, StartStopRoundTripWritesMetaBeatsAndFinal) {
   EXPECT_EQ(meta.find("schema")->as_string(), "tcr-heartbeat-v1");
   EXPECT_EQ(meta.find("bench")->as_string(), "unit_bench");
   EXPECT_GT(meta.find("pid")->as_int(), 0);
-
-  obs::Json event;
-  ASSERT_TRUE(obs::parse_json(contents.records[2], &event, &error)) << error;
-  EXPECT_EQ(event.find("kind")->as_string(), "event");
-  EXPECT_EQ(event.find("severity")->as_string(), "warn");
-  EXPECT_EQ(event.find("message")->as_string(), "something odd");
-  EXPECT_EQ(event.find("phase")->as_string(), "unit");
 
   obs::Json beat;
   ASSERT_TRUE(obs::parse_json(contents.records[1], &beat, &error)) << error;
@@ -107,7 +99,7 @@ TEST(Telemetry, StartStopRoundTripWritesMetaBeatsAndFinal) {
   EXPECT_TRUE(last.find("final")->as_bool());
   EXPECT_EQ(last.find("phase")->as_string(), "unit");
 
-  // Sequence numbers increase monotonically across beats and events.
+  // Sequence numbers increase monotonically across beats.
   std::int64_t prev_seq = -1;
   for (std::size_t r = 1; r < contents.records.size(); ++r) {
     obs::Json rec;
@@ -121,7 +113,6 @@ TEST(Telemetry, DisabledEntryPointsAreNoOps) {
   ASSERT_FALSE(telemetry::active());
   // None of these may crash or create files while disabled.
   telemetry::poll();
-  telemetry::log(telemetry::Severity::Info, "ignored");
   telemetry::heartbeat_now();
   telemetry::stop();
 }
@@ -423,19 +414,19 @@ TEST(TelemetryInspect, RunStateFoldsMetaBeatsAndEvents) {
             "\"progress\":{\"done\":2,\"total\":8,\"warm_adopted\":1}}"),
       &error))
       << error;
+  // Unknown kinds are ignored (forward compatibility), not errors; so is
+  // the "event" record that older writers emitted.
   ASSERT_TRUE(state.apply(
       parse("{\"kind\":\"event\",\"seq\":1,\"uptime_ms\":1500,\"severity\":\"warn\","
             "\"message\":\"m\"}"),
       &error))
       << error;
-  // Unknown kinds are ignored (forward compatibility), not errors.
   ASSERT_TRUE(state.apply(parse("{\"kind\":\"novel\",\"x\":1}"), &error)) << error;
 
   EXPECT_TRUE(state.has_meta);
   EXPECT_EQ(state.bench, "b");
   EXPECT_EQ(state.pid, 7);
   ASSERT_EQ(state.beats.size(), 1u);
-  ASSERT_EQ(state.events.size(), 1u);
   EXPECT_FALSE(state.finished);
   EXPECT_TRUE(state.beats[0].has_progress);
   EXPECT_EQ(state.beats[0].done, 2);
