@@ -384,20 +384,6 @@ void BM_TraceSpanEnabled(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceSpanEnabled);
 
-// Disabled-perf SpanSample cost: what the sweep.point call site pays when no
-// --perf flag is given — one relaxed load and a predicted-not-taken branch,
-// same budget as BM_TraceSpanDisabled. CI's overhead guard pins the ratio to
-// BM_ObsScopedTimerDisabled.
-void BM_PerfSpanSampleDisabled(benchmark::State& state) {
-  perf::stop();
-  for (auto _ : state) {
-    trace::Span span("bench.perf.span");
-    perf::SpanSample ps(span);
-    benchmark::DoNotOptimize(&ps);
-  }
-}
-BENCHMARK(BM_PerfSpanSampleDisabled);
-
 // Enabled sampler read cost: one getrusage + /proc read per sample() —
 // bench-phase granularity, deliberately not cheap enough for hot loops.
 void BM_PerfPhaseSamplerEnabled(benchmark::State& state) {
@@ -457,8 +443,7 @@ BENCHMARK(BM_DualRestart)->Arg(4)->Unit(benchmark::kMillisecond);
 // ---- the simplex's per-pivot kernels on a real basis ----------------------
 //
 // The optimal basis of the k=6 Figure 1 LP (10) at the sweep's first
-// locality point, regenerated once per process (one cold solve). Its standard
-// form has the artificials pinned to [0, 0], as in phase 2. From it:
+// locality point, regenerated once per process (one cold solve). From it:
 //   * primal states: the basic values at that point and w = B^-1 a_q for 16
 //     nonbasic priceable columns q spread over the columns;
 //   * dual states: the same basis after the sweep's next rhs edit (the next
@@ -499,8 +484,6 @@ struct Fig1Basis {
     sf = lp::detail::build_standard_form(design.model());
     design.set_locality_bound(grid[1] * hmin);
     const std::vector<double> b_next = lp::detail::build_standard_form(design.model()).b;
-    for (int j = 0; j < sf.ntotal; ++j)
-      if (sf.artificial[j]) sf.up[j] = 0.0;
     a = SparseMatrix(sf.m, sf.ntotal, sf.triplets);
     basic = res.basis.basic;
     for (const std::uint8_t s : res.basis.stat) stat.push_back(static_cast<lp::detail::VarStatus>(s));

@@ -113,7 +113,7 @@ class SymmetricArcDesign {
   /// Crash basis for cold solves: the basis lp::crash_from_point() reaches
   /// from start_point(). Empty when the point violates a row or bound (for
   /// example a worst_case_cap below the start routing's worst case), which
-  /// leaves the all-slack start. Built for the current locality bound and
+  /// leaves the all-logical start. Built for the current locality bound and
   /// cached until the bound moves; solve() passes it to lp::solve when no
   /// warm basis is given.
   const lp::Basis& flow_crash_hints();

@@ -6,7 +6,6 @@
 #include <mutex>
 
 #include "tcr/guard/journal.hpp"
-#include "tcr/perf/perf.hpp"
 #include "tcr/routing/interpolate.hpp"
 #include "tcr/telemetry/telemetry.hpp"
 #include "tcr/trace/tracer.hpp"
@@ -179,9 +178,6 @@ std::vector<TradeoffPoint> sweep(const Torus& torus, DesignObjective objective,
       }
 
       trace::Span point_span("sweep.point");
-      // Counter attrs (perf.cpu_ns, perf.cycles, ...) attach on scope exit;
-      // inert — one relaxed load — unless perf::start() ran.
-      perf::SpanSample point_perf(point_span);
       if (i > begin) design.set_locality_bound(localities[i] * hmin);
       DesignResult res = design.solve(
           opts, sweep_cfg.warm_start && !warm.empty() ? &warm : nullptr);

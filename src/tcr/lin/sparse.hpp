@@ -65,8 +65,8 @@ class SparseMatrix {
 /// the rest. The simplex calls a column priceable when it is nonbasic and not
 /// fixed; on the routing LPs about half the entries a pivot row meets lie in
 /// basic or fixed columns, and it never needs them. partition() splits every
-/// row afresh (the simplex calls it at each loop's entry, since the
-/// artificials' bounds change between phases); exclude() and include() move
+/// row afresh (the simplex calls it at each loop's entry, since the basis
+/// may be replaced between loops); exclude() and include() move
 /// one column across the split in each of its rows, a short scan per row, as
 /// the column enters or leaves the basis. The order inside a part is
 /// arbitrary.

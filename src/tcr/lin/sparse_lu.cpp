@@ -181,6 +181,7 @@ bool SparseLU::factor(const SparseMatrix& a, const std::vector<int>& basis) {
   l_.clear();
   u_.clear();
   deficient_.clear();
+  deficient_rows_.clear();
   etas_.clear();
   r_.clear();
   links_.clear();
@@ -320,6 +321,8 @@ bool SparseLU::factor(const SparseMatrix& a, const std::vector<int>& basis) {
       // never received a pivot.
       for (int j = 0; j < m_; ++j)
         if (!col_done[j]) deficient_.push_back(j);
+      for (int i = 0; i < m_; ++i)
+        if (!row_done[i]) deficient_rows_.push_back(i);
       slot_reuses.add(reuses);
       return false;
     }
@@ -551,6 +554,7 @@ bool SparseLU::factor_dense_tail() {
     steps_.push_back({prow[k], pcol[c], pval, l_begin, l_.size(), u_begin, u_.size(), Kind::kRow});
     ++k;
   }
+  deficient_rows_.assign(prow.begin() + static_cast<std::ptrdiff_t>(k), prow.end());
   return deficient_.empty();
 }
 

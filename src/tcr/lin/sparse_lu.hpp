@@ -127,6 +127,10 @@ class SparseLU {
   }
 
   const std::vector<int>& deficient_positions() const { return deficient_; }
+  /// After a failed factor(), the rows no pivot covered, as many as there
+  /// are deficient positions: a unit column of each in place of the
+  /// deficient positions makes the basis nonsingular.
+  const std::vector<int>& deficient_rows() const { return deficient_rows_; }
 
   /// Stability threshold: pivots must satisfy |a| >= tau * max|column|.
   void set_threshold(double tau) { tau_ = tau; }
@@ -177,7 +181,7 @@ class SparseLU {
   std::size_t factored_ = 0;  // steps_[0, factored_) are factor steps
   std::vector<std::pair<int, double>> l_;  // (row, multiplier)
   std::vector<Entry> u_;
-  std::vector<int> deficient_;
+  std::vector<int> deficient_, deficient_rows_;
   std::size_t fresh_nnz_ = 0;  // factor_nnz() right after factor()
 
   // Update state.

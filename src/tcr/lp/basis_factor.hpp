@@ -33,7 +33,8 @@ class BasisFactor {
 
   /// Factor B = A(:, basic) afresh. False when B is singular to working
   /// precision (deficient_positions() then lists the positions that could
-  /// not be pivoted) or an injected fault fails the factorization.
+  /// not be pivoted, deficient_rows() the rows left without a pivot) or an
+  /// injected fault fails the factorization.
   bool refactor(const std::vector<int>& basic);
 
   /// w = B^-1 v; v is in row space, w in basis-position space.
@@ -54,6 +55,7 @@ class BasisFactor {
   bool fresh() const { return lu_.updates() == 0; }
   int updates() const { return lu_.updates(); }
   const std::vector<int>& deficient_positions() const { return lu_.deficient_positions(); }
+  const std::vector<int>& deficient_rows() const { return lu_.deficient_rows(); }
 
  private:
   const SparseMatrix& a_;

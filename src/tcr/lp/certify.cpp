@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "tcr/lin/sparse.hpp"
 #include "tcr/obs/registry.hpp"
 
 namespace tcr::lp {
@@ -111,14 +112,21 @@ Certificate certify(const Model& model, const Solution& sol, const CertifyOption
 
   // One pass over the nonzeros: row activity, row scale (sum |a_ij x_j|,
   // for a relative residual) and the independent reduced costs c - A'y.
+  // The pass runs column by column, so each row sums in column order and
+  // each column in row order, whatever order the model's terms were added
+  // in.
+  const SparseMatrix a(m, n, model.triplets());
   std::vector<double> activity(static_cast<std::size_t>(m), 0.0);
   std::vector<double> row_scale(static_cast<std::size_t>(m), 0.0);
   std::vector<double> dhat(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) dhat[j] = sign * model.cost(j);
-  for (const auto& t : model.triplets()) {
-    activity[t.row] += t.value * sol.x[t.col];
-    row_scale[t.row] += std::abs(t.value * sol.x[t.col]);
-    dhat[t.col] -= t.value * sign * sol.duals[t.row];
+  for (int j = 0; j < n; ++j) {
+    dhat[j] = sign * model.cost(j);
+    for (std::size_t k = a.col_begin(j); k < a.col_end(j); ++k) {
+      const int i = a.row_index(k);
+      activity[i] += a.value(k) * sol.x[j];
+      row_scale[i] += std::abs(a.value(k) * sol.x[j]);
+      dhat[j] -= a.value(k) * sign * sol.duals[i];
+    }
   }
 
   // ---- primal feasibility + row complementarity + row dual signs ----

@@ -40,9 +40,7 @@ class Crossover {
   // fails.
   bool run(const std::vector<double>& x, Basis& basis) {
     if (m_ == 0 || !place(x) || !refactor()) return false;
-    // Structural columns first, then the slacks that x leaves off zero in
-    // rows whose crash column is the artificial.
-    for (int j = 0; j < n_; ++j) {
+    for (int j = 0; j < sf_.nstruct; ++j) {
       if (sf_.lo[j] == sf_.up[j] || z_[j] == crash_value(j)) continue;
       if (!bring_in(j)) return false;
     }
@@ -56,16 +54,15 @@ class Crossover {
   }
 
  private:
-  // The value a nonbasic column takes in the crash basis: the bound nearest
-  // zero, zero for a free column, and zero for every slack and artificial.
+  // The value a structural column takes in the all-logical basis: the
+  // bound nearest zero, zero for a free column.
   double crash_value(int j) const {
-    if (j >= sf_.nstruct) return 0.0;
-    return sf_.stat0[j] == kAtLower ? sf_.lo[j] : sf_.stat0[j] == kAtUpper ? sf_.up[j] : 0.0;
+    const detail::VarStatus s = detail::start_status(sf_.lo[j], sf_.up[j]);
+    return s == kAtLower ? sf_.lo[j] : s == kAtUpper ? sf_.up[j] : 0.0;
   }
 
-  // The standard-form point of x and the all-slack crash basis. False when x
-  // is infeasible. A slack that is not its row's crash column (the row's
-  // artificial is) keeps its value at x, so the artificial sits at zero.
+  // The standard-form point of x and the all-logical basis. False when x is
+  // infeasible: a bound, or a row's logical, is off its bounds.
   bool place(const std::vector<double>& x) {
     z_.assign(static_cast<std::size_t>(n_), 0.0);
     std::vector<double> r = sf_.b;
@@ -76,31 +73,22 @@ class Crossover {
       if (std::abs(z_[j] - crash_value(j)) <= kSnapTol) z_[j] = crash_value(j);
       a_.add_column_to(j, -z_[j], r);
     }
-    std::vector<char> has_slack(static_cast<std::size_t>(m_), 0);
-    for (int j = sf_.nstruct; j < n_; ++j) {  // basic slacks keep z_ = 0
-      if (sf_.artificial[j]) continue;
-      const std::size_t k = a_.col_begin(j);
-      const int i = a_.row_index(k);
-      const double s = r[i] / a_.value(k);
-      has_slack[i] = 1;
-      if (s < -kTol) return false;
-      if (sf_.basis0[i] != j && s > kTol) z_[j] = s;
+    basic_.resize(static_cast<std::size_t>(m_));
+    blo_.resize(static_cast<std::size_t>(m_));
+    bup_.resize(static_cast<std::size_t>(m_));
+    for (int i = 0; i < m_; ++i) {  // the logicals are basic, with z_ = 0
+      const int j = sf_.nstruct + i;
+      const double s = r[i] / a_.value(a_.col_begin(j));
+      if (s < sf_.lo[j] - kTol || s > sf_.up[j] + kTol) return false;
+      basic_[i] = j;
+      set_bounds(i);
     }
-    for (int i = 0; i < m_; ++i) {
-      if (!has_slack[i] && std::abs(r[i]) > kTol) return false;
-    }
-    basic_ = sf_.basis0;
-    blo_.assign(static_cast<std::size_t>(m_), 0.0);
-    bup_.assign(static_cast<std::size_t>(m_), 0.0);
-    for (int i = 0; i < m_; ++i) set_bounds(i);
     return true;
   }
 
-  // Per-position bounds of the basic column; artificials must stay at zero.
   void set_bounds(int i) {
-    const int j = basic_[i];
-    blo_[i] = sf_.lo[j];
-    bup_[i] = sf_.artificial[j] ? 0.0 : sf_.up[j];
+    blo_[i] = sf_.lo[basic_[i]];
+    bup_[i] = sf_.up[basic_[i]];
   }
 
   // Fresh LU of the basis, and the basic values from the nonbasic ones.

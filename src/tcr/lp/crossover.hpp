@@ -5,14 +5,13 @@
 // necessarily a vertex — crash_from_point() finds such a basis and returns it
 // as an lp::Basis, which lp::solve() takes as its `crash` argument.
 //
-// Every structural column away from its crash-rule value (the bound nearest
+// Every structural column away from its start value (the bound nearest
 // zero; zero for a free column; see standard_form.hpp) must end up basic or
-// at a bound, and so must every slack that x leaves off zero in a row whose
-// crash column is the artificial. The routine starts from the all-slack
-// crash basis and brings those columns in one at a time, structural columns
-// first:
-//   * if some basic variable sitting at a bound (a tight row's slack, an
-//     artificial, a column at a bound) has a usable pivot in the column's
+// at a bound. The routine starts from the all-logical basis, where each
+// row's logical holds the row's slack at x, and brings those columns in one
+// at a time:
+//   * if some basic variable sitting at a bound (a tight row's slack, an EQ
+//     row's logical, a column at a bound) has a usable pivot in the column's
 //     direction B^-1 a_j, the column takes its place and the point does not
 //     move;
 //   * otherwise the column depends on the basic columns, and the point moves
@@ -36,8 +35,8 @@ namespace tcr::lp {
 /// The basis, in lp::solve()'s standard form, of a vertex reached from the
 /// feasible point `x` (structural values, size model.num_cols()). Empty when
 /// x has the wrong size or violates a row or bound by more than 1e-9, or
-/// when a factorization fails; an empty basis makes lp::solve() use the
-/// all-slack crash.
+/// when a factorization fails; an empty basis makes lp::solve() start from
+/// the all-logical basis.
 Basis crash_from_point(const Model& model, const std::vector<double>& x);
 
 }  // namespace tcr::lp

@@ -24,41 +24,30 @@ class DenseSimplex {
   DenseSimplex(const StandardForm& sf, const DenseSimplexOptions& opt)
       : sf_(sf), opt_(opt), m_(sf.m), n_(sf.ntotal), a_(sf.m, sf.ntotal), binv_(sf.m, sf.m) {
     for (const auto& t : sf_.triplets) a_(t.row, t.col) += t.value;
-    stat_ = sf_.stat0;
-    basic_ = sf_.basis0;
-    for (int i = 0; i < m_; ++i) binv_(i, i) = 0.0;
-    // The initial basis consists of slack/artificial columns: each has a
-    // single +/-1 coefficient, so B^-1 is diagonal with the same signs.
-    for (int i = 0; i < m_; ++i) binv_(i, i) = 1.0 / a_(i, basic_[i]);
+    // The all-logical start basis: each logical column has a single +/-1
+    // coefficient, so B^-1 is diagonal with the same signs.
+    stat_.assign(static_cast<std::size_t>(n_), kBasic);
+    basic_.resize(static_cast<std::size_t>(m_));
+    for (int j = 0; j < sf_.nstruct; ++j) stat_[j] = detail::start_status(sf_.lo[j], sf_.up[j]);
+    for (int i = 0; i < m_; ++i) {
+      basic_[i] = sf_.nstruct + i;
+      binv_(i, i) = 1.0 / a_(i, basic_[i]);
+    }
     compute_basic_values();
   }
 
   Solution run() {
     Solution sol;
     long iters = 0;
-
-    if (sf_.need_phase1) {
-      const Status s1 = optimize(sf_.cost1, iters);
-      sol.phase1_iterations = iters;
-      if (s1 != Status::Optimal) {
-        sol.status = s1;
-        sol.iterations = iters;
-        export_basis(sol);
-        return sol;
-      }
-      if (phase_objective(sf_.cost1) > 1e-7) {
-        sol.status = Status::Infeasible;
-        sol.iterations = iters;
-        export_basis(sol);
-        return sol;
-      }
-    }
-    // Phase 2: artificials are pinned to zero.
-    lock_artificials();
-    const Status s2 = optimize(sf_.cost, iters);
+    // Phase 1 minimizes the sum of the basic bound violations, phase 2 the
+    // true costs.
+    Status s = optimize(/*phase1=*/true, iters);
+    sol.phase1_iterations = iters;
+    if (s == Status::Optimal && infeasibility() > 1e-7) s = Status::Infeasible;
+    if (s == Status::Optimal) s = optimize(/*phase1=*/false, iters);
     sol.iterations = iters;
-    sol.status = s2;
-    if (s2 == Status::Optimal) extract(sol);
+    sol.status = s;
+    if (s == Status::Optimal) extract(sol);
     export_basis(sol);
     return sol;
   }
@@ -88,27 +77,49 @@ class DenseSimplex {
     }
   }
 
-  double phase_objective(const std::vector<double>& cost) const {
-    double obj = 0.0;
-    for (int i = 0; i < m_; ++i) obj += cost[basic_[i]] * xb_[i];
-    for (int j = 0; j < n_; ++j)
-      if (stat_[j] != kBasic) obj += cost[j] * nonbasic_value(j);
-    return obj;
+  // How far basic i lies above its upper bound (> 0) or below its lower
+  // bound (< 0); 0 when within tolerance.
+  double violation(int i) const {
+    const int j = basic_[i];
+    if (xb_[i] > sf_.up[j] + opt_.tol) return xb_[i] - sf_.up[j];
+    if (xb_[i] < sf_.lo[j] - opt_.tol) return xb_[i] - sf_.lo[j];
+    return 0.0;
   }
 
-  void lock_artificials() {
-    // Fix artificials to [0, 0]; a basic artificial stuck at zero is harmless.
-    for (int j = 0; j < n_; ++j) {
-      if (sf_.artificial[j]) sf_.up[j] = 0.0;
-    }
+  double infeasibility() const {
+    double sum = 0.0;
+    for (int i = 0; i < m_; ++i) sum += std::abs(violation(i));
+    return sum;
   }
 
-  Status optimize(const std::vector<double>& cost, long& iters) {
+  // Phase 1 prices the basics by the sign of their violations (a column off
+  // the basis costs nothing) and lets a violating basic move only back to
+  // the bound it violates; the costs are re-read every iteration, and phase
+  // 1 ends once nothing is violated.
+  Status optimize(bool phase1, long& iters) {
+    std::vector<double> cost = sf_.cost;
+    std::vector<double> lo = sf_.lo, up = sf_.up;  // of each basic's ratio test
     std::vector<double> y(static_cast<std::size_t>(m_));
     std::vector<double> w(static_cast<std::size_t>(m_));
     const double tol = opt_.tol;
 
     for (;;) {
+      if (phase1) {
+        std::fill(cost.begin(), cost.end(), 0.0);
+        lo = sf_.lo;
+        up = sf_.up;
+        bool violated = false;
+        for (int i = 0; i < m_; ++i) {
+          const double v = violation(i);
+          if (v == 0.0) continue;
+          const int j = basic_[i];
+          violated = true;
+          cost[j] = v > 0 ? 1.0 : -1.0;
+          lo[j] = v > 0 ? sf_.up[j] : -kInf;
+          up[j] = v > 0 ? kInf : sf_.lo[j];
+        }
+        if (!violated) return Status::Optimal;
+      }
       if (++iters > opt_.max_iterations) return Status::IterationLimit;
 
       // y = B^-T c_B.
@@ -158,11 +169,11 @@ class DenseSimplex {
         const int bj = basic_[i];
         double t;
         if (delta > 0) {
-          if (!std::isfinite(sf_.lo[bj])) continue;
-          t = (xb_[i] - sf_.lo[bj]) / delta;
+          if (!std::isfinite(lo[bj])) continue;
+          t = (xb_[i] - lo[bj]) / delta;
         } else {
-          if (!std::isfinite(sf_.up[bj])) continue;
-          t = (sf_.up[bj] - xb_[i]) / (-delta);
+          if (!std::isfinite(up[bj])) continue;
+          t = (up[bj] - xb_[i]) / (-delta);
         }
         t = std::max(t, 0.0);
         if (t < t_max - 1e-12 ||
@@ -185,10 +196,8 @@ class DenseSimplex {
       const double enter_val = nonbasic_value(q) + dir * t_max;
       for (int i = 0; i < m_; ++i) xb_[i] -= t_max * dir * w[i];
       const int out = basic_[leave];
-      const double delta_out = dir * w[leave];
-      stat_[out] = (delta_out > 0) ? kAtLower : kAtUpper;
-      if (!std::isfinite(sf_.up[out]) && stat_[out] == kAtUpper) stat_[out] = kFree;
-      if (!std::isfinite(sf_.lo[out]) && stat_[out] == kAtLower) stat_[out] = kFree;
+      const double bound = dir * w[leave] > 0 ? lo[out] : up[out];  // the one it reached
+      stat_[out] = bound == sf_.lo[out] ? kAtLower : kAtUpper;
       basic_[leave] = q;
       stat_[q] = kBasic;
       xb_[leave] = enter_val;

@@ -1,4 +1,5 @@
-// Dense bounded-variable two-phase simplex with Bland's rule.
+// Dense bounded-variable two-phase simplex with Bland's rule, from the
+// all-logical basis of the shared standard form (lp/standard_form.hpp).
 //
 // Deliberately simple reference implementation (explicit basis inverse,
 // anti-cycling by Bland's rule throughout). It is slow but hard to get

@@ -66,15 +66,18 @@ struct Certificate {
   std::string summary() const;
 };
 
-/// Simplex basis snapshot in *standard-form* column space (structural
-/// columns first, then the slack/artificial columns the solver appends).
-/// Exported on every Solution and accepted back by lp::solve() as a warm
-/// start. A basis is only meaningful for a model whose standard form has the
-/// same dimensions as the one that produced it; lp::solve() validates the
-/// supplied basis, repairs singular ones against the crash basis,
+/// Simplex basis snapshot in *standard-form* column space: the structural
+/// columns, then one logical column per row, in row order (column
+/// num_cols() + i is row i's slack, surplus or fixed EQ logical). Exported
+/// on every Solution and accepted back by lp::solve() as a warm start. A
+/// basis is only meaningful for a model with the same numbers of rows and
+/// columns as the one that produced it; lp::solve() validates the supplied
+/// basis, repairs singular positions with the logicals of the rows they
+/// leave uncovered,
 /// re-optimizes a dual-feasible one whose point an rhs edit moved out of
-/// bounds with the dual simplex, and falls back to a cold start when the
-/// basis cannot be salvaged (see lp.warmstart.* and lp.dual.* obs counters).
+/// bounds with the dual simplex, runs phase 1 from any other, and falls
+/// back to a cold start only when the basis is malformed or cannot be
+/// repaired (see lp.warmstart.* and lp.dual.* obs counters).
 /// lp::solve() also takes one as a cold solve's crash basis (see
 /// lp::crash_from_point()).
 struct Basis {
@@ -100,6 +103,8 @@ struct Solution {
   std::vector<double> duals;    // one per row (simplex multipliers y)
   std::vector<double> reduced;  // reduced costs of structural variables
   long iterations = 0;          // simplex iterations of the returned attempt
+  /// Iterations phase 1 ran (after the dual phase, when that gave up).
+  /// Included in `iterations`, apart from `dual_iterations`.
   long phase1_iterations = 0;
   /// Iterations spent in the dual simplex phase: a warm basis left
   /// dual-feasible but primal-infeasible by an rhs edit is driven back to

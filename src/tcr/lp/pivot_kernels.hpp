@@ -78,16 +78,20 @@ void dse_update(std::vector<double>& weights, const std::vector<double>& alpha,
 
 /// What the simplex keeps per pivot so that pricing and the ratio tests
 /// sweep only what can pivot: the row-wise matrix split into priceable and
-/// other columns, and the bounds of each position's basic column; and, in
-/// the dual loop, the dual steepest-edge weights (empty in the primal loop).
+/// other columns, and each position's bounds; in the dual loop, the dual
+/// steepest-edge weights (empty in the primal loop); and in phase 1, the
+/// phase-1 cost of each column (empty outside it). A position's bounds are
+/// its basic column's, except in phase 1 where that column's cost is +1
+/// ([up, inf)) or -1 ((-inf, lo]).
 struct PivotState {
   const SparseMatrix& a;
   const std::vector<double>& weights;  // per position, 0 = unknown
+  const std::vector<double>& cost1;    // per column
   const std::vector<VarStatus>& stat;
   const std::vector<int>& basic;
   const std::vector<double>& lo;  // column bounds
   const std::vector<double>& up;
-  const std::vector<double>& blo;  // bounds of basic[i]
+  const std::vector<double>& blo;  // bounds of position i
   const std::vector<double>& bup;
   const RowProduct& rows;
 };

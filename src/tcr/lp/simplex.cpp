@@ -40,11 +40,12 @@ struct SimplexMetrics {
   obs::Counter& bound_flips = obs::Registry::instance().counter("lp.simplex.bound_flips");
   // Warm-start outcomes: a supplied basis was adopted unchanged (accepted),
   // adopted after patching — status fixes, or singular positions swapped
-  // back to crash columns — (repaired), or thrown away for a cold start
-  // (rejected). phase1_skipped counts solves where the adopted basis was
-  // primal-feasible on a model that would otherwise have needed phase 1; an
-  // adopted basis whose leftover load sits on basic artificials still runs
-  // phase 1, warm, and is not counted there.
+  // out for logical columns — (repaired), or thrown away for a cold start
+  // because it is malformed or singular beyond repair (rejected).
+  // phase1_skipped counts solves where the adopted basis was primal-feasible
+  // (or the dual phase made it so) on a model whose all-logical start is
+  // not; an adopted basis that is neither runs phase 1 from itself and is
+  // not counted there.
   obs::Counter& warm_attempts = obs::Registry::instance().counter("lp.warmstart.attempts");
   obs::Counter& warm_accepted = obs::Registry::instance().counter("lp.warmstart.accepted");
   obs::Counter& warm_repaired = obs::Registry::instance().counter("lp.warmstart.repaired");
@@ -64,7 +65,7 @@ struct SimplexMetrics {
   // reoptimized = dual iterations reached primal feasibility (the solve then
   // finishes with a clean primal confirmation); fallbacks = the dual phase
   // gave up (dual-unbounded => primal infeasible, stall, or numerical
-  // trouble) and the solve restarted cold through the primal ladder;
+  // trouble) and phase 1 ran from the basis it ended on;
   // infeasible_bases = candidate bases that failed the dual-feasibility
   // screen and took the primal path directly.
   obs::Counter& dual_solves = obs::Registry::instance().counter("lp.dual.solves");
@@ -164,7 +165,7 @@ class RevisedSimplex {
     // row-wise copy is built.
     std::vector<Triplet>().swap(sf_.triplets);
     a_rows_ = RowProduct(a_);
-    restore_crash_basis();
+    all_logical_basis();
     max_iters_ = opt_.max_iterations > 0 ? opt_.max_iterations
                                          : 200L * (m_ + n_) + 10000L;
     d_.assign(n_, 0.0);
@@ -198,28 +199,28 @@ class RevisedSimplex {
       // sweeps and the recovery ladder unwind without touching the basis.
       return finish(sol, Status::Cancelled);
     }
-    WarmAdopt warm = WarmAdopt::kRejected;
-    if (warm_ != nullptr && !warm_->empty()) warm = apply_warm(*warm_);
-    if (warm == WarmAdopt::kRejected && crash_ != nullptr && !crash_->empty()) {
+    WarmAdopt start = WarmAdopt::kRejected;
+    if (warm_ != nullptr && !warm_->empty()) start = apply_warm(*warm_);
+    if (start == WarmAdopt::kRejected && crash_ != nullptr && !crash_->empty()) {
       // Cold start from the caller's crash basis, adopted like a warm basis
       // (own lp.crash.* accounting; never routed to the dual phase).
       adopting_crash_ = true;
-      warm = apply_warm(*crash_);
+      start = apply_warm(*crash_);
     }
-    if (warm == WarmAdopt::kRejected && !refactorize()) return finish(sol, Status::Numerical);
+    if (start == WarmAdopt::kRejected) {
+      all_logical_basis();
+      if (!refactorize()) return finish(sol, Status::Numerical);
+      start = WarmAdopt::kPhase1;  // which stops at once on a feasible point
+    }
 
     // ---- dual simplex phase ----
     // A warm basis that survived adoption dual-feasible but whose point an
     // rhs edit left primal-infeasible (kDual) is driven back to optimality
-    // by dual pivots: pin the artificials — the dual phase solves the true
-    // phase-2 problem — and iterate. Success skips phase 1 and the perturbed
-    // primal pass outright; failure (dual-unbounded, stall, or numerical
-    // alarm) unwinds to the cold primal ladder below.
-    bool dual_done = false;
-    if (warm == WarmAdopt::kDual) {
+    // by dual pivots. Success skips phase 1 and the perturbed primal pass
+    // outright; failure (dual-unbounded, stall, or numerical alarm) hands
+    // the basis the dual phase ended on to phase 1.
+    if (start == WarmAdopt::kDual) {
       met_.dual_solves.add(1);
-      for (int j = 0; j < n_; ++j)
-        if (sf_.artificial[j]) sf_.up[j] = 0.0;
       // The MCF models are massively dual degenerate: swaths of nonbasic
       // columns sit at reduced cost zero, so unperturbed dual ratio tests
       // collapse into zero-length pivots and the phase stalls. Run the dual
@@ -242,60 +243,45 @@ class RevisedSimplex {
       // exports them only if that is the basis the solve ends on.
       sol.basis.basic = basic_;
       sol.basis.weights = std::exchange(dse_, {});
+      // The warm basis was used, whatever the dual phase's verdict.
       if (sd == Status::Cancelled || sd == Status::IterationLimit) {
-        // The whole-run budget fired mid-phase: the warm basis was genuinely
-        // used, so its staged adoption outcome stands.
         commit_adoption(pending_patched_ ? kOutcomeRepaired : kOutcomeAccepted);
         return finish(sol, sd);
       }
       if (sd == Status::Optimal) {
         met_.dual_reoptimized.add(1);
-        commit_adoption(pending_patched_ ? kOutcomeRepaired : kOutcomeAccepted);
         if (sf_.need_phase1) met_.warm_phase1_skipped.add(1);
-        dual_done = true;
       } else {
-        // Fall back: abandon the basis (the attempt counts as rejected),
-        // restore the crash start and unpin the artificials so phase 1 sees
-        // its own framework again.
+        // Fall back: phase 1 from the basis the dual phase ended on, with
+        // any singular positions repaired (see factor_basis()).
         met_.dual_fallbacks.add(1);
-        commit_adoption(kOutcomeRejected);
-        warm = WarmAdopt::kRejected;
-        for (int j = 0; j < n_; ++j)
-          if (sf_.artificial[j]) sf_.up[j] = kInf;
-        restore_crash_basis();
-        if (!refactorize()) return finish(sol, Status::Numerical);
+        start = factor_basis(pending_patched_) ? WarmAdopt::kPhase1 : WarmAdopt::kRejected;
       }
+      commit_adoption(pending_patched_ ? kOutcomeRepaired : kOutcomeAccepted);
+      if (start == WarmAdopt::kRejected) return finish(sol, Status::Numerical);
     }
 
-    if (!dual_done && sf_.need_phase1) {
-      if (warm == WarmAdopt::kFeasible) {
-        // The adopted basis represents a primal-feasible point, so phase 1
-        // has nothing left to do: go straight to optimizing the true costs.
-        (adopting_crash_ ? met_.crash_phase1_skipped : met_.warm_phase1_skipped)
-            .add(1);
-      } else {
-        // Cold crash basis, or an adopted basis whose residual
-        // infeasibility sits entirely on basic artificials (kPhase1): either
-        // way phase 1 starts from the current basis and drives the
-        // artificial load to zero.
-        Status s1;
-        {
-          trace::Span t("lp.phase1", met_.t_phase1);
-          s1 = optimize(sf_.cost1, /*phase1=*/true);
-        }
-        sol.phase1_iterations = iters_;
-        met_.phase1_iterations.add(iters_);
-        if (s1 != Status::Optimal)
-          return finish(sol, s1 == Status::Unbounded ? Status::Numerical : s1);
-        phase1_residual_ = objective_of(sf_.cost1);
-        if (phase1_residual_ > 10 * opt_.feas_tol * (1 + m_ * 0.01))
-          return finish(sol, Status::Infeasible);
+    if (start == WarmAdopt::kPhase1) {
+      // Phase 1 from the current basis: minimize the sum of the basic
+      // variables' bound violations until none is left.
+      Status s1;
+      const long iters_before = iters_;
+      {
+        trace::Span t("lp.phase1", met_.t_phase1);
+        s1 = optimize(cost1_, /*phase1=*/true);
       }
+      cost1_.clear();
+      sol.phase1_iterations = iters_ - iters_before;
+      met_.phase1_iterations.add(sol.phase1_iterations);
+      if (s1 != Status::Optimal) return finish(sol, s1);
+      phase1_residual_ = primal_infeasibility();
+      if (phase1_residual_ > 10 * opt_.feas_tol * (1 + m_ * 0.01))
+        return finish(sol, Status::Infeasible);
+    } else if (start == WarmAdopt::kFeasible && sf_.need_phase1) {
+      // The adopted basis represents a primal-feasible point, so phase 1
+      // has nothing to do: go straight to optimizing the true costs.
+      (adopting_crash_ ? met_.crash_phase1_skipped : met_.warm_phase1_skipped).add(1);
     }
-
-    // Phase 2: pin artificials at zero.
-    for (int j = 0; j < n_; ++j)
-      if (sf_.artificial[j]) sf_.up[j] = 0.0;
 
     Status s2;
     {
@@ -304,7 +290,7 @@ class RevisedSimplex {
       // and dual-feasible to tolerance; a single clean pass confirms
       // optimality. The anti-degeneracy perturbation would only pivot away
       // from the answer and back.
-      if (opt_.perturb && !dual_done) {
+      if (opt_.perturb && start != WarmAdopt::kDual) {
         // A clean pass with the true costs follows the perturbed one.
         s2 = optimize(perturbed_costs(), /*phase1=*/false);
         if (s2 == Status::Optimal) s2 = optimize(sf_.cost, false);
@@ -380,32 +366,26 @@ class RevisedSimplex {
   // ---- warm start ------------------------------------------------------
 
   // Nonbasic status a column falls back to when a warm basis cannot keep it
-  // where it was: the crash rule (bound nearest zero; free only when both
-  // bounds are infinite).
-  VarStatus default_nonbasic(int j) const {
-    const bool lo_fin = std::isfinite(sf_.lo[j]);
-    const bool up_fin = std::isfinite(sf_.up[j]);
-    if (lo_fin && up_fin)
-      return std::abs(sf_.lo[j]) <= std::abs(sf_.up[j]) ? kAtLower : kAtUpper;
-    if (lo_fin) return kAtLower;
-    if (up_fin) return kAtUpper;
-    return kFree;
+  // where it was: its start status (see standard_form.hpp).
+  VarStatus default_nonbasic(int j) const { return detail::start_status(sf_.lo[j], sf_.up[j]); }
+
+  // The all-logical start basis: every row's logical column basic, every
+  // structural at its start status.
+  void all_logical_basis() {
+    stat_.assign(static_cast<std::size_t>(n_), kBasic);
+    for (int j = 0; j < sf_.nstruct; ++j) stat_[j] = default_nonbasic(j);
+    basic_.resize(static_cast<std::size_t>(m_));
+    for (int i = 0; i < m_; ++i) basic_[i] = sf_.nstruct + i;
   }
 
-  void restore_crash_basis() {
-    stat_ = sf_.stat0;
-    basic_ = sf_.basis0;
-  }
-
-  // Outcome of adopting a warm basis. kFeasible: the basis is factorized and
-  // represents a primal-feasible point, so phase 1 can be skipped. kPhase1:
-  // the basis is factorized and every basic variable respects its phase-1
-  // bounds, but some basic artificial carries load — phase 1 must run, from
-  // this basis rather than the crash basis. kDual: the basis is factorized,
-  // dual-feasible, and primal-infeasible — the rhs-edit sweep case — so the
-  // dual simplex phase re-optimizes it (its adoption outcome stays staged
-  // until the dual verdict is in). kRejected: the crash basis was restored
-  // and the caller cold-starts.
+  // Outcome of adopting a basis, which is factorized unless rejected, and so
+  // how the solve starts. kFeasible: it represents a primal-feasible point,
+  // so phase 1 is skipped. kDual: a warm basis that is dual-feasible and
+  // primal-infeasible — the rhs-edit sweep case — so the dual simplex phase
+  // re-optimizes it (its adoption outcome stays staged until the dual
+  // verdict is in). kPhase1: any other basis; phase 1 starts from it, as it
+  // does from the all-logical one. kRejected: the basis is malformed or
+  // singular beyond repair, and the caller cold-starts.
   enum class WarmAdopt { kRejected, kFeasible, kPhase1, kDual };
 
   // Exactly-one-outcome bookkeeping for a basis adoption attempt, warm basis
@@ -413,8 +393,7 @@ class RevisedSimplex {
   // rejected, asserted by the property tests). begin_adoption() opens an
   // attempt; every path out of adoption calls commit_adoption() exactly
   // once. The dual route defers: apply_warm() stages patched-or-not in
-  // pending_patched_ and run_impl() commits after the dual phase decides
-  // whether the basis was kept.
+  // pending_patched_ and run_impl() commits after the dual phase.
   enum Outcome { kOutcomeAccepted, kOutcomeRepaired, kOutcomeRejected };
 
   void begin_adoption() {
@@ -443,17 +422,17 @@ class RevisedSimplex {
   }
 
   // Dual-feasibility screen for a freshly adopted basis: are the phase-2
-  // reduced costs sign-feasible? Artificial columns are skipped — the dual
-  // phase pins them to [0, 0], where any reduced cost is feasible — as are
-  // fixed columns. The tolerance is loose (10x opt_tol): the dual ratio test
-  // absorbs mildly wrong signs by taking their slightly negative ratio
-  // first, and the final clean primal pass re-checks optimality exactly.
+  // reduced costs sign-feasible? Fixed columns are skipped: any reduced
+  // cost is feasible there. The tolerance is loose (10x opt_tol): the dual
+  // ratio test absorbs mildly wrong signs by taking their slightly negative
+  // ratio first, and the final clean primal pass re-checks optimality
+  // exactly.
   bool dual_feasible() {
     priced_at_ = -1;
     reprice(sf_.cost, /*timed=*/false);
     const double tol = 10.0 * opt_.opt_tol;
     for (int j = 0; j < n_; ++j) {
-      if (stat_[j] == kBasic || sf_.artificial[j] || sf_.lo[j] == sf_.up[j]) continue;
+      if (stat_[j] == kBasic || sf_.lo[j] == sf_.up[j]) continue;
       const double d = d_[j];
       if (stat_[j] == kAtLower) {
         if (d < -tol) return false;
@@ -466,14 +445,39 @@ class RevisedSimplex {
     return true;
   }
 
+  bool primal_feasible() const {
+    for (int i = 0; i < m_; ++i) {
+      const int j = basic_[i];
+      if (xb_[i] < sf_.lo[j] - opt_.feas_tol || xb_[i] > sf_.up[j] + opt_.feas_tol) return false;
+    }
+    return true;
+  }
+
+  // Factorize the basis; when it is singular, put the logical column of
+  // each row the factorization left without a pivot at an unpivotable
+  // position, demoting the occupant to its start status, and try once more.
+  // Sets `patched` when it patches.
+  bool factor_basis(bool& patched) {
+    if (refactorize()) return true;
+    patched = true;
+    const std::vector<int>& positions = factor_.deficient_positions();
+    const std::vector<int>& rows = factor_.deficient_rows();
+    for (std::size_t k = 0; k < positions.size(); ++k) {
+      const int i = positions[k], logical = sf_.nstruct + rows[k];
+      if (stat_[logical] == kBasic) return false;  // cannot happen in exact arithmetic
+      stat_[basic_[i]] = default_nonbasic(basic_[i]);
+      basic_[i] = logical;
+      stat_[logical] = kBasic;
+    }
+    return refactorize();
+  }
+
   // Install a caller-supplied basis, repairing what can be repaired:
-  // out-of-range statuses are re-derived and singular positions are patched
-  // back to their rows' crash columns. The factorized basis is then
-  // classified once: primal-feasible (kFeasible); a warm basis that is
-  // dual-feasible (kDual); infeasible only through load on basic
-  // artificials, which is phase 1's own work (kPhase1); or rejected, since
-  // out-of-bound basic variables are something phase 1's artificial
-  // framework cannot express.
+  // out-of-range statuses are re-derived and singular positions are
+  // repaired (see factor_basis()). The factorized basis is then classified
+  // once: primal-feasible (kFeasible); a warm basis that is dual-feasible
+  // (kDual); or any other, which phase 1 starts from (kPhase1). Only a
+  // malformed basis, or a singular one beyond repair, is rejected.
   WarmAdopt apply_warm(const Basis& warm) {
     begin_adoption();
     if (static_cast<int>(warm.basic.size()) != m_ ||
@@ -485,50 +489,37 @@ class RevisedSimplex {
 
     // Sanitize statuses against this model's bounds: a stale basis may pin a
     // column to a bound that no longer exists (or encode an out-of-range
-    // status byte). Nonbasic artificials always come back at zero — a prior
-    // solve leaves them against a pinned upper bound of 0, which this fresh
-    // standard form does not have yet, so kAtUpper would mean a nonzero
-    // artificial.
+    // status byte).
     std::vector<VarStatus> stat(static_cast<std::size_t>(n_));
     for (int j = 0; j < n_; ++j) {
-      VarStatus s;
-      if (warm.stat[j] > static_cast<std::uint8_t>(kFree)) {
+      VarStatus s = static_cast<VarStatus>(warm.stat[j]);
+      if (warm.stat[j] > static_cast<std::uint8_t>(kFree) ||
+          (s == kAtLower && !std::isfinite(sf_.lo[j])) ||
+          (s == kAtUpper && !std::isfinite(sf_.up[j])) ||
+          (s == kFree && (std::isfinite(sf_.lo[j]) || std::isfinite(sf_.up[j])))) {
         s = default_nonbasic(j);
         patched = true;
-      } else {
-        s = static_cast<VarStatus>(warm.stat[j]);
-      }
-      if (s != kBasic) {
-        if (sf_.artificial[j]) {
-          s = kAtLower;
-        } else if ((s == kAtLower && !std::isfinite(sf_.lo[j])) ||
-                   (s == kAtUpper && !std::isfinite(sf_.up[j])) ||
-                   (s == kFree &&
-                    (std::isfinite(sf_.lo[j]) || std::isfinite(sf_.up[j])))) {
-          s = default_nonbasic(j);
-          patched = true;
-        }
       }
       stat[j] = s;
     }
 
     // Validate the basic list: in range, duplicate-free, consistent with the
     // statuses (the basic list wins; stray kBasic statuses are demoted).
-    std::vector<int> pos(static_cast<std::size_t>(n_), -1);
+    std::vector<char> in_list(static_cast<std::size_t>(n_), 0);
     for (int i = 0; i < m_; ++i) {
       const int b = warm.basic[i];
-      if (b < 0 || b >= n_ || pos[b] != -1) {
+      if (b < 0 || b >= n_ || in_list[b]) {
         commit_adoption(kOutcomeRejected);
         return WarmAdopt::kRejected;
       }
-      pos[b] = i;
+      in_list[b] = 1;
       if (stat[b] != kBasic) {
         stat[b] = kBasic;
         patched = true;
       }
     }
     for (int j = 0; j < n_; ++j) {
-      if (stat[j] == kBasic && pos[j] == -1) {
+      if (stat[j] == kBasic && !in_list[j]) {
         stat[j] = default_nonbasic(j);
         patched = true;
       }
@@ -536,62 +527,18 @@ class RevisedSimplex {
 
     stat_ = std::move(stat);
     basic_ = warm.basic;
-
-    if (!refactorize()) {
-      // Singular: patch each unpivotable position back to its crash-basis
-      // column (the row's slack or artificial), demoting the current
-      // occupant to its crash-rule bound, and try once more. A position that
-      // already holds its crash column, or whose crash column is basic
-      // elsewhere, is beyond cheap repair.
-      patched = true;
-      bool repairable = true;
-      for (int i : factor_.deficient_positions()) {
-        const int crash = sf_.basis0[i];
-        if (basic_[i] == crash || pos[crash] != -1) {
-          repairable = false;
-          break;
-        }
-        const int out = basic_[i];
-        stat_[out] = default_nonbasic(out);
-        pos[out] = -1;
-        basic_[i] = crash;
-        stat_[crash] = kBasic;
-        pos[crash] = i;
-      }
-      if (!repairable || !refactorize()) {
-        restore_crash_basis();
-        commit_adoption(kOutcomeRejected);
-        return WarmAdopt::kRejected;
-      }
+    if (!factor_basis(patched)) {
+      commit_adoption(kOutcomeRejected);
+      return WarmAdopt::kRejected;
     }
-
-    // Primal-feasibility classification of the basic values.
-    bool out_of_bounds = false;
-    bool artificial_load = false;
-    for (int i = 0; i < m_ && !out_of_bounds; ++i) {
-      const int j = basic_[i];
-      if (sf_.artificial[j]) {
-        // Build-time artificial bounds are [0, inf); the sign of the
-        // residual is folded into the column, so negative load is a bound
-        // violation while positive load is phase-1 work (unless this model
-        // never runs phase 1, in which case it is a violation too).
-        if (xb_[i] < -opt_.feas_tol || (xb_[i] > opt_.feas_tol && !sf_.need_phase1)) {
-          out_of_bounds = true;
-        } else if (xb_[i] > opt_.feas_tol) {
-          artificial_load = true;
-        }
-      } else if (xb_[i] < sf_.lo[j] - opt_.feas_tol || xb_[i] > sf_.up[j] + opt_.feas_tol) {
-        out_of_bounds = true;
-      }
-    }
-    if (!out_of_bounds && !artificial_load) {
+    if (primal_feasible()) {
       commit_adoption(patched ? kOutcomeRepaired : kOutcomeAccepted);
       return WarmAdopt::kFeasible;
     }
-    // Dual screen: a warm basis an rhs edit left primal-infeasible — out-of-
-    // bound basics or artificial load — but dual-feasible goes to the dual
-    // phase. Its adoption outcome stays staged until the dual verdict is in.
-    // Crash bases never take this route.
+    // Dual screen: a warm basis an rhs edit left primal-infeasible but
+    // dual-feasible goes to the dual phase. Its adoption outcome stays
+    // staged until the dual verdict is in. Crash bases never take this
+    // route.
     if (!adopting_crash_) {
       if (dual_feasible()) {
         pending_patched_ = patched;
@@ -607,13 +554,8 @@ class RevisedSimplex {
       }
       met_.dual_infeasible_bases.add(1);
     }
-    if (!out_of_bounds) {
-      commit_adoption(patched ? kOutcomeRepaired : kOutcomeAccepted);
-      return WarmAdopt::kPhase1;
-    }
-    restore_crash_basis();
-    commit_adoption(kOutcomeRejected);
-    return WarmAdopt::kRejected;
+    commit_adoption(patched ? kOutcomeRepaired : kOutcomeAccepted);
+    return WarmAdopt::kPhase1;
   }
 
   // ---- run-control accounting -----------------------------------------
@@ -678,9 +620,10 @@ class RevisedSimplex {
   bool priceable(int j) const { return stat_[j] != kBasic && sf_.lo[j] != sf_.up[j]; }
 
   // Loop entry: split each row of a_rows_ into priceable columns and the
-  // rest, and read each position's bounds into blo_/bup_. swap_in() keeps
-  // both up to date within the loop; between loops the basis may be rebuilt
-  // and the artificials' bounds change.
+  // rest, and read each position's bounds into blo_/bup_. swap_in() (and in
+  // phase 1 mark_infeasible()) keeps both up to date within the loop;
+  // between loops the basis may be replaced or repaired, and phase 1's
+  // bounds give way to the columns'.
   void sync_pivot_state() {
     for (int i = 0; i < m_; ++i) {
       blo_[i] = sf_.lo[basic_[i]];
@@ -705,7 +648,7 @@ class RevisedSimplex {
     blo_[r] = sf_.lo[q];
     bup_[r] = sf_.up[q];
     if (auto* o = detail::pivot_observer()) {
-      o->after_pivot({a_, dse_, stat_, basic_, sf_.lo, sf_.up, blo_, bup_, a_rows_});
+      o->after_pivot({a_, dse_, cost1_, stat_, basic_, sf_.lo, sf_.up, blo_, bup_, a_rows_});
     }
   }
 
@@ -832,16 +775,15 @@ class RevisedSimplex {
     return obj;
   }
 
-  // Worst basic bound violation (0 when primal-feasible). Telemetry only —
-  // runs on sampled iterations, never in the pivot path.
+  // Sum of the basic bound violations (0 when primal-feasible): phase 1's
+  // residual, and a sampled telemetry track; never in the pivot path.
   double primal_infeasibility() const {
-    double worst = 0.0;
+    double sum = 0.0;
     for (int i = 0; i < m_; ++i) {
       const int j = basic_[i];
-      if (std::isfinite(sf_.lo[j])) worst = std::max(worst, sf_.lo[j] - xb_[i]);
-      if (std::isfinite(sf_.up[j])) worst = std::max(worst, xb_[i] - sf_.up[j]);
+      sum += std::max({sf_.lo[j] - xb_[i], xb_[i] - sf_.up[j], 0.0});
     }
-    return worst;
+    return sum;
   }
 
   // The convergence counters both optimize loops sample; lp.iteration and
@@ -881,6 +823,7 @@ class RevisedSimplex {
     devex_.assign(n_, 1.0);
     priced_at_ = -1;  // a new cost vector: the first iteration reprices
     sync_pivot_state();
+    if (phase1) cost1_.assign(n_, 0.0);
 
     // Record the final degenerate run when leaving the loop.
     const auto flush_degenerate_run = [&] {
@@ -889,6 +832,12 @@ class RevisedSimplex {
     };
 
     for (;;) {
+      // Phase 1 (whose `cost` is cost1_) is done once no basic violates a
+      // bound.
+      if (phase1 && mark_infeasible() == 0) {
+        flush_degenerate_run();
+        return Status::Optimal;
+      }
       if (++iters_ > max_iters_) {
         flush_degenerate_run();
         return Status::IterationLimit;
@@ -1037,12 +986,44 @@ class RevisedSimplex {
       }
 
       // ---- update ----
+      // The leaving basic lands on the bound its position blocked at: in
+      // phase 1, a marked one on the bound it violated.
       const int leaving = basic_[leave];
-      swap_in(q, leave, dir * w[leave] > 0 ? kAtLower : kAtUpper, t_step * dir, w);
+      const VarStatus out = dir * w[leave] > 0
+                                ? (blo_[leave] == sf_.lo[leaving] ? kAtLower : kAtUpper)
+                                : (bup_[leave] == sf_.up[leaving] ? kAtUpper : kAtLower);
+      swap_in(q, leave, out, t_step * dir, w);
+      if (phase1) {  // its phase-1 cost drops to 0, and so its price
+        d_[leaving] -= cost1_[leaving];
+        cost1_[leaving] = 0.0;
+      }
       update_attractive(q);
       update_attractive(leaving);
       if (!factor_.replace(leave, w[leave]) && !refactorize()) return Status::Numerical;
     }
+  }
+
+  // Phase 1's costs, by Wolfe's composite rule: +1 on a basic above its
+  // upper bound, -1 on one below its lower bound, 0 on every other column.
+  // A marked position may move only back toward the bound it violates, so
+  // the ratio test sees [up, inf) or (-inf, lo] there. A still-basic
+  // position whose mark changes voids the carried prices. Returns the number
+  // of marked positions.
+  int mark_infeasible() {
+    int marked = 0;
+    for (int i = 0; i < m_; ++i) {
+      const int j = basic_[i];
+      const double c = xb_[i] > sf_.up[j] + opt_.feas_tol   ? 1.0
+                       : xb_[i] < sf_.lo[j] - opt_.feas_tol ? -1.0
+                                                            : 0.0;
+      if (c != 0.0) ++marked;
+      if (c == cost1_[j]) continue;
+      cost1_[j] = c;
+      blo_[i] = c > 0.0 ? sf_.up[j] : c < 0.0 ? -kInf : sf_.lo[j];
+      bup_[i] = c > 0.0 ? kInf : c < 0.0 ? sf_.lo[j] : sf_.up[j];
+      priced_at_ = -1;
+    }
+    return marked;
   }
 
   // ---- dual simplex phase ---------------------------------------------
@@ -1329,6 +1310,7 @@ class RevisedSimplex {
   std::vector<double> xb_;
   std::vector<double> devex_;
   std::vector<double> dse_;  // dual steepest-edge weights (optimize_dual)
+  std::vector<double> cost1_;  // phase-1 costs (see mark_infeasible()); empty outside it
   std::vector<double> d_;    // reduced costs (see reprice())
   int priced_at_ = -1;       // refactor_count_ at the last reprice(); -1: none
   // Per-solve scratch, sized once so FTRAN/BTRAN allocate nothing per pivot.

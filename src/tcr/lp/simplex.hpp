@@ -1,6 +1,12 @@
 // Sparse revised simplex — the production LP solver of the library.
 //
-// Two-phase bounded-variable primal simplex:
+// Two-phase bounded-variable primal simplex over a standard form with one
+// logical column per row (lp/standard_form.hpp):
+//   * phase 1 runs from whatever basis the solve holds and minimizes the sum
+//     of the basic variables' bound violations (Wolfe's composite rule,
+//     Maros, Computational Techniques of the Simplex Method, 2003, ch. 9):
+//     a basic above its upper bound costs +1 and may fall only to that
+//     bound, one below its lower bound costs -1 and may rise only to it;
 //   * basis kept as a sparse Markowitz LU, changed at each pivot by a
 //     Forrest–Tomlin update; one refactorization policy, owned by
 //     lp::BasisFactor (lp/basis_factor.hpp), decides when to rebuild it;
@@ -46,8 +52,10 @@
 //     weights instead.
 //
 // A cold solve can start from a caller's crash basis instead of the
-// all-slack one, adopted like a warm basis; the primal-feasible one
-// lp::crash_from_point() (lp/crossover.hpp) builds skips phase 1.
+// all-logical one, adopted like a warm basis; the primal-feasible one
+// lp::crash_from_point() (lp/crossover.hpp) builds skips phase 1. No path
+// returns to the all-logical basis once another has been adopted: when the
+// dual phase gives up, phase 1 starts from the basis it ended on.
 //
 // Numerical breakdowns and failed certificates go through a three-stage
 // recovery ladder (reseed, careful, dense); see solve().
@@ -103,20 +111,23 @@ struct SimplexOptions {
 /// `warm` optionally supplies a starting basis (typically the previous
 /// Solution::basis of a near-identical model in a sweep). The basis is
 /// validated against the model's standard form: a dimension-mismatched or
-/// inconsistent basis is rejected (cold start), and a singular one is
-/// repaired by patching the unpivotable positions back to the crash basis.
-/// The factorized basis is then classified once: one whose point is
+/// inconsistent basis is rejected (cold start from the all-logical basis),
+/// and a singular one is repaired by putting the logical columns of the rows
+/// the factorization left without a pivot at the unpivotable positions
+/// (rejected when that fails). The
+/// factorized basis is then classified once: one whose point is
 /// primal-feasible skips phase 1 entirely; a primal-infeasible one that is
-/// still dual-feasible is re-optimized by the dual simplex phase; one whose
-/// only infeasibility is load on basic artificials runs phase 1 from that
-/// basis; any other is rejected. Every adoption attempt increments exactly
-/// one of the lp.warmstart.{accepted,repaired,rejected} obs counters
+/// still dual-feasible is re-optimized by the dual simplex phase; any other
+/// runs phase 1 from itself. When the dual phase gives up, its last basis
+/// goes through the same singular-position repair and phase 1 runs from it.
+/// Every adoption attempt increments exactly one of the
+/// lp.warmstart.{accepted,repaired,rejected} obs counters
 /// (lp.warmstart.attempts counts them all). The reseed and careful recovery
 /// stages restart from the failed attempt's exported basis rather than from
 /// scratch.
 ///
 /// `crash` optionally supplies the basis a cold solve starts from in place
-/// of the all-slack crash, used when no warm basis is adopted. It goes
+/// of the all-logical one, used when no warm basis is adopted. It goes
 /// through the same validation/repair machinery (never the dual phase),
 /// counted under lp.crash.*. The basis lp::crash_from_point() builds from a
 /// feasible point is primal-feasible, so it skips phase 1.

@@ -3,11 +3,14 @@
 //
 //   minimize c'x  s.t.  A x = b,  lo <= x <= up
 //
-// Columns are [structural | slack/surplus | artificial]. Slacks are added for
-// LE/GE rows; artificial columns only for rows whose slack cannot start
-// basic-feasible given the deterministic initial nonbasic point (structurals
-// at the bound nearest zero, free variables at zero). The initial basis is
-// recorded so both solvers start identically.
+// Columns are [structural | logical], with exactly one logical column per
+// row, in row order: column nstruct + i is row i's. An LE row's logical is
+// its slack (+1) and a GE row's its surplus (-1), both on [0, inf); an EQ
+// row's is fixed at [0, 0], with the sign that makes it nonnegative at the
+// start point. Both solvers start from the all-logical basis, with every
+// structural at its start status (the bound nearest zero, free columns at
+// zero); when that point violates a row, the row's logical starts out of
+// bounds and phase 1 runs.
 #pragma once
 
 #include <cmath>
@@ -20,26 +23,33 @@ namespace tcr::lp::detail {
 
 enum VarStatus : std::uint8_t { kBasic = 0, kAtLower = 1, kAtUpper = 2, kFree = 3 };
 
+/// The nonbasic status a column starts at: the bound nearest zero, or free
+/// at zero when both bounds are infinite.
+inline VarStatus start_status(double lo, double up) {
+  if (std::isfinite(lo) && std::isfinite(up))
+    return std::abs(lo) <= std::abs(up) ? kAtLower : kAtUpper;
+  if (std::isfinite(lo)) return kAtLower;
+  if (std::isfinite(up)) return kAtUpper;
+  return kFree;
+}
+
 struct StandardForm {
   int m = 0;        // rows
   int nstruct = 0;  // structural columns
-  int ntotal = 0;   // structural + slack + artificial
+  int ntotal = 0;   // structural + logical (nstruct + m)
   std::vector<Triplet> triplets;
   std::vector<double> lo, up;
   std::vector<double> cost;    // phase-2 costs (negated when maximizing)
-  std::vector<double> cost1;   // phase-1 costs (1 on artificials)
   std::vector<double> b;
-  std::vector<int> basis0;     // initial basic column per row
-  std::vector<VarStatus> stat0;
-  std::vector<char> artificial;  // per column
   bool maximize = false;
-  bool need_phase1 = false;
+  bool need_phase1 = false;    // the all-logical start basis is infeasible
 };
 
 inline StandardForm build_standard_form(const Model& model) {
   StandardForm sf;
   sf.m = model.num_rows();
   sf.nstruct = model.num_cols();
+  sf.ntotal = sf.nstruct + sf.m;
   sf.maximize = model.sense() == Sense::Maximize;
 
   const double sign = sf.maximize ? -1.0 : 1.0;
@@ -52,71 +62,26 @@ inline StandardForm build_standard_form(const Model& model) {
   sf.b.resize(static_cast<std::size_t>(sf.m));
   for (int i = 0; i < sf.m; ++i) sf.b[i] = model.rhs(i);
 
-  // Initial nonbasic point: bound nearest zero, or zero for free columns.
+  // Row residual at the start point.
   std::vector<double> x0(static_cast<std::size_t>(sf.nstruct), 0.0);
-  sf.stat0.assign(static_cast<std::size_t>(sf.nstruct), kFree);
   for (int j = 0; j < sf.nstruct; ++j) {
-    const double lo = sf.lo[j], up = sf.up[j];
-    if (std::isfinite(lo) && std::isfinite(up)) {
-      if (std::abs(lo) <= std::abs(up)) {
-        x0[j] = lo;
-        sf.stat0[j] = kAtLower;
-      } else {
-        x0[j] = up;
-        sf.stat0[j] = kAtUpper;
-      }
-    } else if (std::isfinite(lo)) {
-      x0[j] = lo;
-      sf.stat0[j] = kAtLower;
-    } else if (std::isfinite(up)) {
-      x0[j] = up;
-      sf.stat0[j] = kAtUpper;
-    }
+    const VarStatus s = start_status(sf.lo[j], sf.up[j]);
+    if (s != kFree) x0[j] = s == kAtLower ? sf.lo[j] : sf.up[j];
   }
-
-  // Row activity at the initial point.
   std::vector<double> r = sf.b;
   for (const auto& t : sf.triplets) r[t.row] -= t.value * x0[t.col];
 
-  sf.basis0.assign(static_cast<std::size_t>(sf.m), -1);
-  std::vector<int> art_cols;
-  auto add_aux_col = [&](int row, double coeff, double lo, double up, bool art) {
-    sf.lo.push_back(lo);
-    sf.up.push_back(up);
-    sf.cost.push_back(0.0);
-    const int col = static_cast<int>(sf.lo.size()) - 1;
-    sf.triplets.push_back({row, col, coeff});
-    if (art) art_cols.push_back(col);
-    return col;
-  };
-
   for (int i = 0; i < sf.m; ++i) {
     const RowType type = model.row_type(i);
-    int slack = -1;
-    if (type == RowType::LE) slack = add_aux_col(i, 1.0, 0.0, kInf, false);
-    if (type == RowType::GE) slack = add_aux_col(i, -1.0, 0.0, kInf, false);
-
-    const bool slack_feasible =
-        (type == RowType::LE && r[i] >= 0.0) || (type == RowType::GE && r[i] <= 0.0);
-    if (slack_feasible) {
-      sf.basis0[i] = slack;
-      sf.stat0.push_back(kBasic);
-    } else {
-      if (slack >= 0) sf.stat0.push_back(kAtLower);
-      const double s = (r[i] >= 0.0) ? 1.0 : -1.0;
-      const int art = add_aux_col(i, s, 0.0, kInf, true);
-      sf.basis0[i] = art;
-      sf.stat0.push_back(kBasic);
-      if (std::abs(r[i]) > 0.0) sf.need_phase1 = true;
-    }
-  }
-
-  sf.ntotal = static_cast<int>(sf.lo.size());
-  sf.artificial.assign(static_cast<std::size_t>(sf.ntotal), 0);
-  sf.cost1.assign(static_cast<std::size_t>(sf.ntotal), 0.0);
-  for (int j : art_cols) {
-    sf.artificial[j] = 1;
-    sf.cost1[j] = 1.0;
+    const double coeff = type == RowType::LE   ? 1.0
+                         : type == RowType::GE ? -1.0
+                         : r[i] >= 0.0         ? 1.0
+                                               : -1.0;
+    sf.lo.push_back(0.0);
+    sf.up.push_back(type == RowType::EQ ? 0.0 : kInf);
+    sf.cost.push_back(0.0);
+    sf.triplets.push_back({i, sf.nstruct + i, coeff});
+    if (r[i] * coeff < 0.0 || (type == RowType::EQ && r[i] != 0.0)) sf.need_phase1 = true;
   }
   return sf;
 }

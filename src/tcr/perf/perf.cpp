@@ -6,7 +6,6 @@
 #include <mutex>
 #include <sstream>
 
-#include "tcr/trace/tracer.hpp"
 #include "tcr/util/stopwatch.hpp"
 
 #if defined(__linux__)
@@ -268,18 +267,6 @@ obs::Json Sample::to_json() const {
       .set("alloc_count", alloc_count)
       .set("alloc_bytes", alloc_bytes);
   return j;
-}
-
-SpanSample::~SpanSample() {
-  if (!sampler_.active()) return;
-  const Sample s = sampler_.sample();
-  span_->attr("perf.source", s.source);
-  span_->attr("perf.cpu_ns", s.cpu_ns);
-  if (s.cycles >= 0) span_->attr("perf.cycles", s.cycles);
-  if (s.instructions >= 0) span_->attr("perf.instructions", s.instructions);
-  if (s.cache_misses >= 0) span_->attr("perf.cache_misses", s.cache_misses);
-  span_->attr("perf.alloc_count", s.alloc_count);
-  span_->attr("perf.alloc_bytes", s.alloc_bytes);
 }
 
 }  // namespace tcr::perf

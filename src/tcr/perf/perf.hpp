@@ -5,8 +5,8 @@
 // counts, not just wall-clock. Model, in order of importance:
 //
 //   * near-zero cost when nobody is looking: collecting() is one relaxed
-//     atomic load, so a SpanSample at a disabled call site costs one branch
-//     (pinned by BM_PerfSpanSampleDisabled and CI's overhead-ratio guard);
+//     atomic load, so a PhaseSampler at a disabled call site costs one
+//     branch;
 //   * graceful degradation: start() tries a perf_event_open counter set
 //     (cycles, instructions, cache-misses, branch-misses; user-space only,
 //     inherited by threads spawned afterwards). Containers and CI runners
@@ -22,8 +22,7 @@
 //     inline atomics here so the hook stays link-optional.
 //
 // Consumers: bench::JsonOutput (--perf flag) attaches a per-point `perf`
-// block to the schema-v1 records, SpanSample attaches counter attrs to
-// sweep.point trace spans, and tools/tcr_perf.cpp turns the recorded blocks
+// block to the schema-v1 records, and tools/tcr_perf.cpp turns the recorded blocks
 // into an append-only BENCH_history store with regression gating
 // (perf/history.hpp).
 #pragma once
@@ -34,10 +33,6 @@
 #include <string>
 
 #include "tcr/obs/json.hpp"
-
-namespace tcr::trace {
-class Span;
-}
 
 namespace tcr::perf {
 
@@ -169,23 +164,6 @@ class PhaseSampler {
   };
   bool active_ = false;
   Baseline base_;
-};
-
-/// RAII adapter attaching one phase's counters to an existing trace::Span
-/// as `perf.*` attributes (perf.cpu_ns, perf.cycles, ...). One relaxed load
-/// and branch when collecting() is off; attrs are dropped silently when the
-/// span itself is untraced (Span::attr no-ops). Used on the sweep.point
-/// spans in core/tradeoff.cpp.
-class SpanSample {
- public:
-  explicit SpanSample(trace::Span& span) : span_(&span) {}
-  SpanSample(const SpanSample&) = delete;
-  SpanSample& operator=(const SpanSample&) = delete;
-  ~SpanSample();
-
- private:
-  trace::Span* span_;
-  PhaseSampler sampler_;  // inert (one branch) unless collecting()
 };
 
 }  // namespace tcr::perf

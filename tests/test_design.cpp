@@ -237,11 +237,9 @@ TEST(FlowCrash, HintsAreWellFormedAndCached) {
 // point is feasible, and every cold solve adopts its crash basis as feasible
 // and runs no phase 1. Adoption is decided before the first pivot, so at
 // k = 8 one iteration shows it. At k = 4 and 6 the solves run to a
-// certified optimum equal to the all-slack start's: the crash trades
+// certified optimum equal to the all-logical start's: the crash trades
 // iterations, never optima. The locality objective's worst-case cap is
-// loose enough for its DOR start point. LP (15) at k = 6 has no all-slack
-// reference: from the all-slack start its L = 1 point runs about 100 s and
-// ends with a failed certificate (the degeneracy stall ROADMAP.md tracks).
+// loose enough for its DOR start point.
 class StartPoint : public ::testing::TestWithParam<std::tuple<int, DesignObjective>> {};
 
 TEST_P(StartPoint, IsFeasibleAndSkipsPhase1) {
@@ -274,7 +272,6 @@ TEST_P(StartPoint, IsFeasibleAndSkipsPhase1) {
     if (k == 8) continue;
     ASSERT_EQ(sol.status, lp::Status::Optimal) << sol.note;
     EXPECT_TRUE(sol.certificate.ok()) << sol.certificate.summary();
-    if (k == 6 && objective == DesignObjective::AverageCase) continue;
     const lp::Solution ref = lp::solve(design.model(), opts);
     ASSERT_EQ(ref.status, lp::Status::Optimal) << ref.note;
     EXPECT_TRUE(ref.certificate.ok()) << ref.certificate.summary();
@@ -321,7 +318,7 @@ TEST(FlowCrash, StartRoutingMatchesTheBound) {
 }
 
 // A start point that breaks a cap yields no crash basis: the solve takes
-// the all-slack start and lands on the same optimum, in the same
+// the all-logical start and lands on the same optimum, in the same
 // iterations, as a direct solve with no crash. Here the locality objective
 // starts at DOR, whose worst case is far above a cap just over the
 // worst-case optimum.

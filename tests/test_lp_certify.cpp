@@ -2,6 +2,8 @@
 // problems certify in both senses and every kind of corruption is rejected.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <initializer_list>
 #include <limits>
 
 #include "tcr/lp/certify.hpp"
@@ -171,6 +173,37 @@ TEST(Certify, DenseSolverSolutionsAlsoCertify) {
     EXPECT_TRUE(cert.ok()) << "trial " << trial << ": " << cert.summary();
   }
   EXPECT_GT(certified, 5);
+}
+
+// A certificate does not depend on the order a row's terms were added in:
+// each row sums in column order. At x = (1e16, 1, -1e16) the terms of
+// x0 + x1 + x2 sum to 0 in the order 0, 1, 2 and to 1 in the order 0, 2, 1.
+TEST(Certify, RowTermOrderLeavesTheCertificateBitIdentical) {
+  const auto build = [](std::initializer_list<int> order) {
+    Model m;
+    for (int j = 0; j < 3; ++j) m.add_col(-kInf, kInf, 1.0);
+    const int row = m.add_row(RowType::EQ, 1.0);
+    for (const int j : order) m.add_term(row, j, 1.0);
+    return m;
+  };
+  Solution sol;
+  sol.status = Status::Optimal;
+  sol.objective = 1.0;
+  sol.x = {1e16, 1.0, -1e16};
+  sol.duals = {1.0};
+  sol.reduced = {0.0, 0.0, 0.0};
+  const Certificate a = certify(build({0, 1, 2}), sol);
+  const Certificate b = certify(build({0, 2, 1}), sol);
+  EXPECT_EQ(a.pass, b.pass);
+  EXPECT_EQ(a.reason, b.reason);
+  for (const auto field :
+       {&Certificate::primal_residual, &Certificate::bound_violation,
+        &Certificate::objective_residual, &Certificate::dual_residual,
+        &Certificate::dual_violation, &Certificate::row_dual_violation,
+        &Certificate::complementarity, &Certificate::duality_gap}) {
+    EXPECT_EQ(std::memcmp(&(a.*field), &(b.*field), sizeof(double)), 0)
+        << a.*field << " vs " << b.*field;
+  }
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // small LPs whose known feasible point lies strictly inside most bounds —
 // more such columns than rows, so it is not a vertex, some columns
 // duplicated so that the crossover must move along null directions, and
-// some rows whose crash column is the artificial while x leaves the slack
-// off zero — the basis must be adopted as primal-feasible (no phase 1) and
+// some inequalities that the start point violates while x leaves their
+// slack off zero — the basis must be adopted as primal-feasible (no phase 1) and
 // the solve must reach the dense oracle's optimum. With more such columns
 // than rows, every trial moves the point. Infeasible points must yield no
 // basis.
@@ -24,18 +24,17 @@ namespace {
 struct PointLp {
   Model model;
   std::vector<double> x;  // feasible, strictly inside most bounds
-  int artificial_rows = 0;  // inequalities whose crash column is the artificial
+  int violated_rows = 0;  // inequalities the start point violates
 };
 
 // Columns: most in [0, up] with x inside, some free (cost 0, so the LP
 // stays bounded), some in [0, inf) with a cost that cannot run away, and a
-// few copies of earlier columns; every column's crash value is zero. Rows
-// are EQ (the artificial is the crash column), or inequalities. Most
-// inequalities take the sign of their activity at x, LE above it or GE
-// below it, so the slack is the crash column; a third of those are tight at
-// x. The others put the rhs strictly between 0 and the activity at x, so the
-// crash point violates them: the artificial is their crash column and the
-// slack is nonzero at x.
+// few copies of earlier columns; every column's start value is zero. Rows
+// are EQ, or inequalities. Most inequalities take the sign of their
+// activity at x, LE above it or GE below it, so the start point satisfies
+// them; a third of those are tight at x. The others put the rhs strictly
+// between 0 and the activity at x, so the start point violates them (their
+// logical starts out of bounds) and their slack is nonzero at x.
 PointLp random_point_lp(Rng& rng, int m, int n) {
   PointLp lp;
   const bool maximize = rng.below(3) == 0;
@@ -86,7 +85,7 @@ PointLp random_point_lp(Rng& rng, int m, int n) {
       lp.model.add_row(RowType::EQ, act, row);
     } else if (kind == 1 && act != 0.0) {
       lp.model.add_row(act > 0.0 ? RowType::GE : RowType::LE, act * rng.uniform(0.2, 0.8), row);
-      ++lp.artificial_rows;
+      ++lp.violated_rows;
     } else if (act >= 0.0) {
       lp.model.add_row(RowType::LE, act + slack, row);
     } else {
@@ -98,14 +97,14 @@ PointLp random_point_lp(Rng& rng, int m, int n) {
 
 TEST(Crossover, RandomPointsReachTheOracleOptimumWithoutPhase1) {
   Rng rng(2026);
-  int solved = 0, far = 0, with_artificial = 0;
+  int solved = 0, far = 0, with_violated = 0;
   for (int trial = 0; trial < 60; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     const int m = 3 + static_cast<int>(rng.below(10));
     const int n = m + 2 + static_cast<int>(rng.below(static_cast<std::uint64_t>(m + 5)));
     const PointLp lp = random_point_lp(rng, m, n);
     ASSERT_LE(lp.model.max_violation(lp.x), 1e-9);
-    with_artificial += lp.artificial_rows > 0;
+    with_violated += lp.violated_rows > 0;
 
     const Basis crash = crash_from_point(lp.model, lp.x);
     ASSERT_EQ(static_cast<int>(crash.basic.size()), m);
@@ -124,7 +123,7 @@ TEST(Crossover, RandomPointsReachTheOracleOptimumWithoutPhase1) {
   }
   EXPECT_GE(solved, 50);
   EXPECT_GE(far, 5);  // some columns stop at the bound farther from zero
-  EXPECT_GE(with_artificial, 30);
+  EXPECT_GE(with_violated, 30);
 }
 
 // Two copies of one column, both strictly inside their bounds: they cannot

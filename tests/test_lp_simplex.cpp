@@ -166,6 +166,44 @@ TEST(RevisedSimplex, CarriedPricesStayCloseToFreshOnes) {
   EXPECT_LT(drift.max(), 1e-9);
 }
 
+// Phase 1 runs from whatever basis the solve holds. Each random LP is
+// solved, then every rhs is moved and every cost negated, and the LP is
+// solved again from the first solve's basis: its point now violates LE, GE
+// and EQ rows alike, it is usually dual infeasible, and some of the edited
+// LPs are infeasible. The basis must be adopted, never rejected, and the
+// verdict and optimum must match the dense oracle's cold solve.
+TEST(RevisedSimplex, PhaseOneFromAnyBasisAgreesWithOracle) {
+  Rng rng(4711);
+  int optimal_seen = 0, infeasible_seen = 0, phase1_from_basis = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    const int rows = 1 + static_cast<int>(rng.below(12));
+    const int cols = 1 + static_cast<int>(rng.below(14));
+    Model m = random_model(rng, rows, cols);
+    SimplexOptions opt;
+    opt.seed = 3000 + trial;
+    const Basis start = solve(m, opt).basis;
+    for (int i = 0; i < m.num_rows(); ++i) m.set_rhs(i, m.rhs(i) + rng.uniform(-3, 3));
+    for (int j = 0; j < m.num_cols(); ++j) m.set_cost(j, -m.cost(j));
+
+    const auto ref = solve_dense(m);
+    const auto sol = solve(m, opt, &start);
+    EXPECT_NE(sol.warm_start, "rejected") << "trial " << trial;
+    if (sol.phase1_iterations > 0 && sol.dual_iterations == 0) ++phase1_from_basis;
+    ASSERT_EQ(sol.status, ref.status) << "trial " << trial << ": " << sol.note;
+    if (ref.status == Status::Optimal) {
+      ++optimal_seen;
+      ASSERT_NEAR(sol.objective, ref.objective, 1e-5 * (1 + std::abs(ref.objective)))
+          << "trial " << trial;
+      EXPECT_TRUE(sol.certificate.ok())
+          << "trial " << trial << ": " << sol.certificate.summary();
+    }
+    infeasible_seen += ref.status == Status::Infeasible;
+  }
+  EXPECT_GT(optimal_seen, 20);
+  EXPECT_GT(infeasible_seen, 20);
+  EXPECT_GT(phase1_from_basis, 20);
+}
+
 TEST(RevisedSimplex, PerturbationOffAlsoAgrees) {
   Rng rng(31);
   for (int trial = 0; trial < 40; ++trial) {
@@ -522,9 +560,7 @@ TEST(RevisedSimplex, RowwisePivotRowMatchesColumnPassBitForBit) {
       if (p > 0) design.set_locality_bound(grid[p] * hmin);
       DesignResult res = design.solve({}, warm.empty() ? nullptr : &warm);
       ASSERT_EQ(res.status, Status::Optimal) << res.note;
-      detail::StandardForm sf = detail::build_standard_form(design.model());
-      for (int j = 0; j < sf.ntotal; ++j)
-        if (sf.artificial[j]) sf.up[j] = 0.0;  // pinned, as in phase 2
+      const detail::StandardForm sf = detail::build_standard_form(design.model());
       const SparseMatrix a(sf.m, sf.ntotal, sf.triplets);
       std::vector<char> priceable(sf.ntotal);
       for (int j = 0; j < sf.ntotal; ++j)
@@ -591,7 +627,8 @@ TEST(RevisedSimplex, RowwisePivotRowMatchesColumnPassBitForBit) {
 // rebuilt from the statuses and bounds and compared: each row's priceable
 // part holds exactly its nonbasic, non-fixed columns, each row still holds
 // the entries it was built with, and blo/bup hold each position's basic
-// column's bounds.
+// column's bounds, or in phase 1 the one-sided bounds of a basic marked as
+// violating one.
 class KeptStateOracle final : public detail::PivotObserver {
  public:
   KeptStateOracle() { detail::install_pivot_observer(this); }
@@ -622,14 +659,16 @@ class KeptStateOracle final : public detail::PivotObserver {
       ++content_errors;
     }
     for (std::size_t i = 0; i < s.basic.size(); ++i) {
-      if (bits_of(s.blo[i]) != bits_of(s.lo[s.basic[i]]) ||
-          bits_of(s.bup[i]) != bits_of(s.up[s.basic[i]])) {
-        ++bound_errors;
-      }
+      const int j = s.basic[i];
+      const double c = s.cost1.empty() ? 0.0 : s.cost1[j];
+      if (c != 0.0) ++marked;
+      const double lo = c > 0.0 ? s.up[j] : c < 0.0 ? -kInf : s.lo[j];
+      const double up = c > 0.0 ? kInf : c < 0.0 ? s.lo[j] : s.up[j];
+      if (bits_of(s.blo[i]) != bits_of(lo) || bits_of(s.bup[i]) != bits_of(up)) ++bound_errors;
     }
   }
 
-  long pivots = 0, split_errors = 0, content_errors = 0, bound_errors = 0;
+  long pivots = 0, split_errors = 0, content_errors = 0, bound_errors = 0, marked = 0;
 
  private:
   obs::Counter& solves_ = obs::Registry::instance().counter("lp.simplex.solves");
@@ -645,8 +684,8 @@ TEST(RevisedSimplex, KeptPivotStateMatchesOracleAfterEveryPivot) {
   const std::vector<double> grid = locality_grid(1.0, 2.0, 5);
   KeptStateOracle oracle;
   // Both cold starts: the sweeps start from the crash basis of a feasible
-  // point, and direct solves of their designs from the all-slack basis,
-  // whose phase 1 adds the artificials' pivots.
+  // point, and direct solves of their designs from the all-logical basis,
+  // whose phase 1 pivots with marked positions.
   const auto fig1 = worst_case_tradeoff(torus, grid);
   const auto fig6 = average_case_tradeoff(torus, samples, grid);
   for (const auto& p : fig1) ASSERT_TRUE(p.solved()) << p.note;
@@ -668,6 +707,7 @@ TEST(RevisedSimplex, KeptPivotStateMatchesOracleAfterEveryPivot) {
   EXPECT_EQ(oracle.split_errors, 0);
   EXPECT_EQ(oracle.content_errors, 0);
   EXPECT_EQ(oracle.bound_errors, 0);
+  EXPECT_GT(oracle.marked, 0);  // phase 1's bounds were checked too
 }
 
 // After every dual pivot of the k=4 Figure 1 and Figure 6 warm sweeps, each
@@ -842,7 +882,7 @@ bool same_bfrt(std::vector<detail::BfrtCand> cands, double remain) {
 }
 
 // Ratio-test states captured from the k=4 Figure 1 sweep: the optimal basis
-// of each point, with the artificials pinned as in phase 2, and
+// of each point, and
 //   * the primal test for every nonbasic priceable column entering, at the
 //     point's basic values, with and without Bland's rule;
 //   * the dual test for every basic the next point's rhs puts out of bounds
@@ -864,9 +904,7 @@ TEST(RevisedSimplex, RatioTestsMatchTextbookFormsOnCapturedStates) {
     if (p > 0) design.set_locality_bound(grid[p] * hmin);
     DesignResult res = design.solve({}, warm.empty() ? nullptr : &warm);
     ASSERT_EQ(res.status, Status::Optimal) << res.note;
-    detail::StandardForm sf = detail::build_standard_form(design.model());
-    for (int j = 0; j < sf.ntotal; ++j)
-      if (sf.artificial[j]) sf.up[j] = 0.0;
+    const detail::StandardForm sf = detail::build_standard_form(design.model());
     const SparseMatrix a(sf.m, sf.ntotal, sf.triplets);
     const std::vector<int>& basic = res.basis.basic;
     const auto stat = [&](int j) { return static_cast<detail::VarStatus>(res.basis.stat[j]); };

@@ -213,10 +213,10 @@ TEST(WarmStart, GarbageBasesNeverChangeTheAnswer) {
   }
 }
 
-TEST(WarmStart, SingularBasisIsRepairedOrRejected) {
+TEST(WarmStart, SingularBasisIsRepaired) {
   // A structural column with no constraint entries makes any basis that
-  // includes it singular; the repair must patch it out (or reject) and
-  // still reproduce the cold answer.
+  // includes it singular; the repair must patch it out, with the logical of
+  // the row it leaves uncovered, and still reproduce the cold answer.
   Model m;
   m.add_col(0.0, kInf, 1.0);
   m.add_col(0.0, kInf, 2.0);
@@ -239,7 +239,8 @@ TEST(WarmStart, SingularBasisIsRepairedOrRejected) {
   const WarmCounters before = WarmCounters::snap();
   expect_warm_matches_cold(m, b, opt, "singular basis");
   const WarmCounters d = WarmCounters::snap().delta_since(before);
-  EXPECT_EQ(d.repaired + d.rejected, 1);
+  EXPECT_EQ(d.repaired, 1);
+  EXPECT_EQ(d.rejected, 0);
 }
 
 TEST(WarmStart, SweepChainMatchesColdAndAdoptsBases) {
@@ -487,12 +488,13 @@ TEST(DualRestart, TinyDualPivotRebuildsTheFactor) {
 
 // A dual-infeasible warm basis (rhs edit plus a cost flip) must be caught by
 // the dual-feasibility screen — counted in lp.dual.infeasible_bases, not
-// launched into the dual phase — and still reproduce the cold answer through
-// the ordinary adoption ladder.
+// launched into the dual phase — and still reproduce the cold answer. Such a
+// basis is structurally sound, so it is adopted even when the edit put its
+// point out of bounds: phase 1 then starts from it.
 TEST(DualRestart, DualInfeasibleBasisIsScreenedOut) {
   Rng rng(31337);
   SimplexOptions opt;
-  int compared = 0;
+  int compared = 0, phase1_from_basis = 0;
   const DualCounters start = DualCounters::snap();
   for (int trial = 0; trial < 250; ++trial) {
     opt.seed = 4100 + trial;
@@ -507,21 +509,74 @@ TEST(DualRestart, DualInfeasibleBasisIsScreenedOut) {
     for (int j = 0; j < m.num_cols(); ++j) m.set_cost(j, -m.cost(j));
 
     const WarmCounters before = WarmCounters::snap();
-    expect_warm_matches_cold(m, base.basis, opt, "dual-infeasible basis");
+    const Solution ws = expect_warm_matches_cold(m, base.basis, opt, "dual-infeasible basis");
     const WarmCounters d = WarmCounters::snap().delta_since(before);
     EXPECT_EQ(d.attempts, 1) << "trial " << trial;
-    // Clean statuses and a nonsingular basis leave nothing to repair: the
-    // basis is accepted, sent to the dual phase or rejected.
-    EXPECT_EQ(d.repaired, 0) << "trial " << trial;
+    // Clean statuses and a nonsingular basis leave nothing to repair and
+    // nothing to reject: the basis is accepted, whatever its point.
+    EXPECT_EQ(d.accepted, 1) << "trial " << trial;
     d.expect_balanced("dual-infeasible basis");
+    if (ws.phase1_iterations > 0 && ws.dual_iterations == 0) ++phase1_from_basis;
     ++compared;
   }
   ASSERT_GT(compared, 25);
+  EXPECT_GT(phase1_from_basis, 0) << "no out-of-bounds basis reached phase 1";
   const DualCounters d = DualCounters::snap().delta_since(start);
   EXPECT_GT(d.infeasible_bases, 0) << "screen never fired";
   // Screened bases never launch the dual phase, so dual activity in this
   // window is bounded by the (rare) flips that happen to stay dual feasible.
   EXPECT_LT(d.solves, compared / 4) << "screen let too many flipped bases through";
+}
+
+// When the dual phase gives up, phase 1 runs from the basis it ended on,
+// and counts only its own pivots. min x + 2y s.t. x + y >= 2, x <= 3,
+// y <= 1 is optimal at (2, 0); raising the first row to x + y >= 10 leaves
+// that basis dual feasible, but the model is now infeasible, so the dual
+// phase ends dual-unbounded and phase 1 confirms the verdict.
+TEST(DualRestart, FallbackCountsPhase1PivotsOnce) {
+  Model m;
+  const int x = m.add_col(0.0, kInf, 1.0);
+  const int y = m.add_col(0.0, kInf, 2.0);
+  const int demand = m.add_row(RowType::GE, 2.0, {{x, 1.0}, {y, 1.0}});
+  m.add_row(RowType::LE, 3.0, {{x, 1.0}});
+  m.add_row(RowType::LE, 1.0, {{y, 1.0}});
+  const Solution base = solve(m);
+  ASSERT_EQ(base.status, Status::Optimal);
+
+  m.set_rhs(demand, 10.0);
+  const DualCounters before = DualCounters::snap();
+  const Solution ws = expect_warm_matches_cold(m, base.basis, {}, "infeasible rhs edit");
+  const DualCounters d = DualCounters::snap().delta_since(before);
+  EXPECT_EQ(ws.status, Status::Infeasible);
+  EXPECT_EQ(ws.warm_start, "accepted");
+  EXPECT_EQ(d.fallbacks, 1);
+  EXPECT_GT(ws.dual_iterations, 0);
+  EXPECT_LE(ws.phase1_iterations + ws.dual_iterations, ws.iterations);
+}
+
+// A dual phase that gives up on a sweep point hands its basis to phase 1;
+// the point is neither rejected nor restarted from the all-logical basis.
+// With four chains over eleven points of the k = 6 Figure 1 sweep, the
+// L = 2 point's dual phase stops numerically after hundreds of pivots. The
+// curve must still equal the one-chain curve.
+TEST(DualRestart, FallbackKeepsTheBasisOnASweep) {
+  const Torus torus(6);
+  const std::vector<double> grid = locality_grid(1.0, 2.0, 11);
+  SweepConfig one;
+  one.chains = 1;
+  SweepConfig four;
+  four.chains = 4;
+  const auto ref = worst_case_tradeoff(torus, grid, {}, nullptr, one);
+  const DualCounters before = DualCounters::snap();
+  const auto pts = worst_case_tradeoff(torus, grid, {}, nullptr, four);
+  const DualCounters d = DualCounters::snap().delta_since(before);
+  EXPECT_GE(d.fallbacks, 1);
+  ASSERT_EQ(pts.size(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    ASSERT_TRUE(pts[i].solved()) << "point " << i << ": " << pts[i].note;
+    EXPECT_NE(pts[i].warm_start, "rejected") << "point " << i;
+    EXPECT_NEAR(pts[i].capacity_fraction, ref[i].capacity_fraction, 1e-9) << "point " << i;
+  }
 }
 
 // Sweep-level contract of the dual restarts: the warm chain must agree with

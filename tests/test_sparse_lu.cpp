@@ -174,6 +174,14 @@ TEST(SparseLU, ExactCancellationAndRefillAgreeWithDenseOracle) {
       for (int j = 0; j < m; ++j)
         if (!std::binary_search(def.begin(), def.end(), j)) pivoted.push_back(j);
       EXPECT_EQ(column_rank(sys.dense, pivoted), rank) << "trial " << trial;
+      // A unit column of each row left without a pivot, in place of the
+      // deficient positions, makes the matrix nonsingular.
+      const auto& rows = lu.deficient_rows();
+      ASSERT_EQ(rows.size(), def.size()) << "trial " << trial;
+      DenseMatrix repaired = sys.dense;
+      for (std::size_t k = 0; k < def.size(); ++k)
+        for (int i = 0; i < m; ++i) repaired(i, def[k]) = i == rows[k] ? 1.0 : 0.0;
+      EXPECT_EQ(column_rank(repaired, all), m) << "trial " << trial;
       continue;
     }
     ++nonsingular;
@@ -737,6 +745,13 @@ TEST(SparseLU, RankDeficientDenseTailReportsDeferredPositions) {
   for (int j = 0; j < m; ++j)
     if (j != p1 && j != p2) pivoted.push_back(j);
   EXPECT_EQ(column_rank(bmat, pivoted), m - 2);
+  ASSERT_EQ(lu.deficient_rows().size(), 2u);
+  DenseMatrix repaired = bmat;
+  for (int k = 0; k < 2; ++k) {
+    const int p = k == 0 ? p1 : p2;
+    for (int i = 0; i < m; ++i) repaired(i, p) = i == lu.deficient_rows()[k] ? 1.0 : 0.0;
+  }
+  EXPECT_EQ(column_rank(repaired, all), m);  // the rows the dense tail left
 
   // The same object factors the original, nonsingular basis afterwards.
   basis[p1] = p1;
