@@ -35,6 +35,14 @@ struct DesignMetrics {
   obs::Gauge& last_objective = obs::Registry::instance().gauge("core.design.last_objective");
   // How many crash bases were built (flow_crash_hints()).
   obs::Counter& crash_points = obs::Registry::instance().counter("core.design.crash_points");
+  // How the crash bases solve() started from fared in lp::solve (adopted
+  // unchanged, adopted after patching, or rejected for the all-logical
+  // start): attempts == accepted + repaired + rejected. The same starts are
+  // counted in lp.warmstart.*, with every other start basis.
+  obs::Counter& crash_attempts = obs::Registry::instance().counter("lp.crash.attempts");
+  obs::Counter& crash_accepted = obs::Registry::instance().counter("lp.crash.accepted");
+  obs::Counter& crash_repaired = obs::Registry::instance().counter("lp.crash.repaired");
+  obs::Counter& crash_rejected = obs::Registry::instance().counter("lp.crash.rejected");
   // Objective trajectory across the solves of a pipeline stage (lexicographic
   // stages, tradeoff sweeps): the snapshot reports count/min/max/percentiles
   // of all objectives seen since the last reset.
@@ -336,8 +344,20 @@ DesignResult SymmetricArcDesign::solve(const lp::SimplexOptions& opts,
     t.attr("cols", model_.num_cols());
     t.attr("nnz", static_cast<std::int64_t>(model_.num_terms()));
     const bool cold = warm == nullptr || warm->empty();
-    const lp::Basis* crash = cold ? &flow_crash_hints() : nullptr;
-    sol = lp::solve(model_, opts, warm, crash);
+    const lp::Basis* start = cold ? &flow_crash_hints() : warm;
+    sol = lp::solve(model_, opts, start);
+    if (cold && !start->empty()) {
+      // lp::solve labels every start basis alike; a crash reads
+      // crash-accepted or crash-repaired, and a rejected one is a cold start.
+      met.crash_attempts.add(1);
+      if (sol.warm_start == "accepted" || sol.warm_start == "repaired") {
+        (sol.warm_start == "accepted" ? met.crash_accepted : met.crash_repaired).add(1);
+        sol.warm_start = "crash-" + sol.warm_start;
+      } else {
+        met.crash_rejected.add(1);
+        sol.warm_start = "cold";
+      }
+    }
     t.attr("status", lp::to_string(sol.status));
     t.attr("warm_start", sol.warm_start);
     t.attr("dual_iterations", static_cast<std::int64_t>(sol.dual_iterations));

@@ -73,7 +73,8 @@ struct DesignResult {
   /// solve() of an incrementally-updated design to warm-start.
   lp::Basis basis;
   /// Start-basis adoption outcome of the underlying LP solve (see
-  /// lp::Solution::warm_start).
+  /// lp::Solution::warm_start); a crash start reads "crash-accepted" or
+  /// "crash-repaired" (see SymmetricArcDesign::flow_crash_hints()).
   std::string warm_start = "cold";
 };
 
@@ -85,6 +86,7 @@ class SymmetricArcDesign {
   /// flows) is available via routing() when status == Optimal. `warm`
   /// optionally seeds the simplex with a previous solve's basis (see
   /// lp::solve); it pays off when only the locality bound moved since.
+  /// Without one, the solve starts from flow_crash_hints().
   DesignResult solve(const lp::SimplexOptions& opts = {},
                      const lp::Basis* warm = nullptr);
 
@@ -114,8 +116,10 @@ class SymmetricArcDesign {
   /// from start_point(). Empty when the point violates a row or bound (for
   /// example a worst_case_cap below the start routing's worst case), which
   /// leaves the all-logical start. Built for the current locality bound and
-  /// cached until the bound moves; solve() passes it to lp::solve when no
-  /// warm basis is given.
+  /// cached until the bound moves; solve() passes it to lp::solve as the
+  /// start basis when no warm basis is given, and labels the solve
+  /// "crash-accepted" or "crash-repaired" when lp::solve adopts it ("cold"
+  /// when it is rejected), counted in lp.crash.*.
   const lp::Basis& flow_crash_hints();
 
   /// Decomposed routing from the last successful solve.

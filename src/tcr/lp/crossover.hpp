@@ -3,7 +3,7 @@
 // A cold solve that starts from a basis whose point is primal-feasible skips
 // phase 1. When a caller knows a feasible point x of the model — not
 // necessarily a vertex — crash_from_point() finds such a basis and returns it
-// as an lp::Basis, which lp::solve() takes as its `crash` argument.
+// as an lp::Basis, which lp::solve() takes as its start basis.
 //
 // Every structural column away from its start value (the bound nearest
 // zero; zero for a free column; see standard_form.hpp) must end up basic or

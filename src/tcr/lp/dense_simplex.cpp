@@ -257,10 +257,8 @@ class DenseSimplex {
 
 }  // namespace
 
-Solution solve_dense(const Model& model, const DenseSimplexOptions& options,
-                     const Basis* warm) {
+Solution solve_dense(const Model& model, const DenseSimplexOptions& options) {
   TCR_REQUIRE(model.num_rows() > 0 || model.num_cols() > 0, "empty model");
-  (void)warm;  // the oracle always cold-starts; see the header
   auto sf = detail::build_standard_form(model);
   DenseSimplex simplex(sf, options);
   return simplex.run();

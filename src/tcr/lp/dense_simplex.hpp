@@ -16,11 +16,9 @@ struct DenseSimplexOptions {
   long max_iterations = 200000;
 };
 
-/// `warm` is accepted for signature parity with lp::solve() but ignored:
-/// the oracle always cold-starts so its pivot path stays independent of the
-/// production solver it is checking. The final basis is still exported on
-/// Solution::basis, so a dense solve can seed later sparse solves.
-Solution solve_dense(const Model& model, const DenseSimplexOptions& options = {},
-                     const Basis* warm = nullptr);
+/// The oracle always cold-starts, so its pivot path stays independent of
+/// the production solver it is checking. The final basis is still exported
+/// on Solution::basis, so a dense solve can seed later sparse solves.
+Solution solve_dense(const Model& model, const DenseSimplexOptions& options = {});
 
 }  // namespace tcr::lp

@@ -69,17 +69,15 @@ struct Certificate {
 /// Simplex basis snapshot in *standard-form* column space: the structural
 /// columns, then one logical column per row, in row order (column
 /// num_cols() + i is row i's slack, surplus or fixed EQ logical). Exported
-/// on every Solution and accepted back by lp::solve() as a warm start. A
+/// on every Solution and accepted back by lp::solve() as its start basis. A
 /// basis is only meaningful for a model with the same numbers of rows and
 /// columns as the one that produced it; lp::solve() validates the supplied
 /// basis, repairs singular positions with the logicals of the rows they
-/// leave uncovered,
-/// re-optimizes a dual-feasible one whose point an rhs edit moved out of
-/// bounds with the dual simplex, runs phase 1 from any other, and falls
-/// back to a cold start only when the basis is malformed or cannot be
-/// repaired (see lp.warmstart.* and lp.dual.* obs counters).
-/// lp::solve() also takes one as a cold solve's crash basis (see
-/// lp::crash_from_point()).
+/// leave uncovered, re-optimizes a dual-feasible one whose point an rhs edit
+/// moved out of bounds with the dual simplex, runs phase 1 from any other,
+/// and falls back to a cold start only when the basis is malformed or
+/// cannot be repaired (see lp.warmstart.* and lp.dual.* obs counters).
+/// lp::crash_from_point() builds one from a feasible point.
 struct Basis {
   /// Per standard-form column: 0 = basic, 1 = at lower bound, 2 = at upper
   /// bound, 3 = free at zero (matches lp::detail::VarStatus).
@@ -122,11 +120,11 @@ struct Solution {
   /// Final simplex basis, exported on every outcome (including failures, so
   /// the recovery ladder and sweep chaining can restart from it).
   Basis basis;
-  /// How the start basis fared: "cold" (none adopted), "accepted" (the warm
-  /// basis, unchanged), "repaired" (after patching), "rejected" (unusable;
-  /// the solve cold-started), or "crash-accepted"/"crash-repaired" (the
-  /// crash basis, unchanged or patched). Mirrors the lp.warmstart.* and
-  /// lp.crash.* obs counters, per solve instead of in aggregate.
+  /// How the start basis fared: "cold" (none given), "accepted" (adopted
+  /// unchanged), "repaired" (after patching) or "rejected" (unusable; the
+  /// solve cold-started). Mirrors the lp.warmstart.* obs counters, per solve
+  /// instead of in aggregate. SymmetricArcDesign::solve() relabels the
+  /// start bases it builds itself.
   std::string warm_start = "cold";
 
   bool optimal() const { return status == Status::Optimal; }

@@ -38,29 +38,20 @@ struct SimplexMetrics {
   obs::Counter& bland_activations =
       obs::Registry::instance().counter("lp.simplex.bland_activations");
   obs::Counter& bound_flips = obs::Registry::instance().counter("lp.simplex.bound_flips");
-  // Warm-start outcomes: a supplied basis was adopted unchanged (accepted),
-  // adopted after patching — status fixes, or singular positions swapped
-  // out for logical columns — (repaired), or thrown away for a cold start
-  // because it is malformed or singular beyond repair (rejected).
-  // phase1_skipped counts solves where the adopted basis was primal-feasible
-  // (or the dual phase made it so) on a model whose all-logical start is
-  // not; an adopted basis that is neither runs phase 1 from itself and is
-  // not counted there.
+  // Start-basis outcomes, whatever built the basis: adopted unchanged
+  // (accepted), adopted after patching — status fixes, or singular
+  // positions swapped out for logical columns — (repaired), or thrown away
+  // for a cold start because it is malformed or singular beyond repair
+  // (rejected). phase1_skipped counts solves where the adopted basis was
+  // primal-feasible (or the dual phase made it so) on a model whose
+  // all-logical start is not; an adopted basis that is neither runs phase 1
+  // from itself and is not counted there.
   obs::Counter& warm_attempts = obs::Registry::instance().counter("lp.warmstart.attempts");
   obs::Counter& warm_accepted = obs::Registry::instance().counter("lp.warmstart.accepted");
   obs::Counter& warm_repaired = obs::Registry::instance().counter("lp.warmstart.repaired");
   obs::Counter& warm_rejected = obs::Registry::instance().counter("lp.warmstart.rejected");
   obs::Counter& warm_phase1_skipped =
       obs::Registry::instance().counter("lp.warmstart.phase1_skipped");
-  // Crash-basis adoption (lp::solve's `crash`) mirrors the warm-start
-  // counters under a separate prefix so the two channels stay attributable:
-  // attempts == accepted + repaired + rejected holds independently for each.
-  obs::Counter& crash_attempts = obs::Registry::instance().counter("lp.crash.attempts");
-  obs::Counter& crash_accepted = obs::Registry::instance().counter("lp.crash.accepted");
-  obs::Counter& crash_repaired = obs::Registry::instance().counter("lp.crash.repaired");
-  obs::Counter& crash_rejected = obs::Registry::instance().counter("lp.crash.rejected");
-  obs::Counter& crash_phase1_skipped =
-      obs::Registry::instance().counter("lp.crash.phase1_skipped");
   // Dual simplex phase. solves = bases routed into the dual phase;
   // reoptimized = dual iterations reached primal feasibility (the solve then
   // finishes with a clean primal confirmation); fallbacks = the dual phase
@@ -72,8 +63,6 @@ struct SimplexMetrics {
   obs::Counter& dual_iterations = obs::Registry::instance().counter("lp.dual.iterations");
   obs::Counter& dual_reoptimized = obs::Registry::instance().counter("lp.dual.reoptimized");
   obs::Counter& dual_fallbacks = obs::Registry::instance().counter("lp.dual.fallbacks");
-  obs::Counter& dual_bound_flips =
-      obs::Registry::instance().counter("lp.dual.bound_flips");
   obs::Counter& dual_infeasible_bases =
       obs::Registry::instance().counter("lp.dual.infeasible_bases");
   obs::Histogram& degenerate_runs =
@@ -84,12 +73,7 @@ struct SimplexMetrics {
   obs::Histogram& price_drift =
       obs::Registry::instance().histogram("lp.simplex.price_drift", 1e-18, 2.0);
   // Per-phase and per-kernel time. The kernel timers wrap inner-loop spans
-  // and only read clocks when Registry::timing_enabled(). The last five nest
-  // inside pricing and ratio_test: chuzc is the primal entering-column scan,
-  // pivot_row the pivot-row product of both loops (primal: in pricing; dual:
-  // in ratio_test), devex the primal reference-weight and price update,
-  // ratio_test_primal the Harris test, ratio_test_dual the bound-flipping
-  // candidate pass and walk.
+  // and only read clocks when Registry::timing_enabled().
   obs::Timer& t_total = obs::Registry::instance().timer("lp.simplex.time.total");
   obs::Timer& t_phase1 = obs::Registry::instance().timer("lp.simplex.time.phase1");
   obs::Timer& t_phase2 = obs::Registry::instance().timer("lp.simplex.time.phase2");
@@ -99,12 +83,6 @@ struct SimplexMetrics {
   obs::Timer& t_ftran = obs::Registry::instance().timer("lp.simplex.time.ftran");
   obs::Timer& t_btran = obs::Registry::instance().timer("lp.simplex.time.btran");
   obs::Timer& t_refactor = obs::Registry::instance().timer("lp.simplex.time.refactor");
-  obs::Timer& t_chuzc = obs::Registry::instance().timer("lp.simplex.time.chuzc");
-  obs::Timer& t_pivot_row = obs::Registry::instance().timer("lp.simplex.time.pivot_row");
-  obs::Timer& t_devex = obs::Registry::instance().timer("lp.simplex.time.devex");
-  obs::Timer& t_ratio_primal =
-      obs::Registry::instance().timer("lp.simplex.time.ratio_test_primal");
-  obs::Timer& t_ratio_dual = obs::Registry::instance().timer("lp.simplex.time.ratio_test_dual");
 
   static SimplexMetrics& get() {
     static SimplexMetrics m;
@@ -150,12 +128,10 @@ using detail::VarStatus;
 
 class RevisedSimplex {
  public:
-  RevisedSimplex(StandardForm sf, const SimplexOptions& opt, const Basis* warm = nullptr,
-                 const Basis* crash = nullptr)
+  RevisedSimplex(StandardForm sf, const SimplexOptions& opt, const Basis* start = nullptr)
       : sf_(std::move(sf)),
         opt_(opt),
-        warm_(warm),
-        crash_(crash),
+        start_(start),
         m_(sf_.m),
         n_(sf_.ntotal),
         a_(sf_.m, sf_.ntotal, sf_.triplets),
@@ -200,13 +176,7 @@ class RevisedSimplex {
       return finish(sol, Status::Cancelled);
     }
     WarmAdopt start = WarmAdopt::kRejected;
-    if (warm_ != nullptr && !warm_->empty()) start = apply_warm(*warm_);
-    if (start == WarmAdopt::kRejected && crash_ != nullptr && !crash_->empty()) {
-      // Cold start from the caller's crash basis, adopted like a warm basis
-      // (own lp.crash.* accounting; never routed to the dual phase).
-      adopting_crash_ = true;
-      start = apply_warm(*crash_);
-    }
+    if (start_ != nullptr && !start_->empty()) start = apply_warm(*start_);
     if (start == WarmAdopt::kRejected) {
       all_logical_basis();
       if (!refactorize()) return finish(sol, Status::Numerical);
@@ -214,7 +184,7 @@ class RevisedSimplex {
     }
 
     // ---- dual simplex phase ----
-    // A warm basis that survived adoption dual-feasible but whose point an
+    // A start basis that survived adoption dual-feasible but whose point an
     // rhs edit left primal-infeasible (kDual) is driven back to optimality
     // by dual pivots. Success skips phase 1 and the perturbed primal pass
     // outright; failure (dual-unbounded, stall, or numerical alarm) hands
@@ -243,11 +213,7 @@ class RevisedSimplex {
       // exports them only if that is the basis the solve ends on.
       sol.basis.basic = basic_;
       sol.basis.weights = std::exchange(dse_, {});
-      // The warm basis was used, whatever the dual phase's verdict.
-      if (sd == Status::Cancelled || sd == Status::IterationLimit) {
-        commit_adoption(pending_patched_ ? kOutcomeRepaired : kOutcomeAccepted);
-        return finish(sol, sd);
-      }
+      if (sd == Status::Cancelled || sd == Status::IterationLimit) return finish(sol, sd);
       if (sd == Status::Optimal) {
         met_.dual_reoptimized.add(1);
         if (sf_.need_phase1) met_.warm_phase1_skipped.add(1);
@@ -255,10 +221,10 @@ class RevisedSimplex {
         // Fall back: phase 1 from the basis the dual phase ended on, with
         // any singular positions repaired (see factor_basis()).
         met_.dual_fallbacks.add(1);
-        start = factor_basis(pending_patched_) ? WarmAdopt::kPhase1 : WarmAdopt::kRejected;
+        bool repaired = false;
+        if (!factor_basis(repaired)) return finish(sol, Status::Numerical);
+        start = WarmAdopt::kPhase1;
       }
-      commit_adoption(pending_patched_ ? kOutcomeRepaired : kOutcomeAccepted);
-      if (start == WarmAdopt::kRejected) return finish(sol, Status::Numerical);
     }
 
     if (start == WarmAdopt::kPhase1) {
@@ -280,7 +246,7 @@ class RevisedSimplex {
     } else if (start == WarmAdopt::kFeasible && sf_.need_phase1) {
       // The adopted basis represents a primal-feasible point, so phase 1
       // has nothing to do: go straight to optimizing the true costs.
-      (adopting_crash_ ? met_.crash_phase1_skipped : met_.warm_phase1_skipped).add(1);
+      met_.warm_phase1_skipped.add(1);
     }
 
     Status s2;
@@ -380,45 +346,27 @@ class RevisedSimplex {
 
   // Outcome of adopting a basis, which is factorized unless rejected, and so
   // how the solve starts. kFeasible: it represents a primal-feasible point,
-  // so phase 1 is skipped. kDual: a warm basis that is dual-feasible and
-  // primal-infeasible — the rhs-edit sweep case — so the dual simplex phase
-  // re-optimizes it (its adoption outcome stays staged until the dual
-  // verdict is in). kPhase1: any other basis; phase 1 starts from it, as it
-  // does from the all-logical one. kRejected: the basis is malformed or
-  // singular beyond repair, and the caller cold-starts.
+  // so phase 1 is skipped. kDual: it is dual-feasible and primal-infeasible
+  // — the rhs-edit sweep case — so the dual simplex phase re-optimizes it.
+  // kPhase1: any other basis; phase 1 starts from it, as it does from the
+  // all-logical one. kRejected: the basis is malformed or singular beyond
+  // repair, and the solve cold-starts.
   enum class WarmAdopt { kRejected, kFeasible, kPhase1, kDual };
 
-  // Exactly-one-outcome bookkeeping for a basis adoption attempt, warm basis
-  // or crash basis (lp.{warmstart,crash}.attempts == accepted + repaired +
-  // rejected, asserted by the property tests). begin_adoption() opens an
-  // attempt; every path out of adoption calls commit_adoption() exactly
-  // once. The dual route defers: apply_warm() stages patched-or-not in
-  // pending_patched_ and run_impl() commits after the dual phase.
-  enum Outcome { kOutcomeAccepted, kOutcomeRepaired, kOutcomeRejected };
-
-  void begin_adoption() {
-    (adopting_crash_ ? met_.crash_attempts : met_.warm_attempts).add(1);
+  // apply_warm()'s verdict, recorded where it is reached: exactly one of
+  // lp.warmstart.{accepted,repaired,rejected} per attempt (their sum is
+  // lp.warmstart.attempts, asserted by the property tests), and the solve's
+  // warm_start label.
+  WarmAdopt adopted(WarmAdopt start, bool patched) {
+    (patched ? met_.warm_repaired : met_.warm_accepted).add(1);
+    warm_outcome_ = patched ? "repaired" : "accepted";
+    return start;
   }
 
-  void commit_adoption(Outcome o) {
-    if (adopting_crash_) {
-      (o == kOutcomeRejected   ? met_.crash_rejected
-       : o == kOutcomeRepaired ? met_.crash_repaired
-                               : met_.crash_accepted)
-          .add(1);
-      if (o == kOutcomeAccepted) warm_outcome_ = "crash-accepted";
-      if (o == kOutcomeRepaired) warm_outcome_ = "crash-repaired";
-      // A rejected crash basis leaves warm_outcome_ alone: the solve either
-      // stays "cold" or keeps the warm basis's earlier "rejected".
-    } else {
-      (o == kOutcomeRejected   ? met_.warm_rejected
-       : o == kOutcomeRepaired ? met_.warm_repaired
-                               : met_.warm_accepted)
-          .add(1);
-      warm_outcome_ = o == kOutcomeRejected   ? "rejected"
-                      : o == kOutcomeRepaired ? "repaired"
-                                              : "accepted";
-    }
+  WarmAdopt rejected() {
+    met_.warm_rejected.add(1);
+    warm_outcome_ = "rejected";
+    return WarmAdopt::kRejected;
   }
 
   // Dual-feasibility screen for a freshly adopted basis: are the phase-2
@@ -475,15 +423,14 @@ class RevisedSimplex {
   // Install a caller-supplied basis, repairing what can be repaired:
   // out-of-range statuses are re-derived and singular positions are
   // repaired (see factor_basis()). The factorized basis is then classified
-  // once: primal-feasible (kFeasible); a warm basis that is dual-feasible
-  // (kDual); or any other, which phase 1 starts from (kPhase1). Only a
-  // malformed basis, or a singular one beyond repair, is rejected.
+  // once: primal-feasible (kFeasible); dual-feasible (kDual); or any other,
+  // which phase 1 starts from (kPhase1). Only a malformed basis, or a
+  // singular one beyond repair, is rejected.
   WarmAdopt apply_warm(const Basis& warm) {
-    begin_adoption();
+    met_.warm_attempts.add(1);
     if (static_cast<int>(warm.basic.size()) != m_ ||
         static_cast<int>(warm.stat.size()) != n_) {
-      commit_adoption(kOutcomeRejected);
-      return WarmAdopt::kRejected;
+      return rejected();
     }
     bool patched = false;
 
@@ -508,10 +455,7 @@ class RevisedSimplex {
     std::vector<char> in_list(static_cast<std::size_t>(n_), 0);
     for (int i = 0; i < m_; ++i) {
       const int b = warm.basic[i];
-      if (b < 0 || b >= n_ || in_list[b]) {
-        commit_adoption(kOutcomeRejected);
-        return WarmAdopt::kRejected;
-      }
+      if (b < 0 || b >= n_ || in_list[b]) return rejected();
       in_list[b] = 1;
       if (stat[b] != kBasic) {
         stat[b] = kBasic;
@@ -527,35 +471,23 @@ class RevisedSimplex {
 
     stat_ = std::move(stat);
     basic_ = warm.basic;
-    if (!factor_basis(patched)) {
-      commit_adoption(kOutcomeRejected);
-      return WarmAdopt::kRejected;
-    }
-    if (primal_feasible()) {
-      commit_adoption(patched ? kOutcomeRepaired : kOutcomeAccepted);
-      return WarmAdopt::kFeasible;
-    }
-    // Dual screen: a warm basis an rhs edit left primal-infeasible but
-    // dual-feasible goes to the dual phase. Its adoption outcome stays
-    // staged until the dual verdict is in. Crash bases never take this
-    // route.
-    if (!adopting_crash_) {
-      if (dual_feasible()) {
-        pending_patched_ = patched;
-        // Its dual steepest-edge weights describe the basis as given: keep
-        // them only when it was accepted unchanged, and only when each one
-        // is a weight (0 = unknown, computed on first use).
-        const std::vector<double>& wt = warm.weights;
-        if (!patched && static_cast<int>(wt.size()) == m_ &&
-            std::all_of(wt.begin(), wt.end(), [](double v) { return v >= 0.0 && v < kInf; })) {
-          dse_ = wt;
-        }
-        return WarmAdopt::kDual;
+    if (!factor_basis(patched)) return rejected();
+    if (primal_feasible()) return adopted(WarmAdopt::kFeasible, patched);
+    // Dual screen: a basis an rhs edit left primal-infeasible but
+    // dual-feasible goes to the dual phase.
+    if (dual_feasible()) {
+      // Its dual steepest-edge weights describe the basis as given: keep
+      // them only when it was accepted unchanged, and only when each one is
+      // a weight (0 = unknown, computed on first use).
+      const std::vector<double>& wt = warm.weights;
+      if (!patched && static_cast<int>(wt.size()) == m_ &&
+          std::all_of(wt.begin(), wt.end(), [](double v) { return v >= 0.0 && v < kInf; })) {
+        dse_ = wt;
       }
-      met_.dual_infeasible_bases.add(1);
+      return adopted(WarmAdopt::kDual, patched);
     }
-    commit_adoption(patched ? kOutcomeRepaired : kOutcomeAccepted);
-    return WarmAdopt::kPhase1;
+    met_.dual_infeasible_bases.add(1);
+    return adopted(WarmAdopt::kPhase1, patched);
   }
 
   // ---- run-control accounting -----------------------------------------
@@ -664,8 +596,7 @@ class RevisedSimplex {
   // row_ = the nonzeros alpha_j = a_j . rho_ of the pivot row over the
   // priceable columns other than `skip`, in ascending j, computed row-wise
   // over rho_'s nonzeros (equal bit for bit to column_dot).
-  void pivot_row_entries(int skip, bool timed) {
-    obs::ScopedTimer t(met_.t_pivot_row, timed);
+  void pivot_row_entries(int skip) {
     row_.clear();
     a_rows_.for_each(rho_, [&](int j, double alpha) {
       if (alpha == 0.0 || j == skip) return;
@@ -852,7 +783,6 @@ class RevisedSimplex {
       if (priced_at_ != refactor_count_) {
         reprice(cost, timed);
         obs::ScopedTimer pricing_timer(met_.t_pricing, timed);
-        obs::ScopedTimer chuzc_timer(met_.t_chuzc, timed);
         rebuild_attractive();
       }
 
@@ -866,7 +796,6 @@ class RevisedSimplex {
       }
       bland_active = bland;
       obs::ScopedTimer pricing_timer(met_.t_pricing, timed);
-      obs::ScopedTimer chuzc_timer(met_.t_chuzc, timed);
       int q = -1;
       double best = 0.0;
       if (bland) {
@@ -882,7 +811,6 @@ class RevisedSimplex {
         }
       }
       const int dir = q >= 0 ? entering_dir(q) : 0;
-      chuzc_timer.stop();
       pricing_timer.stop();
 
       // ---- convergence telemetry (every kSampleEvery iterations) ----
@@ -914,12 +842,8 @@ class RevisedSimplex {
       // ---- ratio test (two-pass Harris) ----
       obs::ScopedTimer ratio_timer(met_.t_ratio_test, timed);
       const double own_range = sf_.up[q] - sf_.lo[q];
-      detail::HarrisStep harris;
-      {
-        obs::ScopedTimer t(met_.t_ratio_primal, timed);
-        harris = detail::harris_ratio_test(w, dir, xb_, blo_, bup_, basic_, own_range,
-                                           opt_.feas_tol, bland, harris_rows_);
-      }
+      const detail::HarrisStep harris = detail::harris_ratio_test(
+          w, dir, xb_, blo_, bup_, basic_, own_range, opt_.feas_tol, bland, harris_rows_);
       if (!std::isfinite(harris.t_limit)) {
         // Never trust an unbounded verdict from a stale basis: refactorize
         // and re-derive the direction once before reporting.
@@ -967,8 +891,7 @@ class RevisedSimplex {
         pivot_row(leave, timed);
         obs::ScopedTimer devex_timer(met_.t_pricing, timed);
         const double scale = devex_q / (alpha_q * alpha_q);
-        pivot_row_entries(q, timed);
-        obs::ScopedTimer weights_timer(met_.t_devex, timed);
+        pivot_row_entries(q);
         if (!bland) {
           for (const auto& [j, alpha_j] : row_) {
             const double cand = alpha_j * alpha_j * scale;
@@ -980,8 +903,6 @@ class RevisedSimplex {
           devex_[basic_[leave]] = std::max(scale, 1.0);
           if (devex_q > 1e7) devex_.assign(n_, 1.0);  // reset a stale framework
         }
-        weights_timer.stop();
-        obs::ScopedTimer chuzc_upkeep(met_.t_chuzc, timed);
         for (const auto& [j, alpha_j] : row_) update_attractive(j);
       }
 
@@ -1147,8 +1068,7 @@ class RevisedSimplex {
       const int lj = basic_[leave];
       const double s = below ? -1.0 : 1.0;
       double remain = below ? sf_.lo[lj] - xb_[leave] : xb_[leave] - sf_.up[lj];
-      pivot_row_entries(-1, timed);
-      obs::ScopedTimer bfrt_timer(met_.t_ratio_dual, timed);
+      pivot_row_entries(-1);
       cands.clear();
       for (const auto& [j, alpha] : row_) {
         const double abar = s * alpha;
@@ -1161,7 +1081,6 @@ class RevisedSimplex {
         cands.push_back({j, d_[j] / abar, abar, sf_.up[j] - sf_.lo[j]});
       }
       const int enter_idx = detail::bfrt_select(cands, remain, opt_.feas_tol);
-      bfrt_timer.stop();
       ratio_timer.stop();
 
       if (enter_idx < 0) {
@@ -1184,7 +1103,6 @@ class RevisedSimplex {
           stat_[fj] = stat_[fj] == kAtLower ? kAtUpper : kAtLower;
           a_.add_column_to(fj, delta, flip_sum);
         }
-        met_.dual_bound_flips.add(enter_idx);
         {
           obs::ScopedTimer t(met_.t_ftran, timed);
           factor_.ftran(flip_sum, w);
@@ -1284,8 +1202,7 @@ class RevisedSimplex {
 
   StandardForm sf_;
   SimplexOptions opt_;
-  const Basis* warm_ = nullptr;
-  const Basis* crash_ = nullptr;
+  const Basis* start_ = nullptr;
   int m_, n_;
   SparseMatrix a_;
   BasisFactor factor_;  // LU of the basis columns of a_, and when to rebuild it
@@ -1294,8 +1211,6 @@ class RevisedSimplex {
   long max_iters_ = 0;
   long iters_ = 0;
   long charged_iters_ = 0;  // iterations already charged to the cancel token
-  bool adopting_crash_ = false;    // the start basis on offer is the crash basis
-  bool pending_patched_ = false;   // staged outcome for the deferred dual commit
 
   SimplexMetrics& met_ = SimplexMetrics::get();
   long degenerate_total_ = 0;
@@ -1324,19 +1239,15 @@ class RevisedSimplex {
 
 }  // namespace
 
-Solution solve(const Model& model, const SimplexOptions& options, const Basis* warm,
-               const Basis* crash) {
+Solution solve(const Model& model, const SimplexOptions& options, const Basis* start) {
   TCR_REQUIRE(model.num_cols() > 0, "model has no variables");
 
   const CertifyOptions cert_opts = CertifyOptions::from_solver_tols(
       options.feas_tol, options.opt_tol, kCertifyTolFactor);
 
-  // The crash basis rides along to every sparse attempt (it only kicks in
-  // when no warm basis is adopted); the dense fallback stays crash-free —
-  // its value is independence from the revised solver's machinery.
-  auto run_attempt = [crash](const Model& mdl, const SimplexOptions& o, const Basis* w) {
+  auto run_attempt = [](const Model& mdl, const SimplexOptions& o, const Basis* b) {
     auto sf = detail::build_standard_form(mdl);
-    RevisedSimplex simplex(std::move(sf), o, w, crash);
+    RevisedSimplex simplex(std::move(sf), o, b);
     return simplex.run();
   };
 
@@ -1362,7 +1273,7 @@ Solution solve(const Model& model, const SimplexOptions& options, const Basis* w
     return d;
   };
 
-  Solution best = run_attempt(model, options, warm);
+  Solution best = run_attempt(model, options, start);
   if (accept(best)) return best;
 
   // ---- staged recovery ladder ----
@@ -1371,7 +1282,7 @@ Solution solve(const Model& model, const SimplexOptions& options, const Basis* w
 
   // Each sparse retry restarts from the previous attempt's exported basis:
   // even a failed attempt usually leaves the basis far closer to optimal
-  // than the crash start, and apply_warm() repairs or rejects anything
+  // than the first start, and apply_warm() repairs or rejects anything
   // unusable. The dense stage stays cold — its value is independence.
   Basis chain = best.basis;
 

@@ -30,7 +30,7 @@
 //   * a deterministic 1e-9 objective perturbation for the heavily degenerate
 //     multicommodity-flow models, removed by a final clean re-optimization.
 //
-// A warm basis that comes back dual-feasible but primal-infeasible — the
+// A start basis that comes back dual-feasible but primal-infeasible — the
 // parametric-sweep case, where an rhs edit moved the basic values but left
 // every reduced cost intact — is re-optimized by a dual simplex phase
 // (bound-flipping ratio test whose candidates are ordered by selection only
@@ -51,11 +51,12 @@
 //     entry that is not a finite, non-negative number, starts from unknown
 //     weights instead.
 //
-// A cold solve can start from a caller's crash basis instead of the
-// all-logical one, adopted like a warm basis; the primal-feasible one
-// lp::crash_from_point() (lp/crossover.hpp) builds skips phase 1. No path
-// returns to the all-logical basis once another has been adopted: when the
-// dual phase gives up, phase 1 starts from the basis it ended on.
+// A solve starts from the caller's basis when it has one — the previous
+// sweep point's, or the vertex lp::crash_from_point() (lp/crossover.hpp)
+// reaches from a known feasible point, which skips phase 1 — and from the
+// all-logical basis otherwise. No path returns to the all-logical basis
+// once another has been adopted: when the dual phase gives up, phase 1
+// starts from the basis it ended on.
 //
 // Numerical breakdowns and failed certificates go through a three-stage
 // recovery ladder (reseed, careful, dense); see solve().
@@ -108,30 +109,25 @@ struct SimplexOptions {
 /// fails the most defensible attempt is returned with a note recording the
 /// ladder.
 ///
-/// `warm` optionally supplies a starting basis (typically the previous
-/// Solution::basis of a near-identical model in a sweep). The basis is
+/// `start` optionally supplies the basis to start from: typically the
+/// previous Solution::basis of a near-identical model in a sweep, or the
+/// one lp::crash_from_point() builds from a feasible point. The basis is
 /// validated against the model's standard form: a dimension-mismatched or
 /// inconsistent basis is rejected (cold start from the all-logical basis),
 /// and a singular one is repaired by putting the logical columns of the rows
 /// the factorization left without a pivot at the unpivotable positions
-/// (rejected when that fails). The
-/// factorized basis is then classified once: one whose point is
-/// primal-feasible skips phase 1 entirely; a primal-infeasible one that is
-/// still dual-feasible is re-optimized by the dual simplex phase; any other
-/// runs phase 1 from itself. When the dual phase gives up, its last basis
-/// goes through the same singular-position repair and phase 1 runs from it.
-/// Every adoption attempt increments exactly one of the
-/// lp.warmstart.{accepted,repaired,rejected} obs counters
-/// (lp.warmstart.attempts counts them all). The reseed and careful recovery
-/// stages restart from the failed attempt's exported basis rather than from
-/// scratch.
-///
-/// `crash` optionally supplies the basis a cold solve starts from in place
-/// of the all-logical one, used when no warm basis is adopted. It goes
-/// through the same validation/repair machinery (never the dual phase),
-/// counted under lp.crash.*. The basis lp::crash_from_point() builds from a
-/// feasible point is primal-feasible, so it skips phase 1.
+/// (rejected when that fails). The factorized basis is then classified
+/// once: one whose point is primal-feasible skips phase 1 entirely; a
+/// primal-infeasible one that is still dual-feasible is re-optimized by the
+/// dual simplex phase; any other runs phase 1 from itself. When the dual
+/// phase gives up, its last basis goes through the same singular-position
+/// repair and phase 1 runs from it. Every adoption attempt increments
+/// exactly one of the lp.warmstart.{accepted,repaired,rejected} obs
+/// counters when it is decided (lp.warmstart.attempts counts them all), and
+/// Solution::warm_start reads the same verdict. The reseed and careful
+/// recovery stages restart from the failed attempt's exported basis rather
+/// than from scratch.
 Solution solve(const Model& model, const SimplexOptions& options = {},
-               const Basis* warm = nullptr, const Basis* crash = nullptr);
+               const Basis* start = nullptr);
 
 }  // namespace tcr::lp

@@ -142,7 +142,14 @@ std::vector<SolveReport> convergence_reports(const Trace& trace, double stall_to
     SolveReport r;
     r.span_id = s.id;
     r.dur_ns = s.dur_ns;
-    if (const obs::Json* w = s.args.find("warm_start")) r.warm_start = w->as_string();
+    // A design solve names its own crash start (SymmetricArcDesign::solve);
+    // the solver under it saw an ordinary start basis.
+    const obs::Json* w = s.args.find("warm_start");
+    const auto p = by_id.find(s.parent);
+    if (p != by_id.end() && p->second->name == "design.solve") {
+      if (const obs::Json* dw = p->second->args.find("warm_start")) w = dw;
+    }
+    if (w != nullptr) r.warm_start = w->as_string();
     if (const obs::Json* st = s.args.find("status")) r.status = st->as_string();
     if (const obs::Json* it = s.args.find("iterations")) r.iterations = it->as_int(0);
     index_of[s.id] = reports.size();

@@ -82,7 +82,9 @@ std::vector<SpanRec> slowest_spans(const Trace& trace, std::size_t k);
 struct SolveReport {
   std::uint64_t span_id = 0;
   std::int64_t dur_ns = 0;
-  std::string warm_start;  // adoption attr of the solve span, when present
+  /// Adoption attr of the solve span, or of the design.solve span directly
+  /// around it (which labels a crash start), when present.
+  std::string warm_start;
   std::string status;      // final status attr, when present
   long iterations = 0;     // last sampled lp.iteration value
   int samples = 0;         // telemetry samples seen

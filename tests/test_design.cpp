@@ -3,6 +3,7 @@
 // optimal designs against the known cap/2 bound, and flow decomposition.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -266,8 +267,8 @@ TEST_P(StartPoint, IsFeasibleAndSkipsPhase1) {
     EXPECT_LE(design.model().max_violation(design.start_point()), 1e-9);
     const lp::Basis& crash = design.flow_crash_hints();
     ASSERT_FALSE(crash.empty());
-    const lp::Solution sol = lp::solve(design.model(), opts, nullptr, &crash);
-    EXPECT_EQ(sol.warm_start, "crash-accepted");
+    const lp::Solution sol = lp::solve(design.model(), opts, &crash);
+    EXPECT_EQ(sol.warm_start, "accepted");
     EXPECT_EQ(sol.phase1_iterations, 0);
     if (k == 8) continue;
     ASSERT_EQ(sol.status, lp::Status::Optimal) << sol.note;
@@ -359,19 +360,19 @@ TEST(FlowCrash, StalledPermutationSetsSolveFromTheCrash) {
     SymmetricArcDesign design(t, cfg);
     lp::SimplexOptions opts;
     opts.max_iterations = 5000;
-    const lp::Solution sol =
-        lp::solve(design.model(), opts, nullptr, &design.flow_crash_hints());
+    const lp::Solution sol = lp::solve(design.model(), opts, &design.flow_crash_hints());
     ASSERT_EQ(sol.status, lp::Status::Optimal) << sol.note;
     EXPECT_TRUE(sol.certificate.ok()) << sol.certificate.summary();
-    EXPECT_EQ(sol.warm_start, "crash-accepted");
+    EXPECT_EQ(sol.warm_start, "accepted");
     EXPECT_EQ(sol.phase1_iterations, 0);
   }
 }
 
 // The crash basis is an iteration optimization, never a semantic switch:
-// the optimum with and without it must match, and the lp.crash.* channel
-// must balance (attempts == accepted + repaired + rejected) while leaving
-// lp.warmstart.* untouched on cold solves.
+// the optimum with and without it must match. lp::solve counts every start
+// basis in lp.warmstart.*; the design counts its own crash in lp.crash.*
+// too, which must balance (attempts == accepted + repaired + rejected). A
+// warm design solve builds no crash and counts only in lp.warmstart.*.
 TEST(FlowCrash, ColdSolveMatchesWithAndWithoutHints) {
   auto counter = [](const char* name) {
     return obs::Registry::instance().counter(name).value();
@@ -382,24 +383,58 @@ TEST(FlowCrash, ColdSolveMatchesWithAndWithoutHints) {
   cfg.locality_equals = 1.4 * t.mean_min_distance();
   cfg.locality_le = true;
 
-  const std::int64_t warm_before = counter("lp.warmstart.attempts");
-  const std::int64_t attempts_before = counter("lp.crash.attempts");
+  std::int64_t warm_before = counter("lp.warmstart.attempts");
+  std::int64_t crash_before = counter("lp.crash.attempts");
   SymmetricArcDesign with(t, cfg);
   const DesignResult on = with.solve();
   ASSERT_EQ(on.status, lp::Status::Optimal);
-  EXPECT_EQ(counter("lp.crash.attempts") - attempts_before, 1);
+  EXPECT_EQ(on.warm_start, "crash-accepted");
+  EXPECT_EQ(counter("lp.crash.attempts") - crash_before, 1);
+  EXPECT_EQ(counter("lp.warmstart.attempts") - warm_before, 1);
   EXPECT_EQ(counter("lp.crash.attempts"),
             counter("lp.crash.accepted") + counter("lp.crash.repaired") +
                 counter("lp.crash.rejected"));
-  EXPECT_EQ(counter("lp.warmstart.attempts"), warm_before)
-      << "crash adoption must not leak into the warm-start channel";
 
   const lp::Solution off = lp::solve(with.model());
   ASSERT_EQ(off.status, lp::Status::Optimal);
   EXPECT_NEAR(on.objective, off.objective, 1e-9 * (1 + std::abs(off.objective)));
+
+  with.set_locality_bound(1.6 * t.mean_min_distance());
+  warm_before = counter("lp.warmstart.attempts");
+  crash_before = counter("lp.crash.attempts");
+  const DesignResult warm = with.solve({}, &on.basis);
+  ASSERT_EQ(warm.status, lp::Status::Optimal);
+  EXPECT_EQ(warm.warm_start, "accepted");
+  EXPECT_EQ(counter("lp.warmstart.attempts") - warm_before, 1);
+  EXPECT_EQ(counter("lp.crash.attempts"), crash_before);
 }
 
-// A garbage crash basis handed straight to lp::solve must degrade through
+// The design's crash start is an ordinary start basis: a Figure 1 cold
+// point solved through SymmetricArcDesign::solve and through lp::solve from
+// the same basis takes the same pivots to the same optimum and basis. Only
+// the label differs, since the design names its crash.
+TEST(FlowCrash, DesignSolveIsLpSolveFromTheCrash) {
+  const Torus t(4);
+  SymmetricDesignConfig cfg;
+  cfg.objective = DesignObjective::WorstCase;
+  cfg.locality_equals = t.mean_min_distance();
+  cfg.locality_le = true;
+  SymmetricArcDesign design(t, cfg);
+  const lp::SimplexOptions opts;
+  const lp::Solution direct = lp::solve(design.model(), opts, &design.flow_crash_hints());
+  const DesignResult res = design.solve(opts);
+  ASSERT_EQ(direct.status, lp::Status::Optimal) << direct.note;
+  ASSERT_EQ(res.status, lp::Status::Optimal) << res.note;
+  EXPECT_EQ(res.iterations, direct.iterations);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(res.objective),
+            std::bit_cast<std::uint64_t>(direct.objective));
+  EXPECT_EQ(res.basis.basic, direct.basis.basic);
+  EXPECT_EQ(res.basis.stat, direct.basis.stat);
+  EXPECT_EQ(direct.warm_start, "accepted");
+  EXPECT_EQ(res.warm_start, "crash-accepted");
+}
+
+// A garbage start basis handed straight to lp::solve must degrade through
 // the repair/reject ladder and still land on the certified cold optimum.
 TEST(FlowCrash, GarbageHintsNeverChangeTheAnswer) {
   const Torus t(3);
@@ -413,23 +448,23 @@ TEST(FlowCrash, GarbageHintsNeverChangeTheAnswer) {
 
   lp::Basis junk = cold.basis;  // out-of-range status bytes: repaired
   junk.stat.assign(junk.stat.size(), 7);
-  const lp::Solution sol = lp::solve(m, opts, nullptr, &junk);
+  const lp::Solution sol = lp::solve(m, opts, &junk);
   ASSERT_EQ(sol.status, lp::Status::Optimal);
-  EXPECT_EQ(sol.warm_start, "crash-repaired");
+  EXPECT_EQ(sol.warm_start, "repaired");
   EXPECT_NEAR(sol.objective, cold.objective, 1e-9 * (1 + std::abs(cold.objective)));
   EXPECT_TRUE(sol.certificate.ok()) << sol.certificate.summary();
 
   lp::Basis bad = cold.basis;  // duplicate and out-of-range columns: rejected
   bad.basic[0] = m.num_cols() + 10 * m.num_rows();
   if (m.num_rows() > 2) bad.basic[2] = bad.basic[1];
-  const lp::Solution sol2 = lp::solve(m, opts, nullptr, &bad);
+  const lp::Solution sol2 = lp::solve(m, opts, &bad);
   ASSERT_EQ(sol2.status, lp::Status::Optimal);
-  EXPECT_EQ(sol2.warm_start, "cold");
+  EXPECT_EQ(sol2.warm_start, "rejected");
   EXPECT_NEAR(sol2.objective, cold.objective, 1e-9 * (1 + std::abs(cold.objective)));
 
   lp::Basis short_basis;  // wrong length: must be rejected
   short_basis.basic = {0, 1};
-  const lp::Solution sol3 = lp::solve(m, opts, nullptr, &short_basis);
+  const lp::Solution sol3 = lp::solve(m, opts, &short_basis);
   ASSERT_EQ(sol3.status, lp::Status::Optimal);
   EXPECT_NEAR(sol3.objective, cold.objective, 1e-9 * (1 + std::abs(cold.objective)));
 }

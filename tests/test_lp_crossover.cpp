@@ -111,10 +111,10 @@ TEST(Crossover, RandomPointsReachTheOracleOptimumWithoutPhase1) {
     bool at_upper = false;
     for (int j = 0; j < n; ++j) at_upper |= crash.stat[j] == detail::kAtUpper;
     far += at_upper;
-    const Solution sol = solve(lp.model, {}, nullptr, &crash);
+    const Solution sol = solve(lp.model, {}, &crash);
     const Solution oracle = solve_dense(lp.model);
     ASSERT_EQ(sol.status, oracle.status) << sol.note;
-    EXPECT_EQ(sol.warm_start, "crash-accepted");
+    EXPECT_EQ(sol.warm_start, "accepted");
     EXPECT_EQ(sol.phase1_iterations, 0);
     if (oracle.status != Status::Optimal) continue;
     EXPECT_NEAR(sol.objective, oracle.objective, 1e-7 * (1 + std::abs(oracle.objective)));
@@ -139,9 +139,9 @@ TEST(Crossover, DependentColumnsMoveToABound) {
   // The improving move shifts load onto b until the row is tight or a hits
   // zero; b ends basic.
   EXPECT_EQ(crash.basic[0], b);
-  const Solution sol = solve(m, {}, nullptr, &crash);
+  const Solution sol = solve(m, {}, &crash);
   ASSERT_EQ(sol.status, Status::Optimal);
-  EXPECT_EQ(sol.warm_start, "crash-accepted");
+  EXPECT_EQ(sol.warm_start, "accepted");
   EXPECT_NEAR(sol.objective, -6.0, 1e-9);
 }
 

@@ -265,9 +265,10 @@ TEST(WarmStart, SweepChainMatchesColdAndAdoptsBases) {
     EXPECT_TRUE(warm[i].certificate.pass) << warm[i].certificate.summary();
     EXPECT_NEAR(warm[i].capacity_fraction, cold[i].capacity_fraction, 1e-8) << "point " << i;
   }
-  // Every point after the chain head gets a warm basis, and the sweep is
-  // only worth shipping if those bases are actually adopted.
-  EXPECT_EQ(d.adopted() + d.rejected, static_cast<std::int64_t>(grid.size()) - 1);
+  // Every point gets a start basis — the chain head its crash, every later
+  // point the previous point's — and the sweep is only worth shipping if
+  // those bases are actually adopted.
+  EXPECT_EQ(d.adopted() + d.rejected, static_cast<std::int64_t>(grid.size()));
   EXPECT_GT(d.adopted(), 0);
   EXPECT_GT(d.phase1_skipped, 0);
 }

@@ -440,6 +440,30 @@ TEST_F(AnalysisTest, SlowestSpansSortsByDuration) {
   EXPECT_GE(slow[1].dur_ns, slow[2].dur_ns);
 }
 
+// A design solve labels its own crash start; the lp.solve directly under it
+// reports that label, while one under a recovery stage keeps its own.
+TEST_F(AnalysisTest, ConvergenceReportTakesTheDesignLabel) {
+  Tracer::instance().start();
+  {
+    Span design("design.solve");
+    {
+      Span solve("lp.solve");
+      solve.attr("warm_start", "accepted");
+    }
+    {
+      Span stage("lp.recovery.reseed");
+      Span solve("lp.solve");
+      solve.attr("warm_start", "repaired");
+    }
+    design.attr("warm_start", "crash-accepted");
+  }
+  Tracer::instance().stop();
+  const auto reports = convergence_reports(exported(), /*stall_tol=*/1e-9);
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0].warm_start, "crash-accepted");
+  EXPECT_EQ(reports[1].warm_start, "repaired");
+}
+
 // Synthetic convergence stream: one lp.solve with a phase child, sampled
 // counters showing progress / stall / progress, and refactor spans.
 TEST_F(AnalysisTest, ConvergenceReportFindsStallsAndRefactors) {
