@@ -111,16 +111,16 @@ int main(int argc, char** argv) {
           .set("certificate", bench::certificate_json(cert));
       jout.point(std::move(fields));
     };
-    auto two_turn = design_two_turn(torus);
+    auto two_turn = design_two_turn(torus, opts);
     design_point("2TURN", two_turn.status, two_turn.note, two_turn.certificate);
     if (two_turn.status == lp::Status::Optimal) algorithms.push_back(two_turn.routing);
-    auto two_turn_a = design_two_turn_avg(torus, design_samples);
+    auto two_turn_a = design_two_turn_avg(torus, design_samples, opts);
     design_point("2TURNA", two_turn_a.status, two_turn_a.note, two_turn_a.certificate);
     if (two_turn_a.status == lp::Status::Optimal) algorithms.push_back(two_turn_a.routing);
-    auto avg_opt = design_average_case_optimal(torus, design_samples);
+    auto avg_opt = design_average_case_optimal(torus, design_samples, opts);
     design_point("AVG-OPT", avg_opt.status, avg_opt.note, avg_opt.certificate);
     if (avg_opt.status == lp::Status::Optimal) algorithms.push_back(avg_opt.routing);
-    auto min_avg = design_minimal_avg(torus, design_samples);
+    auto min_avg = design_minimal_avg(torus, design_samples, opts);
     design_point("MIN-A", min_avg.status, min_avg.note, min_avg.certificate);
     if (min_avg.status == lp::Status::Optimal) algorithms.push_back(min_avg.routing);
   }

@@ -351,7 +351,7 @@ void fill_degraded_points(std::vector<TradeoffPoint>& points, guard::StopReason 
     if (p.status == lp::Status::Cancelled) {
       p.provenance = budget_stop ? "degraded" : "skipped";
     } else if (p.status == lp::Status::Numerical) {
-      // Recovery ladder exhausted: no defensible measurement either.
+      // Recovery retries exhausted: no defensible measurement either.
       p.provenance = "degraded";
     }
     if (!p.degraded()) continue;

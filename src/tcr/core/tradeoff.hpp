@@ -44,8 +44,8 @@ struct TradeoffPoint {
   /// Where the value came from:
   ///   "measured"  — solved in this run;
   ///   "resumed"   — replayed verbatim from a checkpoint journal;
-  ///   "degraded"  — the solve blew its budget or exhausted the recovery
-  ///                 ladder; capacity_fraction, when finite, is *interpolated*
+  ///   "degraded"  — the solve blew its budget or exhausted its recovery
+  ///                 retries; capacity_fraction, when finite, is *interpolated*
   ///                 per §5.3 (eq. 14) from certified neighbors, not measured;
   ///   "skipped"   — abandoned on external cancellation (signal); a resumed
   ///                 run will compute it properly.
@@ -118,7 +118,7 @@ bool load_sweep_resume(const std::string& path, SweepResume* out, bool* truncate
 
 /// Degradation post-pass (run by every sweep; exposed so tests can pin the
 /// §5.3 arithmetic). Points stopped by a budget (`reason` Deadline/
-/// Iterations/Memory) or whose recovery ladder exhausted (Status::Numerical)
+/// Iterations/Memory) or whose recovery retries exhausted (Status::Numerical)
 /// become "degraded": when certified neighbors exist on both sides, the
 /// capacity fraction is filled with the eq. 14 harmonic interpolation
 ///   theta(alpha) = 1 / (alpha/theta_j + (1-alpha)/theta_k),

@@ -2,7 +2,7 @@
 //
 // Robustness claims are only worth something when they are exercised; this
 // module supplies the three fault families the test suite and the CI stress
-// job use to prove the solver's recovery ladder and the simulator's deadlock
+// job use to prove the solver's recovery retries and the simulator's deadlock
 // handling actually work:
 //
 //   * ULP-level model perturbation: every coefficient nudged a few units in
@@ -10,7 +10,7 @@
 //     sensitivity probe for the design LPs;
 //   * simplex test hooks: force refactorization failures, inject drift into
 //     the LU update's new diagonals, or corrupt the extracted solution, to seed the
-//     breakdowns each recovery-ladder stage must rescue (lp/simplex.cpp
+//     breakdowns each recovery retry must rescue (lp/simplex.cpp
 //     consults the installed hooks; production pays one atomic pointer load);
 //   * simulator fault plans: take links down or stall credits for cycle
 //     windows, to drive tcr::sim through deadlock and deadlock-near-miss
@@ -41,7 +41,7 @@ lp::Model perturb_model_ulp(const lp::Model& model, std::uint64_t seed, int max_
 /// Test-only failure injection for the sparse revised simplex. Counters are
 /// armed budgets: each injection consumes one unit until the budget is
 /// exhausted, so a test can break exactly the first attempt(s) of a solve
-/// and watch a specific recovery-ladder stage rescue it.
+/// and watch a specific recovery retry rescue it.
 struct SimplexHooks {
   /// While > 0, every refactorization fails (as if the basis were singular),
   /// consuming one unit per failure.

@@ -32,8 +32,8 @@ enum class Status {
   /// Stopped cooperatively by a guard::CancelToken (deadline, budget or
   /// signal; SimplexOptions::cancel). The solution is partial: the exported
   /// basis is the best-so-far point and can warm-start a continuation, and
-  /// the note carries the token's stop diagnosis. Unlike Numerical, the
-  /// recovery ladder never re-solves a cancelled attempt.
+  /// the note carries the token's stop diagnosis. Unlike Numerical, a
+  /// cancelled attempt is never retried.
   Cancelled,
 };
 
@@ -111,14 +111,14 @@ struct Solution {
   long dual_iterations = 0;
   /// Human-readable diagnosis of why a non-optimal solve stopped (e.g.
   /// "iteration limit after 312 degenerate pivots"). Empty when Optimal,
-  /// unless the recovery ladder ran out with a failing certificate — then it
-  /// records every stage's outcome.
+  /// unless every recovery retry ended with a failing certificate — then it
+  /// records every attempt's outcome.
   std::string note;
   /// Filled by lp::solve() when SimplexOptions::certify is on and the solve
   /// reached Status::Optimal; default (checked == false) otherwise.
   Certificate certificate;
   /// Final simplex basis, exported on every outcome (including failures, so
-  /// the recovery ladder and sweep chaining can restart from it).
+  /// recovery retries and sweep chaining can restart from it).
   Basis basis;
   /// How the start basis fared: "cold" (none given), "accepted" (adopted
   /// unchanged), "repaired" (after patching) or "rejected" (unusable; the

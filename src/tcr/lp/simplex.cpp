@@ -11,7 +11,6 @@
 #include "tcr/lin/sparse.hpp"
 #include "tcr/lp/basis_factor.hpp"
 #include "tcr/lp/certify.hpp"
-#include "tcr/lp/dense_simplex.hpp"
 #include "tcr/lp/pivot_kernels.hpp"
 #include "tcr/lp/standard_form.hpp"
 #include "tcr/obs/registry.hpp"
@@ -90,16 +89,12 @@ struct SimplexMetrics {
   }
 };
 
-// Which recovery-ladder stage rescued a breakdown (or that none did).
+// Recovery retries run (attempts), retries that rescued a solve, and
+// solves whose every retry failed.
 struct RecoveryMetrics {
   obs::Counter& attempts = obs::Registry::instance().counter("lp.recovery.attempts");
+  obs::Counter& rescued = obs::Registry::instance().counter("lp.recovery.rescued");
   obs::Counter& exhausted = obs::Registry::instance().counter("lp.recovery.exhausted");
-  obs::Counter& rescued_reseed =
-      obs::Registry::instance().counter("lp.recovery.rescued.reseed");
-  obs::Counter& rescued_careful =
-      obs::Registry::instance().counter("lp.recovery.rescued.careful");
-  obs::Counter& rescued_dense =
-      obs::Registry::instance().counter("lp.recovery.rescued.dense");
 
   static RecoveryMetrics& get() {
     static RecoveryMetrics m;
@@ -111,9 +106,9 @@ struct RecoveryMetrics {
 // the checker measures a different norm than the solver controls, so it
 // needs headroom; 10x is conservative but still catches real breakage.
 constexpr double kCertifyTolFactor = 10.0;
-// The dense fallback stage only runs when rows + cols <= this: it is
-// O(m^2 n) per iteration, and beyond this it would dominate the solve time.
-constexpr int kDenseFallbackMaxDim = 600;
+// A numerical breakdown or failed certificate is re-solved at most this
+// many times (see solve()).
+constexpr int kRetries = 2;
 // Convergence counters (lp.iteration, lp.objective, ...) are sampled every
 // this many iterations while a tracer or heartbeat is listening.
 constexpr long kSampleEvery = 32;
@@ -172,7 +167,7 @@ class RevisedSimplex {
     Solution sol;
     if (opt_.cancel != nullptr && opt_.cancel->check()) {
       // A fired token means a whole-run stop: refuse the solve outright so
-      // sweeps and the recovery ladder unwind without touching the basis.
+      // sweeps and the recovery retries unwind without touching the basis.
       return finish(sol, Status::Cancelled);
     }
     WarmAdopt start = WarmAdopt::kRejected;
@@ -963,7 +958,7 @@ class RevisedSimplex {
   //   Unbounded      — some violated row admits no entering column even
   //                    after flipping everything: the dual is unbounded,
   //                    i.e. the primal is infeasible (caller falls back to
-  //                    the primal ladder for the authoritative verdict);
+  //                    phase 1 for the authoritative verdict);
   //   Numerical      — factorization alarm or pivot stall (caller falls
   //                    back);
   //   IterationLimit / Cancelled — shared run-control limits (final).
@@ -976,7 +971,7 @@ class RevisedSimplex {
     dse_.resize(static_cast<std::size_t>(m_), 0.0);
     // Stall guard: a dual phase that has not reached primal feasibility
     // after this many pivots is not the cheap sweep repair it exists for;
-    // hand the basis back to the primal ladder instead of grinding on.
+    // hand the basis to phase 1 instead of grinding on.
     const long stall_cap = 4L * m_ + 1000;
     const long first_iter = iters_;
     priced_at_ = -1;  // a new cost vector: the first iteration reprices
@@ -1245,9 +1240,8 @@ Solution solve(const Model& model, const SimplexOptions& options, const Basis* s
   const CertifyOptions cert_opts = CertifyOptions::from_solver_tols(
       options.feas_tol, options.opt_tol, kCertifyTolFactor);
 
-  auto run_attempt = [](const Model& mdl, const SimplexOptions& o, const Basis* b) {
-    auto sf = detail::build_standard_form(mdl);
-    RevisedSimplex simplex(std::move(sf), o, b);
+  auto run_attempt = [&](const SimplexOptions& o, const Basis* b) {
+    RevisedSimplex simplex(detail::build_standard_form(model), o, b);
     return simplex.run();
   };
 
@@ -1273,18 +1267,12 @@ Solution solve(const Model& model, const SimplexOptions& options, const Basis* s
     return d;
   };
 
-  Solution best = run_attempt(model, options, start);
+  Solution best = run_attempt(options, start);
   if (accept(best)) return best;
 
-  // ---- staged recovery ladder ----
+  // ---- recovery: up to kRetries re-solves ----
   auto& rec = RecoveryMetrics::get();
   std::string history = "first attempt: " + describe(best);
-
-  // Each sparse retry restarts from the previous attempt's exported basis:
-  // even a failed attempt usually leaves the basis far closer to optimal
-  // than the first start, and apply_warm() repairs or rejects anything
-  // unusable. The dense stage stays cold — its value is independence.
-  Basis chain = best.basis;
 
   // Keep the most defensible attempt for the exhausted case: an optimal
   // point with a failing certificate beats a breakdown, and among failed
@@ -1301,63 +1289,35 @@ Solution solve(const Model& model, const SimplexOptions& options, const Basis* s
     if (take) std::swap(best, cand);
   };
 
-  enum StageId { kReseed = 0, kCareful, kDense, kNumStages };
-  obs::Counter* rescued[kNumStages] = {&rec.rescued_reseed, &rec.rescued_careful,
-                                       &rec.rescued_dense};
-  const char* names[kNumStages] = {"reseed", "careful", "dense"};
-
-  for (int stage = 0; stage < kNumStages; ++stage) {
-    const std::string stage_span_name = std::string("lp.recovery.") + names[stage];
-    trace::Span stage_span(stage_span_name);
-    Solution cand;
-    switch (stage) {
-      case kReseed: {
-        // Different perturbation seed and the opposite perturbation setting
-        // shift the pivot sequence enough to escape most bad bases.
-        SimplexOptions o = options;
-        o.seed = options.seed * 2654435761ULL + 17;
-        o.perturb = !options.perturb;
-        cand = run_attempt(model, o, &chain);
-        break;
-      }
-      case kCareful: {
-        // Slow but stable: refactorize constantly, drop the perturbation,
-        // and fall into Bland pricing almost immediately.
-        SimplexOptions o = options;
-        o.refactor_every = std::min(options.refactor_every, 8);
-        o.bland_after = 1;
-        o.perturb = false;
-        o.seed = options.seed * 6364136223846793005ULL + 1442695040888963407ULL;
-        cand = run_attempt(model, o, &chain);
-        break;
-      }
-      case kDense: {
-        // Last resort for small models: the dense reference simplex shares
-        // no code with the revised solver (explicit inverse, Bland's rule).
-        if (model.num_rows() + model.num_cols() > kDenseFallbackMaxDim) {
-          history += "; dense: skipped (model too large)";
-          continue;
-        }
-        cand = solve_dense(model);
-        break;
-      }
-    }
+  // Each retry restarts from the previous attempt's exported basis: even a
+  // failed attempt usually leaves it far closer to optimal than the first
+  // start, and apply_warm() repairs or rejects anything unusable. The
+  // perturbation flipped from the caller's setting and a new perturbation
+  // seed shift the pivot sequence enough to escape most bad bases.
+  SimplexOptions retry_opts = options;
+  retry_opts.perturb = !options.perturb;
+  Basis chain = best.basis;
+  for (int retry = 1; retry <= kRetries; ++retry) {
+    trace::Span span("lp.recovery.retry");
+    retry_opts.seed = retry_opts.seed * 2654435761ULL + 17;
+    Solution cand = run_attempt(retry_opts, &chain);
     rec.attempts.add(1);
-    const bool rescued_here = accept(cand);
-    stage_span.attr("status", to_string(cand.status));
-    stage_span.attr("rescued", rescued_here);
-    stage_span.end();
-    if (rescued_here) {
-      rescued[stage]->add(1);
+    const bool rescued = accept(cand);
+    span.attr("retry", retry);
+    span.attr("status", to_string(cand.status));
+    span.attr("rescued", rescued);
+    span.end();
+    if (rescued) {
+      rec.rescued.add(1);
       return cand;
     }
-    history += std::string("; ") + names[stage] + ": " + describe(cand);
+    history += "; retry " + std::to_string(retry) + ": " + describe(cand);
     chain = cand.basis;
     keep_better(cand);
   }
 
   rec.exhausted.add(1);
-  best.note = "recovery ladder exhausted: " + history;
+  best.note = "recovery retries exhausted: " + history;
   return best;
 }
 

@@ -58,8 +58,8 @@
 // once another has been adopted: when the dual phase gives up, phase 1
 // starts from the basis it ended on.
 //
-// Numerical breakdowns and failed certificates go through a three-stage
-// recovery ladder (reseed, careful, dense); see solve().
+// A numerical breakdown or a failed certificate is re-solved at most twice,
+// each time from the failed attempt's basis; see solve().
 //
 // The paper solved its routing-design LPs with CPLEX; this solver is the
 // from-scratch replacement (see DESIGN.md, substitutions).
@@ -86,8 +86,8 @@ struct SimplexOptions {
 
   /// Run lp::certify() on every Optimal solve (at 10x the solver
   /// tolerances) and store the result in Solution::certificate. A failing
-  /// certificate is treated like a numerical breakdown: the recovery ladder
-  /// runs.
+  /// certificate is treated like a numerical breakdown: the solve is
+  /// retried.
   bool certify = true;
 
   /// Optional cooperative cancellation/budget token (not owned; must
@@ -95,19 +95,19 @@ struct SimplexOptions {
   /// solve entry, charging iterations against the token's cumulative
   /// budget; when it fires, the solve stops with Status::Cancelled, a
   /// best-so-far basis, and the token's diagnosis in the note. A cancelled
-  /// attempt is final — the recovery ladder does not retry it.
+  /// attempt is final — it is not retried.
   guard::CancelToken* cancel = nullptr;
 };
 
 /// Solve with the sparse revised simplex. On numerical breakdown — or, when
 /// options.certify is set, on an optimal solution whose independent
-/// certificate fails — a recovery ladder re-solves with progressively more
-/// conservative settings: reseed (new perturbation seed, perturbation
-/// flipped), careful (tight refactorization, Bland pricing) and dense (the
-/// independent dense tableau simplex, for rows + cols <= 600). The returned
-/// Solution carries the certificate of the accepted attempt; if every stage
-/// fails the most defensible attempt is returned with a note recording the
-/// ladder.
+/// certificate fails — the solve is retried, at most twice: each retry
+/// starts from the previous attempt's exported basis, with the perturbation
+/// flipped from options.perturb and a new perturbation seed. Infeasible,
+/// Unbounded, IterationLimit and Cancelled verdicts are final. The returned
+/// Solution carries the certificate of the accepted attempt; if every retry
+/// fails the most defensible attempt is returned with a note recording each
+/// attempt.
 ///
 /// `start` optionally supplies the basis to start from: typically the
 /// previous Solution::basis of a near-identical model in a sweep, or the
@@ -124,9 +124,7 @@ struct SimplexOptions {
 /// repair and phase 1 runs from it. Every adoption attempt increments
 /// exactly one of the lp.warmstart.{accepted,repaired,rejected} obs
 /// counters when it is decided (lp.warmstart.attempts counts them all), and
-/// Solution::warm_start reads the same verdict. The reseed and careful
-/// recovery stages restart from the failed attempt's exported basis rather
-/// than from scratch.
+/// Solution::warm_start reads the same verdict.
 Solution solve(const Model& model, const SimplexOptions& options = {},
                const Basis* start = nullptr);
 

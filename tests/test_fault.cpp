@@ -1,7 +1,7 @@
 // Fault injection (tcr::fault) proving the robustness machinery:
 //  * ULP model perturbation is deterministic and keeps problems solvable;
-//  * each recovery-ladder stage demonstrably rescues a seeded breakdown,
-//    selected by the size of the injected-failure budget;
+//  * each recovery retry demonstrably rescues a seeded breakdown, selected
+//    by the size of the injected-failure budget;
 //  * corrupted "optimal" extractions are caught by the certificate and
 //    re-solved;
 //  * simulator link-down faults deadlock the drain, transient global credit
@@ -9,7 +9,6 @@
 // The env-gated stress case at the bottom backs the CI fault-injection job.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -96,45 +95,33 @@ TEST(FaultUlp, ZeroUlpsIsIdentity) {
   for (int i = 0; i < m.num_rows(); ++i) EXPECT_EQ(a.rhs(i), m.rhs(i));
 }
 
-// ---- recovery-ladder rescues ------------------------------------------
+// ---- recovery retries --------------------------------------------------
 
-// Which ladder stage rescued the solves inside its lifetime: "none" when no
-// stage did, "several" when more than one did.
-class LadderProbe {
+// The lp.recovery.* counters over the probe's lifetime.
+class RetryProbe {
  public:
-  LadderProbe() {
-    for (std::size_t i = 0; i < kStages.size(); ++i) start_[i] = rescued(kStages[i]);
-  }
-  std::string rescuer() const {
-    std::string who = "none";
-    for (std::size_t i = 0; i < kStages.size(); ++i) {
-      if (rescued(kStages[i]) != start_[i]) who = who == "none" ? kStages[i] : "several";
-    }
-    return who;
-  }
   long attempts() const { return counter_value("lp.recovery.attempts") - attempts0_; }
+  long rescued() const { return counter_value("lp.recovery.rescued") - rescued0_; }
   long exhausted() const { return counter_value("lp.recovery.exhausted") - exhausted0_; }
+  // Which retry rescued the one solve inside the probe's lifetime: 0 when
+  // none did.
+  long rescuer() const { return rescued() == 1 ? attempts() : 0; }
 
  private:
-  static constexpr std::array<const char*, 3> kStages = {"reseed", "careful", "dense"};
-  static long rescued(const char* stage) {
-    return counter_value(("lp.recovery.rescued." + std::string(stage)).c_str());
-  }
-  std::array<long, 3> start_ = {};
   long attempts0_ = counter_value("lp.recovery.attempts");
+  long rescued0_ = counter_value("lp.recovery.rescued");
   long exhausted0_ = counter_value("lp.recovery.exhausted");
 };
 
 // The size of an injected refactorization-failure budget decides which
-// stage rescues textbook(): the first attempt consumes one failure and each
-// sparse stage three (one per factorization it tries: the chained warm
-// basis, its patched repair, the crash basis), so reseed takes budgets 1-3,
-// careful 4-6 and the dense stage, which shares no code with the sparse
-// solver and never sees an injected failure, everything from 7 up.
-std::string rescuer_for_refactor_failures(long budget) {
+// retry rescues textbook(): the first attempt consumes one failure and each
+// retry three (one per factorization it tries: the chained basis, its
+// patched repair, the all-logical basis), so retry 1 takes budgets 1-3,
+// retry 2 budgets 4-6, and from 7 up every attempt breaks.
+long rescuer_for_refactor_failures(long budget) {
   fault::ScopedSimplexFaults faults;
   faults.hooks().fail_refactors = budget;
-  const LadderProbe probe;
+  const RetryProbe probe;
   const auto sol = lp::solve(textbook());
   EXPECT_EQ(sol.status, Status::Optimal) << "budget " << budget << ": " << sol.note;
   EXPECT_TRUE(sol.certificate.ok()) << "budget " << budget;
@@ -143,45 +130,44 @@ std::string rescuer_for_refactor_failures(long budget) {
   return probe.rescuer();
 }
 
-TEST(FaultLadder, ReseedRescuesRefactorFailure) {
-  EXPECT_EQ(rescuer_for_refactor_failures(1), "reseed");
-  EXPECT_EQ(rescuer_for_refactor_failures(3), "reseed");
+TEST(FaultLadder, FirstRetryRescuesRefactorFailure) {
+  for (long budget = 1; budget <= 3; ++budget) {
+    EXPECT_EQ(rescuer_for_refactor_failures(budget), 1) << "budget " << budget;
+  }
 }
 
-TEST(FaultLadder, CarefulRescuesWhenReseedExhausted) {
-  EXPECT_EQ(rescuer_for_refactor_failures(4), "careful");
-  EXPECT_EQ(rescuer_for_refactor_failures(6), "careful");
+TEST(FaultLadder, SecondRetryRescuesWhenTheFirstFails) {
+  for (long budget = 4; budget <= 6; ++budget) {
+    EXPECT_EQ(rescuer_for_refactor_failures(budget), 2) << "budget " << budget;
+  }
 }
 
-TEST(FaultLadder, DenseRescuesPersistentSparseFailure) {
-  EXPECT_EQ(rescuer_for_refactor_failures(7), "dense");
-  // Every sparse attempt breaks; the dense stage shares no code with them.
+TEST(FaultLadder, SeventhFailureExhaustsTheRetries) {
   fault::ScopedSimplexFaults faults;
-  faults.hooks().fail_refactors = 1'000'000;
-  const LadderProbe probe;
+  faults.hooks().fail_refactors = 7;
+  const RetryProbe probe;
+
   const auto sol = lp::solve(textbook());
-  ASSERT_EQ(sol.status, Status::Optimal);
-  EXPECT_TRUE(sol.certificate.ok());
-  EXPECT_NEAR(sol.objective, 36.0, 1e-9);
-  EXPECT_EQ(probe.rescuer(), "dense");
-  EXPECT_EQ(probe.attempts(), 3);
+  EXPECT_EQ(sol.status, Status::Numerical);
+  EXPECT_NE(sol.note.find("first attempt"), std::string::npos) << sol.note;
+  EXPECT_NE(sol.note.find("retry 1"), std::string::npos) << sol.note;
+  EXPECT_NE(sol.note.find("retry 2"), std::string::npos) << sol.note;
+  EXPECT_EQ(probe.rescued(), 0);
+  EXPECT_EQ(probe.attempts(), 2);
+  EXPECT_EQ(probe.exhausted(), 1);
   EXPECT_EQ(faults.hooks().refactor_failures_injected.load(), 7);
 }
 
-// chain_model(400) has 400 columns and 399 rows, above the dense stage's
-// 600 rows + columns cap, so once every sparse attempt breaks nothing can
-// rescue it.
 TEST(FaultLadder, ExhaustionKeepsFirstAttemptDiagnosis) {
   fault::ScopedSimplexFaults faults;
   faults.hooks().fail_refactors = 1'000'000;
-  const LadderProbe probe;
+  const RetryProbe probe;
 
   const auto sol = lp::solve(chain_model(400));
   EXPECT_EQ(sol.status, Status::Numerical);
-  EXPECT_NE(sol.note.find("recovery ladder exhausted"), std::string::npos) << sol.note;
+  EXPECT_NE(sol.note.find("recovery retries exhausted"), std::string::npos) << sol.note;
   EXPECT_NE(sol.note.find("first attempt"), std::string::npos) << sol.note;
-  EXPECT_NE(sol.note.find("dense: skipped (model too large)"), std::string::npos) << sol.note;
-  EXPECT_EQ(probe.rescuer(), "none");
+  EXPECT_EQ(probe.rescued(), 0);
   EXPECT_EQ(probe.attempts(), 2);
   EXPECT_EQ(probe.exhausted(), 1);
 }
@@ -190,28 +176,28 @@ TEST(FaultLadder, CorruptedExtractionCaughtAndResolved) {
   fault::ScopedSimplexFaults faults;
   faults.hooks().solution_corruption = 0.75;
   faults.hooks().corrupt_solutions = 1;  // silently wrong "optimum" once
-  const LadderProbe probe;
+  const RetryProbe probe;
 
   const auto sol = lp::solve(textbook());
   ASSERT_EQ(sol.status, Status::Optimal);
   EXPECT_TRUE(sol.certificate.ok()) << sol.certificate.summary();
   EXPECT_NEAR(sol.objective, 36.0, 1e-9);
   EXPECT_EQ(faults.hooks().corruptions_injected.load(), 1);
-  EXPECT_EQ(probe.rescuer(), "reseed");
+  EXPECT_EQ(probe.rescuer(), 1);
 }
 
 TEST(FaultLadder, CorruptionUndetectedWithoutCertification) {
   fault::ScopedSimplexFaults faults;
   faults.hooks().solution_corruption = 0.75;
   faults.hooks().corrupt_solutions = 1;
-  const LadderProbe probe;
+  const RetryProbe probe;
 
   lp::SimplexOptions opts;
   opts.certify = false;  // the control: no checker, the bad point sails through
   const auto sol = lp::solve(textbook(), opts);
   ASSERT_EQ(sol.status, Status::Optimal);
   EXPECT_NEAR(sol.x[0], 2.75, 1e-9);  // corrupted value survives
-  EXPECT_EQ(probe.rescuer(), "none");
+  EXPECT_EQ(probe.rescued(), 0);
   EXPECT_EQ(probe.attempts(), 0);
 }
 
@@ -221,13 +207,13 @@ TEST(FaultLadder, EtaDriftEndsCertified) {
   fault::ScopedSimplexFaults faults;
   faults.hooks().eta_drift = 1e-4;
   faults.hooks().drift_etas = 25;
-  const LadderProbe probe;
+  const RetryProbe probe;
 
   const auto sol = lp::solve(chain_model(120));
   ASSERT_EQ(sol.status, Status::Optimal);
   EXPECT_TRUE(sol.certificate.ok()) << sol.certificate.summary();
   EXPECT_GT(faults.hooks().eta_drifts_injected.load(), 0);
-  EXPECT_EQ(probe.rescuer(), "none");
+  EXPECT_EQ(probe.rescued(), 0);
 }
 
 // ---- simulator faults --------------------------------------------------
@@ -356,7 +342,7 @@ TEST(FaultStress, SeedMatrixSurvivesInjection) {
 
 // Enabled by TCR_FAULT_STRESS=1: a warm-started tradeoff sweep under
 // injected refactorization failures. The warm chain hands each point a basis
-// the previous (possibly recovery-laddered) solve produced, so this
+// the previous (possibly retried) solve produced, so this
 // exercises warm adoption on top of the fault machinery; every point must
 // still come back with a certified optimum matching a fault-free cold sweep.
 TEST(FaultStress, WarmSweepSurvivesInjection) {

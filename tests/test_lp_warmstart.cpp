@@ -357,8 +357,9 @@ TEST(WarmStart, AttemptsAlwaysEqualCommittedOutcomes) {
     const WarmCounters before = WarmCounters::snap();
     expect_warm_matches_cold(m, warm, opt, what);
     const WarmCounters d = WarmCounters::snap().delta_since(before);
-    // One lp::solve = one adoption attempt (the recovery ladder may retry
-    // on numerical failure, but these well-scaled models never need it).
+    // One lp::solve = one adoption attempt (the recovery retries may
+    // re-solve on numerical failure, but these well-scaled models never
+    // need it).
     EXPECT_EQ(d.attempts, 1) << what << " trial " << trial;
     d.expect_balanced(what);
     ++solves;

@@ -441,7 +441,7 @@ TEST_F(AnalysisTest, SlowestSpansSortsByDuration) {
 }
 
 // A design solve labels its own crash start; the lp.solve directly under it
-// reports that label, while one under a recovery stage keeps its own.
+// reports that label, while one under a recovery retry keeps its own.
 TEST_F(AnalysisTest, ConvergenceReportTakesTheDesignLabel) {
   Tracer::instance().start();
   {
@@ -451,7 +451,7 @@ TEST_F(AnalysisTest, ConvergenceReportTakesTheDesignLabel) {
       solve.attr("warm_start", "accepted");
     }
     {
-      Span stage("lp.recovery.reseed");
+      Span retry("lp.recovery.retry");
       Span solve("lp.solve");
       solve.attr("warm_start", "repaired");
     }
