@@ -148,10 +148,13 @@ class RunControl {
   /// and the solver options it will use.
   void apply(SweepConfig& sweep, lp::SimplexOptions& opts) {
     sweep.cancel = &token_;
-    opts.cancel = &token_;
+    apply(opts);
     if (journal_.is_open()) sweep.journal = &journal_;
     if (resume_ != nullptr) sweep.resume = resume_.get();
   }
+
+  /// Wire the token into the solver options of design solves.
+  void apply(lp::SimplexOptions& opts) { opts.cancel = &token_; }
 
   /// Wire the token into a simulator run.
   void apply(SimConfig& sim) { sim.cancel = &token_; }

@@ -4,7 +4,7 @@
 //
 // Each curve point solves LP (10): minimize gamma_wc subject to H_avg = L.
 //
-// Flags: --k (default 8), --points (default 11), --warm/--cold/--chains
+// Flags: --k (default 8), --points (default 9), --warm/--cold/--chains
 // (warm-start chaining, see bench::sweep_config), --threads N (solve the
 // sweep's chains on a pool; results are identical to serial), --json <path>
 // (one JSON record per curve point / algorithm; the curve's obs snapshot —

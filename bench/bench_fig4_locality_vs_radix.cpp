@@ -7,7 +7,9 @@
 // raise at your own pace), --skip-optimal, --skip-2turn, --json <path>
 // (one JSON record per radix with the obs snapshot of that radix's solves),
 // --perf (hardware-counter/rusage perf block per record; see
-// bench::JsonOutput).
+// bench::JsonOutput), plus the run-control flags --deadline/--budget/
+// --rss-limit-mb (see bench::RunControl; a fired token ends the design
+// solves cancelled and the run exits 7).
 #include "bench_common.hpp"
 
 #include "tcr/core/design.hpp"
@@ -20,6 +22,9 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const int kmin = cli.get_int("kmin", 3);
   const int kmax = cli.get_int("kmax", 8);
+  bench::RunControl rc(cli);
+  lp::SimplexOptions opts;
+  rc.apply(opts);
   bench::JsonOutput jout(cli, "fig4_locality_vs_radix",
                          obs::Json::object()
                              .set("kmin", kmin)
@@ -27,7 +32,7 @@ int main(int argc, char** argv) {
                              .set("skip_2turn", cli.has("skip-2turn"))
                              .set("skip_optimal", cli.has("skip-optimal")));
   bench::TraceOutput trace(cli);
-  bench::HeartbeatOutput heartbeat(cli, "fig4_locality_vs_radix", nullptr);
+  bench::HeartbeatOutput heartbeat(cli, "fig4_locality_vs_radix", &rc.token());
 
   bench::banner("Figure 4: locality of worst-case-optimal algorithms vs radix",
                 "IVAL closed form; 2TURN path LP; optimal arc LP");
@@ -41,7 +46,7 @@ int main(int argc, char** argv) {
     double two_turn = -1.0, two_turn_wc = -1.0;
     lp::Certificate two_turn_cert, optimal_cert;
     if (!cli.has("skip-2turn")) {
-      const auto res = design_two_turn(torus);
+      const auto res = design_two_turn(torus, opts);
       two_turn_cert = res.certificate;
       if (res.status == lp::Status::Optimal) {
         two_turn = res.routing.normalized_locality();
@@ -53,7 +58,7 @@ int main(int argc, char** argv) {
     }
     double optimal = -1.0;
     if (!cli.has("skip-optimal")) {
-      const auto res = design_worst_case_optimal(torus);
+      const auto res = design_worst_case_optimal(torus, opts);
       optimal_cert = res.certificate;
       if (res.status == lp::Status::Optimal) {
         optimal = res.locality_norm;
@@ -80,5 +85,5 @@ int main(int argc, char** argv) {
   std::cout << "\npaper shape: IVAL settles near 1.64, optimal oscillates around ~1.52\n"
                "with even radices showing the larger IVAL-vs-optimal gap; 2TURN matches\n"
                "the optimal exactly at k = 4 and k = 6 and stays within ~0.4% at k = 8.\n";
-  return 0;
+  return rc.finish();
 }

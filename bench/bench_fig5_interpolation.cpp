@@ -5,12 +5,15 @@
 // which is tight when the endpoints share a worst-case permutation
 // (footnote 5). Also reports the distance to the optimal tradeoff curve.
 //
-// Flags: --k (default 8), --alphas (default 9), --curve-points (default 11),
+// Flags: --k (default 8), --alphas (default 7), --curve-points (default 9),
 // --skip-curve (skip the optimal-curve LPs used for the gap column),
 // --warm/--cold/--chains (warm-start chaining for the curve sweep),
 // --threads N (solve the curve's chains on a pool), --json <path> (one JSON
 // record per interpolation point), --perf (hardware-counter/rusage perf
-// block per record; see bench::JsonOutput).
+// block per record; see bench::JsonOutput), plus the run-control flags
+// --deadline/--budget/--rss-limit-mb/--checkpoint/--resume (see
+// bench::RunControl; a fired token degrades the curve points it stops,
+// ends the 2TURN design cancelled and the run exits 7).
 #include "bench_common.hpp"
 
 #include <cmath>
@@ -52,6 +55,10 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const int k = cli.get_int("k", 8);
   const int alphas = cli.get_int("alphas", 7);
+  SweepConfig sweep = bench::sweep_config(cli);
+  bench::RunControl rc(cli);
+  lp::SimplexOptions opts;
+  rc.apply(sweep, opts);
   bench::JsonOutput jout(cli, "fig5_interpolation",
                          obs::Json::object()
                              .set("k", k)
@@ -59,7 +66,7 @@ int main(int argc, char** argv) {
                              .set("curve_points", cli.get_int("curve-points", 9))
                              .set("skip_curve", cli.has("skip-curve")));
   bench::TraceOutput trace(cli);
-  bench::HeartbeatOutput heartbeat(cli, "fig5_interpolation", nullptr);
+  bench::HeartbeatOutput heartbeat(cli, "fig5_interpolation", &rc.token());
 
   bench::banner("Figure 5: interpolated routing algorithms, " + std::to_string(k) +
                     "-ary 2-cube",
@@ -72,11 +79,10 @@ int main(int argc, char** argv) {
   if (!cli.has("skip-curve")) {
     const auto pool = bench::sweep_pool(cli);
     curve = worst_case_tradeoff(torus, locality_grid(1.0, 2.0, cli.get_int("curve-points", 9)),
-                                {}, pool.get(),
-                                bench::sweep_config(cli));
+                                opts, pool.get(), sweep);
   }
 
-  const auto two_turn = design_two_turn(torus);
+  const auto two_turn = design_two_turn(torus, opts);
   if (two_turn.status != lp::Status::Optimal) {
     std::cout << "2TURN design: " << bench::status_line(two_turn.status, two_turn.note) << "\n";
   }
@@ -128,5 +134,5 @@ int main(int argc, char** argv) {
                 << "% (paper: <=17% for DOR<->IVAL, <=10% for DOR<->2TURN)\n";
     }
   }
-  return 0;
+  return rc.finish();
 }

@@ -9,7 +9,10 @@
 // (default 32), --skip-design (skip the LP-designed algorithms),
 // --json <path> (one JSON-lines record per design solve and per algorithm
 // row, each carrying the obs snapshot of the work it covers), --perf
-// (hardware-counter/rusage perf block per record; see bench::JsonOutput).
+// (hardware-counter/rusage perf block per record; see bench::JsonOutput),
+// plus the run-control flags --deadline/--budget/--rss-limit-mb (see
+// bench::RunControl; a fired token ends the design solves cancelled and
+// the run exits 7).
 #include "bench_common.hpp"
 
 #include "tcr/core/path_design.hpp"
@@ -24,6 +27,9 @@ int main(int argc, char** argv) {
   const int k = cli.get_int("k", 8);
   const int eval_samples = cli.get_int("samples", 100);
   const int design_samples = cli.get_int("design-samples", 16);
+  bench::RunControl rc(cli);
+  lp::SimplexOptions opts;
+  rc.apply(opts);
   bench::JsonOutput jout(cli, "table1_algorithms",
                          obs::Json::object()
                              .set("k", k)
@@ -31,7 +37,7 @@ int main(int argc, char** argv) {
                              .set("design_samples", design_samples)
                              .set("skip_design", cli.has("skip-design")));
   bench::TraceOutput trace(cli);
-  bench::HeartbeatOutput heartbeat(cli, "table1_algorithms", nullptr);
+  bench::HeartbeatOutput heartbeat(cli, "table1_algorithms", &rc.token());
 
   bench::banner("Table 1 / Figure 1 & 6 algorithm points — " + std::to_string(k) +
                     "-ary 2-cube",
@@ -45,7 +51,7 @@ int main(int argc, char** argv) {
   if (!cli.has("skip-design")) {
     Stopwatch sw;
     std::cout << "solving 2TURN design LP (worst-case, lexicographic)...\n";
-    auto two_turn = design_two_turn(torus);
+    auto two_turn = design_two_turn(torus, opts);
     std::cout << "  " << bench::status_line(two_turn.status, two_turn.note) << " in "
               << sw.seconds() << " s\n";
     {
@@ -64,7 +70,7 @@ int main(int argc, char** argv) {
     for (int i = 0; i < design_samples; ++i) perms.push_back(rng.permutation(torus.num_nodes()));
     sw.reset();
     std::cout << "solving 2TURNA design LP (average-case, |X|=" << design_samples << ")...\n";
-    auto two_turn_a = design_two_turn_avg(torus, perms);
+    auto two_turn_a = design_two_turn_avg(torus, perms, opts);
     std::cout << "  " << bench::status_line(two_turn_a.status, two_turn_a.note) << " in "
               << sw.seconds() << " s\n";
     {
@@ -104,5 +110,5 @@ int main(int argc, char** argv) {
   std::cout << "\npaper reference points (8-ary 2-cube): VAL locality 2.0 & wc 0.50;"
                "\nIVAL locality ~1.61 & wc 0.50; 2TURN locality ~1.48 & wc 0.50;"
                "\nmax average-case throughput ~0.628 of capacity (Fig. 6).\n";
-  return 0;
+  return rc.finish();
 }

@@ -7,6 +7,7 @@
 
 #include "tcr/core/formulation.hpp"
 #include "tcr/graph/symmetry.hpp"
+#include "tcr/lp/certify.hpp"
 #include "tcr/lp/crossover.hpp"
 #include "tcr/matching/hungarian.hpp"
 #include "tcr/obs/registry.hpp"
@@ -43,6 +44,8 @@ struct DesignMetrics {
   obs::Counter& crash_accepted = obs::Registry::instance().counter("lp.crash.accepted");
   obs::Counter& crash_repaired = obs::Registry::instance().counter("lp.crash.repaired");
   obs::Counter& crash_rejected = obs::Registry::instance().counter("lp.crash.rejected");
+  // Warm solves answered by the reuse seed, with no lp::solve.
+  obs::Counter& reused = obs::Registry::instance().counter("core.design.reused");
   // Objective trajectory across the solves of a pipeline stage (lexicographic
   // stages, tradeoff sweeps): the snapshot reports count/min/max/percentiles
   // of all objectives seen since the last reset.
@@ -345,7 +348,12 @@ DesignResult SymmetricArcDesign::solve(const lp::SimplexOptions& opts,
     t.attr("nnz", static_cast<std::int64_t>(model_.num_terms()));
     const bool cold = warm == nullptr || warm->empty();
     const lp::Basis* start = cold ? &flow_crash_hints() : warm;
-    sol = lp::solve(model_, opts, start);
+    if (!cold && reuse(opts, *warm, &sol)) {
+      met.reused.add(1);
+    } else {
+      seed_.reset();  // replaced after the solve; freed before its allocations
+      sol = lp::solve(model_, opts, start);
+    }
     if (cold && !start->empty()) {
       // lp::solve labels every start basis alike; a crash reads
       // crash-accepted or crash-repaired, and a rejected one is a cold start.
@@ -363,7 +371,10 @@ DesignResult SymmetricArcDesign::solve(const lp::SimplexOptions& opts,
     t.attr("dual_iterations", static_cast<std::int64_t>(sol.dual_iterations));
   }
   DesignResult res = detail::design_result(sol);
-  if (sol.status != lp::Status::Optimal) return res;
+  if (sol.status != lp::Status::Optimal) {
+    seed_.reset();
+    return res;
+  }
   met.last_objective.set(sol.objective);
   met.objectives.record(sol.objective);
   const int n = torus_.num_nodes(), nc = torus_.num_channels();
@@ -377,7 +388,36 @@ DesignResult SymmetricArcDesign::solve(const lp::SimplexOptions& opts,
     }
   }
   res.avg_hops = total / n;
+  const bool seeds = sol.certificate.ok() && locality_row_ >= 0 &&
+                     std::abs(sol.duals[locality_row_]) <= opts.opt_tol;
+  set_reuse_seed(seeds ? std::move(sol) : lp::Solution{});
   return res;
+}
+
+bool SymmetricArcDesign::reuse(const lp::SimplexOptions& opts, const lp::Basis& warm,
+                               lp::Solution* out) const {
+  if (!seed_ || config_.locality_equals < seed_bound_) return false;
+  lp::Solution sol = *seed_;
+  sol.certificate = lp::certify(
+      model_, sol, lp::CertifyOptions::from_solver_tols(opts.feas_tol, opts.opt_tol));
+  if (!sol.certificate.ok()) return false;
+  sol.basis = warm;
+  sol.warm_start = "reused";
+  *out = std::move(sol);
+  return true;
+}
+
+void SymmetricArcDesign::set_reuse_seed(lp::Solution seed) {
+  if (seed.x.empty()) {
+    seed_.reset();
+    return;
+  }
+  // Only the optimum itself is kept: a reuse reports no work of its own.
+  seed.iterations = seed.phase1_iterations = seed.dual_iterations = 0;
+  seed.note.clear();
+  seed.basis = {};
+  seed_ = std::move(seed);
+  seed_bound_ = config_.locality_equals;
 }
 
 TorusRouting SymmetricArcDesign::routing(const std::string& name) const {

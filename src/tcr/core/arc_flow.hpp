@@ -74,7 +74,9 @@ struct DesignResult {
   lp::Basis basis;
   /// Start-basis adoption outcome of the underlying LP solve (see
   /// lp::Solution::warm_start); a crash start reads "crash-accepted" or
-  /// "crash-repaired" (see SymmetricArcDesign::flow_crash_hints()).
+  /// "crash-repaired" (see SymmetricArcDesign::flow_crash_hints()), and a
+  /// warm solve that reused the previous certified optimum reads "reused"
+  /// (see SymmetricArcDesign::solve()).
   std::string warm_start = "cold";
 };
 
@@ -87,8 +89,29 @@ class SymmetricArcDesign {
   /// optionally seeds the simplex with a previous solve's basis (see
   /// lp::solve); it pays off when only the locality bound moved since.
   /// Without one, the solve starts from flow_crash_hints().
+  ///
+  /// A warm solve first tries the reuse seed (reuse_seed()): when the bound
+  /// has not tightened since the seed was kept and lp::certify() passes the
+  /// seed against the current model, the seed is the optimum. That is the
+  /// flat part of a tradeoff curve past its knee: the locality row's dual
+  /// is 0 there, so loosening the bound keeps the seed feasible and
+  /// complementary (LP duality). The result then has 0 iterations, the
+  /// fresh certificate, `warm` carried forward unchanged as its basis, and
+  /// the label "reused" (counted in core.design.reused); any failure falls
+  /// through to lp::solve. A solve without a warm basis never reuses.
   DesignResult solve(const lp::SimplexOptions& opts = {},
                      const lp::Basis* warm = nullptr);
+
+  /// The certified optimum a later warm solve may reuse: the last solve's,
+  /// when it ended optimal with a passing certificate and the locality
+  /// row's dual within opts.opt_tol; null otherwise (and always without a
+  /// locality row).
+  const lp::Solution* reuse_seed() const { return seed_ ? &*seed_ : nullptr; }
+
+  /// Replace the reuse seed as if the last solve, at the current locality
+  /// bound, had kept `seed`; an empty `seed.x` clears it. A resumed sweep
+  /// hands in its last replayed point's journaled seed this way.
+  void set_reuse_seed(lp::Solution seed);
 
   /// Move the locality bound without rebuilding the model: rewrites the
   /// locality row's right-hand side in place (the row's type and
@@ -134,6 +157,7 @@ class SymmetricArcDesign {
   void add_flow_conservation();
   void add_uniform_block();
   void add_locality_row();
+  bool reuse(const lp::SimplexOptions& opts, const lp::Basis& warm, lp::Solution* out) const;
 
   const Torus& torus_;
   SymmetricDesignConfig config_;
@@ -153,6 +177,8 @@ class SymmetricArcDesign {
   std::vector<std::vector<int>> wc_u_cols_, wc_v_cols_;
   lp::Basis crash_basis_;
   std::optional<double> crash_bound_;  // locality bound crash_basis_ was built for
+  std::optional<lp::Solution> seed_;   // see reuse_seed()
+  double seed_bound_ = 0.0;            // locality bound seed_ was certified at
 };
 
 /// Decompose one commodity's channel flows into weighted 0->e paths

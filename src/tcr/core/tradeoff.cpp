@@ -73,6 +73,16 @@ struct Cursor {
     take(&v, 8);
     return v;
   }
+  bool doubles(std::vector<double>* out) {
+    const std::uint32_t n = u32();
+    if (!ok || left < std::size_t{n} * sizeof(double)) {
+      ok = false;
+      return false;
+    }
+    out->resize(n);
+    for (double& v : *out) v = f64();
+    return ok;
+  }
   std::string str() {
     const std::uint32_t n = u32();
     if (!ok || left < n) {
@@ -86,8 +96,14 @@ struct Cursor {
   }
 };
 
-// Version 2 added the basis's dual steepest-edge weights.
-constexpr std::uint32_t kCheckpointVersion = 2;
+void put_doubles(std::string& s, const std::vector<double>& v) {
+  put_u32(s, static_cast<std::uint32_t>(v.size()));
+  for (const double d : v) put_double(s, d);
+}
+
+// Version 2 added the basis's dual steepest-edge weights, version 3 the
+// reuse seed.
+constexpr std::uint32_t kCheckpointVersion = 3;
 
 std::vector<TradeoffPoint> sweep(const Torus& torus, DesignObjective objective,
                                  const std::vector<std::vector<int>>& samples,
@@ -161,9 +177,13 @@ std::vector<TradeoffPoint> sweep(const Torus& torus, DesignObjective objective,
       if (sweep_cfg.resume != nullptr) {
         auto it = sweep_cfg.resume->points.find(i);
         if (it != sweep_cfg.resume->points.end()) {
-          out[i] = it->second.first;
+          out[i] = it->second.point;
           out[i].provenance = "resumed";
-          if (sweep_cfg.warm_start) warm = it->second.second;
+          if (sweep_cfg.warm_start) {
+            warm = it->second.basis;
+            if (i > begin) design.set_locality_bound(localities[i] * hmin);
+            design.set_reuse_seed(it->second.seed);
+          }
           point_done(out[i].warm_start);
           continue;
         }
@@ -192,7 +212,8 @@ std::vector<TradeoffPoint> sweep(const Torus& torus, DesignObjective objective,
       // Journal terminal outcomes only: a cancelled solve is not a result —
       // the resumed run must recompute it from the same warm basis.
       if (sweep_cfg.journal != nullptr && res.status != lp::Status::Cancelled) {
-        sweep_cfg.journal->append(SweepCheckpoint::encode(i, out[i], res.basis));
+        sweep_cfg.journal->append(SweepCheckpoint::encode(
+            i, out[i], res.basis, sweep_cfg.warm_start ? design.reuse_seed() : nullptr));
       }
       if (res.status != lp::Status::Cancelled) point_done(res.warm_start);
       point_span.attr("index", i);
@@ -226,7 +247,7 @@ std::vector<TradeoffPoint> sweep(const Torus& torus, DesignObjective objective,
 // ---- checkpoint codec ---------------------------------------------------
 
 std::string SweepCheckpoint::encode(int index, const TradeoffPoint& pt,
-                                    const lp::Basis& basis) {
+                                    const lp::Basis& basis, const lp::Solution* seed) {
   std::string s;
   put_u32(s, kCheckpointVersion);
   put_u32(s, static_cast<std::uint32_t>(index));
@@ -254,17 +275,24 @@ std::string SweepCheckpoint::encode(int index, const TradeoffPoint& pt,
   put_u32(s, static_cast<std::uint32_t>(basis.basic.size()));
   s.append(reinterpret_cast<const char*>(basis.basic.data()),
            basis.basic.size() * sizeof(int));
-  put_u32(s, static_cast<std::uint32_t>(basis.weights.size()));
-  for (const double v : basis.weights) put_double(s, v);
+  put_doubles(s, basis.weights);
+  s.push_back(seed != nullptr ? 1 : 0);
+  if (seed != nullptr) {
+    put_double(s, seed->objective);
+    put_doubles(s, seed->x);
+    put_doubles(s, seed->duals);
+    put_doubles(s, seed->reduced);
+  }
   return s;
 }
 
 bool SweepCheckpoint::decode(const std::string& payload, int* index, TradeoffPoint* pt,
-                             lp::Basis* basis) {
+                             lp::Basis* basis, lp::Solution* seed) {
   Cursor c{payload.data(), payload.size()};
   if (c.u32() != kCheckpointVersion) return false;
   *pt = TradeoffPoint{};
   *basis = lp::Basis{};
+  lp::Solution got_seed;
   *index = static_cast<int>(c.u32());
   pt->locality = c.f64();
   pt->capacity_fraction = c.f64();
@@ -299,11 +327,21 @@ bool SweepCheckpoint::decode(const std::string& payload, int* index, TradeoffPoi
   if (!c.ok || c.left < std::size_t{nbasic} * sizeof(int)) return false;
   basis->basic.resize(nbasic);
   for (int& b : basis->basic) c.take(&b, sizeof b);
-  const std::uint32_t nweights = c.u32();
-  if (!c.ok || c.left != std::size_t{nweights} * sizeof(double)) return false;
-  basis->weights.resize(nweights);
-  for (double& v : basis->weights) v = c.f64();
-  return c.ok;
+  if (!c.doubles(&basis->weights)) return false;
+  std::uint8_t has_seed = 0;
+  if (!c.take(&has_seed, 1) || has_seed > 1) return false;
+  if (has_seed == 1) {
+    got_seed.status = lp::Status::Optimal;
+    got_seed.certificate = pt->certificate;
+    got_seed.objective = c.f64();
+    if (!c.doubles(&got_seed.x) || !c.doubles(&got_seed.duals) ||
+        !c.doubles(&got_seed.reduced)) {
+      return false;
+    }
+  }
+  if (!c.ok || c.left != 0) return false;
+  if (seed != nullptr) *seed = std::move(got_seed);
+  return true;
 }
 
 bool load_sweep_resume(const std::string& path, SweepResume* out, bool* truncated_tail,
@@ -317,9 +355,10 @@ bool load_sweep_resume(const std::string& path, SweepResume* out, bool* truncate
   out->points.clear();
   for (std::size_t r = 0; r < contents.records.size(); ++r) {
     int index = -1;
-    TradeoffPoint pt;
-    lp::Basis basis;
-    if (!SweepCheckpoint::decode(contents.records[r], &index, &pt, &basis) || index < 0) {
+    SweepResume::Point point;
+    if (!SweepCheckpoint::decode(contents.records[r], &index, &point.point, &point.basis,
+                                 &point.seed) ||
+        index < 0) {
       if (error != nullptr) {
         *error = "journal '" + path + "': record " + std::to_string(r) +
                  " is not a sweep checkpoint";
@@ -328,7 +367,7 @@ bool load_sweep_resume(const std::string& path, SweepResume* out, bool* truncate
     }
     // Later records win: a resumed-then-killed run may have re-journaled a
     // point; the freshest result is the one its successor chained from.
-    out->points[index] = {std::move(pt), std::move(basis)};
+    out->points[index] = std::move(point);
   }
   return true;
 }

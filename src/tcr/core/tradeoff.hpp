@@ -37,7 +37,10 @@ struct TradeoffPoint {
   std::string note;                ///< solver stop diagnosis when not Optimal
   lp::Certificate certificate;     ///< independent KKT check of the point's LP
   /// Warm-start adoption outcome of the point's solve ("cold"/"accepted"/
-  /// "repaired"/"rejected"; see lp::Solution::warm_start).
+  /// "repaired"/"rejected"; see lp::Solution::warm_start), "crash-accepted"/
+  /// "crash-repaired" for a chain head started from the design's crash, or
+  /// "reused" for a point past the knee answered by the previous point's
+  /// certified optimum with 0 iterations (see SymmetricArcDesign::solve()).
   std::string warm_start = "cold";
   /// Simplex iterations the point's solve used (budget diagnosis).
   long iterations = 0;
@@ -83,31 +86,44 @@ struct SweepConfig {
   /// durably, the moment it completes. Shared by parallel chains.
   guard::JournalWriter* journal = nullptr;
   /// Previously completed points (loaded from a journal): replayed verbatim
-  /// with provenance "resumed", and their journaled bases re-chain the warm
-  /// starts, so a killed run resumed with the same grid/options reproduces
-  /// the uninterrupted point series bitwise.
+  /// with provenance "resumed", and their journaled bases and reuse seeds
+  /// re-chain the warm starts, so a killed run resumed with the same
+  /// grid/options reproduces the uninterrupted point series bitwise.
   const struct SweepResume* resume = nullptr;
 };
 
 /// Completed points of an earlier (killed) sweep, keyed by point index.
 struct SweepResume {
-  std::map<int, std::pair<TradeoffPoint, lp::Basis>> points;
+  struct Point {
+    TradeoffPoint point;
+    lp::Basis basis;
+    /// The point's reuse seed (SymmetricArcDesign::reuse_seed()); x is
+    /// empty when the point could not seed a reuse.
+    lp::Solution seed;
+  };
+  std::map<int, Point> points;
 
   bool has(int index) const { return points.find(index) != points.end(); }
 };
 
-/// Codec for one journaled sweep point: the TradeoffPoint result plus the
+/// Codec for one journaled sweep point: the TradeoffPoint result, the
 /// exported simplex basis, with its dual steepest-edge weights, that
-/// warm-starts the next point. Version 2; a version-1 payload (no weights)
-/// is refused, since a resume from it would not pivot as the run did. Binary and
-/// machine-local (doubles are stored bit-exact — resume must reproduce the
-/// uninterrupted run bitwise; journals are not an interchange format).
+/// warm-starts the next point, and, for a point that can seed a reuse, its
+/// optimum (objective, x, row duals and reduced costs) that lets the next
+/// point skip its solve. Version 3; version-1 (no weights) and version-2 (no
+/// seed) payloads are refused, since a resume from them would not pivot, or
+/// reuse, as the run did. Binary and machine-local (doubles are stored
+/// bit-exact — resume must reproduce the uninterrupted run bitwise; journals
+/// are not an interchange format).
 struct SweepCheckpoint {
-  static std::string encode(int index, const TradeoffPoint& pt, const lp::Basis& basis);
+  static std::string encode(int index, const TradeoffPoint& pt, const lp::Basis& basis,
+                            const lp::Solution* seed = nullptr);
   /// Strict decode; false on any truncation, trailing bytes or version
-  /// mismatch (the journal layer already CRC-checks payload integrity).
+  /// mismatch (the journal layer already CRC-checks payload integrity). A
+  /// journaled seed decodes as an Optimal solution carrying the point's
+  /// certificate; without one *seed has empty x.
   static bool decode(const std::string& payload, int* index, TradeoffPoint* pt,
-                     lp::Basis* basis);
+                     lp::Basis* basis, lp::Solution* seed = nullptr);
 };
 
 /// Load a checkpoint journal written by SweepConfig::journal. Returns false

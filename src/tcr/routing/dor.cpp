@@ -51,10 +51,28 @@ std::vector<WeightedWalk> dor_walks(const Torus& t, int from, int to, bool x_fir
 }  // namespace detail
 
 TorusRouting make_dor(const Torus& torus) {
+  // Each path's channels come straight from the ring choices, X hops from
+  // node 0 and then Y hops, in dor_walks()'s order and with its weights.
+  const int k = torus.k();
+  const auto dir = [](bool x_dim, int sign) {
+    return x_dim ? (sign > 0 ? Dir::PX : Dir::NX) : (sign > 0 ? Dir::PY : Dir::NY);
+  };
   TorusRouting r(torus, "DOR");
   for (int e = 1; e < torus.num_nodes(); ++e) {
-    for (const auto& w : detail::dor_walks(torus, 0, e, /*x_first=*/true)) {
-      r.add_path(e, path_from_walk(torus, w.walk), w.prob);
+    for (const auto& xc : detail::minimal_ring_choices(k, torus.x_of(e))) {
+      for (const auto& yc : detail::minimal_ring_choices(k, torus.y_of(e))) {
+        Path p;
+        p.dst = e;
+        p.channels.reserve(static_cast<std::size_t>(xc.len + yc.len));
+        int x = 0, y = 0;
+        for (int i = 0; i < xc.len; ++i, x += xc.sign) {
+          p.channels.push_back(torus.channel(torus.node(x, y), dir(true, xc.sign)));
+        }
+        for (int i = 0; i < yc.len; ++i, y += yc.sign) {
+          p.channels.push_back(torus.channel(torus.node(x, y), dir(false, yc.sign)));
+        }
+        r.add_path(e, std::move(p), xc.prob * yc.prob);
+      }
     }
   }
   return r;

@@ -459,21 +459,86 @@ TEST(SweepCheckpoint, EveryTruncationIsRejected) {
   }
 }
 
+lp::Solution sample_seed() {
+  lp::Solution seed;
+  seed.status = lp::Status::Optimal;
+  seed.objective = 0.8125000000000002;
+  seed.x = {0.0, 1.0 / 3.0, -0.0, 2.5e-300};
+  seed.duals = {-1.9e-17, 0.25};
+  seed.reduced = {0.125, 0.0, 1e-12, 7.0};
+  return seed;
+}
+
+TEST(SweepCheckpoint, ReuseSeedRoundTripsBitExact) {
+  const TradeoffPoint pt = sample_point();
+  const lp::Solution seed = sample_seed();
+  const std::string payload = SweepCheckpoint::encode(4, pt, sample_basis(), &seed);
+  int index = -1;
+  TradeoffPoint got;
+  lp::Basis got_basis;
+  lp::Solution got_seed;
+  ASSERT_TRUE(SweepCheckpoint::decode(payload, &index, &got, &got_basis, &got_seed));
+  EXPECT_EQ(got_seed.status, lp::Status::Optimal);
+  EXPECT_TRUE(bits_equal(got_seed.objective, seed.objective));
+  EXPECT_EQ(got_seed.certificate.ok(), pt.certificate.ok());
+  const auto same = [](const std::vector<double>& a, const std::vector<double>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (!bits_equal(a[i], b[i])) return false;
+    }
+    return true;
+  };
+  EXPECT_TRUE(same(got_seed.x, seed.x));
+  EXPECT_TRUE(same(got_seed.duals, seed.duals));
+  EXPECT_TRUE(same(got_seed.reduced, seed.reduced));
+  for (std::size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_FALSE(SweepCheckpoint::decode(payload.substr(0, len), &index, &got, &got_basis,
+                                         &got_seed))
+        << "truncation to " << len << " of " << payload.size() << " bytes parsed";
+  }
+
+  // A point without a seed decodes to an empty one, also over a full one.
+  got_seed = seed;
+  ASSERT_TRUE(SweepCheckpoint::decode(SweepCheckpoint::encode(4, pt, sample_basis()), &index,
+                                      &got, &got_basis, &got_seed));
+  EXPECT_TRUE(got_seed.x.empty());
+}
+
+// Version 3 added the reuse seed. A version-2 payload, the same fields
+// without the seed flag, is refused: a resume from it could not reuse the
+// optimum the run reused, so it would not reproduce the run.
+TEST(SweepCheckpoint, VersionTwoPayloadIsRefused) {
+  std::string v2 = SweepCheckpoint::encode(3, sample_point(), sample_basis());
+  v2.resize(v2.size() - 1);  // no seed flag
+  const std::uint32_t version = 2;
+  std::memcpy(v2.data(), &version, sizeof version);
+  int index;
+  TradeoffPoint pt;
+  lp::Basis got;
+  EXPECT_FALSE(SweepCheckpoint::decode(v2, &index, &pt, &got));
+  // Nor is a version-3 body stamped with version 2.
+  const lp::Solution seed = sample_seed();
+  std::string stamped = SweepCheckpoint::encode(3, sample_point(), sample_basis(), &seed);
+  std::memcpy(stamped.data(), &version, sizeof version);
+  EXPECT_FALSE(SweepCheckpoint::decode(stamped, &index, &pt, &got));
+}
+
 // Version 2 added the basis's dual steepest-edge weights. A version-1
-// payload, the same fields without the weight list, is refused: resuming
-// from it would start the next point without the weights the run had.
+// payload, the same fields without the weight list (or the version-3 seed
+// flag), is refused: resuming from it would start the next point without
+// the weights the run had.
 TEST(SweepCheckpoint, VersionOnePayloadIsRefused) {
   lp::Basis basis = sample_basis();
   basis.weights.clear();
   std::string v1 = SweepCheckpoint::encode(3, sample_point(), basis);
-  v1.resize(v1.size() - sizeof(std::uint32_t));  // no weight count
+  v1.resize(v1.size() - sizeof(std::uint32_t) - 1);  // no weight count, no seed flag
   const std::uint32_t version = 1;
   std::memcpy(v1.data(), &version, sizeof version);
   int index;
   TradeoffPoint pt;
   lp::Basis got;
   EXPECT_FALSE(SweepCheckpoint::decode(v1, &index, &pt, &got));
-  // Nor is a version-2 body stamped with version 1.
+  // Nor is a current body stamped with version 1.
   std::string stamped = SweepCheckpoint::encode(3, sample_point(), sample_basis());
   std::memcpy(stamped.data(), &version, sizeof version);
   EXPECT_FALSE(SweepCheckpoint::decode(stamped, &index, &pt, &got));
@@ -671,7 +736,7 @@ TEST(SweepResumeTest, ResumeAfterWarmPointReproducesItsPivots) {
   ASSERT_TRUE(load_sweep_resume(path, &resume, &torn, &error)) << error;
   ASSERT_EQ(resume.points.size(), ref.size());
   // Point 1 was a dual restart: its journaled basis carries weights.
-  ASSERT_FALSE(resume.points.at(1).second.weights.empty());
+  ASSERT_FALSE(resume.points.at(1).basis.weights.empty());
   for (int i = 2; i < static_cast<int>(ref.size()); ++i) resume.points.erase(i);
 
   SweepConfig resume_cfg;
@@ -683,6 +748,56 @@ TEST(SweepResumeTest, ResumeAfterWarmPointReproducesItsPivots) {
         << "point " << i;
     EXPECT_EQ(resumed[i].iterations, ref[i].iterations) << "point " << i;
   }
+}
+
+
+// A sweep cut past the knee resumes bitwise: the journal carries the last
+// replayed point's optimum, so the next point reuses it exactly as the
+// uninterrupted run did, with 0 iterations.
+TEST(SweepResumeTest, CutPastTheKneeReusesTheJournaledOptimum) {
+  const Torus torus(4);
+  const auto grid = locality_grid(1.0, 2.0, 5);
+  const std::string path = temp_path("knee-sweep.jnl");
+  std::remove(path.c_str());
+  JournalWriter journal;
+  std::string error;
+  ASSERT_TRUE(journal.open(path, &error)) << error;
+  SweepConfig cfg;
+  cfg.journal = &journal;
+  const auto ref = worst_case_tradeoff(torus, grid, {}, nullptr, cfg);
+  journal.close();
+  ASSERT_EQ(ref[3].warm_start, "reused");
+  ASSERT_EQ(ref[4].warm_start, "reused");
+
+  SweepResume resume;
+  bool torn = false;
+  ASSERT_TRUE(load_sweep_resume(path, &resume, &torn, &error)) << error;
+  ASSERT_EQ(resume.points.size(), ref.size());
+  // Only the points that can seed a reuse journal an optimum.
+  EXPECT_TRUE(resume.points.at(0).seed.x.empty());
+  EXPECT_TRUE(resume.points.at(1).seed.x.empty());
+  ASSERT_FALSE(resume.points.at(3).seed.x.empty());
+  resume.points.erase(4);
+
+  SweepConfig resume_cfg;
+  resume_cfg.resume = &resume;
+  const auto resumed = worst_case_tradeoff(torus, grid, {}, nullptr, resume_cfg);
+  ASSERT_EQ(resumed.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_TRUE(bits_equal(resumed[i].capacity_fraction, ref[i].capacity_fraction))
+        << "point " << i;
+    EXPECT_EQ(resumed[i].iterations, ref[i].iterations) << "point " << i;
+    EXPECT_EQ(resumed[i].warm_start, ref[i].warm_start) << "point " << i;
+    EXPECT_TRUE(bits_equal(resumed[i].certificate.worst(), ref[i].certificate.worst()))
+        << "point " << i;
+  }
+  EXPECT_EQ(resumed[4].provenance, "measured");
+
+  // Without the journaled optimum the point is solved again.
+  resume.points.at(3).seed.x.clear();
+  const auto unseeded = worst_case_tradeoff(torus, grid, {}, nullptr, resume_cfg);
+  EXPECT_NE(unseeded[4].warm_start, "reused");
+  EXPECT_GT(unseeded[4].iterations, 0);
 }
 
 }  // namespace

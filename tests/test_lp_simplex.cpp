@@ -508,7 +508,7 @@ void expect_pinned(const PivotPath& got, const PivotPath& want) {
 TEST(RevisedSimplex, PivotPathPinnedOnFigure1Sweep) {
   const PivotPath got = record_pivot_path(
       [] { return worst_case_tradeoff(Torus(4), locality_grid(1.0, 2.0, 5)); });
-  expect_pinned(got, {279, 19,
+  expect_pinned(got, {188, 12,
                       {0x3fd5555555555555ull, 0x3fde1e1e1e1e1e1eull, 0x3fe0000000000001ull,
                        0x3fe0000000000001ull, 0x3fe0000000000001ull}});
 }
@@ -520,7 +520,7 @@ TEST(RevisedSimplex, PivotPathPinnedOnFigure6Sweep) {
   for (int i = 0; i < 4; ++i) samples.push_back(rng.permutation(torus.num_nodes()));
   const PivotPath got = record_pivot_path(
       [&] { return average_case_tradeoff(torus, samples, locality_grid(1.0, 2.0, 5)); });
-  expect_pinned(got, {166, 16,
+  expect_pinned(got, {162, 12,
                       {0x3fdc051832f1fd74ull, 0x3fe28f6716dcdf39ull, 0x3fe3ab1a801c7113ull,
                        0x3fe3ab1a801c7113ull, 0x3fe3ab1a801c7113ull}});
 }

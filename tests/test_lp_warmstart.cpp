@@ -252,9 +252,12 @@ TEST(WarmStart, SweepChainMatchesColdAndAdoptsBases) {
   SweepConfig cold_cfg = warm_cfg;
   cold_cfg.warm_start = false;
 
+  auto& reused_counter = obs::Registry::instance().counter("core.design.reused");
   const WarmCounters before = WarmCounters::snap();
+  const std::int64_t reused_before = reused_counter.value();
   const auto warm = worst_case_tradeoff(torus, grid, {}, nullptr, warm_cfg);
   const WarmCounters d = WarmCounters::snap().delta_since(before);
+  const std::int64_t reused = reused_counter.value() - reused_before;
   const auto cold = worst_case_tradeoff(torus, grid, {}, nullptr, cold_cfg);
 
   ASSERT_EQ(warm.size(), grid.size());
@@ -267,10 +270,167 @@ TEST(WarmStart, SweepChainMatchesColdAndAdoptsBases) {
   }
   // Every point gets a start basis — the chain head its crash, every later
   // point the previous point's — and the sweep is only worth shipping if
-  // those bases are actually adopted.
-  EXPECT_EQ(d.adopted() + d.rejected, static_cast<std::int64_t>(grid.size()));
+  // those bases are actually adopted. A point past the knee reuses the
+  // previous certified optimum instead and hands no basis to lp::solve.
+  EXPECT_EQ(d.adopted() + d.rejected + reused, static_cast<std::int64_t>(grid.size()));
   EXPECT_GT(d.adopted(), 0);
   EXPECT_GT(d.phase1_skipped, 0);
+  EXPECT_GT(reused, 0);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    if (warm[i].warm_start == "reused") {
+      EXPECT_EQ(warm[i].iterations, 0) << "point " << i;
+    }
+  }
+}
+
+// ---- Reuse past the knee ----------------------------------------------------
+// Once the locality row's dual is 0, loosening the bound cannot move the
+// optimum, so a warm design solve answers with the previous certified
+// optimum: 0 iterations and a fresh certificate against the new rhs.
+
+// A warm Figure 1 chain over `grid` on one design, each point also solved
+// by lp::solve from the same warm basis (the solve a reuse replaces).
+struct ReuseChain {
+  std::vector<DesignResult> points;
+  std::vector<double> fresh_objective;  // lp::solve's optimum per point
+  std::vector<bool> seeded;             // a reuse seed was kept after the point
+};
+
+ReuseChain run_reuse_chain(const Torus& torus, const std::vector<double>& grid) {
+  const double hmin = torus.mean_min_distance();
+  SymmetricDesignConfig cfg;
+  cfg.objective = DesignObjective::WorstCase;
+  cfg.locality_equals = grid[0] * hmin;
+  cfg.locality_le = true;
+  SymmetricArcDesign design(torus, cfg);
+  ReuseChain chain;
+  Basis warm;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    if (i > 0) design.set_locality_bound(grid[i] * hmin);
+    const Basis* start = warm.empty() ? nullptr : &warm;
+    const Solution fresh =
+        solve(design.model(), {}, start != nullptr ? start : &design.flow_crash_hints());
+    EXPECT_EQ(fresh.status, Status::Optimal) << "point " << i << ": " << fresh.note;
+    chain.fresh_objective.push_back(fresh.objective);
+    chain.points.push_back(design.solve({}, start));
+    chain.seeded.push_back(design.reuse_seed() != nullptr);
+    warm = chain.points.back().basis;
+  }
+  return chain;
+}
+
+TEST(Reuse, PostKneePointsReuseTheCertifiedOptimum) {
+  struct Case {
+    int k;
+    int points;
+  };
+  for (const Case c : {Case{4, 5}, Case{6, 9}}) {
+    const Torus torus(c.k);
+    const std::vector<double> grid = locality_grid(1.0, 2.0, c.points);
+    auto& reused_counter = obs::Registry::instance().counter("core.design.reused");
+    const std::int64_t reused_before = reused_counter.value();
+    const ReuseChain chain = run_reuse_chain(torus, grid);
+    std::int64_t reused = 0;
+    bool past_knee = false;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const DesignResult& r = chain.points[i];
+      ASSERT_EQ(r.status, Status::Optimal) << "k " << c.k << " point " << i << ": " << r.note;
+      EXPECT_TRUE(r.certificate.ok()) << r.certificate.summary();
+      // The seed is kept from the first point whose locality dual is 0 on,
+      // and every later point reuses it.
+      EXPECT_EQ(r.warm_start == "reused", past_knee) << "k " << c.k << " point " << i;
+      past_knee = past_knee || chain.seeded[i];
+      EXPECT_EQ(chain.seeded[i], past_knee) << "k " << c.k << " point " << i;
+      if (r.warm_start != "reused") continue;
+      ++reused;
+      EXPECT_EQ(r.iterations, 0);
+      EXPECT_EQ(r.dual_iterations, 0);
+      EXPECT_EQ(r.basis.basic, chain.points[i - 1].basis.basic) << "basis carried forward";
+      EXPECT_NEAR(torus.ideal_uniform_load() / r.objective,
+                  torus.ideal_uniform_load() / chain.fresh_objective[i], 1e-12)
+          << "k " << c.k << " point " << i;
+    }
+    EXPECT_GE(reused, 2) << "k " << c.k;
+    EXPECT_EQ(reused_counter.value() - reused_before, reused);
+    // The chain head and the pre-knee points went to lp::solve.
+    EXPECT_FALSE(chain.seeded[0]);
+    EXPECT_GT(chain.points[1].iterations, 0);
+
+    // The sweep takes the same path, point for point.
+    const auto pts = worst_case_tradeoff(torus, grid);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      EXPECT_EQ(pts[i].warm_start, chain.points[i].warm_start) << "point " << i;
+      EXPECT_EQ(pts[i].iterations, chain.points[i].iterations) << "point " << i;
+    }
+  }
+}
+
+// Only a loosened bound with a warm basis reuses: a tightened bound, even
+// one still past the knee, and a cold solve go to lp::solve.
+TEST(Reuse, TightenedBoundAndColdSolvesFallThrough) {
+  const Torus torus(4);
+  const double hmin = torus.mean_min_distance();
+  SymmetricDesignConfig cfg;
+  cfg.objective = DesignObjective::WorstCase;
+  cfg.locality_equals = 1.5 * hmin;
+  cfg.locality_le = true;
+  SymmetricArcDesign design(torus, cfg);
+  const DesignResult knee = design.solve();
+  ASSERT_EQ(knee.status, Status::Optimal) << knee.note;
+  ASSERT_NE(design.reuse_seed(), nullptr) << "L = 1.5 is past the k = 4 knee";
+
+  design.set_locality_bound(2.0 * hmin);
+  const DesignResult loose = design.solve({}, &knee.basis);
+  EXPECT_EQ(loose.warm_start, "reused");
+
+  // Tightened from 2.0 to 1.75: the seed would certify, but is not used.
+  design.set_locality_bound(1.75 * hmin);
+  const WarmCounters before = WarmCounters::snap();
+  const DesignResult tight = design.solve({}, &loose.basis);
+  ASSERT_EQ(tight.status, Status::Optimal) << tight.note;
+  EXPECT_NE(tight.warm_start, "reused");
+  EXPECT_EQ(WarmCounters::snap().delta_since(before).attempts, 1);
+
+  // A cold solve at a looser bound starts from the crash.
+  design.set_locality_bound(2.0 * hmin);
+  const DesignResult cold = design.solve();
+  ASSERT_EQ(cold.status, Status::Optimal) << cold.note;
+  EXPECT_NE(cold.warm_start, "reused");
+
+  // Before the knee the locality dual is not 0: no seed, no reuse.
+  design.set_locality_bound(1.0 * hmin);
+  const DesignResult minimal = design.solve({}, &cold.basis);
+  ASSERT_EQ(minimal.status, Status::Optimal) << minimal.note;
+  EXPECT_EQ(design.reuse_seed(), nullptr);
+  design.set_locality_bound(1.125 * hmin);
+  const DesignResult next = design.solve({}, &minimal.basis);
+  ASSERT_EQ(next.status, Status::Optimal) << next.note;
+  EXPECT_NE(next.warm_start, "reused");
+  EXPECT_GT(next.iterations, 0);
+}
+
+// A seed that no longer certifies is not reused: a seed handed in with a
+// perturbed optimum fails lp::certify against the model and the solve goes
+// to lp::solve.
+TEST(Reuse, SeedThatFailsItsCertificateFallsThrough) {
+  const Torus torus(4);
+  const double hmin = torus.mean_min_distance();
+  SymmetricDesignConfig cfg;
+  cfg.objective = DesignObjective::WorstCase;
+  cfg.locality_equals = 1.5 * hmin;
+  cfg.locality_le = true;
+  SymmetricArcDesign design(torus, cfg);
+  const DesignResult knee = design.solve();
+  ASSERT_EQ(knee.status, Status::Optimal) << knee.note;
+  ASSERT_NE(design.reuse_seed(), nullptr);
+  Solution bad = *design.reuse_seed();
+  bad.x[0] += 1e-3;
+  design.set_reuse_seed(bad);
+  design.set_locality_bound(2.0 * hmin);
+  const DesignResult res = design.solve({}, &knee.basis);
+  ASSERT_EQ(res.status, Status::Optimal) << res.note;
+  EXPECT_NE(res.warm_start, "reused");
+  EXPECT_TRUE(res.certificate.ok()) << res.certificate.summary();
 }
 
 TEST(WarmStart, ParallelSweepBitwiseMatchesSerial) {
@@ -558,9 +718,12 @@ TEST(DualRestart, FallbackCountsPhase1PivotsOnce) {
 
 // A dual phase that gives up on a sweep point hands its basis to phase 1;
 // the point is neither rejected nor restarted from the all-logical basis.
-// With four chains over eleven points of the k = 6 Figure 1 sweep, the
-// L = 2 point's dual phase stops numerically after hundreds of pivots. The
-// curve must still equal the one-chain curve.
+// With four chains over eleven points of the k = 6 Figure 1 sweep, the last
+// chain solves L = 1.8 from its crash and L = 1.9 warm, and a warm L = 2
+// solve from that basis stops its dual phase numerically after hundreds of
+// pivots. The sweep itself reuses the L = 1.8 optimum at both later points
+// (past the knee), so the chain's restarts are driven through lp::solve on
+// its design. The curve must still equal the one-chain curve.
 TEST(DualRestart, FallbackKeepsTheBasisOnASweep) {
   const Torus torus(6);
   const std::vector<double> grid = locality_grid(1.0, 2.0, 11);
@@ -569,10 +732,28 @@ TEST(DualRestart, FallbackKeepsTheBasisOnASweep) {
   SweepConfig four;
   four.chains = 4;
   const auto ref = worst_case_tradeoff(torus, grid, {}, nullptr, one);
+
+  const double hmin = torus.mean_min_distance();
+  SymmetricDesignConfig cfg;
+  cfg.objective = DesignObjective::WorstCase;
+  cfg.locality_equals = grid[8] * hmin;
+  cfg.locality_le = true;
+  SymmetricArcDesign design(torus, cfg);
+  const DesignResult head = design.solve();
+  ASSERT_EQ(head.status, Status::Optimal) << head.note;
+  design.set_locality_bound(grid[9] * hmin);
+  const Solution mid = solve(design.model(), {}, &head.basis);
+  ASSERT_EQ(mid.status, Status::Optimal) << mid.note;
+  design.set_locality_bound(grid[10] * hmin);
   const DualCounters before = DualCounters::snap();
-  const auto pts = worst_case_tradeoff(torus, grid, {}, nullptr, four);
+  const Solution last = solve(design.model(), {}, &mid.basis);
   const DualCounters d = DualCounters::snap().delta_since(before);
   EXPECT_GE(d.fallbacks, 1);
+  ASSERT_EQ(last.status, Status::Optimal) << last.note;
+  EXPECT_NE(last.warm_start, "rejected");
+  EXPECT_NEAR(torus.ideal_uniform_load() / last.objective, ref[10].capacity_fraction, 1e-9);
+
+  const auto pts = worst_case_tradeoff(torus, grid, {}, nullptr, four);
   ASSERT_EQ(pts.size(), grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     ASSERT_TRUE(pts[i].solved()) << "point " << i << ": " << pts[i].note;
@@ -636,14 +817,16 @@ TEST(DualRestart, InvalidWeightsAreDroppedAndTheBasisKept) {
   ASSERT_GT(mid.dual_iterations, 0);
   ASSERT_EQ(mid.basis.weights.size(), mid.basis.basic.size());
 
+  // The restarts go to lp::solve itself: at L = 1.5 the locality dual is 0,
+  // so a warm design.solve() would reuse the optimum of the solve before it.
   design.set_locality_bound(1.5 * hmin);
   Basis bare = mid.basis;
   bare.weights.clear();
-  const DesignResult ref = design.solve({}, &bare);
+  const Solution ref = solve(design.model(), {}, &bare);
   ASSERT_EQ(ref.status, Status::Optimal) << ref.note;
   ASSERT_GT(ref.dual_iterations, 0);
 
-  const DesignResult carried = design.solve({}, &mid.basis);
+  const Solution carried = solve(design.model(), {}, &mid.basis);
   ASSERT_EQ(carried.status, Status::Optimal) << carried.note;
   EXPECT_EQ(carried.warm_start, "accepted");
   EXPECT_NEAR(carried.objective, ref.objective, 1e-9 * ref.objective);
@@ -661,7 +844,7 @@ TEST(DualRestart, InvalidWeightsAreDroppedAndTheBasisKept) {
   Basis inf_weight = mid.basis;
   inf_weight.weights.back() = kInf;
   for (const Basis* bad : {&short_weights, &nan_weight, &inf_weight}) {
-    const DesignResult res = design.solve({}, bad);
+    const Solution res = solve(design.model(), {}, bad);
     ASSERT_EQ(res.status, Status::Optimal) << res.note;
     EXPECT_TRUE(res.certificate.pass) << res.certificate.summary();
     EXPECT_EQ(res.warm_start, "accepted");

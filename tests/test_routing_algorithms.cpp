@@ -82,6 +82,31 @@ TEST(Ival, PathsHaveAtMostTwoTurnsAndNoChannelRevisit) {
   }
 }
 
+// make_dor() builds each path's channels from the ring choices directly;
+// they must equal the paths path_from_walk() makes of dor_walks(), in the
+// same order and with the same weights, at odd and even radices.
+TEST(Dor, PathsEqualTheWalkBuiltPaths) {
+  for (const int k : {3, 4, 5, 6, 7, 8, 9, 16}) {
+    const Torus t(k);
+    const TorusRouting dor = make_dor(t);
+    TorusRouting walked(t, "DOR");
+    for (int e = 1; e < t.num_nodes(); ++e) {
+      for (const auto& w : detail::dor_walks(t, 0, e, /*x_first=*/true)) {
+        walked.add_path(e, path_from_walk(t, w.walk), w.prob);
+      }
+    }
+    for (int e = 1; e < t.num_nodes(); ++e) {
+      const auto& got = dor.paths(e);
+      const auto& want = walked.paths(e);
+      ASSERT_EQ(got.size(), want.size()) << "k " << k << " offset " << e;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].path, want[i].path) << "k " << k << " offset " << e << " path " << i;
+        EXPECT_EQ(got[i].weight, want[i].weight) << "k " << k << " offset " << e << " path " << i;
+      }
+    }
+  }
+}
+
 TEST(Dor, WorstCaseBeatsOtherMinimalAlgorithms) {
   // Paper Figure 1: DOR attains the best worst-case of any minimal algorithm.
   const Torus t(8);
